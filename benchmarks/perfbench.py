@@ -16,11 +16,6 @@ Kernels:
 * ``rebuild_nocache``     — same rebuild with ``plan_cache=False`` (ablation)
 * ``engine_elevator``     — raw event-engine throughput, elevator scheduling
 * ``batch_submission``    — vectorized ``submit_batch`` over bulk numpy ops
-* ``engine_calendar``     — run-phase A/B of the heapq tuple calendar vs
-                            the typed opcode calendar on a pre-submitted
-                            workload (``calendar_heapq``/``calendar_typed``
-                            kernels, ``calendar_speedup`` derived ratio;
-                            ``--calendar-ab`` gates it in CI)
 * ``plan_generation``     — reconstruction plans for every 2-failure set
 * ``nemesis_schedule``    — drawing dense year-long nemesis fault schedules
 * ``campaign_serial``     — 16-seed compare_sweep, ``jobs=1``
@@ -45,16 +40,11 @@ Derived ratios land in the record too: ``plan_cache_speedup``
 ``obs_null_overhead`` (null-sink slowdown over the hook-free engine —
 the ≤2% contract ``--obs-overhead`` gates in CI).
 Gate a run against a baseline with ``tools/bench_compare.py``.
-
-``--no-batch`` disables the vectorized batch path for the whole run
-(the per-element ablation); CI times both and gates the batch path
-against the per-element record so it can never silently regress.
 """
 
 from __future__ import annotations
 
 import argparse
-import heapq
 import json
 import os
 import platform
@@ -170,44 +160,6 @@ def kernel_openloop_submit(n_arrivals: int) -> float:
     return _time(drive)
 
 
-def kernel_calendar(n_requests: int, repeats: int) -> dict:
-    """Run-phase heapq-vs-typed A/B on an identical pre-submitted workload.
-
-    Submission happens outside the timed region, so this isolates
-    exactly what the typed calendar changed: event pop, dispatch and
-    completion.  Configs interleave within each round for the same
-    reason ``kernel_obs_overhead`` interleaves — sequential blocks put
-    warm-up and frequency drift entirely on one side of the ratio.
-    """
-    import numpy as np
-
-    element = 4 * 1024 * 1024
-    rng = np.random.default_rng(0)
-    disks = [int(d) for d in rng.integers(0, 8, size=n_requests)]
-    slots = [int(o) for o in rng.integers(0, 512, size=n_requests)]
-
-    def drive(kind: str) -> float:
-        arr = ElementArray(
-            8, element, DiskParameters.savvio_10k3(), ElevatorScheduler,
-            calendar=kind,
-        )
-        for d, slot in zip(disks, slots):
-            arr.submit(arr.element_request(d, slot, IOKind.READ))
-        return _time(arr.run)
-
-    heapq_t, typed_t = [], []
-    for _ in range(repeats):
-        heapq_t.append(drive("heapq"))
-        typed_t.append(drive("typed"))
-    heapq_s = min(heapq_t)
-    typed_s = min(typed_t)
-    return {
-        "heapq_s": heapq_s,
-        "typed_s": typed_s,
-        "speedup": heapq_s / max(typed_s, 1e-9),
-    }
-
-
 def kernel_plans() -> float:
     layout = shifted_mirror_parity(7)
 
@@ -268,16 +220,13 @@ def kernel_campaign_pooled(n_seeds: int, n_stripes: int) -> float:
 class _BareSimulation(Simulation):
     """The engine with its observability hooks surgically removed.
 
-    On the heapq calendar, ``_complete`` and ``run`` carry the
-    pre-instrumentation bodies, so timing this subclass against the
-    real engine under ``REPRO_OBS=0`` prices exactly the null-sink
-    residue (one ``is not None`` check per completion plus one counter
-    flush per ``run``) and nothing else.  The typed calendar's batch
-    loop already pays its observability residue per *run* rather than
-    per event — a null check before the final counter flush and one
-    inside the vectorized drain — so there is no per-event body left
-    to strip; the parent loop with ``_obs = None`` *is* the bare
-    engine, and the twin only guarantees the hooks stay off.
+    ``_complete`` carries the pre-instrumentation body, so timing this
+    subclass against the real engine under ``REPRO_OBS=0`` prices
+    exactly the null-sink residue (one ``is not None`` check per
+    completion) and nothing else.  The run loop already pays its
+    observability residue per *run* rather than per event — a null
+    check before the final counter flush and one inside the vectorized
+    drain — so it is inherited unchanged.
     """
 
     def __init__(self, *args, **kwargs) -> None:
@@ -294,24 +243,6 @@ class _BareSimulation(Simulation):
         if cb is not None:
             cb(request)
         self._start_next(server)
-
-    def run(self, until=None):
-        if self._cal is not None:
-            return super().run(until)
-        events = self._events
-        if until is not None and until <= self.now:
-            return self.now
-        while events:
-            t = events[0][0]
-            if until is not None and t > until:
-                self.now = until
-                return self.now
-            _, _, action, args = heapq.heappop(events)
-            self.now = t
-            action(*args)
-        if until is not None and until > self.now:
-            self.now = until
-        return self.now
 
 
 def kernel_obs_overhead(n_requests: int, repeats: int) -> dict:
@@ -461,12 +392,6 @@ def run_suite(tiny: bool, repeats: int) -> dict:
         lambda: kernel_openloop_submit(scale["openloop_arrivals"])
     )
     print(f"  openloop_submit   {kernels['openloop_submit']:.3f} s")
-    calendar = kernel_calendar(scale["engine_requests"], repeats)
-    kernels["calendar_heapq"] = calendar["heapq_s"]
-    kernels["calendar_typed"] = calendar["typed_s"]
-    print(f"  engine_calendar   heapq {calendar['heapq_s']:.3f} s, "
-          f"typed {calendar['typed_s']:.3f} s "
-          f"({calendar['speedup']:.2f}x)")
     kernels["plan_generation"] = best(kernel_plans)
     print(f"  plan_generation   {kernels['plan_generation']:.3f} s")
     kernels["nemesis_schedule"] = best(
@@ -502,7 +427,6 @@ def run_suite(tiny: bool, repeats: int) -> dict:
           f"({obs['streaming_overhead']:+.1%})")
 
     derived = {
-        "calendar_speedup": calendar["speedup"],
         "obs_null_overhead": obs["null_overhead"],
         "obs_instrumented_overhead": obs["instrumented_overhead"],
         "obs_timeseries_overhead": obs["timeseries_overhead"],
@@ -518,8 +442,6 @@ def run_suite(tiny: bool, repeats: int) -> dict:
           f"parallel speedup {derived['parallel_speedup']:.2f}x, "
           f"pool speedup {derived['pool_speedup']:.2f}x "
           f"({os.cpu_count()} cores)")
-    from repro.disksim.array import batch_enabled
-
     return {
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
         "python": platform.python_version(),
@@ -527,7 +449,6 @@ def run_suite(tiny: bool, repeats: int) -> dict:
         "cpu_count": os.cpu_count(),
         "scale": "tiny" if tiny else "full",
         "repeats": repeats,
-        "batch_path": batch_enabled(),
         "kernels": kernels,
         "derived": derived,
     }
@@ -543,9 +464,6 @@ def main(argv=None) -> int:
                         help=f"trajectory file (default {DEFAULT_OUT.name})")
     parser.add_argument("--no-append", action="store_true",
                         help="overwrite the trajectory instead of appending")
-    parser.add_argument("--no-batch", action="store_true",
-                        help="disable the vectorized batch path for the "
-                             "whole run (per-element ablation)")
     parser.add_argument("--obs-overhead", action="store_true",
                         help="run only the observability overhead gate: "
                              "fail (exit 1) if the null-sink engine is "
@@ -553,29 +471,7 @@ def main(argv=None) -> int:
     parser.add_argument("--obs-tolerance", type=float, default=0.02,
                         help="allowed null-sink slowdown for --obs-overhead "
                              "(default 0.02 = 2%%)")
-    parser.add_argument("--calendar-ab", action="store_true",
-                        help="run only the heapq-vs-typed calendar A/B gate: "
-                             "fail (exit 1) if the typed calendar's run phase "
-                             "is not at least --calendar-min-speedup faster")
-    parser.add_argument("--calendar-min-speedup", type=float, default=1.5,
-                        help="minimum run-phase speedup the typed calendar "
-                             "must show over heapq for --calendar-ab "
-                             "(default 1.5)")
     args = parser.parse_args(argv)
-
-    if args.calendar_ab:
-        n_requests = 2000 if args.tiny else 20000
-        repeats = max(args.repeats, 5)  # ratio gating needs stable best-of
-        ab = kernel_calendar(n_requests, repeats)
-        print(f"calendar A/B gate ({n_requests} requests, best of {repeats}):")
-        print(f"  heapq  {ab['heapq_s']:.4f} s")
-        print(f"  typed  {ab['typed_s']:.4f} s  ({ab['speedup']:.2f}x)")
-        if ab["speedup"] < args.calendar_min_speedup:
-            print(f"FAIL: typed-calendar speedup {ab['speedup']:.2f}x below "
-                  f"{args.calendar_min_speedup:.2f}x", file=sys.stderr)
-            return 1
-        print(f"OK: typed calendar >= {args.calendar_min_speedup:.2f}x faster")
-        return 0
 
     if args.obs_overhead:
         n_requests = 2000 if args.tiny else 20000
@@ -597,11 +493,6 @@ def main(argv=None) -> int:
         print(f"OK: null-sink overhead within {args.obs_tolerance:.0%}")
         return 0
 
-    if args.no_batch:
-        from repro.disksim.array import set_batch_enabled
-
-        os.environ["REPRO_BATCH"] = "0"  # pool workers inherit the toggle
-        set_batch_enabled(False)
     record = run_suite(tiny=args.tiny, repeats=args.repeats)
     runs = []
     if not args.no_append and args.out.exists():

@@ -7,7 +7,7 @@ printed in §VII (54.8 MB/s peak read, 130 MB/s peak write, 10 krpm,
 """
 
 from .array import DEFAULT_ELEMENT_SIZE, ElementArray
-from .calendar import EVENT_DTYPE, OP_CALL, OP_COMPLETE, TypedCalendar
+from .calendar import OP_CALL, OP_COMPLETE, TypedCalendar
 from .disk import DiskModel, DiskParameters
 from .events import Simulation
 from .faultplan import (
@@ -34,7 +34,6 @@ __all__ = [
     "PriorityScheduler",
     "Simulation",
     "TypedCalendar",
-    "EVENT_DTYPE",
     "OP_CALL",
     "OP_COMPLETE",
     "LatentSectorErrors",

@@ -1,156 +1,15 @@
-"""Per-machine calibration of scalar-vs-numpy crossover points.
+"""Compatibility stub: the batch threshold is now a constant.
 
-``ElementArray.submit_batch`` picks between a tuned scalar coalescer
-and a vectorized numpy one.  The crossover — the batch size where
-numpy's fixed per-call overhead (``asarray``, ``lexsort``, temporary
-allocation) starts paying for itself — is a property of the *machine*
-(interpreter build, allocator, cache sizes, numpy version), not of the
-workload, so a constant baked into the source is wrong somewhere.
-This module measures it once per machine, at first use, and caches the
-result under ``~/.cache/repro/``.
-
-Resolution order for :func:`batch_threshold`:
-
-1. ``REPRO_BATCH_THRESHOLD`` environment variable (an integer;
-   operators pin it for reproducible runs or to defeat the cache);
-2. the cache file, if its key (python/numpy version, platform)
-   matches this machine;
-3. a fresh micro-benchmark of the two coalescers over a geometric
-   ladder of batch sizes, persisted to the cache for next time.
-
-The measured value is clamped to ``[8, 512]`` — outside that range the
-measurement says more about system noise than about the crossover —
-and any failure (unwritable cache dir, clock trouble) falls back to
-the historical default of 48.
+The per-machine calibration that lived here was removed in favour of
+``repro.disksim.array._NUMPY_MIN_OPS``.  ``batch_threshold`` remains
+only because the end-to-end benchmark driver still imports it.
 """
 
-from __future__ import annotations
+from .array import _NUMPY_MIN_OPS
 
-import json
-import os
-import platform
-import sys
-import time
-from pathlib import Path
-
-__all__ = ["DEFAULT_THRESHOLD", "batch_threshold", "calibrate", "machine_key"]
-
-#: Historical constant, kept as the fallback when calibration is
-#: impossible (read-only home, missing clock resolution, ...).
-DEFAULT_THRESHOLD = 48
-
-#: Calibration search ladder and clamp bounds.
-_LADDER = (8, 16, 24, 32, 48, 64, 96, 128, 192, 256, 384, 512)
-_MIN, _MAX = 8, 512
-
-#: Per-process memo for :func:`batch_threshold`.
-_resolved: int | None = None
-
-
-def machine_key() -> str:
-    """Cache key identifying the measurement environment."""
-    import numpy as np
-
-    return "|".join(
-        (
-            platform.machine(),
-            platform.system(),
-            "py%d.%d" % sys.version_info[:2],
-            "np" + np.__version__,
-        )
-    )
-
-
-def _cache_path() -> Path:
-    root = os.environ.get("XDG_CACHE_HOME") or os.path.join(
-        os.path.expanduser("~"), ".cache"
-    )
-    return Path(root) / "repro" / "batch_threshold.json"
-
-
-def _measure_pair(array, m: int, repeats: int = 5) -> tuple[float, float]:
-    """Best-of-``repeats`` time of each coalescer on an ``m``-op batch."""
-    import numpy as np
-
-    rng = np.random.default_rng(12345)
-    disks = rng.integers(0, max(2, array.n_disks), size=m)
-    slots = rng.integers(0, 128, size=m)
-    best_scalar = best_numpy = float("inf")
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        array._coalesce_scalar(disks, slots, None)
-        best_scalar = min(best_scalar, time.perf_counter() - t0)
-        t0 = time.perf_counter()
-        array._coalesce_numpy(disks, slots, None)
-        best_numpy = min(best_numpy, time.perf_counter() - t0)
-    return best_scalar, best_numpy
-
-
-def calibrate() -> int:
-    """Measure the scalar→numpy crossover batch size on this machine.
-
-    Walks a geometric ladder of batch sizes and returns the smallest
-    size at which the numpy coalescer wins (and keeps winning for the
-    rest of the ladder, so a single noisy point cannot pick a
-    crossover the next size immediately contradicts).
-    """
-    from .array import ElementArray
-    from .disk import DiskParameters
-
-    array = ElementArray(8, 4 * 1024 * 1024, DiskParameters.savvio_10k3())
-    # warm both code paths (first-call numpy dispatch is not the steady
-    # state we are trying to measure)
-    _measure_pair(array, 64, repeats=1)
-    crossover = _MAX
-    for m in reversed(_LADDER):
-        scalar_s, numpy_s = _measure_pair(array, m)
-        if numpy_s <= scalar_s:
-            crossover = m
-        else:
-            break
-    return max(_MIN, min(_MAX, crossover))
+__all__ = ["batch_threshold"]
 
 
 def batch_threshold() -> int:
-    """The batch size at which ``submit_batch`` switches to numpy.
-
-    See the module docstring for the resolution order.  The result is
-    memoised per process; the cross-process cache lives at
-    ``~/.cache/repro/batch_threshold.json``.
-    """
-    global _resolved
-    if _resolved is not None:
-        return _resolved
-    env = os.environ.get("REPRO_BATCH_THRESHOLD")
-    if env:
-        try:
-            _resolved = max(1, int(env))
-            return _resolved
-        except ValueError:
-            pass  # fall through to cache/measurement
-    path = _cache_path()
-    key = None
-    try:
-        key = machine_key()
-        data = json.loads(path.read_text())
-        if data.get("key") == key:
-            cached = int(data["threshold"])
-            _resolved = max(_MIN, min(_MAX, cached))
-            return _resolved
-    except (OSError, ValueError, KeyError, TypeError):
-        pass
-    try:
-        threshold = calibrate()
-    except Exception:
-        _resolved = DEFAULT_THRESHOLD
-        return _resolved
-    _resolved = threshold
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        payload = {"key": key or machine_key(), "threshold": threshold}
-        tmp = path.with_suffix(".tmp%d" % os.getpid())
-        tmp.write_text(json.dumps(payload))
-        tmp.replace(path)
-    except OSError:
-        pass  # cache is best-effort; the in-process memo still holds
-    return _resolved
+    """The batch size at which ``submit_batch`` switches to numpy."""
+    return _NUMPY_MIN_OPS

@@ -1,10 +1,9 @@
-"""Typed event calendars for the discrete-event engine.
+"""The typed event calendar of the discrete-event engine.
 
-The engine's calendar holds *pending* events.  Historically each entry
-was a ``(time, seq, action, args)`` tuple — a bound method plus an
-argument tuple allocated per event.  The typed calendar replaces the
-callable with an integer **opcode** indexing the engine's dispatch
-table, and the argument tuple with one integer payload:
+The calendar holds *pending* events.  Each entry is an integer
+**opcode** indexing the engine's dispatch table plus one integer
+payload, instead of a bound method and an argument tuple allocated per
+event:
 
 ====== ============= ===========================================
 opcode name          payload (``arg0``)
@@ -22,21 +21,14 @@ escape hatch behind :meth:`~repro.disksim.events.Simulation.schedule_call`.
 Storage
 -------
 Pending events are kept in a binary heap of ``(time, seq, opcode,
-arg0)`` scalar tuples.  The numpy structured form (:data:`EVENT_DTYPE`)
-is the calendar's *bulk* representation: :meth:`TypedCalendar.records`
-materialises the pending set as a sorted structured array, and
-:meth:`TypedCalendar.drain_completions` hands the engine's vectorized
-drain its seed arrays.  The pending set itself stays a scalar heap
-deliberately — the calendar is shallow (one ``OP_COMPLETE`` per busy
-disk plus a handful of deferred calls), and per-event numpy element
-ops on a ~10-entry array measure ~80x slower than ``heappush`` /
-``heappop``; the array form pays off only for whole-calendar batch
-operations, which is exactly where the engine uses it (see
-``docs/performance.md``).
+arg0)`` scalar tuples.  The calendar is shallow (one ``OP_COMPLETE``
+per busy disk plus a handful of deferred calls), so a scalar heap beats
+per-event numpy element ops by a wide margin; numpy enters only in
+:meth:`TypedCalendar.drain_completions`, which hands the engine's
+vectorized drain its seed arrays (see ``docs/performance.md``).
 
 Determinism: ``seq`` is globally unique and monotone, so heap
-comparisons never reach the opcode and ties break exactly as the
-legacy tuple calendar broke them.
+comparisons never reach the opcode and ties break in scheduling order.
 """
 
 from __future__ import annotations
@@ -46,20 +38,7 @@ from typing import Callable
 
 import numpy as np
 
-__all__ = ["EVENT_DTYPE", "OP_CALL", "OP_COMPLETE", "TypedCalendar"]
-
-#: Wire/bulk layout of one calendar event.  ``time``/``seq`` order the
-#: calendar, ``opcode`` selects the dispatch-table entry, ``arg0`` and
-#: ``arg1`` are integer payload slots (``arg1`` is reserved).
-EVENT_DTYPE = np.dtype(
-    [
-        ("time", "<f8"),
-        ("seq", "<u8"),
-        ("opcode", "u1"),
-        ("arg0", "<i8"),
-        ("arg1", "<i8"),
-    ]
-)
+__all__ = ["OP_CALL", "OP_COMPLETE", "TypedCalendar"]
 
 #: Slow-path opcode: dispatch ``action(*args)`` from the call table.
 OP_CALL = 0
@@ -70,19 +49,17 @@ OP_COMPLETE = 1
 class TypedCalendar:
     """Pending-event set with opcode dispatch and batch extraction.
 
-    The public surface the engine relies on:
+    The surface the engine relies on:
 
     * :meth:`push` / :meth:`push_call` — schedule one event;
-    * :meth:`peek_time` — earliest pending time (``None`` when empty);
     * :meth:`pop_batch` — remove and return *every* event sharing the
       earliest timestamp, in ``seq`` order;
-    * :meth:`call_count` — how many pending events are ``OP_CALL``
-      (zero means the calendar holds only completions, the
-      precondition for the engine's vectorized drain);
+    * :meth:`take_call` — claim the callable behind an ``OP_CALL``;
+    * ``_n_call`` — how many pending events are ``OP_CALL`` (zero
+      means the calendar holds only completions, the precondition for
+      the engine's vectorized drain);
     * :meth:`drain_completions` — empty the calendar into numpy seed
-      arrays (completions only);
-    * :meth:`records` — the pending set as a sorted
-      :data:`EVENT_DTYPE` structured array (diagnostics/tests).
+      arrays (completions only).
     """
 
     __slots__ = ("_heap", "_calls", "_n_call")
@@ -114,21 +91,11 @@ class TypedCalendar:
     def __len__(self) -> int:
         return len(self._heap)
 
-    @property
-    def call_count(self) -> int:
-        """Pending ``OP_CALL`` events (0 ⇒ completions only)."""
-        return self._n_call
-
-    def peek_time(self) -> float | None:
-        """Earliest pending event time, or ``None`` when empty."""
-        heap = self._heap
-        return heap[0][0] if heap else None
-
     def pop_batch(self) -> list[tuple[float, int, int, int]]:
         """Remove and return the whole earliest-timestamp batch.
 
         Events sharing the minimum time come back in ``seq`` order —
-        exactly the order the legacy calendar popped them one by one.
+        exactly the order one-at-a-time pops would produce.
         """
         heap = self._heap
         if not heap:
@@ -159,11 +126,3 @@ class TypedCalendar:
             seqs[i] = s
             disks[i] = a0
         return times, seqs, disks
-
-    def records(self) -> np.ndarray:
-        """Pending events as a sorted :data:`EVENT_DTYPE` array (a copy)."""
-        events = sorted(self._heap)
-        out = np.zeros(len(events), dtype=EVENT_DTYPE)
-        for i, (t, s, op, a0) in enumerate(events):
-            out[i] = (t, s, op, a0, 0)
-        return out

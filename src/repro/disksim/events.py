@@ -8,28 +8,22 @@ pipelines).
 
 The engine is deterministic: ties are broken by event sequence number.
 
-Calendars
----------
-Two interchangeable event calendars drive the clock (select with the
-``calendar=`` argument or ``REPRO_CALENDAR``):
-
-* ``"typed"`` (default) — the opcode calendar of
-  :mod:`repro.disksim.calendar`: completions are integer-payload
-  events dispatched through a two-entry opcode table, the run loop
-  pops whole same-timestamp batches, and — when the pending set is
-  completions only, with no callbacks and no fault hooks — the engine
-  leaves the per-event loop entirely and computes every disk's
-  remaining timeline vectorized (:meth:`Simulation._drain_fast`);
-* ``"heapq"`` — the legacy ``(time, seq, action, args)`` tuple heap,
-  kept for A/B ablation.  Both calendars produce bit-identical
-  results (completion order, clock, busy time, traces); the property
-  suite in ``tests/disksim/test_calendar_property.py`` pins this.
+Calendar
+--------
+Pending events live in the opcode calendar of
+:mod:`repro.disksim.calendar`: completions are integer-payload events
+dispatched through a two-entry opcode table, and the run loop pops
+whole same-timestamp batches.  When the pending set is completions
+only, with no callbacks and no fault hooks, the engine leaves the
+per-event loop entirely and computes every disk's remaining timeline
+vectorized (:meth:`Simulation._drain_fast`).  The drain is
+bit-identical to the per-event loop; the property suite in
+``tests/disksim/test_drain_property.py`` pins this.
 """
 
 from __future__ import annotations
 
 import heapq
-import os
 from typing import Callable
 
 import numpy as np
@@ -235,10 +229,6 @@ class Simulation:
     scheduler_factory:
         Zero-argument callable producing a fresh scheduler per disk;
         defaults to the elevator.
-    calendar:
-        ``"typed"`` (opcode calendar with the vectorized drain path,
-        the default) or ``"heapq"`` (the legacy tuple calendar, kept
-        for A/B ablation).  ``None`` defers to ``REPRO_CALENDAR``.
     """
 
     def __init__(
@@ -248,7 +238,6 @@ class Simulation:
         scheduler_factory: Callable[[], Scheduler] = ElevatorScheduler,
         faults=None,
         tracer=None,
-        calendar: str | None = None,
         recorder=None,
     ) -> None:
         if n_disks < 1:
@@ -268,21 +257,7 @@ class Simulation:
             for d in range(n_disks)
         ]
         self.now: float = 0.0
-        kind = (
-            calendar
-            if calendar is not None
-            else os.environ.get("REPRO_CALENDAR", "typed")
-        )
-        if kind not in ("typed", "heapq"):
-            raise ValueError(
-                f"unknown calendar kind {kind!r} (expected 'typed' or 'heapq')"
-            )
-        #: which calendar drives this simulation: ``"typed"`` or ``"heapq"``
-        self.calendar_kind = kind
-        self._cal: TypedCalendar | None = (
-            TypedCalendar() if kind == "typed" else None
-        )
-        self._events: list[tuple[float, int, Callable[..., None], tuple]] = []
+        self._cal = TypedCalendar()
         self._seq = 0
         self.completed: list[IORequest] = []
         self._callbacks: dict[int, Callback] = {}
@@ -304,8 +279,7 @@ class Simulation:
         #: process default applies — which is ``None`` under
         #: ``REPRO_OBS=0``, so recording is skipped entirely.  The
         #: engine advances the recorder's windows once per ``run()``
-        #: call (in the instrumented loops' finally blocks; the bare
-        #: heapq loop never carries a recorder).
+        #: call, in the run loop's ``finally`` block.
         if recorder is False:
             self.recorder = None
         elif recorder is not None:
@@ -325,19 +299,15 @@ class Simulation:
         """Run ``action(*args)`` ``delay`` seconds from now.
 
         Passing the arguments through the event instead of a closure
-        keeps hot paths allocation-light.  On the typed calendar this
-        is the fully general ``OP_CALL`` escape hatch (the callable
-        lives in a side table); completions scheduled by the engine
-        itself take the integer-payload fast path.
+        keeps hot paths allocation-light.  This is the calendar's fully
+        general ``OP_CALL`` escape hatch (the callable lives in a side
+        table); completions scheduled by the engine itself take the
+        integer-payload fast path.
         """
         if delay < 0:
             raise ValueError(f"delay must be >= 0, got {delay}")
         self._seq += 1
-        cal = self._cal
-        if cal is None:
-            heapq.heappush(self._events, (self.now + delay, self._seq, action, args))
-        else:
-            cal.push_call(self.now + delay, self._seq, action, args)
+        self._cal.push_call(self.now + delay, self._seq, action, args)
 
     def submit(self, request: IORequest, callback: Callback | None = None) -> None:
         """Enqueue a request on its disk, starting service if idle."""
@@ -417,13 +387,7 @@ class Simulation:
         server.busy = True
         server.current = request
         self._seq += 1
-        cal = self._cal
-        if cal is None:
-            heapq.heappush(
-                self._events, (finish, self._seq, self._complete, (server, request))
-            )
-        else:
-            cal.push(finish, self._seq, OP_COMPLETE, request.disk)
+        self._cal.push(finish, self._seq, OP_COMPLETE, request.disk)
 
     def _complete(self, server: _DiskServer, request: IORequest) -> None:
         server.busy = False
@@ -446,67 +410,12 @@ class Simulation:
         (time never moves backwards), and an idle engine still advances
         to ``until`` — ``run(until=t)`` on an empty calendar models
         waiting out wall-clock time with no I/O in flight.
-        """
-        if self._cal is not None:
-            return self._run_typed(until)
-        # the legacy heapq dispatch loop exists twice: the bare body
-        # below, and an instrumented twin that additionally counts
-        # popped events.  Folding the counter into one shared loop
-        # costs ~5% even with observability off (a per-event increment
-        # plus the try/finally needed to flush it), which would break
-        # the null-sink ≤2% contract gated by ``perfbench
-        # --obs-overhead``.
-        if self._obs is not None:
-            return self._run_instrumented(until)
-        events = self._events
-        if until is not None and until <= self.now:
-            return self.now
-        while events:
-            t = events[0][0]
-            if until is not None and t > until:
-                self.now = until
-                return self.now
-            _, _, action, args = heapq.heappop(events)
-            self.now = t
-            action(*args)
-        if until is not None and until > self.now:
-            self.now = until
-        return self.now
 
-    def _run_instrumented(self, until: float | None = None) -> float:
-        """:meth:`run`'s legacy-calendar twin with the dispatch counter."""
-        events = self._events
-        if until is not None and until <= self.now:
-            return self.now
-        dispatched = 0
-        try:
-            while events:
-                t = events[0][0]
-                if until is not None and t > until:
-                    self.now = until
-                    return self.now
-                _, _, action, args = heapq.heappop(events)
-                self.now = t
-                dispatched += 1
-                action(*args)
-            if until is not None and until > self.now:
-                self.now = until
-            return self.now
-        finally:
-            # one counter update per run() call, not per event
-            if dispatched:
-                self._obs.dispatched.inc(dispatched)
-            rec = self.recorder
-            if rec is not None:
-                rec.advance_to(self.now)
-
-    def _run_typed(self, until: float | None = None) -> float:
-        """The typed-calendar run loop: batch pops, opcode dispatch.
-
-        Whenever the pending set is completions-only with no callbacks
-        outstanding and no fault hooks installed (checked per batch —
-        a deferred ``OP_CALL`` firing can make the rest of the run
-        eligible), the loop hands the whole remainder to
+        Events are popped in same-timestamp batches and dispatched by
+        opcode.  Whenever the pending set is completions-only with no
+        callbacks outstanding and no fault hooks installed (checked per
+        batch — a deferred ``OP_CALL`` firing can make the rest of the
+        run eligible), the loop hands the whole remainder to
         :meth:`_drain_fast` instead of popping events one at a time.
         """
         if until is not None and until <= self.now:
@@ -546,7 +455,7 @@ class Simulation:
             return self.now
         finally:
             # one counter update per run() call, not per event —
-            # shared by both the batch loop and the vectorized drain
+            # shared by the batch loop and the vectorized drain
             if dispatched and obs is not None:
                 obs.dispatched.inc(dispatched)
             rec = self.recorder
@@ -557,7 +466,7 @@ class Simulation:
     def _drain_fast(self) -> int:
         """Run every pending completion to quiescence, vectorized.
 
-        Preconditions (checked by :meth:`_run_typed`): the calendar
+        Preconditions (checked by :meth:`run`): the calendar
         holds only ``OP_COMPLETE`` events, no completion callbacks are
         registered, and no fault model is installed.  Under those
         conditions the disks are mutually independent — nothing a

@@ -464,7 +464,7 @@ def set_obs_enabled(enabled: bool) -> bool:
 
     Components read the switch **at construction time** (they capture
     instruments, or skip creating hooks entirely), so flipping it
-    affects objects built afterwards — exactly like ``REPRO_BATCH``.
+    affects objects built afterwards, not live ones.
     """
     global _enabled
     old = _enabled

@@ -1,89 +1,26 @@
-"""Tests for the per-machine batch-threshold calibration."""
+"""The ``autotune`` stub still reports the coalescer crossover."""
 
 from __future__ import annotations
-
-import json
-
-import pytest
 
 from repro.disksim import autotune
 
 
-@pytest.fixture(autouse=True)
-def _fresh_memo(monkeypatch, tmp_path):
-    """Isolate each test: no process memo, cache under tmp_path."""
-    monkeypatch.setattr(autotune, "_resolved", None)
-    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
-    monkeypatch.delenv("REPRO_BATCH_THRESHOLD", raising=False)
-    yield
-
-
-def test_env_override_wins(monkeypatch):
-    monkeypatch.setenv("REPRO_BATCH_THRESHOLD", "123")
-    assert autotune.batch_threshold() == 123
-
-
-def test_env_override_garbage_falls_through(monkeypatch, tmp_path):
-    monkeypatch.setenv("REPRO_BATCH_THRESHOLD", "not-a-number")
-    value = autotune.batch_threshold()
-    assert 8 <= value <= 512
-
-
-def test_cache_hit_skips_measurement(monkeypatch, tmp_path):
-    path = tmp_path / "repro" / "batch_threshold.json"
-    path.parent.mkdir(parents=True)
-    path.write_text(
-        json.dumps({"key": autotune.machine_key(), "threshold": 64})
-    )
-
-    def boom():  # pragma: no cover - must not run
-        raise AssertionError("calibrate() called despite cache hit")
-
-    monkeypatch.setattr(autotune, "calibrate", boom)
-    assert autotune.batch_threshold() == 64
-
-
-def test_stale_cache_key_triggers_recalibration(monkeypatch, tmp_path):
-    path = tmp_path / "repro" / "batch_threshold.json"
-    path.parent.mkdir(parents=True)
-    path.write_text(json.dumps({"key": "other|machine", "threshold": 7}))
-    monkeypatch.setattr(autotune, "calibrate", lambda: 96)
-    assert autotune.batch_threshold() == 96
-    # and the cache was refreshed for this machine
-    data = json.loads(path.read_text())
-    assert data == {"key": autotune.machine_key(), "threshold": 96}
-
-
-def test_calibration_failure_falls_back_to_default(monkeypatch):
-    def boom():
-        raise RuntimeError("no clock")
-
-    monkeypatch.setattr(autotune, "calibrate", boom)
-    assert autotune.batch_threshold() == autotune.DEFAULT_THRESHOLD
-
-
-def test_memoised_within_process(monkeypatch):
-    monkeypatch.setattr(autotune, "calibrate", lambda: 32)
-    assert autotune.batch_threshold() == 32
-    monkeypatch.setattr(autotune, "calibrate", lambda: 256)
-    assert autotune.batch_threshold() == 32  # memo, not re-measured
-
-
-def test_calibrate_returns_clamped_value():
-    value = autotune.calibrate()
-    assert 8 <= value <= 512
-
-
 def test_submit_batch_uses_resolved_threshold(monkeypatch):
-    from repro.disksim import array as array_mod
+    """``batch_threshold()`` names the batch size at which
+    ``submit_batch`` switches from the scalar to the numpy coalescer."""
     from repro.disksim.array import ElementArray
     from repro.disksim.disk import DiskParameters
     from repro.disksim.request import IOKind
 
-    monkeypatch.setattr(array_mod, "_numpy_min_ops", None)
-    monkeypatch.setenv("REPRO_BATCH_THRESHOLD", "4")
+    threshold = autotune.batch_threshold()
     arr = ElementArray(4, 4096, DiskParameters.savvio_10k3())
-    sub = arr.submit_batch([0, 1, 2, 3], [0, 1, 2, 3], IOKind.READ)
-    arr.run()
-    assert len(sub) == 4
-    assert array_mod._numpy_min_ops == 4
+    used = []
+    monkeypatch.setattr(
+        arr, "_coalesce_numpy", lambda *a: used.append("numpy") or ([], [])
+    )
+    monkeypatch.setattr(
+        arr, "_coalesce_scalar", lambda *a: used.append("scalar") or ([], [])
+    )
+    for m in (threshold - 1, threshold):
+        arr.submit_batch([0] * m, list(range(m)), IOKind.READ)
+    assert used == ["scalar", "numpy"]

@@ -3,9 +3,8 @@
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
-from repro.disksim.calendar import EVENT_DTYPE, OP_CALL, OP_COMPLETE, TypedCalendar
+from repro.disksim.calendar import OP_CALL, OP_COMPLETE, TypedCalendar
 
 
 def test_push_orders_by_time_then_seq():
@@ -13,12 +12,11 @@ def test_push_orders_by_time_then_seq():
     cal.push(2.0, 3, OP_COMPLETE, 7)
     cal.push(1.0, 2, OP_COMPLETE, 5)
     cal.push(1.0, 1, OP_COMPLETE, 4)
-    assert cal.peek_time() == 1.0
     batch = cal.pop_batch()
     assert [(t, s, a0) for t, s, _op, a0 in batch] == [(1.0, 1, 4), (1.0, 2, 5)]
     assert cal.pop_batch() == [(2.0, 3, OP_COMPLETE, 7)]
     assert cal.pop_batch() == []
-    assert cal.peek_time() is None
+    assert len(cal) == 0
 
 
 def test_pop_batch_returns_whole_timestamp_group_in_seq_order():
@@ -35,20 +33,21 @@ def test_call_side_table_roundtrip():
     hits = []
     cal.push_call(1.0, 1, hits.append, ("a",))
     cal.push_call(2.0, 2, hits.append, ("b",))
-    assert cal.call_count == 2
+    assert cal._n_call == 2
     (event,) = cal.pop_batch()
     assert event[2] == OP_CALL
     action, args = cal.take_call(event[1])
     action(*args)
-    assert hits == ["a"] and cal.call_count == 1
+    assert hits == ["a"] and cal._n_call == 1
 
 
 def test_call_count_tracks_mixed_calendar():
+    """``_n_call == 0`` is the engine's precondition for the drain."""
     cal = TypedCalendar()
     cal.push(1.0, 1, OP_COMPLETE, 0)
-    assert cal.call_count == 0
+    assert cal._n_call == 0
     cal.push_call(2.0, 2, print, ())
-    assert cal.call_count == 1
+    assert cal._n_call == 1
     assert len(cal) == 2
 
 
@@ -63,29 +62,3 @@ def test_drain_completions_sorted_and_empties():
     assert disks.tolist() == [0, 2, 1]
     assert times.dtype == np.float64 and seqs.dtype == np.int64
     assert len(cal) == 0
-
-
-def test_records_structured_dtype():
-    cal = TypedCalendar()
-    cal.push(2.0, 2, OP_COMPLETE, 9)
-    cal.push_call(1.0, 1, print, ())
-    rec = cal.records()
-    assert rec.dtype == EVENT_DTYPE
-    assert rec["time"].tolist() == [1.0, 2.0]
-    assert rec["seq"].tolist() == [1, 2]
-    assert rec["opcode"].tolist() == [OP_CALL, OP_COMPLETE]
-    assert rec["arg0"].tolist() == [0, 9]
-    # records() is a snapshot, not a drain
-    assert len(cal) == 2
-
-
-def test_simulation_calendar_selection(monkeypatch):
-    from repro.disksim.events import Simulation
-
-    assert Simulation(2).calendar_kind == "typed"
-    assert Simulation(2, calendar="heapq").calendar_kind == "heapq"
-    monkeypatch.setenv("REPRO_CALENDAR", "heapq")
-    assert Simulation(2).calendar_kind == "heapq"
-    assert Simulation(2, calendar="typed").calendar_kind == "typed"
-    with pytest.raises(ValueError):
-        Simulation(2, calendar="wheel")

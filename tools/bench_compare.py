@@ -24,24 +24,31 @@ import sys
 from pathlib import Path
 
 
+class UsageError(Exception):
+    """Inputs that cannot be compared (exit status 2, not 1)."""
+
+
 def load_last_run(path: Path) -> dict:
     """The most recent run record from a trajectory (or a bare record)."""
-    data = json.loads(path.read_text())
+    try:
+        data = json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise UsageError(f"{path} is not valid JSON ({exc})") from None
     if isinstance(data, dict) and "runs" in data:
         runs = data["runs"]
         if not runs:
-            raise SystemExit(f"error: {path} has an empty 'runs' list")
+            raise UsageError(f"{path} has an empty 'runs' list")
         return runs[-1]
     if isinstance(data, dict) and "kernels" in data:
         return data
-    raise SystemExit(f"error: {path} is not a perfbench trajectory")
+    raise UsageError(f"{path} is not a perfbench trajectory")
 
 
 def compare(baseline: dict, current: dict, tolerance: float) -> int:
     """Print a kernel-by-kernel table; return the regression count."""
     if baseline.get("scale") != current.get("scale"):
-        raise SystemExit(
-            f"error: scale mismatch — baseline is "
+        raise UsageError(
+            f"scale mismatch — baseline is "
             f"{baseline.get('scale')!r}, current is {current.get('scale')!r}"
         )
     base_k = baseline["kernels"]
@@ -80,9 +87,13 @@ def main(argv=None) -> int:
             print(f"error: {path} does not exist", file=sys.stderr)
             return 2
 
-    baseline = load_last_run(args.baseline)
-    current = load_last_run(args.current)
-    regressions = compare(baseline, current, args.tolerance)
+    try:
+        baseline = load_last_run(args.baseline)
+        current = load_last_run(args.current)
+        regressions = compare(baseline, current, args.tolerance)
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if regressions:
         print(f"\n{regressions} kernel(s) regressed", file=sys.stderr)
         return 1
