@@ -240,9 +240,9 @@ def _ratio_text(x: float) -> str:
 def cmd_faultcampaign(args: argparse.Namespace) -> int:
     from .obs import default_registry
     from .raidsim.campaign import (
-        clean_rebuild_makespan,
         compare_arrangements,
         default_fault_plan,
+        scenario_window_s,
     )
 
     if args.seeds > 1:
@@ -252,12 +252,15 @@ def cmd_faultcampaign(args: argparse.Namespace) -> int:
     trad_builder = LAYOUTS[baseline_name]
     shift_builder = LAYOUTS[variant_name]
     layout = trad_builder(args.n)
+    # one yardstick for both the second failure and the read window:
+    # the slower side's clean rebuild
+    clean_s = scenario_window_s(
+        (layout, shift_builder(args.n)), 1.0,
+        failed_disks=(args.failed,), n_stripes=args.stripes,
+    )
     second_time = None
     if args.second_failure_at is not None and args.second_failure_at > 0:
-        base = clean_rebuild_makespan(
-            layout, (args.failed,), n_stripes=args.stripes
-        )
-        second_time = args.second_failure_at * base
+        second_time = args.second_failure_at * clean_s
     plan = default_fault_plan(
         layout.n_disks,
         seed=args.seed,
@@ -275,6 +278,7 @@ def cmd_faultcampaign(args: argparse.Namespace) -> int:
         failed_disks=(args.failed,),
         n_stripes=args.stripes,
         user_read_rate_per_s=args.rate,
+        user_read_duration_s=1.5 * clean_s,
     )
     print(f"Fault campaign (seed {args.seed}) on {family} at n={args.n}:")
     print(f"  transients rate {args.transient_rate}, {args.lse_burst} latent "

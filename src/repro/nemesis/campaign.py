@@ -44,10 +44,9 @@ import numpy as np
 from ..core.registry import LAYOUTS, comparison_pair
 from ..disksim.array import DEFAULT_ELEMENT_SIZE
 from ..disksim.faultplan import FaultPlan
-from ..disksim.scheduler import PriorityScheduler
 from ..obs import default_registry, default_tracer
-from ..raidsim.controller import RaidController, RetryPolicy
-from ..raidsim.reconstruction import OnlineReconstruction
+from ..raidsim.campaign import run_scenario
+from ..raidsim.controller import RetryPolicy
 from ..workloads.generator import user_read_stream
 from .anomaly import AnomalyDetector, AttributionReport, MetricSpec
 from .schedule import HazardRates, NemesisSchedule, build_schedule
@@ -276,47 +275,16 @@ def _tick_plan(
     return plan, sorted(set(failed)), tuple(f.fault_id for f in active), read_seed
 
 
-def _read_probe(ctrl: RaidController, reads) -> tuple[list[float], int]:
-    """Serve a user-read stream on a healthy array; no rebuild underneath."""
-    latencies: list[float] = []
-    failed = 0
-
-    def schedule_read(read) -> None:
-        def fire() -> None:
-            cell = ctrl.place(read.stripe, ctrl.layout.data_cell(read.i, read.j))
-            t0 = ctrl.array.now
-
-            def settled(failed_reqs) -> None:
-                nonlocal failed
-                latencies.append(ctrl.array.now - t0)
-                failed += len(failed_reqs)
-
-            ctrl._submit_reads_with_retry([cell], "user", settled, priority=0)
-
-        ctrl.array.sim.schedule(max(0.0, read.time - ctrl.array.now), fire)
-
-    for read in reads:
-        schedule_read(read)
-    ctrl.array.run()
-    return latencies, failed
-
-
 def _probe_tick(
     layout, config: NemesisConfig, schedule: NemesisSchedule, arr_idx: int, tick: int
 ) -> TickSample:
-    """Run one tick's probe simulation and distil it into a sample."""
+    """Run one tick's probe simulation and distil it into a sample.
+
+    Both tick kinds go through :func:`~repro.raidsim.campaign.run_scenario`;
+    a healthy tick simply has no disk to rebuild.
+    """
     plan, failed_disks, active_ids, read_seed = _tick_plan(
         config, schedule, arr_idx, tick
-    )
-    ctrl = RaidController(
-        layout,
-        n_stripes=config.n_stripes,
-        element_size=config.element_size,
-        scheduler_factory=PriorityScheduler,
-        payload_bytes=config.payload_bytes,
-        fault_plan=plan,
-        retry_policy=RetryPolicy(jitter=config.backoff_jitter),
-        tracer=False,
     )
     reads = user_read_stream(
         layout.n,
@@ -325,33 +293,32 @@ def _probe_tick(
         rate_per_s=config.read_rate_per_s,
         rng=np.random.default_rng(read_seed),
     )
-    rebuild_mbps: float | None = None
-    if failed_disks:
-        online = OnlineReconstruction(
-            ctrl, failed_disks, reads, window=config.rebuild_window
-        ).run()
-        served = online.n_user_reads
-        n_failed = online.failed_user_reads
-        latency = online.mean_user_latency_s
-        rebuild_mbps = online.rebuild.recovered_throughput_mbps
-    else:
-        latencies, n_failed = _read_probe(ctrl, reads)
-        served = len(latencies)
-        # NaN, not 0.0, when the probe served nothing — the same
-        # zero-sample contract as OnlineResult; _feed_detector gates on
-        # sample.served so the detector never eats it
-        latency = float(np.mean(latencies)) if latencies else float("nan")
-    span = ctrl.array.now
-    throughput = served / span if span > 0 else 0.0
+    online = run_scenario(
+        layout,
+        reads,
+        failed_disks=failed_disks,
+        n_stripes=config.n_stripes,
+        element_size=config.element_size,
+        payload_bytes=config.payload_bytes,
+        window=config.rebuild_window,
+        fault_plan=plan,
+        retry_policy=RetryPolicy(jitter=config.backoff_jitter),
+        tracer=False,
+    ).online
+    served, n_failed = online.n_user_reads, online.failed_user_reads
     return TickSample(
         tick=tick,
         t_s=tick * config.tick_s,
         served=served,
         failed=n_failed,
-        user_latency_s=latency,
-        read_throughput_rps=throughput,
+        # NaN when the probe served nothing; _feed_detector gates on
+        # sample.served so the detector never eats it
+        user_latency_s=online.mean_user_latency_s,
+        read_throughput_rps=served / online.end_s if online.end_s > 0 else 0.0,
         unavailability=n_failed / served if served else 0.0,
-        rebuild_mbps=rebuild_mbps,
+        rebuild_mbps=(
+            online.rebuild.recovered_throughput_mbps if failed_disks else None
+        ),
         degraded=bool(failed_disks),
         active_fault_ids=active_ids,
     )
@@ -370,7 +337,12 @@ def _load_checkpoint(path, fingerprint: str) -> dict[str, list[TickSample]]:
     if path is None or not os.path.exists(path):
         return empty
     with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+            raise ValueError(f"checkpoint {path} is not valid JSON: {exc}") from None
+    if not isinstance(data, dict):
+        raise ValueError(f"checkpoint {path} is not a campaign checkpoint")
     if data.get("schema_version") != CAMPAIGN_SCHEMA_VERSION:
         raise ValueError(
             f"checkpoint schema {data.get('schema_version')} unsupported"
@@ -401,6 +373,10 @@ def _save_checkpoint(
     tmp = f"{path}.tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
         json.dump(payload, fh)
+        # the bytes must be on disk before the rename publishes them, or
+        # a crash can leave a renamed but empty or torn checkpoint
+        fh.flush()
+        os.fsync(fh.fileno())
     os.replace(tmp, path)  # atomic: a killed campaign never truncates
 
 

@@ -17,6 +17,8 @@ from .campaign import (
     default_fault_plan,
     derive_sweep_seeds,
     run_campaign,
+    run_scenario,
+    scenario_window_s,
 )
 from .controller import (
     FaultStats,
@@ -31,7 +33,6 @@ from .leaderboard import (
     LeaderboardConfig,
     LeaderboardEntry,
     LeaderboardResult,
-    leaderboard_duration_s,
     run_leaderboard,
     run_leaderboard_entry,
 )
@@ -58,6 +59,8 @@ __all__ = [
     "CampaignComparison",
     "default_fault_plan",
     "clean_rebuild_makespan",
+    "scenario_window_s",
+    "run_scenario",
     "run_campaign",
     "compare_arrangements",
     "SweepPoint",
@@ -80,7 +83,6 @@ __all__ = [
     "LeaderboardConfig",
     "LeaderboardEntry",
     "LeaderboardResult",
-    "leaderboard_duration_s",
     "run_leaderboard",
     "run_leaderboard_entry",
     "Scrubber",

@@ -38,7 +38,8 @@ from ..obs import (
     scoped_registry,
 )
 from ..parallel import parallel_map
-from ..workloads.generator import user_read_stream
+from ..workloads.generator import UserRead, user_read_stream
+from ..workloads.openloop import SLOAccountant
 from .controller import FaultStats, RaidController, RebuildResult, RetryPolicy
 from .reconstruction import OnlineReconstruction, OnlineResult
 
@@ -49,6 +50,8 @@ __all__ = [
     "SweepResult",
     "default_fault_plan",
     "clean_rebuild_makespan",
+    "scenario_window_s",
+    "run_scenario",
     "run_campaign",
     "compare_arrangements",
     "derive_sweep_seeds",
@@ -99,20 +102,28 @@ class CampaignComparison:
         Text output renders these as bare ``inf``/``nan``; ``--json``
         coerces them to ``null`` (the ``_finite`` contract).
         """
-        t = self.traditional.online.mean_user_latency_s
-        s = self.shifted.online.mean_user_latency_s
-        if math.isnan(t) or math.isnan(s):
-            return float("nan")
-        if s <= 0:
-            return float("inf")
-        return t / s
+        return _ratio(
+            self.traditional.online.mean_user_latency_s,
+            self.shifted.online.mean_user_latency_s,
+        )
 
     @property
     def makespan_speedup(self) -> float:
         """Traditional over shifted rebuild makespan (>1 favours shifted)."""
-        if self.shifted.rebuild.makespan_s <= 0:
-            return float("inf")
-        return self.traditional.rebuild.makespan_s / self.shifted.rebuild.makespan_s
+        return _ratio(
+            self.traditional.rebuild.makespan_s, self.shifted.rebuild.makespan_s
+        )
+
+
+def _ratio(baseline: float, variant: float) -> float:
+    """``baseline / variant`` for a comparison (>1 favours the variant):
+    ``NaN`` when either side measured nothing, ``inf`` when the
+    variant's figure is zero."""
+    if math.isnan(baseline) or math.isnan(variant):
+        return float("nan")
+    if variant <= 0:
+        return float("inf")
+    return baseline / variant
 
 
 def clean_rebuild_makespan(
@@ -172,6 +183,104 @@ def default_fault_plan(
     return plan
 
 
+def scenario_window_s(layouts, factor: float, **sizing) -> float:
+    """The shared read window: ``factor`` × the slowest clean rebuild.
+
+    Sized once for a whole roster (a comparison pair, a leaderboard),
+    so every member faces the identical arrival stream and no member's
+    window ends before its rebuild does.  ``sizing`` is passed to
+    :func:`clean_rebuild_makespan`.
+    """
+    return factor * max(
+        clean_rebuild_makespan(layout, **sizing) for layout in layouts
+    )
+
+
+def _geometry(config) -> dict:
+    """The :func:`run_scenario` array keywords (and window sizing) of a
+    :class:`~repro.raidsim.serve.ServeConfig` or
+    :class:`~repro.raidsim.leaderboard.LeaderboardConfig`."""
+    return dict(
+        failed_disks=(config.failed_disk,),
+        n_stripes=config.n_stripes,
+        element_size=config.element_size,
+        payload_bytes=config.payload_bytes,
+        window=config.window,
+    )
+
+
+def run_scenario(
+    layout: Layout,
+    arrivals: list[UserRead],
+    *,
+    failed_disks,
+    n_stripes: int,
+    element_size: int,
+    payload_bytes: int,
+    window: int,
+    fault_plan: FaultPlan | None = None,
+    retry_policy: RetryPolicy | None = None,
+    throttle=0.0,
+    slo: SLOAccountant | None = None,
+    tracer=None,
+) -> CampaignRun:
+    """One layout through one scenario: rebuild while serving reads.
+
+    The runner behind every tier: serve, leaderboard, fault campaigns
+    and nemesis probes differ only in what they pass here.  A fresh
+    priority-scheduled controller (``fault_plan`` armed, ``tracer``
+    as for :class:`RaidController`) rebuilds ``failed_disks`` on-line
+    while ``arrivals`` fire on the simulated clock; ``failed_disks=()``
+    serves them on a healthy array.  ``throttle`` is a fixed per-stripe
+    delay or a policy object (see :meth:`RaidController.rebuild`).
+    Every settled read feeds ``slo`` and the throttle's ``observe``
+    hook, when present.  Availability and data survival are scored
+    here and nowhere else.
+    """
+    ctrl = RaidController(
+        layout,
+        n_stripes=n_stripes,
+        element_size=element_size,
+        scheduler_factory=PriorityScheduler,
+        payload_bytes=payload_bytes,
+        fault_plan=fault_plan,
+        retry_policy=retry_policy,
+        tracer=tracer,
+    )
+    observe = getattr(throttle, "observe", None)
+    on_latency = None  # nothing to feed: no per-read call at all
+    if slo is not None or observe is not None:
+        sim = ctrl.array.sim
+
+        def on_latency(read: UserRead, latency_s: float) -> None:
+            if slo is not None:
+                slo.record(latency_s, tenant=read.tenant, t_s=sim.now)
+                slo.observe_queue_depth(sim.pending_count(), t_s=sim.now)
+            if observe is not None:
+                observe(latency_s)
+
+    online = OnlineReconstruction(
+        ctrl,
+        failed_disks,
+        arrivals,
+        window=window,
+        throttle_delay_s=throttle,
+        on_latency=on_latency,
+    ).run()
+    if slo is not None:
+        slo.record_failure(online.failed_user_reads)
+    served = online.n_user_reads
+    lost = len(online.fault_stats.lost_columns)
+    return CampaignRun(
+        layout_name=layout.name,
+        online=online,
+        availability=(
+            1.0 - online.failed_user_reads / served if served > 0 else 1.0
+        ),
+        data_survival=1.0 - lost / (layout.n_disks * n_stripes),
+    )
+
+
 def run_campaign(
     layout: Layout,
     fault_plan: FaultPlan,
@@ -192,24 +301,15 @@ def run_campaign(
     is byte-verified where recoverable; unrecoverable columns are
     counted, not raised.
     """
-    if user_read_duration_s is None:
-        user_read_duration_s = 1.5 * clean_rebuild_makespan(
-            layout,
-            failed_disks,
-            n_stripes=n_stripes,
-            element_size=element_size,
-            payload_bytes=payload_bytes,
-            window=window,
-        )
-    ctrl = RaidController(
-        layout,
+    sizing = dict(
+        failed_disks=failed_disks,
         n_stripes=n_stripes,
         element_size=element_size,
-        scheduler_factory=PriorityScheduler,
         payload_bytes=payload_bytes,
-        fault_plan=fault_plan,
-        retry_policy=retry_policy,
+        window=window,
     )
+    if user_read_duration_s is None:
+        user_read_duration_s = scenario_window_s([layout], 1.5, **sizing)
     reads = user_read_stream(
         layout.n,
         n_stripes,
@@ -217,22 +317,21 @@ def run_campaign(
         rate_per_s=user_read_rate_per_s,
         rng=np.random.default_rng(user_read_seed),
     )
-    online = OnlineReconstruction(
-        ctrl, failed_disks, reads, window=window
-    ).run()
-    served = online.n_user_reads
-    availability = (
-        1.0 - online.failed_user_reads / served if served > 0 else 1.0
+    return run_scenario(
+        layout, reads, fault_plan=fault_plan, retry_policy=retry_policy, **sizing
     )
-    total_columns = layout.n_disks * n_stripes
-    stats = online.fault_stats
-    lost = len(stats.lost_columns) if stats is not None else 0
-    return CampaignRun(
-        layout_name=layout.name,
-        online=online,
-        availability=availability,
-        data_survival=1.0 - lost / total_columns,
-    )
+
+
+def _read_window_s(layouts, campaign_kwargs: dict) -> float:
+    """1.5 × the slowest clean rebuild of ``layouts``, under the array
+    geometry that the :func:`run_campaign` keywords ``campaign_kwargs`` set."""
+    sizing = {
+        k: campaign_kwargs[k]
+        for k in ("failed_disks", "n_stripes", "element_size",
+                  "payload_bytes", "window")
+        if k in campaign_kwargs
+    }
+    return scenario_window_s(layouts, 1.5, **sizing)
 
 
 def compare_arrangements(
@@ -250,15 +349,8 @@ def compare_arrangements(
     rebuild) so both runs face the identical read stream.
     """
     if campaign_kwargs.get("user_read_duration_s") is None:
-        sizing = {
-            k: campaign_kwargs[k]
-            for k in ("failed_disks", "n_stripes", "element_size",
-                      "payload_bytes", "window")
-            if k in campaign_kwargs
-        }
-        campaign_kwargs["user_read_duration_s"] = 1.5 * max(
-            clean_rebuild_makespan(traditional_factory(), **sizing),
-            clean_rebuild_makespan(shifted_factory(), **sizing),
+        campaign_kwargs["user_read_duration_s"] = _read_window_s(
+            (traditional_factory(), shifted_factory()), campaign_kwargs
         )
     return CampaignComparison(
         traditional=run_campaign(
@@ -442,9 +534,15 @@ def compare_sweep(
     :class:`repro.parallel.WorkerPool`) reuses its persistent workers
     across sweeps instead.  Results are merged in seed order and are
     bit-identical to the serial run — there is a regression test
-    pinning that.
+    pinning that.  The user-read window is sized once, here, for every
+    point: the storms differ from seed to seed, the clean rebuilds the
+    window is sized off do not.
     """
-    comparison_pair(family)  # validate up front, before forking
+    names = comparison_pair(family)  # validate up front, before forking
+    if campaign_kwargs.get("user_read_duration_s") is None:
+        campaign_kwargs["user_read_duration_s"] = _read_window_s(
+            [LAYOUTS[name](n) for name in names], campaign_kwargs
+        )
     seeds = derive_sweep_seeds(root_seed, n_seeds)
     # workers record timeseries exactly when the parent has a flight
     # recorder installed, at the parent's window width — the flag (not

@@ -29,22 +29,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ..core.registry import LAYOUTS, build_layout, leaderboard_layouts
+from ..core.registry import LAYOUTS, REGISTRY, build_layout, leaderboard_layouts
 from ..disksim.array import DEFAULT_ELEMENT_SIZE
-from ..disksim.scheduler import PriorityScheduler
 from ..obs import scoped_registry
 from ..parallel import parallel_map
-from ..workloads.generator import UserRead
 from ..workloads.openloop import SLOAccountant, TenantSpec, open_arrivals
-from .campaign import clean_rebuild_makespan, default_fault_plan
-from .controller import RaidController
-from .reconstruction import OnlineReconstruction
+from .campaign import _geometry, default_fault_plan, run_scenario, scenario_window_s
 
 __all__ = [
     "LeaderboardConfig",
     "LeaderboardEntry",
     "LeaderboardResult",
-    "leaderboard_duration_s",
     "run_leaderboard_entry",
     "run_leaderboard",
 ]
@@ -138,23 +133,6 @@ class LeaderboardEntry:
         return (-self.availability, self.rebuild_makespan_s, p99, self.layout)
 
 
-def leaderboard_duration_s(config: LeaderboardConfig) -> float:
-    """The shared serve window: ``duration_factor`` × the *slowest* roster
-    member's clean rebuild, so every contestant's storm covers its whole
-    rebuild and all of them face the identical arrival stream."""
-    sizing = dict(
-        failed_disks=(config.failed_disk,),
-        n_stripes=config.n_stripes,
-        element_size=config.element_size,
-        payload_bytes=config.payload_bytes,
-        window=config.window,
-    )
-    return config.duration_factor * max(
-        clean_rebuild_makespan(build_layout(name, config.n), **sizing)
-        for name in config.layout_names()
-    )
-
-
 def run_leaderboard_entry(
     name: str, config: LeaderboardConfig, duration_s: float
 ) -> LeaderboardEntry:
@@ -164,8 +142,6 @@ def run_leaderboard_entry(
     threaded through) so a pool worker handed only ``(name, config,
     duration_s)`` reproduces the serial run bit for bit.
     """
-    from ..core.registry import REGISTRY
-
     layout = build_layout(name, config.n)
     plan = default_fault_plan(
         layout.n_disks,
@@ -175,14 +151,6 @@ def run_leaderboard_entry(
         second_failure_time_s=None,
         transient_rate=config.transient_rate,
     )
-    ctrl = RaidController(
-        layout,
-        n_stripes=config.n_stripes,
-        element_size=config.element_size,
-        scheduler_factory=PriorityScheduler,
-        payload_bytes=config.payload_bytes,
-        fault_plan=plan,
-    )
     arrivals = open_arrivals(
         config.n,
         config.n_stripes,
@@ -191,38 +159,20 @@ def run_leaderboard_entry(
         seed=config.seed,
     )
     slo = SLOAccountant()
-    sim = ctrl.array.sim
-
-    def on_latency(read: UserRead, latency_s: float) -> None:
-        slo.record(latency_s, tenant=read.tenant, t_s=sim.now)
-
-    online = OnlineReconstruction(
-        ctrl,
-        (config.failed_disk,),
-        arrivals,
-        window=config.window,
-        on_latency=on_latency,
-    ).run()
-    slo.record_failure(online.failed_user_reads)
+    run = run_scenario(layout, arrivals, fault_plan=plan, slo=slo, **_geometry(config))
+    online = run.online
     summary = slo.summary(duration_s)
-    served = summary.served
-    availability = (
-        1.0 - online.failed_user_reads / served if served > 0 else 1.0
-    )
-    stats = online.fault_stats
-    lost = len(stats.lost_columns) if stats is not None else 0
-    total_columns = layout.n_disks * config.n_stripes
     return LeaderboardEntry(
         layout=name,
         description=REGISTRY[name].description,
         n_disks=layout.n_disks,
         fault_tolerance=layout.fault_tolerance,
         storage_efficiency=layout.storage_efficiency(),
-        availability=availability,
+        availability=run.availability,
         rebuild_makespan_s=online.rebuild.makespan_s,
         degraded_p99_ms=summary.p99_s * 1e3,
-        data_survival=1.0 - lost / total_columns,
-        served=served,
+        data_survival=run.data_survival,
+        served=summary.served,
         failed_reads=online.failed_user_reads,
         degraded_reads=online.degraded_reads,
         rebuild_verified=online.rebuild.verified,
@@ -291,7 +241,11 @@ def run_leaderboard(
         raise ValueError(
             f"no registered layout is leaderboard-eligible at n={config.n}"
         )
-    duration_s = leaderboard_duration_s(config)
+    duration_s = scenario_window_s(
+        [build_layout(name, config.n) for name in names],
+        config.duration_factor,
+        **_geometry(config),
+    )
     tasks = [(name, config, duration_s) for name in names]
     entries = parallel_map(_entry_point, tasks, jobs=jobs, pool=pool)
     return LeaderboardResult(

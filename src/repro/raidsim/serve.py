@@ -18,13 +18,11 @@ picklable, seeded — so two same-config runs are bit-identical and
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 from ..core.registry import build_layout, comparison_pair
 from ..obs import scoped_recorder
 from ..disksim.array import DEFAULT_ELEMENT_SIZE
-from ..disksim.scheduler import PriorityScheduler
 from ..workloads.generator import UserRead
 from ..workloads.openloop import (
     DiurnalCurve,
@@ -34,9 +32,7 @@ from ..workloads.openloop import (
     make_throttle,
     open_arrivals,
 )
-from .campaign import clean_rebuild_makespan
-from .controller import RaidController
-from .reconstruction import OnlineReconstruction
+from .campaign import _geometry, _ratio, run_scenario, scenario_window_s
 
 __all__ = [
     "ServeConfig",
@@ -144,42 +140,20 @@ class ServeComparison:
         ``NaN`` when either side served nothing (the zero-sample
         contract), ``inf`` when shifted's p99 is exactly zero.
         """
-        t = self.traditional.slo.p99_s
-        s = self.shifted.slo.p99_s
-        if math.isnan(t) or math.isnan(s):
-            return float("nan")
-        if s <= 0:
-            return float("inf")
-        return t / s
+        return _ratio(self.traditional.slo.p99_s, self.shifted.slo.p99_s)
 
     @property
     def makespan_speedup(self) -> float:
         """Traditional over shifted rebuild makespan (>1 favours shifted)."""
-        s = self.shifted.rebuild_makespan_s
-        if s <= 0:
-            return float("inf")
-        return self.traditional.rebuild_makespan_s / s
+        return _ratio(
+            self.traditional.rebuild_makespan_s, self.shifted.rebuild_makespan_s
+        )
 
 
-def serve_duration_s(config: ServeConfig) -> float:
-    """The serve window: ``duration_factor`` × the slower clean rebuild.
-
-    Sized off *both* sides of the comparison pair (like the campaign's
-    read window) so baseline and variant face the identical arrival
-    stream.
-    """
-    sizing = dict(
-        failed_disks=(config.failed_disk,),
-        n_stripes=config.n_stripes,
-        element_size=config.element_size,
-        payload_bytes=config.payload_bytes,
-        window=config.window,
-    )
-    baseline_name, variant_name = comparison_pair(config.family)
-    return config.duration_factor * max(
-        clean_rebuild_makespan(build_layout(baseline_name, config.n), **sizing),
-        clean_rebuild_makespan(build_layout(variant_name, config.n), **sizing),
-    )
+def _window_s(config: ServeConfig) -> float:
+    """The serve window: ``duration_factor`` × the slower side's clean rebuild."""
+    layouts = [build_layout(name, config.n) for name in comparison_pair(config.family)]
+    return scenario_window_s(layouts, config.duration_factor, **_geometry(config))
 
 
 def serve_arrivals(
@@ -187,7 +161,7 @@ def serve_arrivals(
 ) -> list[UserRead]:
     """The config's arrival stream — shared verbatim by both arrangements."""
     if duration_s is None:
-        duration_s = serve_duration_s(config)
+        duration_s = _window_s(config)
     diurnal = None
     if config.diurnal_amplitude > 0:
         period = (
@@ -214,11 +188,10 @@ def run_serve(
 ) -> ServeResult:
     """One arrangement through the open-loop serve scenario.
 
-    Builds a fresh controller and a fresh throttle policy (stateful —
-    never share one across arrangements), wires every completed read
-    into the :class:`~repro.workloads.openloop.SLOAccountant` and, when
-    the policy wants feedback, into its ``observe`` hook, then runs the
-    rebuild with the arrivals firing open-loop on the simulated clock.
+    Runs :func:`~repro.raidsim.campaign.run_scenario` with a fresh
+    throttle policy (stateful — never share one across arrangements)
+    and a fresh :class:`~repro.workloads.openloop.SLOAccountant`, the
+    arrivals firing open-loop on the simulated clock.
 
     The whole run executes under a scoped flight recorder (window
     width ``duration_s / ts_windows``; a no-op when observability is
@@ -231,37 +204,16 @@ def run_serve(
     from ..nemesis.tracker import FaultInterval, FaultTimeline
 
     with scoped_recorder(window_s=duration_s / config.ts_windows) as rec:
-        ctrl = RaidController(
-            build_layout(layout_name, config.n),
-            n_stripes=config.n_stripes,
-            element_size=config.element_size,
-            scheduler_factory=PriorityScheduler,
-            payload_bytes=config.payload_bytes,
-        )
-        throttle = make_throttle(config.throttle)
         slo = SLOAccountant(deadline_s=config.deadline_s)
-        observe = getattr(throttle, "observe", None)
-        sim = ctrl.array.sim
-
-        def on_latency(read: UserRead, latency_s: float) -> None:
-            slo.record(latency_s, tenant=read.tenant, t_s=sim.now)
-            slo.observe_queue_depth(sim.pending_count(), t_s=sim.now)
-            if observe is not None:
-                observe(latency_s)
-
-        online = OnlineReconstruction(
-            ctrl,
-            (config.failed_disk,),
+        run = run_scenario(
+            build_layout(layout_name, config.n),
             arrivals,
-            window=config.window,
-            throttle_delay_s=throttle,
-            on_latency=on_latency,
-        ).run()
+            throttle=make_throttle(config.throttle),
+            slo=slo,
+            **_geometry(config),
+        )
         timeseries = rec.snapshot() if rec is not None else {}
-    slo.record_failure(online.failed_user_reads)
-    summary = slo.summary(duration_s)
-    served = summary.served
-    availability = 1.0 - online.failed_user_reads / served if served > 0 else 1.0
+    online = run.online
     timeline = FaultTimeline()
     timeline.record(
         FaultInterval(
@@ -270,13 +222,13 @@ def run_serve(
     )
     return ServeResult(
         layout_name=layout_name,
-        slo=summary,
+        slo=slo.summary(duration_s),
         rebuild_makespan_s=online.rebuild.makespan_s,
         rebuild_verified=online.rebuild.verified,
         n_arrivals=len(arrivals),
         degraded_reads=online.degraded_reads,
         failed_reads=online.failed_user_reads,
-        availability=availability,
+        availability=run.availability,
         throttle=config.throttle,
         timeseries=timeseries,
         overlays=timeline.overlay_bands(horizon_s=duration_s),
@@ -290,7 +242,7 @@ def compare_serve(config: ServeConfig) -> ServeComparison:
     WorkerPool-safe: a pool worker handed the config reproduces the
     serial run bit for bit.
     """
-    duration_s = serve_duration_s(config)
+    duration_s = _window_s(config)
     arrivals = serve_arrivals(config, duration_s)
     baseline_name, variant_name = comparison_pair(config.family)
     return ServeComparison(

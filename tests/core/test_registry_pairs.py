@@ -19,7 +19,6 @@ from repro.core.registry import (
     comparison_pair,
     leaderboard_layouts,
     register,
-    shifted_variant_name,
 )
 
 
@@ -68,12 +67,6 @@ def test_pair_sides_agree_on_array_width():
             build_layout(name, 4) for name in comparison_pair(family)
         )
         assert baseline.n_disks == variant.n_disks, family
-
-
-def test_shifted_variant_name_back_compat():
-    assert shifted_variant_name("mirror") == "shifted-mirror"
-    with pytest.raises(ValueError):
-        shifted_variant_name("declustered")  # variant is not shifted-*
 
 
 def test_leaderboard_roster_contents():

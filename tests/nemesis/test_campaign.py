@@ -97,6 +97,43 @@ def test_checkpoint_refuses_a_different_config(tmp_path):
         run_nemesis_campaign(other, checkpoint_path=str(ckpt))
 
 
+def test_checkpoint_is_fsynced_before_it_replaces_the_old_one(tmp_path, monkeypatch):
+    import os
+
+    calls = []
+    real_fsync, real_replace = os.fsync, os.replace
+
+    def fsync(fd):
+        calls.append("fsync")
+        real_fsync(fd)
+
+    def replace(src, dst):
+        calls.append("replace")
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    monkeypatch.setattr(os, "replace", replace)
+    ckpt = tmp_path / "nemesis.ckpt"
+    assert (
+        run_nemesis_campaign(TINY, checkpoint_path=str(ckpt), stop_after_ticks=2)
+        is None
+    )
+    assert calls and calls == ["fsync", "replace"] * (len(calls) // 2)
+
+
+def test_truncated_checkpoint_is_an_error_naming_the_file(tmp_path, capsys):
+    from repro.cli import main
+
+    ckpt = tmp_path / "nemesis.ckpt"
+    run_nemesis_campaign(TINY, checkpoint_path=str(ckpt), stop_after_ticks=2)
+    ckpt.write_text(ckpt.read_text()[:40])  # a torn write
+    rc = main(["nemesis", "--horizon-days", "0.1", "--checkpoint", str(ckpt)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: ") and str(ckpt) in err
+    assert "Traceback" not in err
+
+
 def test_report_wire_form_carries_the_timeline_block():
     rep = run_nemesis_campaign(TINY)
     d = rep.to_dict()

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from repro.parallel import WorkerPool
 from repro.raidsim.leaderboard import (
     LeaderboardConfig,
-    leaderboard_duration_s,
     run_leaderboard,
     run_leaderboard_entry,
 )
@@ -71,7 +70,7 @@ def test_unknown_roster_name_rejected_up_front():
 def test_entry_is_a_pure_function_of_its_task():
     """A worker handed only (name, config, duration) reproduces the
     in-process entry bit for bit."""
-    duration_s = leaderboard_duration_s(TINY)
+    duration_s = run_leaderboard(TINY).duration_s
     a = run_leaderboard_entry("declustered-mirror", TINY, duration_s)
     b = run_leaderboard_entry("declustered-mirror", TINY, duration_s)
     assert a == b

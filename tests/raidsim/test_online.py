@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.layouts import (
     RAID5Layout,
@@ -135,3 +137,19 @@ def test_empty_read_stream_reports_nan_latencies():
     assert math.isnan(res.max_user_latency_s)
     # the rebuild itself is unaffected
     assert res.rebuild.verified
+
+
+@given(
+    st.lists(
+        st.floats(min_value=0.0, max_value=10.0, allow_nan=False),
+        min_size=1,
+        max_size=200,
+    )
+)
+@settings(max_examples=300, deadline=None)
+def test_p95_is_numpy_percentile_bit_for_bit(latencies):
+    import numpy as np
+
+    from repro.raidsim.reconstruction import _p95
+
+    assert _p95(latencies).hex() == float(np.percentile(latencies, 95)).hex()

@@ -52,6 +52,25 @@ def test_persistent_pool_sweep_bit_identical_to_serial():
     assert serial == first == second
 
 
+def test_sweep_sizes_its_read_window_once_per_pair_layout(monkeypatch):
+    """The clean rebuilds the window is sized off are the same for every
+    seed, so a sweep dry-runs each side of the pair once, in the parent."""
+    import repro.raidsim.campaign as campaign
+
+    sized = []
+    real = campaign.clean_rebuild_makespan
+
+    def counted(layout, *args, **kwargs):
+        sized.append(layout.name)
+        return real(layout, *args, **kwargs)
+
+    monkeypatch.setattr(campaign, "clean_rebuild_makespan", counted)
+    serial = compare_sweep("mirror-parity", 3, n_seeds=3, jobs=1, **_KW)
+    assert sized == ["mirror-parity", "shifted-mirror-parity"]
+    pooled = compare_sweep("mirror-parity", 3, n_seeds=3, jobs=2, **_KW)
+    assert serial == pooled
+
+
 def test_sweep_points_carry_their_seeds_in_order():
     sweep = compare_sweep("mirror", 3, n_seeds=3, jobs=1, **_KW)
     assert isinstance(sweep, SweepResult)
