@@ -46,19 +46,21 @@ from .metrics import (
     NULL_INSTRUMENT,
     NULL_REGISTRY,
     Counter,
+    Distribution,
     Gauge,
     Histogram,
     MetricsRegistry,
     NullRegistry,
+    bucket_quantile,
     default_registry,
     obs_enabled,
+    percentile,
     scoped_registry,
     set_obs_enabled,
 )
 from .summary import metrics_summary, summarize_files, trace_summary
 from .timeseries import (
     DEFAULT_HORIZON,
-    DEFAULT_TS_BUCKETS,
     DEFAULT_WINDOW_S,
     TimelineRecorder,
     TimeSeries,
@@ -68,7 +70,6 @@ from .timeseries import (
     scoped_recorder,
     set_default_recorder,
     window_mean,
-    window_quantile,
     write_timeseries_jsonl,
     write_timeseries_npz,
 )
@@ -92,6 +93,9 @@ __all__ = [
     "NULL_INSTRUMENT",
     "NULL_REGISTRY",
     "DEFAULT_BUCKETS",
+    "Distribution",
+    "bucket_quantile",
+    "percentile",
     "default_registry",
     "scoped_registry",
     "obs_enabled",
@@ -134,12 +138,10 @@ __all__ = [
     "TimeSeries",
     "DEFAULT_WINDOW_S",
     "DEFAULT_HORIZON",
-    "DEFAULT_TS_BUCKETS",
     "default_recorder",
     "set_default_recorder",
     "scoped_recorder",
     "window_mean",
-    "window_quantile",
     "write_timeseries_jsonl",
     "load_timeseries_jsonl",
     "write_timeseries_npz",

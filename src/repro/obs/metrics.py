@@ -26,6 +26,7 @@ sits below every other subsystem.
 
 from __future__ import annotations
 
+import math
 import os
 from bisect import bisect_left
 from contextlib import contextmanager
@@ -43,14 +44,17 @@ __all__ = [
     "default_registry",
     "scoped_registry",
     "DEFAULT_BUCKETS",
+    "Distribution",
+    "bucket_quantile",
+    "percentile",
 ]
 
-#: generic latency-ish buckets (seconds); callers pass their own for
-#: dimensionless ratios or byte counts
-DEFAULT_BUCKETS = (
-    0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01,
-    0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0,
-)
+#: the latency layout (seconds) shared by every histogram, recorder
+#: window and live gauge: 0.1 ms to ~105 s in sqrt(2) steps, so a
+#: bucket quantile is within a factor sqrt(2) above the exact one.
+#: Callers pass their own bounds only for non-latency quantities
+#: (ratios, byte counts).
+DEFAULT_BUCKETS = tuple(1e-4 * 2 ** (k / 2) for k in range(41))
 
 
 def _label_key(labels: dict) -> tuple:
@@ -157,35 +161,34 @@ class Gauge(_Instrument):
         return self._values.get(_label_key(labels), 0.0)
 
 
-class _HistState:
-    """Bucket counts plus running aggregates for one label set."""
+class Distribution:
+    """Bucket counts plus running aggregates over fixed upper bounds.
 
-    __slots__ = ("counts", "sum", "count", "min", "max")
+    The one bucketed structure of :mod:`repro.obs`: a histogram's
+    per-label state, a flight-recorder window and the serve tier's live
+    quantile gauges are all a ``Distribution``.  ``counts`` has one slot
+    per bound plus a trailing +inf bucket; a value lands in the first
+    bucket whose bound is ``>=`` it.
+    """
 
-    def __init__(self, n_buckets: int) -> None:
-        self.counts = [0] * (n_buckets + 1)  # +1 for the +inf bucket
+    __slots__ = ("bounds", "counts", "sum", "count", "min", "max")
+
+    def __init__(self, bounds: tuple = DEFAULT_BUCKETS) -> None:
+        self.bounds = bounds
+        self.counts = [0] * (len(bounds) + 1)
         self.sum = 0.0
         self.count = 0
         self.min = float("inf")
         self.max = float("-inf")
 
-
-class _BoundHistogram:
-    __slots__ = ("_bounds", "_state")
-
-    def __init__(self, bounds: tuple, state: _HistState) -> None:
-        self._bounds = bounds
-        self._state = state
-
     def observe(self, value: float) -> None:
-        state = self._state
-        state.counts[bisect_left(self._bounds, value)] += 1
-        state.sum += value
-        state.count += 1
-        if value < state.min:
-            state.min = value
-        if value > state.max:
-            state.max = value
+        self.counts[bisect_left(self.bounds, value)] += 1
+        self.sum += value
+        self.count += 1
+        if value < self.min:
+            self.min = value
+        if value > self.max:
+            self.max = value
 
     def observe_many(self, values) -> None:
         """Batch observation, state-identical to a loop of :meth:`observe`.
@@ -193,16 +196,15 @@ class _BoundHistogram:
         ``values`` is any sequence (or numpy array) of floats.  Bucket
         assignment vectorises on large batches, but the running ``sum``
         still accumulates value by value in input order, so batch and
-        per-value observation leave bit-identical histogram state —
-        the contract the engine's vectorized drain path relies on.
+        per-value observation leave bit-identical state — the contract
+        the engine's vectorized drain path relies on.
         """
         vlist = values.tolist() if hasattr(values, "tolist") else list(values)
         n = len(vlist)
         if not n:
             return
-        state = self._state
-        bounds = self._bounds
-        counts = state.counts
+        bounds = self.bounds
+        counts = self.counts
         if n >= 64:
             import numpy as np
 
@@ -214,21 +216,90 @@ class _BoundHistogram:
         else:
             for v in vlist:
                 counts[bisect_left(bounds, v)] += 1
-        total = state.sum
+        total = self.sum
         for v in vlist:
             total += v
-        state.sum = total
-        state.count += n
+        self.sum = total
+        self.count += n
         lo = min(vlist)
         hi = max(vlist)
-        if lo < state.min:
-            state.min = lo
-        if hi > state.max:
-            state.max = hi
+        if lo < self.min:
+            self.min = lo
+        if hi > self.max:
+            self.max = hi
+
+    def merge(self, data: dict) -> None:
+        """Fold in a :meth:`to_dict` of a distribution over the same bounds."""
+        for i, c in enumerate(data["counts"]):
+            self.counts[i] += c
+        self.sum += data["sum"]
+        self.count += data["count"]
+        if data["min"] is not None and data["min"] < self.min:
+            self.min = data["min"]
+        if data["max"] is not None and data["max"] > self.max:
+            self.max = data["max"]
+
+    def to_dict(self) -> dict:
+        """Plain data; ``min``/``max`` are ``None`` while empty."""
+        empty = not self.count
+        return {
+            "counts": list(self.counts),
+            "sum": self.sum,
+            "count": self.count,
+            "min": None if empty else self.min,
+            "max": None if empty else self.max,
+        }
+
+    def quantile(self, q: float) -> float:
+        """:func:`bucket_quantile` of this distribution."""
+        return bucket_quantile(self.to_dict(), q, self.bounds)
+
+
+def bucket_quantile(dist: dict, q: float, bounds) -> float:
+    """Upper bound of the bucket covering rank ``q * count``, clamped to the max.
+
+    ``dist`` is a :meth:`Distribution.to_dict` (or a recorder window)
+    over ``bounds``; an empty one gives NaN.  The result is at least the
+    exact nearest-rank quantile and, for values inside the bounds, at
+    most one bucket ratio above it — ``sqrt(2)`` on
+    :data:`DEFAULT_BUCKETS`.
+    """
+    total = dist["count"]
+    if not total:
+        return float("nan")
+    rank = q * total
+    cumulative = 0
+    for bound, count in zip(bounds, dist["counts"]):
+        cumulative += count
+        if cumulative >= rank:
+            return min(bound, dist["max"])
+    return dist["max"]
+
+
+def percentile(values, q: float) -> float:
+    """Exact percentile, equal to ``np.percentile(values, q)`` bit for bit.
+
+    Linear interpolation from the nearer neighbour, as numpy's lerp
+    does, without numpy's per-call overhead, which outweighs a short
+    probe's reads.  ``q`` is in percent; ``values`` must be non-empty.
+    """
+    ordered = sorted(values)
+    virtual = (len(ordered) - 1) * (q / 100)
+    lo = math.floor(virtual)
+    if lo >= len(ordered) - 1:
+        return ordered[-1]
+    gamma = virtual - lo
+    a, b = ordered[lo], ordered[lo + 1]
+    diff = b - a
+    return b - diff * (1 - gamma) if gamma >= 0.5 else a + diff * gamma
 
 
 class Histogram(_Instrument):
-    """A distribution over fixed buckets (upper bounds, +inf implicit)."""
+    """A distribution over fixed buckets (upper bounds, +inf implicit).
+
+    Each label set's state is a :class:`Distribution`, which is also
+    what :meth:`labels` returns.
+    """
 
     kind = "histogram"
     __slots__ = ("buckets",)
@@ -242,20 +313,20 @@ class Histogram(_Instrument):
             raise ValueError(f"histogram buckets must be strictly increasing: {buckets}")
         self.buckets = bounds
 
-    def _make_child(self, key) -> _BoundHistogram:
-        state = self._values.get(key)
-        if state is None:
-            state = self._values[key] = _HistState(len(self.buckets))
-        return _BoundHistogram(self.buckets, state)
+    def _make_child(self, key) -> Distribution:
+        dist = self._values.get(key)
+        if dist is None:
+            dist = self._values[key] = Distribution(self.buckets)
+        return dist
 
     def observe(self, value: float, **labels) -> None:
         self.labels(**labels).observe(value)
 
     def observe_many(self, values, **labels) -> None:
-        """Batch :meth:`observe` — see :meth:`_BoundHistogram.observe_many`."""
+        """Batch :meth:`observe` — see :meth:`Distribution.observe_many`."""
         self.labels(**labels).observe_many(values)
 
-    def state(self, **labels) -> _HistState | None:
+    def state(self, **labels) -> Distribution | None:
         return self._values.get(_label_key(labels))
 
 
@@ -281,6 +352,9 @@ class _NullInstrument:
 
     def observe_many(self, values, **labels) -> None:
         pass
+
+    def quantile(self, q: float) -> float:
+        return float("nan")
 
     def value(self, **labels) -> float:
         return 0.0
@@ -359,15 +433,8 @@ class MetricsRegistry:
                     "help": inst.help,
                     "buckets": list(inst.buckets),
                     "values": [
-                        {
-                            "labels": dict(k),
-                            "counts": list(s.counts),
-                            "sum": s.sum,
-                            "count": s.count,
-                            "min": s.min if s.count else None,
-                            "max": s.max if s.count else None,
-                        }
-                        for k, s in sorted(inst._values.items())
+                        {"labels": dict(k), **d.to_dict()}
+                        for k, d in sorted(inst._values.items())
                     ],
                 }
         return out
@@ -399,18 +466,7 @@ class MetricsRegistry:
                     f"histogram {name!r}: bucket layout mismatch on merge"
                 )
             for entry in data["values"]:
-                key = _label_key(entry["labels"])
-                state = hist._values.get(key)
-                if state is None:
-                    state = hist._values[key] = _HistState(len(hist.buckets))
-                for i, c in enumerate(entry["counts"]):
-                    state.counts[i] += c
-                state.sum += entry["sum"]
-                state.count += entry["count"]
-                if entry["min"] is not None and entry["min"] < state.min:
-                    state.min = entry["min"]
-                if entry["max"] is not None and entry["max"] > state.max:
-                    state.max = entry["max"]
+                hist._make_child(_label_key(entry["labels"])).merge(entry)
 
     def reset(self) -> None:
         self._instruments.clear()

@@ -27,12 +27,8 @@ from html import escape
 from pathlib import Path
 
 from ..experiments.svgplot import LineChart
-from .timeseries import (
-    load_timeseries_jsonl,
-    load_timeseries_npz,
-    window_mean,
-    window_quantile,
-)
+from .metrics import bucket_quantile
+from .timeseries import load_timeseries_jsonl, load_timeseries_npz, window_mean
 
 __all__ = [
     "serve_report_html",
@@ -98,6 +94,8 @@ def _chart_svg(chart: LineChart, overlays) -> str:
 def _serve_charts(snapshot: dict, overlays, heading: str) -> list[str]:
     """The serve-tier chart set for one arrangement's snapshot."""
     window_s = snapshot["window_s"]
+    # the snapshot's own bounds, so files exported under another
+    # bucket layout still render
     buckets = snapshot["buckets"]
     parts: list[str] = []
 
@@ -116,7 +114,7 @@ def _serve_charts(snapshot: dict, overlays, heading: str) -> list[str]:
                 f"tenant {tenant}",
                 _right_edges(entry["windows"], window_s),
                 [
-                    window_quantile(w, 0.99, buckets) * 1e3
+                    bucket_quantile(w, 0.99, buckets) * 1e3
                     for w in entry["windows"]
                 ],
             )

@@ -5,8 +5,10 @@ are *trajectories* — user-read latency and rebuild progress **during**
 reconstruction.  :class:`TimelineRecorder` is the first-class data
 structure for those curves: named series accept ``observe(t, value)``
 feeds (``t`` is the **simulated** clock, never wall time) and fold
-them into fixed-width windows holding ``count/sum/min/max`` plus
-fixed-bucket counts, from which mean and streaming quantiles derive.
+them into fixed-width windows, each a
+:class:`~repro.obs.metrics.Distribution` (``count/sum/min/max`` plus
+bucket counts over :data:`~repro.obs.metrics.DEFAULT_BUCKETS`), from
+which mean and :func:`~repro.obs.metrics.bucket_quantile` derive.
 Closed windows live in a ring buffer bounded by ``horizon`` windows
 per series, so a week-long campaign records in O(horizon), not O(events).
 
@@ -28,21 +30,24 @@ bit-identical.  Exports: JSONL (torn-tail recoverable, mirroring
 from __future__ import annotations
 
 import json
-from bisect import bisect_left
 from contextlib import contextmanager
 from pathlib import Path
 
-from .metrics import MetricsRegistry, default_registry, obs_enabled
+from .metrics import (
+    DEFAULT_BUCKETS,
+    Distribution,
+    MetricsRegistry,
+    bucket_quantile,
+    default_registry,
+    obs_enabled,
+)
 
 __all__ = [
     "DEFAULT_WINDOW_S",
     "DEFAULT_HORIZON",
-    "DEFAULT_TS_BUCKETS",
     "TIMESERIES_SCHEMA",
-    "SeriesWindow",
     "TimeSeries",
     "TimelineRecorder",
-    "window_quantile",
     "window_mean",
     "default_recorder",
     "set_default_recorder",
@@ -62,14 +67,6 @@ DEFAULT_WINDOW_S = 0.1
 #: default ring-buffer bound: closed windows kept per series
 DEFAULT_HORIZON = 4096
 
-#: default quantile buckets — upper bounds in seconds, tuned for I/O
-#: latencies like ``repro.obs.metrics.DEFAULT_BUCKETS`` but denser in
-#: the 1–500 ms band where rebuild-vs-serve contention lives
-DEFAULT_TS_BUCKETS = (
-    0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1,
-    0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 30.0, 120.0,
-)
-
 #: window-close gauges published per closed window (most recent wins)
 _WINDOW_AGGS = ("count", "mean", "min", "max", "p50", "p99")
 
@@ -86,47 +83,6 @@ def window_mean(win: dict) -> float:
     return win["sum"] / win["count"] if win["count"] else float("nan")
 
 
-def window_quantile(win: dict, q: float, buckets) -> float:
-    """Streaming quantile of one window: the upper bound of the bucket
-    covering rank ``q``, clamped to the window max past the last bound
-    (the same convention as ``SLOAccountant``'s streaming quantiles).
-    """
-    total = win["count"]
-    if not total:
-        return float("nan")
-    rank = q * total
-    cumulative = 0
-    for bound, count in zip(buckets, win["counts"]):
-        cumulative += count
-        if cumulative >= rank:
-            return min(bound, win["max"])
-    return win["max"]
-
-
-class SeriesWindow:
-    """Mutable open-window aggregates for one series (internal)."""
-
-    __slots__ = ("w", "count", "sum", "min", "max", "counts")
-
-    def __init__(self, w: int, n_buckets: int) -> None:
-        self.w = w
-        self.count = 0
-        self.sum = 0.0
-        self.min = float("inf")
-        self.max = float("-inf")
-        self.counts = [0] * (n_buckets + 1)
-
-    def to_dict(self) -> dict:
-        return {
-            "w": self.w,
-            "count": self.count,
-            "sum": self.sum,
-            "min": self.min,
-            "max": self.max,
-            "counts": list(self.counts),
-        }
-
-
 class TimeSeries:
     """One named, labelled series inside a :class:`TimelineRecorder`.
 
@@ -138,15 +94,15 @@ class TimeSeries:
     itself is deterministic.
     """
 
-    __slots__ = ("name", "help", "labels", "_rec", "_bounds", "_open", "closed")
+    __slots__ = ("name", "help", "labels", "_rec", "_open", "closed")
 
     def __init__(self, recorder: "TimelineRecorder", name: str, help: str, labels: dict) -> None:
         self.name = name
         self.help = help
         self.labels = labels
         self._rec = recorder
-        self._bounds = recorder._bounds
-        self._open: SeriesWindow | None = None
+        #: the open window: (index, aggregates), or None
+        self._open: tuple[int, Distribution] | None = None
         self.closed: list[dict] = []
 
     def observe(self, t: float, value: float) -> None:
@@ -156,31 +112,23 @@ class TimeSeries:
             return  # "no measurement" — same abstention as the baselines
         w = int(t // self._rec.window_s)
         win = self._open
-        if win is None:
-            win = self._open = SeriesWindow(w, len(self._bounds))
-        elif w > win.w:
-            self._close(win)
-            win = self._open = SeriesWindow(w, len(self._bounds))
-        win.count += 1
-        win.sum += value
-        if value < win.min:
-            win.min = value
-        if value > win.max:
-            win.max = value
-        win.counts[bisect_left(self._bounds, value)] += 1
+        if win is None or w > win[0]:
+            if win is not None:
+                self._close(win)
+            win = self._open = (w, Distribution())
+        win[1].observe(value)
 
     def advance_to(self, t: float) -> None:
         """Close the open window if ``t`` has moved past its right edge."""
         win = self._open
-        if win is not None and int(t // self._rec.window_s) > win.w:
+        if win is not None and int(t // self._rec.window_s) > win[0]:
             self._close(win)
             self._open = None
 
-    def _close(self, win: SeriesWindow) -> None:
-        if win.count:
-            record = win.to_dict()
-            self._insert_closed(record)
-            self._rec._publish(self, record)
+    def _close(self, win: tuple[int, Distribution]) -> None:
+        record = {"w": win[0], **win[1].to_dict()}
+        self._insert_closed(record)
+        self._rec._publish(self, record)
 
     def _insert_closed(self, record: dict) -> None:
         """Keep ``closed`` sorted by window index, folding duplicates.
@@ -201,7 +149,10 @@ class TimeSeries:
                 else:
                     hi = mid
             if lo < len(closed) and closed[lo]["w"] == record["w"]:
-                self._fold_into(closed[lo], record)
+                dist = Distribution()
+                dist.merge(closed[lo])
+                dist.merge(record)
+                closed[lo] = {"w": record["w"], **dist.to_dict()}
                 return
             closed.insert(lo, record)
         if len(closed) > self._rec.horizon:
@@ -215,8 +166,8 @@ class TimeSeries:
         """
         out = [dict(w, counts=list(w["counts"])) for w in self.closed]
         win = self._open
-        if win is not None and win.count:
-            record = win.to_dict()
+        if win is not None:
+            record = {"w": win[0], **win[1].to_dict()}
             idx = len(out)
             while idx > 0 and out[idx - 1]["w"] > record["w"]:
                 idx -= 1
@@ -226,24 +177,10 @@ class TimeSeries:
     def fold(self, win: dict) -> None:
         """Merge one window dict into this series (same window width)."""
         open_win = self._open
-        if open_win is not None and open_win.w == win["w"]:
-            target = open_win.to_dict()
-            self._fold_into(target, win)
-            open_win.count = target["count"]
-            open_win.sum = target["sum"]
-            open_win.min = target["min"]
-            open_win.max = target["max"]
-            open_win.counts = target["counts"]
+        if open_win is not None and open_win[0] == win["w"]:
+            open_win[1].merge(win)
             return
         self._insert_closed(dict(win, counts=list(win["counts"])))
-
-    @staticmethod
-    def _fold_into(target: dict, win: dict) -> None:
-        target["count"] += win["count"]
-        target["sum"] += win["sum"]
-        target["min"] = min(target["min"], win["min"])
-        target["max"] = max(target["max"], win["max"])
-        target["counts"] = [a + b for a, b in zip(target["counts"], win["counts"])]
 
 
 class TimelineRecorder:
@@ -257,8 +194,6 @@ class TimelineRecorder:
     horizon:
         Ring-buffer bound — closed windows kept per series (oldest
         evicted first).
-    buckets:
-        Ascending quantile-bucket upper bounds shared by all series.
     registry:
         Metrics registry that receives ``{name}_window`` gauges when a
         window closes (the most recent closed window, per aggregate),
@@ -271,19 +206,14 @@ class TimelineRecorder:
         self,
         window_s: float = DEFAULT_WINDOW_S,
         horizon: int = DEFAULT_HORIZON,
-        buckets=DEFAULT_TS_BUCKETS,
         registry: MetricsRegistry | None | bool = None,
     ) -> None:
         if window_s <= 0.0:
             raise ValueError(f"window_s must be > 0, got {window_s}")
         if horizon < 1:
             raise ValueError(f"horizon must be >= 1, got {horizon}")
-        bounds = tuple(float(b) for b in buckets)
-        if list(bounds) != sorted(set(bounds)):
-            raise ValueError("buckets must be strictly ascending")
         self.window_s = float(window_s)
         self.horizon = int(horizon)
-        self._bounds = bounds
         if registry is False:
             self._registry = None
         else:
@@ -339,8 +269,8 @@ class TimelineRecorder:
             "mean": window_mean(win),
             "min": win["min"],
             "max": win["max"],
-            "p50": window_quantile(win, 0.50, self._bounds),
-            "p99": window_quantile(win, 0.99, self._bounds),
+            "p50": bucket_quantile(win, 0.50, DEFAULT_BUCKETS),
+            "p99": bucket_quantile(win, 0.99, DEFAULT_BUCKETS),
         }
         for agg in _WINDOW_AGGS:
             gauge.set(values[agg], agg=agg, **series.labels)
@@ -368,7 +298,7 @@ class TimelineRecorder:
             "schema": TIMESERIES_SCHEMA,
             "window_s": self.window_s,
             "horizon": self.horizon,
-            "buckets": list(self._bounds),
+            "buckets": list(DEFAULT_BUCKETS),
             "series": series,
         }
 
@@ -388,7 +318,7 @@ class TimelineRecorder:
                 f"window_s mismatch: recorder {self.window_s}, "
                 f"snapshot {snapshot['window_s']}"
             )
-        if tuple(snapshot["buckets"]) != self._bounds:
+        if tuple(snapshot["buckets"]) != DEFAULT_BUCKETS:
             raise ValueError("bucket-bound mismatch between recorder and snapshot")
         for key in sorted(snapshot["series"]):
             entry = snapshot["series"][key]
@@ -493,7 +423,7 @@ def load_timeseries_jsonl(path) -> dict:
         "schema": TIMESERIES_SCHEMA,
         "window_s": DEFAULT_WINDOW_S,
         "horizon": DEFAULT_HORIZON,
-        "buckets": list(DEFAULT_TS_BUCKETS),
+        "buckets": list(DEFAULT_BUCKETS),
         "series": {},
     }
     series = snapshot["series"]

@@ -25,7 +25,6 @@ timing, quantifying the availability difference the paper motivates.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,6 +32,7 @@ import numpy as np
 from ..core.errors import UnrecoverableFailureError
 from ..core.layouts import MirrorParityLayout, RAID5Layout, RAID6Layout
 from ..disksim.scheduler import PriorityScheduler
+from ..obs.metrics import percentile
 from ..workloads.generator import UserRead
 from .controller import FaultStats, RaidController, RebuildResult
 
@@ -105,21 +105,6 @@ def degraded_read_sources(layout, failed: set[int], i: int, j: int) -> list[tupl
     raise UnrecoverableFailureError(
         f"no surviving source for data element ({i}, {j}) under failures {sorted(failed)}"
     )
-
-
-def _p95(latencies: list[float]) -> float:
-    """``np.percentile(latencies, 95)`` bit for bit (linear interpolation,
-    interpolating from the nearer neighbour as numpy's lerp does), without
-    numpy's per-call overhead, which outweighs a short probe's reads."""
-    ordered = sorted(latencies)
-    virtual = (len(ordered) - 1) * 0.95
-    lo = math.floor(virtual)
-    if lo >= len(ordered) - 1:
-        return ordered[-1]
-    gamma = virtual - lo
-    a, b = ordered[lo], ordered[lo + 1]
-    diff = b - a
-    return b - diff * (1 - gamma) if gamma >= 0.5 else a + diff * gamma
 
 
 class OnlineReconstruction:
@@ -258,7 +243,7 @@ class OnlineReconstruction:
         if self._latencies:
             lat = np.array(self._latencies)
             mean_s = float(lat.mean())
-            p95_s = _p95(self._latencies)
+            p95_s = percentile(self._latencies, 95)
             max_s = float(lat.max())
         else:
             # no completed reads: the aggregates are NaN, not 0.0 — see

@@ -45,7 +45,7 @@ from typing import Protocol, runtime_checkable
 
 import numpy as np
 
-from ..obs import default_recorder, default_registry
+from ..obs import default_recorder, default_registry, percentile
 from .generator import UserRead
 
 __all__ = [
@@ -273,10 +273,6 @@ def open_arrivals(
 # SLO accounting
 # ----------------------------------------------------------------------
 
-#: streaming-estimate bucket bounds: 0.5 ms .. ~67 s, quarter-decades
-SLO_BUCKETS = tuple(float(0.0005 * 2**k) for k in range(18))
-
-
 @dataclass(frozen=True)
 class SLOSummary:
     """What the users saw: exact percentiles, goodput, misses.
@@ -327,13 +323,14 @@ class SLOSummary:
 class SLOAccountant:
     """Streaming SLO accounting for one serve run.
 
-    Every completed read lands here: a latency histogram and per-tenant
-    counters go to :mod:`repro.obs` (hence the Prometheus endpoint),
-    and every ``gauge_every`` completions the live
-    ``serve.p50/p99/p999_latency_s`` gauges are refreshed from a
-    fixed-bucket streaming estimate (upper bucket bound — monotone,
-    deterministic, O(1) memory).  :meth:`summary` computes the final
-    exact percentiles from the retained samples.
+    Every completed read lands here: the ``serve.read_latency_s``
+    histogram and per-tenant counters go to :mod:`repro.obs` (hence the
+    Prometheus endpoint), and every ``gauge_every`` completions the live
+    ``serve.latency_quantile_s`` gauges are refreshed from that
+    histogram's :func:`~repro.obs.metrics.bucket_quantile` (covering
+    bucket's upper bound clamped to the max — deterministic, O(1)
+    memory).  :meth:`summary` computes the final exact percentiles from
+    the retained samples.
     """
 
     def __init__(
@@ -363,8 +360,6 @@ class SLOAccountant:
         self._misses = 0
         self._failed = 0
         self._tenants: dict[str, int] = {}
-        self._bounds = np.array(SLO_BUCKETS)
-        self._counts = np.zeros(len(SLO_BUCKETS) + 1, dtype=np.int64)
         reg = registry if registry is not None else default_registry()
         self._obs_reads = reg.counter("serve.reads_total", "open-loop reads served")
         self._obs_miss = reg.counter(
@@ -373,11 +368,10 @@ class SLOAccountant:
         self._obs_hist = reg.histogram(
             "serve.read_latency_s",
             "arrival-to-completion latency of open-loop reads",
-            buckets=SLO_BUCKETS,
         ).labels()
         quant = reg.gauge(
             "serve.latency_quantile_s",
-            "streaming latency quantile estimate (bucket upper bound)",
+            "latency quantile of serve.read_latency_s (bucket upper bound, clamped to the max)",
         )
         self._obs_q = {
             0.50: quant.labels(q="0.5"),
@@ -412,7 +406,6 @@ class SLOAccountant:
             handle.observe(t_s, latency_s)
         self._lat.append(latency_s)
         self._tenants[tenant] = self._tenants.get(tenant, 0) + 1
-        self._counts[int(np.searchsorted(self._bounds, latency_s, side="left"))] += 1
         self._obs_reads.inc(1.0, tenant=tenant or "all")
         self._obs_hist.observe(latency_s)
         if self.deadline_s is not None and latency_s > self.deadline_s:
@@ -420,7 +413,7 @@ class SLOAccountant:
             self._obs_miss.inc()
         if len(self._lat) % self.gauge_every == 0:
             for q, gauge in self._obs_q.items():
-                gauge.set(self.streaming_quantile(q))
+                gauge.set(self._obs_hist.quantile(q))
 
     def record_failure(self, n: int = 1) -> None:
         """Account reads that errored out after all retries."""
@@ -431,25 +424,13 @@ class SLOAccountant:
         if self._ts_depth is not None and t_s is not None:
             self._ts_depth.observe(t_s, depth)
 
-    def streaming_quantile(self, q: float) -> float:
-        """Bucketed quantile estimate: upper bound of the covering bucket."""
-        total = int(self._counts.sum())
-        if total == 0:
-            return float("nan")
-        cum = np.cumsum(self._counts)
-        idx = int(np.searchsorted(cum, q * total, side="left"))
-        if idx >= len(self._bounds):
-            return float(max(self._lat))
-        return float(self._bounds[idx])
-
     def summary(self, duration_s: float) -> SLOSummary:
         """The run's exact, bit-reproducible SLO verdict."""
         served = len(self._lat)
         if served:
+            ordered = sorted(self._lat)
+            p50, p99, p999 = (float(percentile(ordered, q)) for q in (50, 99, 99.9))
             lat = np.array(self._lat)
-            p50, p99, p999 = (
-                float(x) for x in np.percentile(lat, (50.0, 99.0, 99.9))
-            )
             mean_s, max_s = float(lat.mean()), float(lat.max())
         else:
             p50 = p99 = p999 = mean_s = max_s = float("nan")
@@ -565,7 +546,7 @@ class LatencyTargetThrottle:
 
     def delay_s(self, now: float, n_ios: int = 1) -> float:
         if self._recent:
-            p99 = float(np.percentile(np.array(self._recent), 99.0))
+            p99 = percentile(self._recent, 99)
             if p99 > self.target_p99_s:
                 self._delay = min(
                     self.max_delay_s, max(self.base_delay_s, self._delay * 2.0)

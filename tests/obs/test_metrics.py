@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.obs import (
+    DEFAULT_BUCKETS,
     NULL_INSTRUMENT,
     NULL_REGISTRY,
+    Distribution,
     MetricsRegistry,
     default_registry,
     load_metrics,
@@ -88,6 +94,21 @@ def test_histogram_observe_and_state():
     assert state.counts == [1, 2, 1]  # <=0.1, <=1.0, +inf
     assert state.sum == pytest.approx(6.05)
     assert state.min == 0.05 and state.max == 5.0
+
+
+@given(
+    st.lists(
+        st.floats(min_value=1e-4, max_value=DEFAULT_BUCKETS[-1]), min_size=1, max_size=200
+    ),
+    st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+)
+@settings(max_examples=300, deadline=None)
+def test_bucket_quantile_is_within_sqrt2_above_nearest_rank(values, q):
+    dist = Distribution()
+    for v in values:
+        dist.observe(v)
+    x = sorted(values)[math.ceil(q * len(values)) - 1]
+    assert x <= dist.quantile(q) <= math.sqrt(2) * x * (1 + 1e-12)
 
 
 def test_histogram_buckets_must_increase():

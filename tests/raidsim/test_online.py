@@ -150,6 +150,8 @@ def test_empty_read_stream_reports_nan_latencies():
 def test_p95_is_numpy_percentile_bit_for_bit(latencies):
     import numpy as np
 
-    from repro.raidsim.reconstruction import _p95
+    from repro.obs import percentile
 
-    assert _p95(latencies).hex() == float(np.percentile(latencies, 95)).hex()
+    # every percentile the callers take: SLO p50/p99/p999, online p95
+    for q in (50, 95, 99, 99.9):
+        assert percentile(latencies, q).hex() == float(np.percentile(latencies, q)).hex()

@@ -482,3 +482,61 @@ def test_obs_report_renders_leaderboard_json(capsys, tmp_path):
     assert rc == 0
     assert "wrote dashboard report" in out
     assert "declustered-mirror" in out_path.read_text()
+
+
+def test_obs_report_renders_serve_json_with_an_older_bucket_layout(
+    capsys, tmp_path, monkeypatch
+):
+    """Serve JSON exported under the former 16-bound recorder layout
+    still renders, with quantiles taken over the file's own bounds."""
+    import json
+
+    import repro.obs.report as report
+
+    old_bounds = [
+        0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1,
+        0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 30.0, 120.0,
+    ]
+    counts = [0] * 17
+    counts[3] = 100  # 100 reads in (2.5 ms, 5 ms]
+    counts[10] = 1  # one 1 s straggler
+    window = {"w": 0, "count": 101, "sum": 1.4, "min": 0.003, "max": 1.0,
+              "counts": counts}
+    record = {
+        "layout": "mirror",
+        "rebuild_makespan_s": 1.0,
+        "availability": 1.0,
+        "slo": {"served": 101, "p50_s": 0.004, "p99_s": 0.005},
+        "timeseries": {
+            "schema": 1,
+            "window_s": 0.1,
+            "horizon": 4096,
+            "buckets": old_bounds,
+            "series": {
+                "serve.latency_s|tenant=all": {
+                    "name": "serve.latency_s",
+                    "help": "",
+                    "labels": {"tenant": "all"},
+                    "windows": [window],
+                }
+            },
+        },
+        "overlays": [],
+    }
+    json_path = tmp_path / "old-serve.json"
+    json_path.write_text(json.dumps({"kind": "serve", "traditional": record}))
+    seen = []
+
+    def spy(dist, q, bounds):
+        value = real(dist, q, bounds)
+        seen.append((list(bounds), value))
+        return value
+
+    real = report.bucket_quantile
+    monkeypatch.setattr(report, "bucket_quantile", spy)
+    html_path = tmp_path / "old.html"
+    rc, _ = run_cli(capsys, "obs", "report", str(json_path), "--out", str(html_path))
+    assert rc == 0
+    assert "<svg" in html_path.read_text()
+    # rank 0.99 * 101 falls in the file's 5 ms bucket
+    assert seen == [(old_bounds, 0.005)]

@@ -181,11 +181,24 @@ def test_slo_streaming_quantile_tracks_exact_quantile():
     for x in lats:
         acc.record(float(x))
     exact = float(np.percentile(lats, 99))
-    est = acc.streaming_quantile(0.99)
+    est = reg.histogram("serve.read_latency_s").state().quantile(0.99)
     # bucketed estimate: right bucket's upper bound, so within one
     # power-of-two bracket of the exact value
     assert exact <= est <= 4 * exact
-    assert math.isnan(SLOAccountant(registry=MetricsRegistry()).streaming_quantile(0.5))
+    empty = MetricsRegistry()
+    SLOAccountant(registry=empty)
+    assert math.isnan(empty.histogram("serve.read_latency_s").labels().quantile(0.5))
+
+
+def test_slo_live_gauges_never_exceed_the_largest_read():
+    """One 3 ms read: every live quantile gauge is the read itself, not
+    the upper bound of its bucket."""
+    reg = MetricsRegistry()
+    acc = SLOAccountant(registry=reg, gauge_every=1)
+    acc.record(0.003)
+    values = reg.snapshot()["gauges"]["serve.latency_quantile_s"]["values"]
+    assert len(values) == 3
+    assert all(e["value"] <= 0.003 for e in values)
 
 
 def test_slo_wires_metrics_registry():
