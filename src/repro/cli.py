@@ -120,7 +120,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         print(f"  content verified:   {result.verified}")
     else:
         rng = np.random.default_rng(args.seed)
-        ops = random_large_writes(layout.n, args.stripes, n_ops=args.ops, rng=rng)
+        ops = random_large_writes(
+            layout.n, args.stripes, n_ops=args.ops, rng=rng, rows=layout.data_rows
+        )
         result = controller.run_write_workload(ops, window=1, rng=rng)
         print(f"{layout.name}: {result.n_ops} random large writes")
         print(f"  makespan:         {result.makespan_s:.3f} s")
@@ -520,7 +522,7 @@ def _faultcampaign_sweep(args: argparse.Namespace) -> int:
                 for name in comparison_pair(args.family)
             )
             n_i = max(lay.n for lay in layouts)
-            n_j = max(getattr(lay, "data_rows", lay.rows) for lay in layouts)
+            n_j = max(lay.data_rows for lay in layouts)
             pool.share_film(2012, 16, args.stripes, n_i, n_j)
         sweep = compare_sweep(
             args.family,

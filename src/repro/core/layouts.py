@@ -1,9 +1,10 @@
 """RAID architectures as *layouts*: content maps, write plans, recovery plans.
 
 A layout fixes, for one stripe, (1) which element lives where, (2) what
-must be written to service a logical write, and (3) how lost elements
-are recovered after disk failures.  All the architectures the paper
-discusses are here:
+must be written to service a logical write, (3) how lost elements are
+recovered after disk failures, and (4) the stripe code: how every
+cell's bytes follow from the stripe's data (:meth:`Layout.encode`).
+All the architectures the paper discusses are here:
 
 ========================================  =======================================
 Class                                     Paper section
@@ -24,8 +25,13 @@ disk(s); element rows are per-disk indices within one stripe.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
-from ..codes.evenodd import smallest_prime_at_least
+import numpy as np
+
+from ..codes.evenodd import EvenOdd, smallest_prime_at_least
+from ..codes.rdp import RDP
+from ..codes.xcode import XCode
 from .arrangement import Arrangement, IdentityArrangement, ShiftedArrangement
 from .errors import LayoutError, UnrecoverableFailureError
 from .reconstruction import ReconstructionPlan, RecoveryMethod
@@ -99,9 +105,64 @@ class Layout:
         """Physical cells holding replicas of ``a[i, j]`` (primary excluded)."""
         return []
 
+    @property
+    def data_rows(self) -> int:
+        """Data elements per data disk per stripe (the range of ``j``)."""
+        return self.rows
+
     def storage_efficiency(self) -> float:
         """Fraction of raw capacity that stores original data."""
         raise NotImplementedError
+
+    # -- content bytes ------------------------------------------------
+    @cached_property
+    def _gather(self) -> np.ndarray:
+        """``(n_disks, rows)`` index of every cell into the data block's
+        cells (row-major) followed by its row parities."""
+        n_data = self.data_rows * self.n
+        index = np.empty((self.n_disks, self.rows), dtype=np.intp)
+        for disk in range(self.n_disks):
+            for row in range(self.rows):
+                c = self.content(disk, row)
+                if c.kind == "parity":
+                    index[disk, row] = n_data + c.j
+                elif c.kind in ("data", "replica"):
+                    index[disk, row] = c.j * self.n + c.i
+                else:
+                    raise LayoutError(f"{self.name}: no gather rule for {c.kind} cells")
+        return index
+
+    @cached_property
+    def _data_index(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(disks, rows)`` arrays, each ``(data_rows, n)``, of the data cells."""
+        cells = np.array(
+            [[self.data_cell(i, j) for i in range(self.n)] for j in range(self.data_rows)],
+            dtype=np.intp,
+        )
+        return cells[..., 0], cells[..., 1]
+
+    def encode(self, data: np.ndarray) -> np.ndarray:
+        """The ``(n_disks, rows, size)`` stripe block a data block encodes to.
+
+        ``data`` is the ``(data_rows, n, size)`` data block, ``data[j, i]``
+        being element ``a[i, j]``.  Data and replica cells copy their
+        element, parity cells hold the XOR of their data row.
+        """
+        cells = data.reshape(-1, data.shape[-1])
+        parity = np.bitwise_xor.reduce(data, axis=1)
+        return np.concatenate([cells, parity])[self._gather]
+
+    def data_of(self, block: np.ndarray) -> np.ndarray:
+        """The ``(data_rows, n, size)`` data block held in a stripe block."""
+        return block[self._data_index]
+
+    def decode(self, block: np.ndarray, failed) -> np.ndarray:
+        """The data block of a stripe block whose ``failed`` columns are lost.
+
+        Only the erasure-code layouts decode a whole stripe (their
+        ``CODE`` recovery steps); the others recover cell by cell.
+        """
+        raise NotImplementedError(f"{self.name} has no stripe decode")
 
     # -- writes --------------------------------------------------------
     def write_plan(self, elements, strategy: str = "rmw") -> WritePlan:
@@ -680,6 +741,7 @@ class RAID6Layout(Layout):
             self.p = smallest_prime_at_least(max(n, 3))
         else:  # RDP admits p - 1 data columns
             self.p = smallest_prime_at_least(max(n + 1, 3))
+        self.code = (EvenOdd if code == "evenodd" else RDP)(self.p, n)
         self.rows = self.p - 1
         self.n_disks = n + 2
         self.name = f"raid6-{code}"
@@ -704,6 +766,15 @@ class RAID6Layout(Layout):
 
     def storage_efficiency(self) -> float:
         return self.n / (self.n + 2)
+
+    def encode(self, data: np.ndarray) -> np.ndarray:
+        row_par, diag_par = self.code.encode(data)
+        return np.concatenate([data.transpose(1, 0, 2), row_par[None], diag_par[None]])
+
+    def decode(self, block: np.ndarray, failed) -> np.ndarray:
+        cols = [None if d in failed else block[d] for d in range(self.n_disks)]
+        data, _, _ = self.code.decode(cols[: self.n], cols[self.p_disk], cols[self.q_disk])
+        return data
 
     def q_rows_updated(self, i: int, j: int) -> list[int]:
         """Q elements a single-element modification of ``a[i, j]`` dirties.
@@ -935,15 +1006,16 @@ class XCodeLayout(Layout):
     fault_tolerance = 2
 
     def __init__(self, p: int) -> None:
-        from ..codes.xcode import XCode
-
         self.code = XCode(p)  # validates primality and p >= 5
         self.p = p
         self.n = p
         self.rows = p
-        self.data_rows = p - 2
         self.n_disks = p
         self.name = "xcode"
+
+    @property
+    def data_rows(self) -> int:
+        return self.p - 2
 
     # -- content ------------------------------------------------------
     def content(self, disk: int, row: int) -> Content:
@@ -967,6 +1039,15 @@ class XCodeLayout(Layout):
 
     def storage_efficiency(self) -> float:
         return (self.p - 2) / self.p
+
+    def encode(self, data: np.ndarray) -> np.ndarray:
+        diag, anti = self.code.encode(data)
+        return np.concatenate([data, diag[None], anti[None]]).transpose(1, 0, 2)
+
+    def decode(self, block: np.ndarray, failed) -> np.ndarray:
+        return self.code.decode_data(
+            [None if d in failed else block[d] for d in range(self.n_disks)]
+        )
 
     # -- writes --------------------------------------------------------
     def write_plan(self, elements, strategy: str = "rmw") -> WritePlan:

@@ -233,7 +233,7 @@ def leaderboard_layouts(n: int) -> list[str]:
         if not spec.leaderboard or n < spec.min_n:
             continue
         layout = spec.builder(n)
-        if getattr(layout, "data_rows", layout.rows) < n:
+        if layout.data_rows < n:
             continue
         eligible.append(name)
     return eligible

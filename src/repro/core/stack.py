@@ -16,6 +16,8 @@ at (stripe ``s``, row ``j``) sits at per-disk offset ``s * rows + j``.
 
 from __future__ import annotations
 
+import numpy as np
+
 from .layouts import Layout
 
 __all__ = ["RotatedStack"]
@@ -47,6 +49,7 @@ class RotatedStack:
         if self.n_stripes < 1:
             raise ValueError(f"need at least one stripe, got {self.n_stripes}")
         self.rotate = rotate
+        self._cells: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     # ------------------------------------------------------------------
     def physical_disk(self, stripe: int, logical: int) -> int:
@@ -94,6 +97,28 @@ class RotatedStack:
             raise IndexError(f"row {row} outside stripe of {self.rows} rows")
         physical = (logical_disk + stripe) % self.n_disks if self.rotate else logical_disk
         return (physical, stripe * self.rows + row)
+
+    def cells(self, stripe: int) -> tuple[np.ndarray, np.ndarray]:
+        """Physical ``(disks, slots)`` of every cell of ``stripe``.
+
+        Two read-only ``(n_disks, rows)`` index arrays, indexed by
+        logical ``(disk, row)``: ``store[disks, slots]`` reads the whole
+        stripe as one block in the layout's cell order.  Built once per
+        stripe, since every content write and check goes through here.
+        """
+        cells = self._cells.get(stripe)
+        if cells is None:
+            if not 0 <= stripe < self.n_stripes:
+                raise IndexError(f"stripe {stripe} outside stack of {self.n_stripes}")
+            disks = np.arange(self.n_disks)
+            if self.rotate:
+                disks = (disks + stripe) % self.n_disks
+            slots = np.arange(stripe * self.rows, (stripe + 1) * self.rows)
+            cells = tuple(np.meshgrid(disks, slots, indexing="ij"))
+            for index in cells:
+                index.setflags(write=False)
+            self._cells[stripe] = cells
+        return cells
 
     # ------------------------------------------------------------------
     def logical_failures(self, physical_failed) -> list[tuple[int, ...]]:

@@ -29,15 +29,8 @@ from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from ..codes.decoder import EvenOddDecoder, RDPDecoder
 from ..core.errors import UnrecoverableFailureError
-from ..core.layouts import (
-    Layout,
-    MirrorParityLayout,
-    RAID5Layout,
-    RAID6Layout,
-    XCodeLayout,
-)
+from ..core.layouts import Layout, MirrorParityLayout
 from ..core.plancache import PlanCache
 from ..core.reconstruction import (
     RebuildPhase,
@@ -46,6 +39,7 @@ from ..core.reconstruction import (
     RecoveryStep,
 )
 from ..core.stack import RotatedStack
+from ..core.writes import WritePlan
 from ..disksim.array import DEFAULT_ELEMENT_SIZE, ElementArray
 from ..obs import default_recorder, default_registry, default_tracer
 from ..obs.tracing import Tracer
@@ -526,7 +520,12 @@ class RaidController:
         self._death_snapshots: dict[int, np.ndarray] = {}
         self._death_times: dict[int, float] = {}
         self._rebuilding: tuple[int, ...] = ()
-        self._init_content()
+        for stripe in range(n_stripes):
+            data = [
+                [self.film.element(stripe, i, j) for i in range(layout.n)]
+                for j in range(layout.data_rows)
+            ]
+            self.content[self.stack.cells(stripe)] = layout.encode(np.array(data))
         if fault_plan is not None:
             for df in fault_plan.disk_failures:
                 self.array.sim.schedule(
@@ -549,65 +548,6 @@ class RaidController:
         """Physical ``(disk, slot)`` of a logical stripe cell."""
         disk, row = cell
         return self.stack.place(stripe, disk, row)
-
-    def _stripe_data(self, stripe: int) -> np.ndarray:
-        """``(data rows, n, payload)`` data block of one stripe, from the film."""
-        lay = self.layout
-        data_rows = getattr(lay, "data_rows", lay.rows)
-        out = np.empty((data_rows, lay.n, self.payload_bytes), dtype=np.uint8)
-        for j in range(data_rows):
-            for i in range(lay.n):
-                out[j, i] = self.film.element(stripe, i, j)
-        return out
-
-    def _init_content(self) -> None:
-        for stripe in range(self.n_stripes):
-            self._write_stripe_content(stripe, self._stripe_data(stripe))
-
-    def _write_stripe_content(self, stripe: int, data: np.ndarray) -> None:
-        """Install a stripe's data block and all derived redundancy."""
-        lay = self.layout
-        for disk in range(lay.n_disks):
-            for row in range(lay.rows):
-                c = lay.content(disk, row)
-                pd, slot = self.place(stripe, (disk, row))
-                if c.kind in ("data", "replica"):
-                    self.content[pd, slot] = data[c.j, c.i]
-                elif c.kind == "parity" and not isinstance(
-                    lay, (RAID6Layout, XCodeLayout)
-                ):
-                    self.content[pd, slot] = np.bitwise_xor.reduce(data[c.j], axis=0)
-        if isinstance(lay, RAID6Layout):
-            self._encode_raid6_stripe(stripe, data)
-        elif isinstance(lay, XCodeLayout):
-            self._encode_xcode_stripe(stripe, data)
-
-    def _encode_xcode_stripe(self, stripe: int, data: np.ndarray) -> None:
-        lay = self.layout
-        diag, anti = lay.code.encode(data)
-        for disk in range(lay.n_disks):
-            pd, slot = self.place(stripe, (disk, lay.p - 2))
-            self.content[pd, slot] = diag[disk]
-            pd, slot = self.place(stripe, (disk, lay.p - 1))
-            self.content[pd, slot] = anti[disk]
-
-    def _raid6_code(self):
-        lay = self.layout
-        dec = (
-            EvenOddDecoder(lay.n, lay.p)
-            if lay.code_name == "evenodd"
-            else RDPDecoder(lay.n, lay.p)
-        )
-        return dec
-
-    def _encode_raid6_stripe(self, stripe: int, data: np.ndarray) -> None:
-        lay = self.layout
-        row_par, diag_par = self._raid6_code().code.encode(data)
-        for row in range(lay.rows):
-            pd, slot = self.place(stripe, (lay.p_disk, row))
-            self.content[pd, slot] = row_par[row]
-            qd, qslot = self.place(stripe, (lay.q_disk, row))
-            self.content[qd, qslot] = diag_par[row]
 
     def element_content(self, stripe: int, cell: tuple[int, int]) -> np.ndarray:
         """Current payload of a logical stripe cell."""
@@ -1028,7 +968,7 @@ class RaidController:
                             if self.place(stripe, (disk, row))[0] in dead:
                                 bad.add((disk, row))
                     if not bad:
-                        self._apply_phase(stripe, plan, phase)
+                        self._apply_steps(stripe, plan, phase.steps)
                         finish_ok()
                         return
                     try:
@@ -1211,14 +1151,6 @@ class RaidController:
         return new_steps, extra
 
     # ------------------------------------------------------------------
-    def _apply_phase(self, stripe: int, plan: ReconstructionPlan, phase: RebuildPhase) -> None:
-        """Execute one phase's recovery steps on the content store."""
-        self._apply_steps(stripe, plan, phase.steps)
-
-    def _apply_recovery(self, stripe: int, plan: ReconstructionPlan) -> None:
-        """Execute all of a plan's recovery steps on the content store."""
-        self._apply_steps(stripe, plan, plan.steps)
-
     def _apply_steps(self, stripe: int, plan: ReconstructionPlan, steps) -> None:
         for step in steps:
             pd, slot = self.place(stripe, step.target)
@@ -1234,51 +1166,16 @@ class RaidController:
             elif step.method is RecoveryMethod.CODE:
                 key = (stripe, plan.failed_disks)
                 if key not in self._decoded:
-                    if isinstance(self.layout, XCodeLayout):
-                        self._decode_xcode_stripe(stripe, plan.failed_disks)
-                    else:
-                        self._decode_raid6_stripe(stripe, plan.failed_disks)
+                    # one decode restores every failed column of the stripe
+                    lay = self.layout
+                    disks, slots = self.stack.cells(stripe)
+                    failed = list(plan.failed_disks)
+                    block = lay.encode(lay.decode(self.content[disks, slots], failed))
+                    self.content[disks[failed], slots[failed]] = block[failed]
                     self._decoded.add(key)
                     self._obs.decodes.inc()
             else:  # pragma: no cover - defensive
                 raise AssertionError(f"unknown recovery method {step.method}")
-
-    def _decode_raid6_stripe(self, stripe: int, failed_logical: tuple[int, ...]) -> None:
-        lay = self.layout
-        if not isinstance(lay, RAID6Layout):
-            raise AssertionError("CODE recovery outside RAID 6")
-        decoder = self._raid6_code()
-        devices: list[np.ndarray | None] = []
-        for d in range(lay.n_disks):
-            if d in failed_logical:
-                devices.append(None)
-                continue
-            col = np.stack(
-                [self.element_content(stripe, (d, r)) for r in range(lay.rows)]
-            )
-            devices.append(col.reshape(-1))
-        decoded = decoder.decode(devices)
-        for d in failed_logical:
-            col = decoded[d].reshape(lay.rows, self.payload_bytes)
-            for r in range(lay.rows):
-                pd, slot = self.place(stripe, (d, r))
-                self.content[pd, slot] = col[r]
-
-    def _decode_xcode_stripe(self, stripe: int, failed_logical: tuple[int, ...]) -> None:
-        lay = self.layout
-        columns: list[np.ndarray | None] = []
-        for d in range(lay.n_disks):
-            if d in failed_logical:
-                columns.append(None)
-                continue
-            columns.append(
-                np.stack([self.element_content(stripe, (d, r)) for r in range(lay.rows)])
-            )
-        grid = lay.code.decode(columns)
-        for d in failed_logical:
-            for r in range(lay.rows):
-                pd, slot = self.place(stripe, (d, r))
-                self.content[pd, slot] = grid[r, d]
 
     # ==================================================================
     # writes
@@ -1318,7 +1215,7 @@ class RaidController:
             ]
 
             def op_done() -> None:
-                self._apply_write_content(op, rng)
+                self._apply_write_content(op, plan, rng)
                 if pending:
                     start_op(pending.pop(0))
 
@@ -1394,120 +1291,32 @@ class RaidController:
         stats = self.array.stats(tag="user-read")
         return stats
 
-    def _apply_write_content(self, op: WriteOp, rng: np.random.Generator) -> None:
-        """Install fresh payloads and refresh derived redundancy."""
-        lay = self.layout
-        touched_rows: set[int] = set()
+    def _apply_write_content(
+        self, op: WriteOp, plan: WritePlan, rng: np.random.Generator
+    ) -> None:
+        """Install fresh payloads: the plan's cells get the updated encoding."""
+        disks, slots = self.stack.cells(op.stripe)
+        data = self.layout.data_of(self.content[disks, slots])
         for i, j in op.elements:
-            payload = self.film.fresh(rng)
-            pd, slot = self.place(op.stripe, lay.data_cell(i, j))
-            self.content[pd, slot] = payload
-            for cell in lay.replica_cells(i, j):
-                rpd, rslot = self.place(op.stripe, cell)
-                self.content[rpd, rslot] = payload
-            touched_rows.add(j)
-        if isinstance(lay, (MirrorParityLayout, RAID5Layout)):
-            for j in touched_rows:
-                acc = np.zeros(self.payload_bytes, dtype=np.uint8)
-                for i in range(lay.n):
-                    acc ^= self.element_content(op.stripe, lay.data_cell(i, j))
-                pd, slot = self.place(op.stripe, lay.parity_cell(j))
-                self.content[pd, slot] = acc
-        elif isinstance(lay, RAID6Layout):
-            data = np.stack(
-                [
-                    np.stack(
-                        [
-                            self.element_content(op.stripe, lay.data_cell(i, j))
-                            for i in range(lay.n)
-                        ]
-                    )
-                    for j in range(lay.rows)
-                ]
-            )
-            self._encode_raid6_stripe(op.stripe, data)
-        elif isinstance(lay, XCodeLayout):
-            data = np.stack(
-                [
-                    np.stack(
-                        [
-                            self.element_content(op.stripe, lay.data_cell(i, j))
-                            for i in range(lay.n)
-                        ]
-                    )
-                    for j in range(lay.data_rows)
-                ]
-            )
-            self._encode_xcode_stripe(op.stripe, data)
+            data[j, i] = self.film.fresh(rng)
+        self.store_encoded(
+            op.stripe, data, [(d, r) for d, rows in plan.writes.items() for r in rows]
+        )
+
+    def store_encoded(self, stripe: int, data: np.ndarray, cells) -> None:
+        """Store the encoding of a data block into logical ``cells`` only."""
+        disks, slots = self.stack.cells(stripe)
+        idx = ([d for d, _ in cells], [r for _, r in cells])
+        self.content[disks[idx], slots[idx]] = self.layout.encode(data)[idx]
 
     # ==================================================================
     # verification helpers (paper §VII-A post-check, plus invariants)
     # ==================================================================
     def verify_redundancy(self) -> bool:
-        """Whether every replica/parity element matches its definition."""
+        """Whether every stripe equals the encoding of its own data."""
         lay = self.layout
         for stripe in range(self.n_stripes):
-            for disk in range(lay.n_disks):
-                for row in range(lay.rows):
-                    c = lay.content(disk, row)
-                    got = self.element_content(stripe, (disk, row))
-                    if c.kind == "replica":
-                        want = self.element_content(stripe, lay.data_cell(c.i, c.j))
-                    elif c.kind == "parity" and not isinstance(
-                        lay, (RAID6Layout, XCodeLayout)
-                    ):
-                        want = np.zeros(self.payload_bytes, dtype=np.uint8)
-                        for i in range(lay.n):
-                            want = want ^ self.element_content(
-                                stripe, lay.data_cell(i, c.j)
-                            )
-                    else:
-                        continue
-                    if not np.array_equal(got, want):
-                        return False
-            if isinstance(lay, RAID6Layout) and not self._verify_raid6_stripe(stripe):
-                return False
-            if isinstance(lay, XCodeLayout) and not self._verify_xcode_stripe(stripe):
-                return False
-        return True
-
-    def _verify_xcode_stripe(self, stripe: int) -> bool:
-        lay = self.layout
-        data = np.stack(
-            [
-                np.stack(
-                    [self.element_content(stripe, lay.data_cell(i, j)) for i in range(lay.n)]
-                )
-                for j in range(lay.data_rows)
-            ]
-        )
-        diag, anti = lay.code.encode(data)
-        for d in range(lay.n_disks):
-            if not np.array_equal(diag[d], self.element_content(stripe, (d, lay.p - 2))):
-                return False
-            if not np.array_equal(anti[d], self.element_content(stripe, (d, lay.p - 1))):
-                return False
-        return True
-
-    def _verify_raid6_stripe(self, stripe: int) -> bool:
-        lay = self.layout
-        code = self._raid6_code().code
-        data = np.stack(
-            [
-                np.stack(
-                    [self.element_content(stripe, lay.data_cell(i, j)) for i in range(lay.n)]
-                )
-                for j in range(lay.rows)
-            ]
-        )
-        row_par, diag_par = code.encode(data)
-        for r in range(lay.rows):
-            if not np.array_equal(
-                row_par[r], self.element_content(stripe, (lay.p_disk, r))
-            ):
-                return False
-            if not np.array_equal(
-                diag_par[r], self.element_content(stripe, (lay.q_disk, r))
-            ):
+            block = self.content[self.stack.cells(stripe)]
+            if not np.array_equal(block, lay.encode(lay.data_of(block))):
                 return False
         return True

@@ -158,7 +158,7 @@ class DegradedArray:
             rng = np.random.default_rng(self.stats.writes_served)
         ctrl = self.controller
         plan = ctrl.layout.write_plan(list(op.elements))
-        live_writes = []
+        live_cells = []
         live_reads = []
         logical_failed = {
             ctrl.stack.logical_disk(op.stripe, f) for f in self.failed
@@ -169,7 +169,8 @@ class DegradedArray:
                     self.dirty.setdefault(op.stripe, set()).add((disk, row))
                     self.stats.elements_skipped += 1
                 else:
-                    live_writes.append(ctrl.place(op.stripe, (disk, row)))
+                    live_cells.append((disk, row))
+        live_writes = [ctrl.place(op.stripe, cell) for cell in live_cells]
         for disk, rows in plan.reads.items():
             for row in rows:
                 if disk not in logical_failed:
@@ -185,7 +186,7 @@ class DegradedArray:
         else:
             do_writes()
         ctrl.array.run()
-        self._apply_degraded_content(op, rng, logical_failed)
+        self._apply_degraded_content(op, rng, live_cells, logical_failed)
         self.stats.writes_served += 1
 
     # ------------------------------------------------------------------
@@ -217,40 +218,30 @@ class DegradedArray:
         raise UnrecoverableFailureError(f"no surviving value for a[{i},{j}]")
 
     def _apply_degraded_content(
-        self, op: WriteOp, rng: np.random.Generator, logical_failed: set[int]
+        self,
+        op: WriteOp,
+        rng: np.random.Generator,
+        live_cells: list[tuple[int, int]],
+        logical_failed: set[int],
     ) -> None:
         """Content-store semantics of a degraded write.
 
-        Cells on failed disks stay destroyed (the platters are gone);
-        parity advances by the XOR *delta* of each overwritten element
-        — old logical value XOR new — exactly the read-modify-write
-        arithmetic, which never needs the failed cell itself.
+        The stripe's logical data — failed cells read through the
+        degraded cascade — takes the new payloads, and its encoding
+        lands on the plan's surviving cells.  Cells on failed disks stay
+        destroyed (the platters are gone).
         """
         ctrl = self.controller
         lay = ctrl.layout
-        # pass 1: old logical values (before anything is overwritten —
-        # a parity-path lookup reads row-mates)
-        updates: list[tuple[int, int, np.ndarray, np.ndarray]] = []
+        data = np.array(
+            [
+                [self._logical_value(op.stripe, i, j, logical_failed) for i in range(lay.n)]
+                for j in range(lay.data_rows)
+            ]
+        )
         for i, j in op.elements:
-            payload = ctrl.film.fresh(rng)
-            old = self._logical_value(op.stripe, i, j, logical_failed)
-            updates.append((i, j, old, payload))
-        # pass 2: apply
-        deltas: dict[int, np.ndarray] = {}
-        for i, j, old, payload in updates:
-            deltas.setdefault(j, np.zeros(ctrl.payload_bytes, dtype=np.uint8))
-            deltas[j] ^= old ^ payload
-            for cell in [lay.data_cell(i, j), *lay.replica_cells(i, j)]:
-                if cell[0] not in logical_failed:
-                    pd, slot = ctrl.place(op.stripe, cell)
-                    ctrl.content[pd, slot] = payload
-        if isinstance(lay, (MirrorParityLayout, RAID5Layout)):
-            for j, delta in deltas.items():
-                pcell = lay.parity_cell(j)
-                if pcell[0] in logical_failed:
-                    continue  # parity disk dead; dirty map already has it
-                pd, slot = ctrl.place(op.stripe, pcell)
-                ctrl.content[pd, slot] ^= delta
+            data[j, i] = ctrl.film.fresh(rng)
+        ctrl.store_encoded(op.stripe, data, live_cells)
 
     # ------------------------------------------------------------------
     # resync

@@ -59,7 +59,9 @@ def measure_write_throughput(
         payload_bytes=payload_bytes,
     )
     rng = np.random.default_rng(seed)
-    ops = random_large_writes(layout.n, n_stripes, n_ops=n_ops, rng=rng)
+    ops = random_large_writes(
+        layout.n, n_stripes, n_ops=n_ops, rng=rng, rows=layout.data_rows
+    )
     result: WriteResult = controller.run_write_workload(
         ops, strategy=strategy, window=window, rng=rng
     )

@@ -53,18 +53,20 @@ def random_large_writes(
     n_stripes: int,
     n_ops: int = 1000,
     rng: np.random.Generator | None = None,
+    rows: int | None = None,
 ) -> list[WriteOp]:
     """The Fig. 10 write workload.
 
     Each op picks a stripe uniformly, a size uniform in
-    ``[1, n*n]`` elements and a row-major aligned start so the run fits
-    in the stripe.  Element order within an op is row-major
+    ``[1, n*rows]`` elements and a row-major aligned start so the run
+    fits in the stripe.  Element order within an op is row-major
     (``j`` outer, ``i`` inner), the order large writes proceed in.
+    ``rows`` is the layout's data rows per stripe (default ``n``).
     """
     if rng is None:
         rng = np.random.default_rng(0)
     ops: list[WriteOp] = []
-    stripe_elems = n * n
+    stripe_elems = n * (n if rows is None else rows)
     for _ in range(n_ops):
         stripe = int(rng.integers(0, n_stripes))
         size = int(rng.integers(1, stripe_elems + 1))

@@ -6,6 +6,9 @@ library later gets these checks for free by joining ``ALL_LAYOUTS``.
 
 from __future__ import annotations
 
+from itertools import combinations
+
+import numpy as np
 import pytest
 
 from repro.core.arrangement import (
@@ -15,6 +18,7 @@ from repro.core.arrangement import (
 )
 from repro.core.layouts import (
     DeclusteredMirrorLayout,
+    Layout,
     MirrorLayout,
     RAID5Layout,
     RAID6Layout,
@@ -67,10 +71,6 @@ def layout(request):
     return request.param()
 
 
-def _data_rows(layout):
-    return getattr(layout, "data_rows", layout.rows)
-
-
 def test_contract_content_covers_every_cell(layout):
     """content() answers for every (disk, row) with a known kind."""
     kinds = {"data", "replica", "parity", "q_parity"}
@@ -90,7 +90,7 @@ def test_contract_every_data_element_stored_exactly_once(layout):
             if c.kind == "data":
                 assert (c.i, c.j) not in seen
                 seen[(c.i, c.j)] = (disk, row)
-    expected = {(i, j) for i in range(layout.n) for j in range(_data_rows(layout))}
+    expected = {(i, j) for i in range(layout.n) for j in range(layout.data_rows)}
     assert set(seen) == expected
     for (i, j), cell in seen.items():
         assert layout.data_cell(i, j) == cell
@@ -98,7 +98,7 @@ def test_contract_every_data_element_stored_exactly_once(layout):
 
 def test_contract_replica_cells_really_hold_replicas(layout):
     for i in range(layout.n):
-        for j in range(_data_rows(layout)):
+        for j in range(layout.data_rows):
             for disk, row in layout.replica_cells(i, j):
                 c = layout.content(disk, row)
                 assert (c.kind, c.i, c.j) == ("replica", i, j)
@@ -119,8 +119,6 @@ def test_contract_single_failure_plans_validate(layout):
 
 
 def test_contract_double_failure_plans_validate_when_tolerated(layout):
-    from itertools import combinations
-
     if layout.fault_tolerance < 2:
         return
     for failed in combinations(range(layout.n_disks), 2):
@@ -157,3 +155,34 @@ def test_contract_rebuild_through_controller_verifies(layout):
     assert ctrl.verify_redundancy()
     res = ctrl.rebuild([0])
     assert res.verified
+
+
+def _random_data(layout, size=6):
+    rng = np.random.default_rng(layout.n_disks)
+    return rng.integers(0, 256, (layout.data_rows, layout.n, size), dtype=np.uint8)
+
+
+def test_contract_encode_places_data_and_data_of_reads_it_back(layout):
+    data = _random_data(layout)
+    block = layout.encode(data)
+    assert block.shape == (layout.n_disks, layout.rows, data.shape[2])
+    for disk in range(layout.n_disks):
+        for row in range(layout.rows):
+            c = layout.content(disk, row)
+            if c.kind in ("data", "replica"):
+                assert np.array_equal(block[disk, row], data[c.j, c.i])
+    assert np.array_equal(layout.data_of(block), data)
+
+
+def test_contract_decode_recovers_data_under_every_tolerated_failure(layout):
+    data = _random_data(layout)
+    block = layout.encode(data)
+    if type(layout).decode is Layout.decode:
+        with pytest.raises(NotImplementedError):
+            layout.decode(block, ())
+        return
+    for k in range(layout.fault_tolerance + 1):
+        for failed in combinations(range(layout.n_disks), k):
+            lost = block.copy()
+            lost[list(failed)] = 0xDD
+            assert np.array_equal(layout.decode(lost, failed), data), failed

@@ -12,6 +12,7 @@ from repro.core.layouts import (
     shifted_mirror_parity,
     traditional_mirror_parity,
 )
+from repro.core.registry import REGISTRY, build_layout
 from repro.raidsim.controller import RaidController
 
 
@@ -76,16 +77,26 @@ def test_rotation_moves_physical_placement():
     assert ctrl.verify_redundancy()  # content placed consistently
 
 
-def test_corruption_detected_by_verify():
-    ctrl = _ctrl(shifted_mirror_parity(3))
-    ctrl.content[0, 0, 0] ^= 0xFF
-    assert not ctrl.verify_redundancy()
+def _kind_cells():
+    """``(registry name, cell kind, first (disk, row) of that kind)`` at n=5."""
+    out = []
+    for name in REGISTRY:
+        lay = build_layout(name, 5)
+        first = {}
+        for disk in range(lay.n_disks):
+            for row in range(lay.rows):
+                first.setdefault(lay.content(disk, row).kind, (disk, row))
+        out += [pytest.param(name, cell, id=f"{name}-{kind}") for kind, cell in first.items()]
+    return out
 
 
-def test_raid6_corruption_detected():
-    ctrl = _ctrl(RAID6Layout(4, "rdp"))
-    qd = ctrl.layout.q_disk
-    ctrl.content[qd, 0, 0] ^= 1
+@pytest.mark.parametrize("name, cell", _kind_cells())
+@pytest.mark.parametrize("rotate", [False, True], ids=["fixed", "rotated"])
+def test_corruption_detected_by_verify(name, cell, rotate):
+    ctrl = _ctrl(build_layout(name, 5), n_stripes=2, rotate=rotate)
+    assert ctrl.verify_redundancy()
+    pd, slot = ctrl.place(1, cell)
+    ctrl.content[pd, slot, 3] ^= 0x40
     assert not ctrl.verify_redundancy()
 
 

@@ -91,6 +91,28 @@ def test_simulate_writes(capsys):
     assert "redundancy intact: True" in out
 
 
+@pytest.mark.parametrize(
+    "layout, n", [("xcode", "5"), ("raid6-evenodd", "5"), ("raid6-evenodd", "7")]
+)
+def test_simulate_writes_stays_inside_fewer_data_rows_than_n(capsys, layout, n):
+    # these stripes hold fewer than n data rows, so the ops must be drawn
+    # over the layout's data rows, not over n
+    rc, out = run_cli(capsys, "simulate", "writes", "--layout", layout,
+                      "--n", n, "--stripes", "2", "--ops", "10")
+    assert rc == 0
+    assert "redundancy intact: True" in out
+
+
+@pytest.mark.parametrize(
+    "layout, n, failed", [("xcode", "5", ["0", "3"]), ("raid6-evenodd", "4", ["0", "1"])]
+)
+def test_simulate_rebuild_decodes_code_layouts(capsys, layout, n, failed):
+    rc, out = run_cli(capsys, "simulate", "rebuild", "--layout", layout,
+                      "--n", n, "--failed", *failed, "--stripes", "4")
+    assert rc == 0
+    assert "content verified:   True" in out
+
+
 def test_experiments_only_table1(capsys):
     rc, out = run_cli(capsys, "experiments", "--quick", "--only", "table1")
     assert rc == 0

@@ -17,11 +17,12 @@ from repro.core.arrangement import PermutationArrangement
 from repro.core.layouts import MirrorLayout, shifted_mirror_parity
 from repro.core.planner import schedule_rounds
 from repro.core.reconstruction import split_into_phases
+from repro.core.registry import REGISTRY, build_layout
 from repro.disksim.array import ElementArray
 from repro.disksim.disk import DiskParameters
 from repro.disksim.request import IOKind
 from repro.raidsim.controller import RaidController
-from repro.workloads.generator import random_large_writes
+from repro.workloads.generator import WriteOp, random_large_writes
 
 # ----------------------------------------------------------------------
 # strategies
@@ -159,13 +160,38 @@ def test_simulator_conservation(seed, n_disks, n_ops):
     assert stats.max_latency_s <= stats.makespan_s + 1e-9
 
 
-@given(seed=st.integers(0, 2**31))
-@settings(max_examples=15, deadline=None)
-def test_write_workload_always_preserves_redundancy(seed):
+def _registry_sizes() -> list[tuple[str, int]]:
+    """Every registry layout at every data-disk count 2..7 it accepts."""
+    sizes = []
+    for name, spec in REGISTRY.items():
+        for n in range(spec.min_n, 8):
+            try:
+                spec.builder(n)
+            except ValueError:
+                continue
+            sizes.append((name, n))
+    return sizes
+
+
+@given(
+    seed=st.integers(0, 2**31),
+    layout=st.sampled_from(_registry_sizes()),
+    rotate=st.booleans(),
+)
+@settings(max_examples=60, deadline=None)
+def test_write_workload_always_preserves_redundancy(seed, layout, rotate):
+    """Every write plan covers every cell whose bytes the write changes:
+    the controller stores only the plan's cells, so a missed cell shows
+    up as broken redundancy."""
     rng = np.random.default_rng(seed)
-    n = int(rng.integers(2, 5))
-    ctrl = RaidController(shifted_mirror_parity(n), n_stripes=3, payload_bytes=4)
-    ops = random_large_writes(n, 3, n_ops=10, rng=rng)
+    lay = build_layout(*layout)
+    ctrl = RaidController(lay, n_stripes=3, payload_bytes=4, rotate=rotate)
+    ops = random_large_writes(lay.n, 3, n_ops=6, rng=rng, rows=lay.data_rows)
+    for _ in range(4):  # scattered sub-row ops over any rows
+        k = int(rng.integers(1, lay.n))
+        picks = rng.choice(lay.n * lay.data_rows, size=k, replace=False)
+        cells = tuple((int(e) % lay.n, int(e) // lay.n) for e in picks)
+        ops.append(WriteOp(int(rng.integers(0, 3)), cells))
     strategy = "rmw" if rng.random() < 0.5 else "reconstruct"
     ctrl.run_write_workload(ops, strategy=strategy, window=int(rng.integers(1, 4)), rng=rng)
     assert ctrl.verify_redundancy()
