@@ -38,3 +38,11 @@ def slow_gf_multiply(a: int, b: int, poly: int, w: int) -> int:
         if a & (1 << w):
             a ^= poly
     return r
+
+
+def reference_film_payload(seed: int, payload_bytes: int, stripe: int, i: int, j: int) -> np.ndarray:
+    """numpy's own generator for one film element — the rule every film
+    payload follows, and the independent reference the film is checked
+    against."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed, stripe, i, j]))
+    return rng.integers(0, 256, payload_bytes, dtype=np.uint8)

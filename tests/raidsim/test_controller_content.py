@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from repro.core.layouts import (
     shifted_mirror_parity,
     traditional_mirror_parity,
 )
+from repro.core.errors import LayoutError
 from repro.core.registry import REGISTRY, build_layout
 from repro.raidsim.controller import RaidController
 
@@ -106,3 +109,45 @@ def test_same_seed_same_film():
     assert np.array_equal(a.content, b.content)
     c = _ctrl(shifted_mirror(3), film_seed=100)
     assert not np.array_equal(a.content, c.content)
+
+
+def content_store_digest(n_stripes: int, payload_bytes: int) -> str:
+    """sha256 over the initial content store of every registry layout at
+    every accepted n in 2..7, with and without rotation."""
+    h = hashlib.sha256()
+    for name in REGISTRY:
+        for n in range(2, 8):
+            try:
+                layout = build_layout(name, n)
+            except (LayoutError, ValueError):
+                continue
+            for rotate in (False, True):
+                ctrl = RaidController(
+                    layout,
+                    n_stripes=n_stripes,
+                    payload_bytes=payload_bytes,
+                    rotate=rotate,
+                    tracer=False,
+                )
+                h.update(f"{name}/{n}/{rotate}".encode())
+                h.update(ctrl.content.tobytes())
+    return h.hexdigest()
+
+
+GOLDEN_STORES = {
+    (1, 1): "21aeb170e37fd8caa6a3e8f7bdba32e1780019cbc23717941dbe78c737ab5fd6",
+    (3, 7): "1fee7ac357ec097e9463b4ae452a8a2948e41d13705aae2e4418301088be3e56",
+    (9, 16): "976b5f3793d3d1545a2fa290d70e1f2082142becb54fb01db3f6e771894f1a4e",
+    (13, 64): "b591974471918f12a05b07254b62edcdfef8401e04ab09dd82e25089511e1648",
+}
+
+
+@pytest.mark.parametrize("size", sorted(GOLDEN_STORES), ids=lambda s: f"{s[0]}x{s[1]}B")
+def test_content_store_golden_digest(size):
+    """Initial stores are pinned byte for byte across every layout."""
+    assert content_store_digest(*size) == GOLDEN_STORES[size]
+
+
+if __name__ == "__main__":
+    for size in [(1, 1), (3, 7), (9, 16), (13, 64)]:
+        print(f"    {size!r}: {content_store_digest(*size)!r},")
