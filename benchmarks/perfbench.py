@@ -14,6 +14,9 @@ Kernels:
 
 * ``rebuild_cached``      — 1024-stripe single-failure rebuild, plan cache on
 * ``rebuild_nocache``     — same rebuild with ``plan_cache=False`` (ablation)
+* ``controller_init``     — building a 160-stripe shifted mirror-parity
+                            controller over a film seed no earlier
+                            repeat used, so every repeat pays a cold film
 * ``engine_elevator``     — raw event-engine throughput, elevator scheduling
 * ``batch_submission``    — vectorized ``submit_batch`` over bulk numpy ops
 * ``plan_generation``     — reconstruction plans for every 2-failure set
@@ -45,6 +48,7 @@ Gate a run against a baseline with ``tools/bench_compare.py``.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import platform
@@ -85,6 +89,22 @@ def kernel_rebuild(n_stripes: int, plan_cache: bool) -> float:
         plan_cache=plan_cache,
     )
     return _time(lambda: ctrl.rebuild((0,), verify=False))
+
+
+_fresh_film_seeds = itertools.count(1_000_003)
+
+
+def kernel_controller_init(n_stripes: int) -> float:
+    """Controller construction: film generation, encode and placement."""
+    seed = next(_fresh_film_seeds)
+    return _time(
+        lambda: RaidController(
+            shifted_mirror_parity(7),
+            n_stripes=n_stripes,
+            payload_bytes=64,
+            film_seed=seed,
+        )
+    )
 
 
 def kernel_engine(n_requests: int) -> float:
@@ -360,6 +380,7 @@ def run_suite(tiny: bool, repeats: int) -> dict:
     """Best-of-``repeats`` seconds per kernel, plus derived ratios."""
     scale = {
         "rebuild_stripes": 64 if tiny else 1024,
+        "init_stripes": 32 if tiny else 160,
         "engine_requests": 2000 if tiny else 20000,
         "openloop_arrivals": 2000 if tiny else 20000,
         "sweep_seeds": 4 if tiny else 16,
@@ -380,6 +401,10 @@ def run_suite(tiny: bool, repeats: int) -> dict:
         lambda: kernel_rebuild(scale["rebuild_stripes"], plan_cache=False)
     )
     print(f"  rebuild_nocache   {kernels['rebuild_nocache']:.3f} s")
+    kernels["controller_init"] = best(
+        lambda: kernel_controller_init(scale["init_stripes"])
+    )
+    print(f"  controller_init   {kernels['controller_init']:.3f} s")
     kernels["engine_elevator"] = best(
         lambda: kernel_engine(scale["engine_requests"])
     )

@@ -520,12 +520,17 @@ class RaidController:
         self._death_snapshots: dict[int, np.ndarray] = {}
         self._death_times: dict[int, float] = {}
         self._rebuilding: tuple[int, ...] = ()
-        for stripe in range(n_stripes):
-            data = [
-                [self.film.element(stripe, i, j) for i in range(layout.n)]
-                for j in range(layout.data_rows)
-            ]
-            self.content[self.stack.cells(stripe)] = layout.encode(np.array(data))
+        # XOR codes act on each byte position alone, so the stripes ride
+        # along the byte axis: one encode of the whole film, then one
+        # scatter through the stack's placement
+        d, rows, n_j = layout.n_disks, layout.rows, layout.data_rows
+        film = self.film.block(n_stripes, layout.n, n_j)
+        encoded = layout.encode(
+            film.transpose(2, 1, 0, 3).reshape(n_j, layout.n, n_stripes * payload_bytes)
+        ).reshape(d, rows, n_stripes, payload_bytes)
+        self.content[:d].reshape(d, n_stripes, rows, payload_bytes)[
+            self.stack.placement
+        ] = encoded.transpose(0, 2, 1, 3)
         if fault_plan is not None:
             for df in fault_plan.disk_failures:
                 self.array.sim.schedule(

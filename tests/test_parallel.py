@@ -10,11 +10,11 @@ from hypothesis import strategies as st
 from repro.parallel import WorkerPool, parallel_map, resolve_jobs
 from repro.workloads.film import (
     FilmSource,
-    _element_payload,
     build_film_block,
     register_shared_film,
     unregister_shared_film,
 )
+from tests.conftest import reference_film_payload
 
 
 def _square(x: int) -> int:
@@ -22,9 +22,10 @@ def _square(x: int) -> int:
 
 
 def _film_bytes(args) -> bytes:
-    """Worker fn: read one film element (via shared block when mapped)."""
+    """Worker fn: read one film element through the film store (the
+    shared block when one is mapped)."""
     seed, payload_bytes, stripe, i, j = args
-    return FilmSource(payload_bytes, seed).element(stripe, i, j).tobytes()
+    return FilmSource(payload_bytes, seed).block(2, 2, 2)[stripe, i, j].tobytes()
 
 
 def test_resolve_jobs_conventions():
@@ -62,7 +63,7 @@ def test_film_block_matches_on_demand_generation():
         for i in range(2):
             for j in range(2):
                 assert np.array_equal(
-                    block[stripe, i, j], _element_payload(5, 8, stripe, i, j)
+                    block[stripe, i, j], reference_film_payload(5, 8, stripe, i, j)
                 )
 
 
@@ -72,23 +73,25 @@ def test_registered_block_serves_lookups_and_falls_back_out_of_range():
     register_shared_film(seed, payload, block)
     try:
         src = FilmSource(payload, seed)
-        covered = src.element(1, 1, 1)
-        assert np.array_equal(covered, block[1, 1, 1])
+        covered = src.block(2, 2, 2)
+        assert np.shares_memory(covered, block)
         assert not covered.flags.writeable
-        # beyond the block: generated on demand, identical content rules
-        beyond = src.element(5, 0, 0)
-        assert np.array_equal(beyond, _element_payload(seed, payload, 5, 0, 0))
+        # beyond the block: the store is regenerated larger, same bytes
+        beyond = src.block(6, 2, 2)
+        assert not np.shares_memory(beyond, block)
+        assert np.array_equal(beyond[:2], block)
+        assert np.array_equal(beyond[5, 0, 0], reference_film_payload(seed, payload, 5, 0, 0))
     finally:
         unregister_shared_film(seed, payload)
 
 
 def test_shared_film_workers_see_identical_bytes():
     """Workers reading through the shared-memory block must return the
-    exact bytes the parent (and on-demand generation) produce."""
+    exact bytes the parent (and numpy's generator) produce."""
     seed, payload = 77, 8
     tasks = [(seed, payload, stripe, i, j) for stripe in range(2) for i in range(2) for j in range(2)]
     expected = [
-        _element_payload(seed, payload, s, i, j).tobytes()
+        reference_film_payload(seed, payload, s, i, j).tobytes()
         for (_, _, s, i, j) in tasks
     ]
     with WorkerPool(jobs=2) as pool:
