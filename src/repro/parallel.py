@@ -154,10 +154,9 @@ class WorkerPool:
 
     :meth:`share_film` additionally materialises a film's payloads into
     a ``multiprocessing.shared_memory`` block exported to every worker
-    through the pool initializer, so content generation happens once
-    per machine instead of once per process — the bytes served are
-    identical to on-demand generation, preserving bit-identity between
-    pooled, per-call-parallel and serial runs.
+    through the pool initializer, where it becomes that film's store —
+    the bytes are the ones every process computes itself, preserving
+    bit-identity between pooled, per-call-parallel and serial runs.
 
     Like :func:`parallel_map`, a pool sized 1 (or a single-item map)
     runs inline — a ``WorkerPool(jobs=1)`` is a zero-cost stand-in.

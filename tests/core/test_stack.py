@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.core.layouts import shifted_mirror, shifted_mirror_parity
@@ -92,3 +93,19 @@ def test_logical_failures_enumeration():
     assert cases[1] == (0, 5)  # (0-1)%6=5, (1-1)%6=0 -> sorted
     for case in cases:
         assert len(case) == 2
+
+
+@pytest.mark.parametrize("rotate", [False, True])
+def test_cells_and_placement_agree_with_place(rotate):
+    lay = shifted_mirror_parity(3)
+    stack = RotatedStack(lay, n_stripes=5, rotate=rotate)
+    store = np.arange(lay.n_disks * stack.elements_per_disk()).reshape(lay.n_disks, -1)
+    by_stripe = store.reshape(lay.n_disks, stack.n_stripes, lay.rows)[stack.placement]
+    for s in range(stack.n_stripes):
+        disks, slots = stack.cells(s)
+        assert not disks.flags.writeable and not slots.flags.writeable
+        want = [[store[stack.place(s, d, r)] for r in range(lay.rows)] for d in range(lay.n_disks)]
+        assert store[disks, slots].tolist() == want
+        assert by_stripe[:, s].tolist() == want
+    with pytest.raises(IndexError):
+        stack.cells(stack.n_stripes)
