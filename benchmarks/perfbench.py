@@ -17,6 +17,9 @@ Kernels:
 * ``controller_init``     — building a 160-stripe shifted mirror-parity
                             controller over a film seed no earlier
                             repeat used, so every repeat pays a cold film
+* ``write_workload``      — one Fig. 10 point: 120 random large writes
+                            (read-modify-write parity) on a fresh n = 5
+                            shifted mirror-parity array, one op in flight
 * ``engine_elevator``     — raw event-engine throughput, elevator scheduling
 * ``batch_submission``    — vectorized ``submit_batch`` over bulk numpy ops
 * ``plan_generation``     — reconstruction plans for every 2-failure set
@@ -66,6 +69,7 @@ from repro.disksim.request import IOKind  # noqa: E402
 from repro.disksim.scheduler import ElevatorScheduler  # noqa: E402
 from repro.raidsim.campaign import compare_sweep  # noqa: E402
 from repro.raidsim.controller import RaidController  # noqa: E402
+from repro.raidsim.writes import measure_write_throughput  # noqa: E402
 
 DEFAULT_OUT = Path(__file__).resolve().parent.parent / "BENCH_simperf.json"
 
@@ -103,6 +107,15 @@ def kernel_controller_init(n_stripes: int) -> float:
             n_stripes=n_stripes,
             payload_bytes=64,
             film_seed=seed,
+        )
+    )
+
+
+def kernel_write_workload(n_ops: int) -> float:
+    """One Fig. 10 point: controller, workload and post-run verification."""
+    return _time(
+        lambda: measure_write_throughput(
+            shifted_mirror_parity(5), n_ops=n_ops, strategy="rmw", window=1
         )
     )
 
@@ -256,6 +269,7 @@ class _BareSimulation(Simulation):
     def _complete(self, server, request) -> None:
         server.busy = False
         server.current = None
+        self._pending -= 1
         if self.faults is not None:
             self.faults.on_completion(request)
         self.completed.append(request)
@@ -381,6 +395,7 @@ def run_suite(tiny: bool, repeats: int) -> dict:
     scale = {
         "rebuild_stripes": 64 if tiny else 1024,
         "init_stripes": 32 if tiny else 160,
+        "write_ops": 30 if tiny else 120,
         "engine_requests": 2000 if tiny else 20000,
         "openloop_arrivals": 2000 if tiny else 20000,
         "sweep_seeds": 4 if tiny else 16,
@@ -405,6 +420,8 @@ def run_suite(tiny: bool, repeats: int) -> dict:
         lambda: kernel_controller_init(scale["init_stripes"])
     )
     print(f"  controller_init   {kernels['controller_init']:.3f} s")
+    kernels["write_workload"] = best(lambda: kernel_write_workload(scale["write_ops"]))
+    print(f"  write_workload    {kernels['write_workload']:.3f} s")
     kernels["engine_elevator"] = best(
         lambda: kernel_engine(scale["engine_requests"])
     )

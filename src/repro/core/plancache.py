@@ -18,9 +18,13 @@ calls it whenever the failure set changes, keeping the cache small and
 making the invalidation point obvious for future layouts whose plans
 might depend on state beyond the failure set.
 
-Cached objects are **shared**: callers must treat plans, phase lists
-and rounds as immutable (the executor already does — substituted
-recovery steps are built as fresh lists).
+The same cache memoises write plans, compiled to index arrays
+(:class:`~repro.core.writes.CompiledWrite`), keyed by the written
+elements and the parity strategy: a write plan depends on nothing else.
+
+Cached objects are **shared**: callers must treat plans, phase lists,
+rounds and compiled writes as immutable (the executor already does —
+substituted recovery steps are built as fresh lists).
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ from .errors import UnrecoverableFailureError
 from .layouts import Layout
 from .planner import schedule_read_rounds
 from .reconstruction import RebuildPhase, ReconstructionPlan, split_into_phases
+from .writes import CompiledWrite
 
 __all__ = ["PlanCache"]
 
@@ -56,6 +61,7 @@ class PlanCache:
         "_phases",
         "_rounds",
         "_unrecoverable",
+        "_writes",
         "_c_hits",
         "_c_misses",
         "_c_invalidated",
@@ -82,6 +88,7 @@ class PlanCache:
         #: rebuilds probe these once per stripe, so negative results
         #: are cached too
         self._unrecoverable: dict[tuple[int, ...], str] = {}
+        self._writes: dict[tuple[tuple, str], CompiledWrite] = {}
 
     # ------------------------------------------------------------------
     def plan(self, failed_logical: tuple[int, ...]) -> ReconstructionPlan:
@@ -133,6 +140,26 @@ class PlanCache:
         self._rounds[failed_logical] = rounds
         return rounds
 
+    def write_plan(self, elements, strategy: str = "rmw") -> CompiledWrite:
+        """The (shared, treat-as-immutable) compiled plan of writing ``elements``.
+
+        ``elements`` are the data elements ``(i, j)`` in the op's order;
+        :meth:`~repro.core.layouts.Layout.write_plan` derives the plan
+        on a miss.  Write lookups leave the reconstruction-plan
+        ``hits``/``misses`` counters alone.
+        """
+        elements = tuple(elements)
+        key = (elements, strategy)
+        cached = self._writes.get(key)
+        if cached is not None:
+            return cached
+        compiled = CompiledWrite.compile(
+            self.layout.write_plan(list(elements), strategy=strategy), elements
+        )
+        if self.enabled:
+            self._writes[key] = compiled
+        return compiled
+
     # ------------------------------------------------------------------
     def invalidate(self, affected=None) -> int:
         """Drop cached plans; returns how many plan entries were dropped.
@@ -154,6 +181,7 @@ class PlanCache:
             self._phases.clear()
             self._rounds.clear()
             self._unrecoverable.clear()
+            self._writes.clear()
             self._c_invalidated.inc(dropped)
             return dropped
         aff = frozenset(affected)

@@ -126,7 +126,19 @@ class DiskModel:
 
     def __init__(self, disk_id: int, params: DiskParameters | None = None) -> None:
         self.disk_id = disk_id
-        self.params = params if params is not None else DiskParameters.savvio_10k3()
+        self.params = p = params if params is not None else DiskParameters.savvio_10k3()
+        # every per-request quantity of the service-time model, computed
+        # once (the parameters are frozen) with the same expressions as
+        # the DiskParameters helpers, so each float is bit-identical;
+        # the engine's vectorized drain reads these too
+        self.capacity = p.capacity_bytes
+        self.t2t_seek_s = p.track_to_track_seek_ms / 1e3
+        self.seek_span_s = p.full_stroke_seek_ms / 1e3 - self.t2t_seek_s
+        self.half_rotation_s = p.avg_rotational_latency_s
+        self.read_rate = p.seq_read_mbps * _MB
+        self.write_rate = p.seq_write_mbps * _MB
+        self.read_overhead_s = p.scattered_overhead_s(IOKind.READ)
+        self.write_overhead_s = p.scattered_overhead_s(IOKind.WRITE)
         self._head: int = 0
         self._last_end: int | None = None
         self._last_kind: IOKind | None = None
@@ -148,29 +160,42 @@ class DiskModel:
 
     def service_time(self, request: IORequest) -> float:
         """Seconds the disk needs for ``request`` from its current state."""
-        if request.end > self.params.capacity_bytes:
+        return self._service_time(request, self.is_sequential(request))
+
+    def _service_time(self, request: IORequest, sequential: bool) -> float:
+        end = request.offset + request.size
+        if end > self.capacity:
             raise ValueError(
-                f"request [{request.offset}, {request.end}) beyond disk capacity "
-                f"{self.params.capacity_bytes}"
+                f"request [{request.offset}, {end}) beyond disk capacity {self.capacity}"
             )
-        p = self.params
-        transfer = p.transfer_time_s(request.size, request.kind)
-        if self.is_sequential(request):
+        if request.kind is IOKind.READ:
+            transfer = request.size / self.read_rate
+            overhead = self.read_overhead_s
+        else:
+            transfer = request.size / self.write_rate
+            overhead = self.write_overhead_s
+        if sequential:
             return transfer
-        seek = p.seek_time_s(abs(request.offset - self._head))
-        rotation = p.avg_rotational_latency_s
-        overhead = p.scattered_overhead_s(request.kind)
-        return seek + rotation + transfer + overhead
+        distance = abs(request.offset - self._head)
+        if distance <= 0:
+            seek = 0.0
+        else:
+            seek = self.t2t_seek_s + self.seek_span_s * math.sqrt(
+                min(1.0, distance / self.capacity)
+            )
+        return seek + self.half_rotation_s + transfer + overhead
 
     def serve(self, request: IORequest) -> float:
         """Account for serving ``request``; returns its service time."""
-        duration = self.service_time(request)
-        if self.is_sequential(request):
+        sequential = self.is_sequential(request)
+        duration = self._service_time(request, sequential)
+        if sequential:
             self.n_sequential += 1
         else:
             self.n_scattered += 1
-        self._head = request.end
-        self._last_end = request.end
+        end = request.offset + request.size
+        self._head = end
+        self._last_end = end
         self._last_kind = request.kind
         self.busy_time += duration
         if request.kind is IOKind.READ:

@@ -39,8 +39,6 @@ __all__ = ["Simulation"]
 
 Callback = Callable[[IORequest], None]
 
-_MB = 1024 * 1024
-
 
 class _SimObs:
     """One simulation's observability hooks.
@@ -259,6 +257,8 @@ class Simulation:
         self.now: float = 0.0
         self._cal = TypedCalendar()
         self._seq = 0
+        #: requests accepted and not yet completed (queued or in service)
+        self._pending = 0
         self.completed: list[IORequest] = []
         self._callbacks: dict[int, Callback] = {}
         #: observability hooks: a ``_SimObs`` when metrics/tracing are
@@ -318,6 +318,7 @@ class Simulation:
             self._callbacks[request.req_id] = callback
         server = self.disks[request.disk]
         server.scheduler.add(request)
+        self._pending += 1
         if not server.busy:
             self._start_next(server)
 
@@ -335,17 +336,22 @@ class Simulation:
         n = len(disks)
         callbacks = self._callbacks
         now = self.now
-        for request in requests:
-            d = request.disk
-            if not 0 <= d < n:
-                raise ValueError(f"request targets unknown disk {d}")
-            request.submit_time = now
-            if callback is not None:
-                callbacks[request.req_id] = callback
-            server = disks[d]
-            server.scheduler.add(request)
-            if not server.busy:
-                self._start_next(server)
+        accepted = 0
+        try:
+            for request in requests:
+                d = request.disk
+                if not 0 <= d < n:
+                    raise ValueError(f"request targets unknown disk {d}")
+                request.submit_time = now
+                if callback is not None:
+                    callbacks[request.req_id] = callback
+                server = disks[d]
+                server.scheduler.add(request)
+                accepted += 1
+                if not server.busy:
+                    self._start_next(server)
+        finally:
+            self._pending += accepted
 
     def submit_at(self, time: float, request: IORequest, callback: Callback | None = None) -> None:
         """Submit a request at an absolute future simulation time."""
@@ -392,6 +398,7 @@ class Simulation:
     def _complete(self, server: _DiskServer, request: IORequest) -> None:
         server.busy = False
         server.current = None
+        self._pending -= 1
         if self.faults is not None:
             self.faults.on_completion(request)
         self.completed.append(request)
@@ -532,6 +539,7 @@ class Simulation:
             server.current = None
         if not total:
             return 0
+        self._pending -= total
         # global completion order: merge the per-disk streams the way
         # the calendar would have popped them
         if n_streams == 1:
@@ -611,15 +619,14 @@ class Simulation:
         second pass over the requests.
         """
         k = len(reqs)
-        p = model.params
+        capacity = model.capacity
         off = np.fromiter((r.offset for r in reqs), np.int64, k)
         size = np.fromiter((r.size for r in reqs), np.int64, k)
         end = off + size
-        if int(end.max()) > p.capacity_bytes:
-            bad = reqs[int(np.argmax(end > p.capacity_bytes))]
+        if int(end.max()) > capacity:
+            bad = reqs[int(np.argmax(end > capacity))]
             raise ValueError(
-                f"request [{bad.offset}, {bad.end}) beyond disk capacity "
-                f"{p.capacity_bytes}"
+                f"request [{bad.offset}, {bad.end}) beyond disk capacity {capacity}"
             )
         is_write = np.fromiter((r.kind is IOKind.WRITE for r in reqs), np.bool_, k)
         # the head and last-transfer state chain through the batch: the
@@ -632,22 +639,14 @@ class Simulation:
         prev_write[0] = model._last_kind is IOKind.WRITE
         prev_write[1:] = is_write[:-1]
         sequential = (off == prev_end) & (is_write == prev_write)
-        transfer = np.where(
-            is_write,
-            size / (p.seq_write_mbps * _MB),
-            size / (p.seq_read_mbps * _MB),
-        )
+        transfer = np.where(is_write, size / model.write_rate, size / model.read_rate)
         dist = np.abs(off - prev_end)
-        frac = np.minimum(1.0, dist / p.capacity_bytes)
-        t2t = p.track_to_track_seek_ms / 1e3
-        full = p.full_stroke_seek_ms / 1e3
-        seek = np.where(dist <= 0, 0.0, t2t + (full - t2t) * np.sqrt(frac))
-        overhead = np.where(
-            is_write,
-            p.scattered_write_overhead_ms / 1e3,
-            p.scattered_read_overhead_ms / 1e3,
+        frac = np.minimum(1.0, dist / capacity)
+        seek = np.where(
+            dist <= 0, 0.0, model.t2t_seek_s + model.seek_span_s * np.sqrt(frac)
         )
-        scattered = ((seek + p.avg_rotational_latency_s) + transfer) + overhead
+        overhead = np.where(is_write, model.write_overhead_s, model.read_overhead_s)
+        scattered = ((seek + model.half_rotation_s) + transfer) + overhead
         durations = np.where(sequential, transfer, scattered)
         # post-serve model state
         n_seq = int(np.count_nonzero(sequential))
@@ -706,5 +705,5 @@ class Simulation:
         return sum(s.model.bytes_written for s in self.disks)
 
     def pending_count(self) -> int:
-        in_service = sum(1 for s in self.disks if s.busy)
-        return in_service + sum(len(s.scheduler) for s in self.disks)
+        """Requests accepted and not yet completed, queued or in service — O(1)."""
+        return self._pending

@@ -324,6 +324,19 @@ class FilmSource:
         payload.setflags(write=False)
         return payload
 
-    def fresh(self, rng: np.random.Generator) -> np.ndarray:
-        """A new payload for an overwriting user write."""
-        return rng.integers(0, 256, self.payload_bytes, dtype=np.uint8)
+    def fresh(self, rng: np.random.Generator, count: int = 1) -> np.ndarray:
+        """``count`` new payloads for overwriting user writes, one per row.
+
+        One draw of ``ceil(payload_bytes / 4)`` full-range uint32 words
+        per payload, read as little-endian bytes and cut to
+        ``payload_bytes``: byte-identical to ``count`` successive
+        ``rng.integers(0, 256, payload_bytes, dtype=uint8)`` calls, and
+        the generator ends in the same state.  A full-range uint8 fill
+        takes one 32-bit draw per four bytes from a buffer that restarts
+        with each call, a full-range uint32 fill one 32-bit draw per
+        word, and the bit generator's spare 32-bit half carries across
+        both alike.
+        """
+        n_words = -(-self.payload_bytes // 4)
+        words = rng.integers(0, 2**32, (count, n_words), dtype=np.uint32)
+        return words.astype("<u4", copy=False).view(np.uint8)[:, : self.payload_bytes]

@@ -55,6 +55,30 @@ def test_fresh_uses_caller_rng():
 @given(
     seed=st.integers(0, 2**64 - 1),
     payload_bytes=st.integers(1, 130),
+    count=st.integers(1, 40),
+    pending_half=st.booleans(),
+)
+@settings(max_examples=150, deadline=None)
+def test_fresh_batch_is_scalar_uint8_draws(seed, payload_bytes, count, pending_half):
+    """``fresh(rng, k)`` equals ``k`` successive uint8 draws and leaves
+    the generator in the same state, also when the bit generator holds
+    a spare 32-bit half beforehand."""
+    batched = np.random.default_rng(seed)
+    scalar = np.random.default_rng(seed)
+    if pending_half:
+        for rng in (batched, scalar):
+            rng.integers(0, 2**32, 1, dtype=np.uint32)
+    got = FilmSource(payload_bytes).fresh(batched, count)
+    want = [scalar.integers(0, 256, payload_bytes, dtype=np.uint8) for _ in range(count)]
+    assert got.shape == (count, payload_bytes)
+    assert got.dtype == np.uint8
+    assert got.tobytes() == b"".join(w.tobytes() for w in want)
+    assert batched.bit_generator.state == scalar.bit_generator.state
+
+
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    payload_bytes=st.integers(1, 130),
     stripe=st.integers(0, 2**31),
     i=st.integers(0, 2**31),
     j=st.integers(0, 2**31),
