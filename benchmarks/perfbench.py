@@ -38,7 +38,11 @@ Kernels:
                             ``TimelineRecorder`` folding per-request
                             latency windows (``engine_timeseries``),
                             and instrumented with a streaming JSONL
-                            trace sink draining to disk
+                            trace sink draining to disk; each twice —
+                            callback-free (the vectorized drain, the
+                            gated path) and with a completion callback
+                            per request (the per-event loop every
+                            real workload runs, informational)
 
 Derived ratios land in the record too: ``plan_cache_speedup``
 (nocache / cached), ``parallel_speedup`` (serial / parallel),
@@ -63,6 +67,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.core.layouts import shifted_mirror_parity  # noqa: E402
 from repro.disksim.array import ElementArray  # noqa: E402
+from repro.disksim.calendar import OP_COMPLETE  # noqa: E402
 from repro.disksim.disk import DiskParameters  # noqa: E402
 from repro.disksim.events import Simulation  # noqa: E402
 from repro.disksim.request import IOKind  # noqa: E402
@@ -253,30 +258,61 @@ def kernel_campaign_pooled(n_seeds: int, n_stripes: int) -> float:
 class _BareSimulation(Simulation):
     """The engine with its observability hooks surgically removed.
 
-    ``_complete`` carries the pre-instrumentation body, so timing this
-    subclass against the real engine under ``REPRO_OBS=0`` prices
-    exactly the null-sink residue (one ``is not None`` check per
-    completion) and nothing else.  The run loop already pays its
-    observability residue per *run* rather than per event — a null
-    check before the final counter flush and one inside the vectorized
-    drain — so it is inherited unchanged.
+    The completion step lives inline in ``Simulation._run_events``;
+    this subclass's copy of that loop drops the one observed block —
+    the queue-depth gauge and span behind ``if obs is not None`` — and
+    nothing else, so timing it against the real engine under
+    ``REPRO_OBS=0`` prices exactly the null-sink residue (one
+    ``is not None`` check per completion).  Everything cumulative is
+    folded once per ``run()`` behind a null check in ``run``'s
+    ``finally`` (and the vectorized drain pays one more), so ``run``
+    itself is inherited unchanged.
     """
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self._obs = None
 
-    def _complete(self, server, request) -> None:
-        server.busy = False
-        server.current = None
-        self._pending -= 1
-        if self.faults is not None:
-            self.faults.on_completion(request)
-        self.completed.append(request)
-        cb = self._callbacks.pop(request.req_id, None)
-        if cb is not None:
-            cb(request)
-        self._start_next(server)
+    def _run_events(self, until):
+        cal = self._cal
+        heap = cal._heap
+        take_call = cal.take_call
+        pop_batch = cal.pop_batch
+        disks = self.disks
+        faults = self.faults
+        callbacks = self._callbacks
+        pop_callback = callbacks.pop
+        log = self.completed.append
+        start_next = self._start_next
+        while heap:
+            if until is None and cal._n_call == 0 and faults is None and not callbacks:
+                self._drain_fast()
+                break
+            t = heap[0][0]
+            if until is not None and t > until:
+                self.now = until
+                return until
+            self.now = t
+            for _t, seq, opcode, arg0 in pop_batch():
+                if opcode == OP_COMPLETE:
+                    server = disks[arg0]
+                    request = server.current
+                    server.busy = False
+                    server.current = None
+                    self._pending -= 1
+                    if faults is not None:
+                        faults.on_completion(request)
+                    log(request)
+                    cb = pop_callback(request.req_id, None)
+                    if cb is not None:
+                        cb(request)
+                    start_next(server)
+                else:
+                    action, args = take_call(seq)
+                    action(*args)
+        if until is not None and until > self.now:
+            self.now = until
+        return self.now
 
 
 def kernel_obs_overhead(n_requests: int, repeats: int) -> dict:
@@ -291,6 +327,12 @@ def kernel_obs_overhead(n_requests: int, repeats: int) -> dict:
     The ``streaming`` config prices the opposite end: fully
     instrumented with a JSONL sink draining the span buffer to disk —
     informational, not gated.
+
+    The gated kernel submits without callbacks, so its run takes the
+    vectorized drain.  Every real workload submits with a completion
+    callback and so runs the per-event loop; the same five configs
+    with a no-op callback land under ``"callback"`` — informational,
+    not gated.
     """
     import tempfile
 
@@ -310,7 +352,7 @@ def kernel_obs_overhead(n_requests: int, repeats: int) -> dict:
     disks = [int(d) for d in rng.integers(0, 8, size=n_requests)]
     offsets = [int(o) * element for o in rng.integers(0, 512, size=n_requests)]
 
-    def drive(sim_cls, enabled: bool, tracer=None, recorder=None) -> float:
+    def drive(sim_cls, enabled: bool, callback, tracer=None, recorder=None) -> float:
         from repro.disksim.request import IORequest
 
         old = set_obs_enabled(enabled)
@@ -325,7 +367,10 @@ def kernel_obs_overhead(n_requests: int, repeats: int) -> dict:
 
         def go() -> None:
             for d, off in zip(disks, offsets):
-                sim.submit(IORequest(disk=d, offset=off, size=element, kind=IOKind.READ))
+                sim.submit(
+                    IORequest(disk=d, offset=off, size=element, kind=IOKind.READ),
+                    callback,
+                )
             sim.run()
 
         elapsed = _time(go)
@@ -333,57 +378,56 @@ def kernel_obs_overhead(n_requests: int, repeats: int) -> dict:
             tracer.close()
         return elapsed
 
-    def drive_streaming() -> float:
+    def drive_streaming(callback) -> float:
         with tempfile.NamedTemporaryFile(suffix=".jsonl", delete=False) as tmp:
             path = Path(tmp.name)
         try:
             return drive(
-                Simulation, enabled=True, tracer=Tracer(sink=JsonlTraceSink(path))
+                Simulation,
+                enabled=True,
+                callback=callback,
+                tracer=Tracer(sink=JsonlTraceSink(path)),
             )
         finally:
             path.unlink(missing_ok=True)
 
+    # The null config keeps a flight recorder *installed* — the gate
+    # must hold with one present, because REPRO_OBS=0 is contracted to
+    # skip it at construction.
+    configs = {
+        "bare": lambda cb: drive(_BareSimulation, False, cb),
+        "null": lambda cb: drive(
+            Simulation, False, cb, recorder=TimelineRecorder(registry=False)
+        ),
+        "instrumented": lambda cb: drive(Simulation, True, cb),
+        "timeseries": lambda cb: drive(
+            Simulation, True, cb, recorder=TimelineRecorder(registry=False)
+        ),
+        "streaming": drive_streaming,
+    }
+    paths = {"drain": None, "callback": lambda request: None}
+    times = {(path, name): [] for path in paths for name in configs}
     # interleave the configs within each round: sequential blocks bias
     # the comparison (warm-up and CPU frequency drift land entirely on
     # whichever config runs first), which at a 2% threshold drowns the
-    # signal being gated.  The null config keeps a flight recorder
-    # *installed* — the gate must hold with one present, because
-    # REPRO_OBS=0 is contracted to skip it at construction.
-    bare, null, instrumented, timeseries, streaming = [], [], [], [], []
+    # signal being gated
     for _ in range(repeats):
-        bare.append(drive(_BareSimulation, enabled=False))
-        null.append(
-            drive(
-                Simulation,
-                enabled=False,
-                recorder=TimelineRecorder(registry=False),
-            )
-        )
-        instrumented.append(drive(Simulation, enabled=True))
-        timeseries.append(
-            drive(
-                Simulation,
-                enabled=True,
-                recorder=TimelineRecorder(registry=False),
-            )
-        )
-        streaming.append(drive_streaming())
-    bare_s = min(bare)
-    null_s = min(null)
-    instrumented_s = min(instrumented)
-    timeseries_s = min(timeseries)
-    streaming_s = min(streaming)
-    return {
-        "bare_s": bare_s,
-        "null_s": null_s,
-        "instrumented_s": instrumented_s,
-        "timeseries_s": timeseries_s,
-        "streaming_s": streaming_s,
-        "null_overhead": null_s / max(bare_s, 1e-9) - 1.0,
-        "instrumented_overhead": instrumented_s / max(bare_s, 1e-9) - 1.0,
-        "timeseries_overhead": timeseries_s / max(bare_s, 1e-9) - 1.0,
-        "streaming_overhead": streaming_s / max(bare_s, 1e-9) - 1.0,
-    }
+        for path, callback in paths.items():
+            for name, run in configs.items():
+                times[path, name].append(run(callback))
+
+    def summary(path: str) -> dict:
+        best = {name: min(times[path, name]) for name in configs}
+        bare_s = max(best["bare"], 1e-9)
+        out = {f"{name}_s": best[name] for name in configs}
+        for name in configs:
+            if name != "bare":
+                out[f"{name}_overhead"] = best[name] / bare_s - 1.0
+        return out
+
+    result = summary("drain")
+    result["callback"] = summary("callback")
+    return result
 
 
 # ----------------------------------------------------------------------
@@ -459,6 +503,9 @@ def run_suite(tiny: bool, repeats: int) -> dict:
     kernels["engine_instrumented"] = obs["instrumented_s"]
     kernels["engine_timeseries"] = obs["timeseries_s"]
     kernels["engine_streaming"] = obs["streaming_s"]
+    cb = obs["callback"]
+    for name in ("bare", "null", "instrumented", "timeseries", "streaming"):
+        kernels[f"engine_callback_{name}"] = cb[f"{name}_s"]
     print(f"  obs_overhead      bare {obs['bare_s']:.3f} s, "
           f"null {obs['null_s']:.3f} s ({obs['null_overhead']:+.1%}), "
           f"instrumented {obs['instrumented_s']:.3f} s "
@@ -467,12 +514,21 @@ def run_suite(tiny: bool, repeats: int) -> dict:
           f"({obs['timeseries_overhead']:+.1%}), "
           f"streaming {obs['streaming_s']:.3f} s "
           f"({obs['streaming_overhead']:+.1%})")
+    print(f"  obs (callbacks)   bare {cb['bare_s']:.3f} s, "
+          f"null {cb['null_overhead']:+.1%}, "
+          f"instrumented {cb['instrumented_overhead']:+.1%}, "
+          f"timeseries {cb['timeseries_overhead']:+.1%}, "
+          f"streaming {cb['streaming_overhead']:+.1%}")
 
     derived = {
         "obs_null_overhead": obs["null_overhead"],
         "obs_instrumented_overhead": obs["instrumented_overhead"],
         "obs_timeseries_overhead": obs["timeseries_overhead"],
         "obs_streaming_overhead": obs["streaming_overhead"],
+        "obs_callback_null_overhead": cb["null_overhead"],
+        "obs_callback_instrumented_overhead": cb["instrumented_overhead"],
+        "obs_callback_timeseries_overhead": cb["timeseries_overhead"],
+        "obs_callback_streaming_overhead": cb["streaming_overhead"],
         "plan_cache_speedup": kernels["rebuild_nocache"]
         / max(kernels["rebuild_cached"], 1e-9),
         "parallel_speedup": kernels["campaign_serial"]
@@ -528,6 +584,13 @@ def main(argv=None) -> int:
               f"({obs['timeseries_overhead']:+.2%})")
         print(f"  streaming     {obs['streaming_s']:.4f} s  "
               f"({obs['streaming_overhead']:+.2%})")
+        cb = obs["callback"]
+        print("per-event loop, every request with a callback (informational):")
+        print(f"  bare          {cb['bare_s']:.4f} s")
+        for name in ("null", "instrumented", "timeseries", "streaming"):
+            label = "null sink" if name == "null" else name
+            print(f"  {label:<13} {cb[name + '_s']:.4f} s  "
+                  f"({cb[name + '_overhead']:+.2%})")
         if obs["null_overhead"] > args.obs_tolerance:
             print(f"FAIL: null-sink overhead {obs['null_overhead']:.2%} exceeds "
                   f"{args.obs_tolerance:.0%}", file=sys.stderr)

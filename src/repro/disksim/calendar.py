@@ -58,16 +58,19 @@ class TypedCalendar:
     * ``_n_call`` — how many pending events are ``OP_CALL`` (zero
       means the calendar holds only completions, the precondition for
       the engine's vectorized drain);
+    * ``n_taken`` — how many ``OP_CALL`` events have been claimed, ever
+      (the engine's dispatch counter is completions plus this);
     * :meth:`drain_completions` — empty the calendar into numpy seed
       arrays (completions only).
     """
 
-    __slots__ = ("_heap", "_calls", "_n_call")
+    __slots__ = ("_heap", "_calls", "_n_call", "n_taken")
 
     def __init__(self) -> None:
         self._heap: list[tuple[float, int, int, int]] = []
         self._calls: dict[int, tuple[Callable[..., None], tuple]] = {}
         self._n_call = 0
+        self.n_taken = 0
 
     # ------------------------------------------------------------------
     def push(self, time: float, seq: int, opcode: int, arg0: int = 0) -> None:
@@ -85,6 +88,7 @@ class TypedCalendar:
     def take_call(self, seq: int) -> tuple[Callable[..., None], tuple]:
         """Claim (and forget) the callable behind an ``OP_CALL`` event."""
         self._n_call -= 1
+        self.n_taken += 1
         return self._calls.pop(seq)
 
     # ------------------------------------------------------------------

@@ -187,7 +187,10 @@ class DiskModel:
 
     def serve(self, request: IORequest) -> float:
         """Account for serving ``request``; returns its service time."""
-        sequential = self.is_sequential(request)
+        # is_sequential, inlined: this runs once per simulated request
+        sequential = (
+            request.offset == self._last_end and request.kind is self._last_kind
+        )
         duration = self._service_time(request, sequential)
         if sequential:
             self.n_sequential += 1

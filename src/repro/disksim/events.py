@@ -8,6 +8,20 @@ pipelines).
 
 The engine is deterministic: ties are broken by event sequence number.
 
+Observability
+-------------
+A completion does only what must happen at that instant: the per-disk
+queue-depth gauge, the request's trace span, the fault hook and the
+completion callback.  Everything cumulative — ``sim.requests``,
+``sim.bytes``, errors, retries, events dispatched, the
+``sim.request_latency_s`` histogram and the flight recorder's
+``sim.latency_s`` series — is folded from the append-only
+``completed`` log once per :meth:`Simulation.run`, in its ``finally``
+block, from a per-simulation watermark, so a nested or ``until=``-split
+run never counts a completion twice.  The fold walks the log in
+completion order, so every instrument ends bit-identical to
+per-completion updates.
+
 Calendar
 --------
 Pending events live in the opcode calendar of
@@ -29,6 +43,7 @@ from typing import Callable
 import numpy as np
 
 from ..obs import default_recorder, default_registry, default_tracer, obs_enabled
+from ..obs.timeseries import COLUMN_BOUND
 from ..obs.tracing import Tracer
 from .calendar import OP_COMPLETE, TypedCalendar
 from .disk import DiskModel, DiskParameters
@@ -61,6 +76,8 @@ class _SimObs:
         "latency",
         "dispatched",
         "ts_latency",
+        "folded",
+        "calls_folded",
     )
 
     def __init__(self, sim: "Simulation", trace) -> None:
@@ -88,8 +105,7 @@ class _SimObs:
         )
         self.qd = [qd.labels(disk=str(d)) for d in range(len(sim.disks))]
         # flight-recorder series: windowed latency over the simulated
-        # clock (None when no recorder is installed — one `is not None`
-        # per completion, same contract as `_obs` itself)
+        # clock (None when no recorder is installed)
         rec = sim.recorder
         self.ts_latency = (
             rec.series("sim.latency_s", "request latency over simulated time")
@@ -103,27 +119,64 @@ class _SimObs:
             for d in range(len(sim.disks)):
                 group.name_track(d, f"disk {d}")
         self.group = group
+        #: fold watermarks: ``completed`` entries and claimed calendar
+        #: calls already counted
+        self.folded = 0
+        self.calls_folded = 0
 
-    def on_complete(self, request: IORequest, server: "_DiskServer") -> None:
-        """Per-completion metrics plus the request's span (if tracing)."""
-        if request.kind is IOKind.READ:
-            self.reads.inc()
-            self.bytes_read.inc(request.size)
-        else:
-            self.writes.inc()
-            self.bytes_written.inc(request.size)
-        if request.error:
-            self.errors.inc()
-        if request.attempt:
-            self.retries.inc()
-        self.latency.observe(request.finish_time - request.submit_time)
+    def fold(self, sim: "Simulation") -> None:
+        """Fold the completions since the last fold into the instruments.
+
+        Counters take one ``inc`` per label; the latency histogram and
+        the ``sim.latency_s`` series take ``observe_many`` calls in
+        completion order (bucket counts identical, running sum
+        accumulated in the same order) — the state per-completion
+        updates would have left.  Events dispatched are the
+        completions plus the calendar calls claimed since the last
+        fold.
+        """
+        completed = sim.completed
+        lo = self.folded
+        hi = len(completed)
+        calls = sim._cal.n_taken - self.calls_folded
+        self.calls_folded += calls
+        if calls or hi > lo:
+            self.dispatched.inc(calls + hi - lo)
+        if hi == lo:
+            return
+        self.folded = hi
+        n_writes = bytes_written = bytes_read = n_errors = n_retries = 0
+        write = IOKind.WRITE
+        latency = self.latency
         ts = self.ts_latency
-        if ts is not None:
-            ts.observe(request.finish_time, request.finish_time - request.submit_time)
-        self.qd[request.disk].set(len(server.scheduler))
-        group = self.group
-        if group is not None:
-            self.trace_complete(group, request)
+        # chunked, so a long run's fold needs only bounded scratch lists
+        for start in range(lo, hi, COLUMN_BOUND):
+            batch = completed[start : min(hi, start + COLUMN_BOUND)]
+            for r in batch:
+                if r.kind is write:
+                    n_writes += 1
+                    bytes_written += r.size
+                else:
+                    bytes_read += r.size
+                if r.error:
+                    n_errors += 1
+                if r.attempt:
+                    n_retries += 1
+            finish = [r.finish_time for r in batch]
+            lat = [f - r.submit_time for f, r in zip(finish, batch)]
+            latency.observe_many(lat)
+            if ts is not None:
+                ts.observe_many(finish, lat)
+        if n_writes:
+            self.writes.inc(n_writes)
+            self.bytes_written.inc(bytes_written)
+        if n_writes < hi - lo:
+            self.reads.inc(hi - lo - n_writes)
+            self.bytes_read.inc(bytes_read)
+        if n_errors:
+            self.errors.inc(n_errors)
+        if n_retries:
+            self.retries.inc(n_retries)
 
     def trace_complete(self, group, request: IORequest) -> None:
         """Emit one request's completed span (shared with the drain path)."""
@@ -145,56 +198,17 @@ class _SimObs:
             **args,
         )
 
-    def on_drain(
-        self,
-        completed: list[IORequest],
-        n_writes: int,
-        bytes_written: int,
-        bytes_total: int,
-    ) -> None:
-        """Batched equivalent of per-completion :meth:`on_complete`.
+    def on_drain(self, completed: list[IORequest], disk_ids) -> None:
+        """What the vectorized drain owes at completion time.
 
-        Updates every instrument to the value the per-event loop would
-        have left it at: counters take one ``inc`` per label, the
-        latency histogram takes one vectorized ``observe_many`` (bucket
-        counts identical, running sum accumulated in the same order),
-        queue-depth gauges land on the final depth (0 — the drain ran
-        to quiescence), and traces are emitted per request in
-        completion order.  The read/write counts and byte totals arrive
-        pre-aggregated from the drain's service-time vectorization —
-        they are order-independent, so no second pass over the batch is
-        needed.
+        The drained disks' queue-depth gauges land on their final depth
+        (0 — the drain ran to quiescence), and spans are emitted per
+        request in completion order.  Everything cumulative is left to
+        :meth:`fold`, as on the per-event path.
         """
-        n = len(completed)
-        if not n:
-            return
-        if n_writes:
-            self.writes.inc(n_writes)
-            self.bytes_written.inc(bytes_written)
-        if n_writes < n:
-            self.reads.inc(n - n_writes)
-            self.bytes_read.inc(bytes_total - bytes_written)
-        n_errors = 0
-        n_retries = 0
-        for r in completed:
-            if r.error:
-                n_errors += 1
-            if r.attempt:
-                n_retries += 1
-        if n_errors:
-            self.errors.inc(n_errors)
-        if n_retries:
-            self.retries.inc(n_retries)
-        self.latency.observe_many(
-            np.fromiter((r.finish_time - r.submit_time for r in completed), np.float64, n)
-        )
-        ts = self.ts_latency
-        if ts is not None:
-            # completion order == per-event-loop order, so window
-            # assignment (and hence the snapshot) stays bit-identical
-            # between the drain path and the per-event path
-            for r in completed:
-                ts.observe(r.finish_time, r.finish_time - r.submit_time)
+        qd = self.qd
+        for d in disk_ids:
+            qd[int(d)].set(0)
         group = self.group
         if group is not None:
             trace_complete = self.trace_complete
@@ -395,20 +409,6 @@ class Simulation:
         self._seq += 1
         self._cal.push(finish, self._seq, OP_COMPLETE, request.disk)
 
-    def _complete(self, server: _DiskServer, request: IORequest) -> None:
-        server.busy = False
-        server.current = None
-        self._pending -= 1
-        if self.faults is not None:
-            self.faults.on_completion(request)
-        self.completed.append(request)
-        if self._obs is not None:
-            self._obs.on_complete(request, server)
-        cb = self._callbacks.pop(request.req_id, None)
-        if cb is not None:
-            cb(request)
-        self._start_next(server)
-
     # ------------------------------------------------------------------
     def run(self, until: float | None = None) -> float:
         """Process events until quiescence (or ``until``); returns the clock.
@@ -419,58 +419,82 @@ class Simulation:
         waiting out wall-clock time with no I/O in flight.
 
         Events are popped in same-timestamp batches and dispatched by
-        opcode.  Whenever the pending set is completions-only with no
+        opcode (:meth:`_run_events`).  On the way out — normal return
+        or exception — the completions since the last fold are folded
+        into the metrics, then the flight recorder advances to the
+        clock.
+        """
+        if until is not None and until <= self.now:
+            return self.now
+        try:
+            return self._run_events(until)
+        finally:
+            obs = self._obs
+            if obs is not None:
+                obs.fold(self)
+            rec = self.recorder
+            if rec is not None:
+                rec.advance_to(self.now)
+
+    def _run_events(self, until: float | None) -> float:
+        """The event loop of :meth:`run`, completion step inlined.
+
+        A completion frees its disk, runs the fault hook, logs the
+        request, updates the queue-depth gauge and span (when
+        observed), fires the callback and starts the disk's next
+        request.  Whenever the pending set is completions-only with no
         callbacks outstanding and no fault hooks installed (checked per
         batch — a deferred ``OP_CALL`` firing can make the rest of the
         run eligible), the loop hands the whole remainder to
         :meth:`_drain_fast` instead of popping events one at a time.
         """
-        if until is not None and until <= self.now:
-            return self.now
         cal = self._cal
-        obs = self._obs
-        disks = self.disks
+        heap = cal._heap
         take_call = cal.take_call
         pop_batch = cal.pop_batch
-        heap = cal._heap
-        dispatched = 0
-        try:
-            while heap:
-                if (
-                    until is None
-                    and cal._n_call == 0
-                    and self.faults is None
-                    and not self._callbacks
-                ):
-                    dispatched += self._drain_fast()
-                    break
-                t = heap[0][0]
-                if until is not None and t > until:
-                    self.now = until
-                    return self.now
-                self.now = t
-                for _t, seq, opcode, arg0 in pop_batch():
-                    dispatched += 1
-                    if opcode == OP_COMPLETE:
-                        server = disks[arg0]
-                        self._complete(server, server.current)
-                    else:
-                        action, args = take_call(seq)
-                        action(*args)
-            if until is not None and until > self.now:
+        disks = self.disks
+        faults = self.faults
+        callbacks = self._callbacks
+        pop_callback = callbacks.pop
+        log = self.completed.append
+        start_next = self._start_next
+        obs = self._obs
+        while heap:
+            if until is None and cal._n_call == 0 and faults is None and not callbacks:
+                self._drain_fast()
+                break
+            t = heap[0][0]
+            if until is not None and t > until:
                 self.now = until
-            return self.now
-        finally:
-            # one counter update per run() call, not per event —
-            # shared by the batch loop and the vectorized drain
-            if dispatched and obs is not None:
-                obs.dispatched.inc(dispatched)
-            rec = self.recorder
-            if rec is not None:
-                rec.advance_to(self.now)
+                return until
+            self.now = t
+            for _t, seq, opcode, arg0 in pop_batch():
+                if opcode == OP_COMPLETE:
+                    server = disks[arg0]
+                    request = server.current
+                    server.busy = False
+                    server.current = None
+                    self._pending -= 1
+                    if faults is not None:
+                        faults.on_completion(request)
+                    log(request)
+                    if obs is not None:
+                        obs.qd[arg0].set(len(server.scheduler))
+                        if obs.group is not None:
+                            obs.trace_complete(obs.group, request)
+                    cb = pop_callback(request.req_id, None)
+                    if cb is not None:
+                        cb(request)
+                    start_next(server)
+                else:
+                    action, args = take_call(seq)
+                    action(*args)
+        if until is not None and until > self.now:
+            self.now = until
+        return self.now
 
     # ------------------------------------------------------------------
-    def _drain_fast(self) -> int:
+    def _drain_fast(self) -> None:
         """Run every pending completion to quiescence, vectorized.
 
         Preconditions (checked by :meth:`run`): the calendar
@@ -484,9 +508,6 @@ class Simulation:
         per-disk streams.  Every float is produced by the same
         sequence of IEEE operations the per-event loop performs, so
         clocks, busy times and request timestamps are bit-identical.
-
-        Returns the number of events the per-event loop would have
-        popped (for the dispatch counter).
         """
         cal = self._cal
         times, seqs, disk_ids = cal.drain_completions()
@@ -495,26 +516,15 @@ class Simulation:
         stream_f: list[np.ndarray] = []   # finish times, in-flight head first
         stream_reqs: list[list[IORequest]] = []
         total = 0
-        n_writes = 0
-        bytes_written = 0
-        bytes_total = 0
         for si in range(n_streams):
             server = disks[int(disk_ids[si])]
             current = server.current
-            # the in-flight head is part of the drained batch too
-            if current.kind is IOKind.WRITE:
-                n_writes += 1
-                bytes_written += current.size
-            bytes_total += current.size
             t0 = float(times[si])
             queue = server.scheduler
             if queue:
                 model = server.model
                 reqs = queue.drain(model.head_position)
-                durations, nw, bw, bt = self._vector_service(model, reqs)
-                n_writes += nw
-                bytes_written += bw
-                bytes_total += bt
+                durations = self._vector_service(model, reqs)
                 k = len(reqs)
                 f = np.empty(k + 1, dtype=np.float64)
                 f[0] = t0
@@ -538,7 +548,7 @@ class Simulation:
             server.busy = False
             server.current = None
         if not total:
-            return 0
+            return
         self._pending -= total
         # global completion order: merge the per-disk streams the way
         # the calendar would have popped them
@@ -564,12 +574,8 @@ class Simulation:
                 ordered = flat[np.argsort(all_f)].tolist()
                 self._seq += total - n_streams
         self.completed.extend(ordered)
-        obs = self._obs
-        if obs is not None:
-            for si in range(n_streams):
-                obs.qd[int(disk_ids[si])].set(0)
-            obs.on_drain(ordered, n_writes, bytes_written, bytes_total)
-        return total
+        if self._obs is not None:
+            self._obs.on_drain(ordered, disk_ids)
 
     def _merge_streams(
         self,
@@ -602,9 +608,7 @@ class Simulation:
         self._seq = seq
         return ordered
 
-    def _vector_service(
-        self, model: DiskModel, reqs: list[IORequest]
-    ) -> tuple[np.ndarray, int, int, int]:
+    def _vector_service(self, model: DiskModel, reqs: list[IORequest]) -> np.ndarray:
         """Service times for ``reqs`` served back to back, vectorized.
 
         Replicates :meth:`~repro.disksim.disk.DiskModel.service_time`
@@ -613,10 +617,6 @@ class Simulation:
         float the scalar path computes — and leaves the model's head,
         sequential-run and byte counters in the post-serve state.
         ``model.busy_time`` accumulates in serve order.
-
-        Returns ``(durations, n_writes, bytes_written, bytes_total)``
-        so the caller can aggregate observability counters without a
-        second pass over the requests.
         """
         k = len(reqs)
         capacity = model.capacity
@@ -652,8 +652,7 @@ class Simulation:
         n_seq = int(np.count_nonzero(sequential))
         model.n_sequential += n_seq
         model.n_scattered += k - n_seq
-        n_writes = int(np.count_nonzero(is_write))
-        bytes_written = int(size[is_write].sum()) if n_writes else 0
+        bytes_written = int(size[is_write].sum())
         bytes_total = int(size.sum())
         model.bytes_written += bytes_written
         model.bytes_read += bytes_total - bytes_written
@@ -666,7 +665,7 @@ class Simulation:
         model._head = last_end
         model._last_end = last_end
         model._last_kind = reqs[-1].kind
-        return durations, n_writes, bytes_written, bytes_total
+        return durations
 
     def max_finish_time_since(self, index: int, default: float = 0.0) -> float:
         """Latest completion time among ``completed[index:]`` — O(1).

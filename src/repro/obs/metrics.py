@@ -18,7 +18,12 @@ with an explicit cost model:
 * a registry :meth:`~MetricsRegistry.snapshot` is plain JSON data, and
   :meth:`~MetricsRegistry.merge` folds another snapshot in — this is
   how campaign workers ship their metrics back to the parent without
-  touching any seeded state (see ``repro.raidsim.campaign``).
+  touching any seeded state (see ``repro.raidsim.campaign``);
+* producers that buffer samples in columns (the flight recorder, the
+  serve tier's SLO accounting) register a flush hook
+  (:meth:`~MetricsRegistry.add_flush_hook`): every snapshot and every
+  instrument lookup by name folds the pending columns first, so no
+  reader outside the hot path can see the deferral.
 
 Nothing here imports the rest of ``repro``; the observability layer
 sits below every other subsystem.
@@ -28,6 +33,8 @@ from __future__ import annotations
 
 import math
 import os
+import threading
+import weakref
 from bisect import bisect_left
 from contextlib import contextmanager
 
@@ -44,6 +51,7 @@ __all__ = [
     "default_registry",
     "scoped_registry",
     "DEFAULT_BUCKETS",
+    "FOLD_LOCK",
     "Distribution",
     "bucket_quantile",
     "percentile",
@@ -55,6 +63,11 @@ __all__ = [
 #: Callers pass their own bounds only for non-latency quantities
 #: (ratios, byte counts).
 DEFAULT_BUCKETS = tuple(1e-4 * 2 ** (k / 2) for k in range(41))
+
+#: serialises column folds: the simulation thread folds at its flush
+#: points while a ``/metrics`` scrape may fold the same columns from
+#: the server thread (appends never take it — they only touch the tail)
+FOLD_LOCK = threading.RLock()
 
 
 def _label_key(labels: dict) -> tuple:
@@ -378,8 +391,50 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self._instruments: dict[str, _Instrument] = {}
+        #: weak references to the bound ``flush`` methods of column
+        #: producers, in registration order
+        self._flush_hooks: list[weakref.WeakMethod] = []
+        self._flushing = False
+
+    def add_flush_hook(self, flush) -> None:
+        """Call ``flush()`` before every read of this registry.
+
+        ``flush`` is a bound method of an object that buffers samples
+        and folds them into this registry's instruments (the flight
+        recorder, an SLO accountant).  The registry holds it weakly, so
+        registering never keeps a finished run's state alive.
+        """
+        with FOLD_LOCK:  # a concurrent flush rebuilds the list
+            self._flush_hooks.append(weakref.WeakMethod(flush))
+
+    def flush(self) -> None:
+        """Fold every registered producer's pending columns.
+
+        Runs before :meth:`snapshot` and before each instrument lookup
+        by name, so a reader (``/metrics``, an end-of-run export, a test
+        reading ``registry.histogram(name).state()``) sees exactly the
+        state per-sample observation would have left.  Re-entrant calls
+        — a fold that looks up a gauge — return at once.
+        """
+        if not self._flush_hooks:
+            return
+        with FOLD_LOCK:
+            if self._flushing:
+                return
+            self._flushing = True
+            try:
+                live = []
+                for ref in self._flush_hooks:
+                    fn = ref()
+                    if fn is not None:
+                        fn()
+                        live.append(ref)
+                self._flush_hooks = live
+            finally:
+                self._flushing = False
 
     def _get(self, cls, name: str, help: str, **kwargs):
+        self.flush()
         inst = self._instruments.get(name)
         if inst is not None:
             if not isinstance(inst, cls):
@@ -409,7 +464,11 @@ class MetricsRegistry:
 
     # ------------------------------------------------------------------
     def snapshot(self) -> dict:
-        """Plain-data (JSON-able) view of every instrument's state."""
+        """Plain-data (JSON-able) view of every instrument's state.
+
+        Pending columns are folded first (see :meth:`flush`).
+        """
+        self.flush()
         out: dict = {"counters": {}, "gauges": {}, "histograms": {}}
         for name, inst in sorted(self._instruments.items()):
             if isinstance(inst, Counter):
@@ -487,6 +546,12 @@ class NullRegistry:
         self, name: str, help: str = "", buckets: tuple = DEFAULT_BUCKETS
     ) -> _NullInstrument:
         return NULL_INSTRUMENT
+
+    def add_flush_hook(self, flush) -> None:
+        pass
+
+    def flush(self) -> None:
+        pass
 
     def snapshot(self) -> dict:
         return {}

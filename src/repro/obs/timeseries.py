@@ -12,6 +12,16 @@ which mean and :func:`~repro.obs.metrics.bucket_quantile` derive.
 Closed windows live in a ring buffer bounded by ``horizon`` windows
 per series, so a week-long campaign records in O(horizon), not O(events).
 
+Samples are columnar: ``observe`` appends ``(t, value)`` to the series'
+pending column, and the column is folded into its windows at the flush
+points the code already has — :meth:`TimelineRecorder.advance_to`
+(once per engine ``run()``), any read (:meth:`TimeSeries.windows`,
+:attr:`TimeSeries.closed`, :meth:`TimelineRecorder.snapshot`, a merge),
+a snapshot of the registry the window gauges publish to, and whenever
+:data:`COLUMN_BOUND` samples are pending.  Folding replays the samples
+in arrival order through the same window rules, one window-run at a
+time, so the folded state is bit-identical to per-sample observation.
+
 The recorder follows the null-sink contract of the rest of
 :mod:`repro.obs`: components resolve :func:`default_recorder` at
 construction and keep a per-series handle (one ``is not None`` test on
@@ -35,6 +45,7 @@ from pathlib import Path
 
 from .metrics import (
     DEFAULT_BUCKETS,
+    FOLD_LOCK,
     Distribution,
     MetricsRegistry,
     bucket_quantile,
@@ -43,6 +54,7 @@ from .metrics import (
 )
 
 __all__ = [
+    "COLUMN_BOUND",
     "DEFAULT_WINDOW_S",
     "DEFAULT_HORIZON",
     "TIMESERIES_SCHEMA",
@@ -67,6 +79,10 @@ DEFAULT_WINDOW_S = 0.1
 #: default ring-buffer bound: closed windows kept per series
 DEFAULT_HORIZON = 4096
 
+#: pending samples one series buffers before it folds on its own, so a
+#: single long ``run()`` keeps the recorder's memory O(horizon)
+COLUMN_BOUND = 4096
+
 #: window-close gauges published per closed window (most recent wins)
 _WINDOW_AGGS = ("count", "mean", "min", "max", "p50", "p99")
 
@@ -87,14 +103,16 @@ class TimeSeries:
     """One named, labelled series inside a :class:`TimelineRecorder`.
 
     Handles are cheap to hold: components capture one at construction
-    and call :meth:`observe` per sample.  Samples earlier than the
-    open window (possible when completion order lags the clock) clamp
-    into the open window rather than reopening a closed one — window
-    assignment is deterministic either way because completion order
-    itself is deterministic.
+    and call :meth:`observe` per sample, which only appends to the
+    pending column; the column folds at the recorder's flush points
+    (see the module docstring).  Samples earlier than the open window
+    (possible when completion order lags the clock) clamp into the open
+    window rather than reopening a closed one — window assignment is
+    deterministic either way because completion order itself is
+    deterministic.
     """
 
-    __slots__ = ("name", "help", "labels", "_rec", "_open", "closed")
+    __slots__ = ("name", "help", "labels", "_rec", "_open", "_closed", "_ts", "_vs")
 
     def __init__(self, recorder: "TimelineRecorder", name: str, help: str, labels: dict) -> None:
         self.name = name
@@ -103,23 +121,84 @@ class TimeSeries:
         self._rec = recorder
         #: the open window: (index, aggregates), or None
         self._open: tuple[int, Distribution] | None = None
-        self.closed: list[dict] = []
+        self._closed: list[dict] = []
+        #: the pending column: sample times and values, not yet folded
+        self._ts: list[float] = []
+        self._vs: list[float] = []
 
     def observe(self, t: float, value: float) -> None:
-        """Fold one sample at simulated time ``t`` into its window."""
-        value = float(value)
-        if value != value or value in (float("inf"), float("-inf")):
-            return  # "no measurement" — same abstention as the baselines
-        w = int(t // self._rec.window_s)
+        """Buffer one sample at simulated time ``t`` for its window."""
+        self._ts.append(t)
+        vs = self._vs
+        vs.append(value)
+        if len(vs) >= COLUMN_BOUND:
+            self._fold()
+
+    def observe_many(self, ts, values) -> None:
+        """Buffer samples ``(ts[i], values[i])`` in order — a batch :meth:`observe`."""
+        if len(self._vs) + len(values) < COLUMN_BOUND:
+            self._ts.extend(ts)
+            self._vs.extend(values)
+            return
+        with FOLD_LOCK:
+            self._fold()
+            self._fold_samples(ts, values)
+
+    def _fold(self) -> None:
+        """Fold the pending column into the windows, oldest sample first."""
+        with FOLD_LOCK:
+            vs = self._vs
+            n = len(vs)
+            if not n:
+                return
+            ts = self._ts
+            # take a prefix rather than swapping lists: a scrape thread
+            # may fold while the simulation thread appends to the tail
+            tl, vl = ts[:n], vs[:n]
+            del ts[:n]
+            del vs[:n]
+            self._fold_samples(tl, vl)
+
+    def _fold_samples(self, ts, values) -> None:
+        """Per-sample window rules, one :meth:`Distribution.observe_many` per run.
+
+        Only the last window closed here is published: the gauges are
+        last-write-wins, so the earlier publications could never be
+        read.
+        """
+        inf = float("inf")
+        window_s = self._rec.window_s
         win = self._open
-        if win is None or w > win[0]:
-            if win is not None:
-                self._close(win)
-            win = self._open = (w, Distribution())
-        win[1].observe(value)
+        run: list[float] = []
+        last = None
+        for t, value in zip(ts, values):
+            value = float(value)
+            if value != value or value == inf or value == -inf:
+                continue  # "no measurement" — same abstention as the baselines
+            w = int(t // window_s)
+            if win is None or w > win[0]:
+                if run:
+                    win[1].observe_many(run)
+                    run = []
+                if win is not None:
+                    last = {"w": win[0], **win[1].to_dict()}
+                    self._insert_closed(last)
+                win = self._open = (w, Distribution())
+            run.append(value)
+        if run:
+            win[1].observe_many(run)
+        if last is not None:
+            self._rec._publish(self, last)
+
+    @property
+    def closed(self) -> list[dict]:
+        """Closed windows sorted by index, oldest first (folds pending samples)."""
+        self._fold()
+        return self._closed
 
     def advance_to(self, t: float) -> None:
         """Close the open window if ``t`` has moved past its right edge."""
+        self._fold()
         win = self._open
         if win is not None and int(t // self._rec.window_s) > win[0]:
             self._close(win)
@@ -137,7 +216,7 @@ class TimeSeries:
         a merged snapshot can carry windows past the one still open
         here, so a later close (or fold) may arrive out of order.
         """
-        closed = self.closed
+        closed = self._closed
         if not closed or closed[-1]["w"] < record["w"]:
             closed.append(record)
         else:
@@ -164,7 +243,8 @@ class TimeSeries:
         The open window slots into position — after a merge it can
         trail closed windows folded in from another recorder.
         """
-        out = [dict(w, counts=list(w["counts"])) for w in self.closed]
+        self._fold()
+        out = [dict(w, counts=list(w["counts"])) for w in self._closed]
         win = self._open
         if win is not None:
             record = {"w": win[0], **win[1].to_dict()}
@@ -176,6 +256,7 @@ class TimeSeries:
 
     def fold(self, win: dict) -> None:
         """Merge one window dict into this series (same window width)."""
+        self._fold()
         open_win = self._open
         if open_win is not None and open_win[0] == win["w"]:
             open_win[1].merge(win)
@@ -221,6 +302,10 @@ class TimelineRecorder:
         self._series: dict[str, TimeSeries] = {}
         self._gauges: dict[str, object] = {}
         self._samplers: list[tuple[TimeSeries, object]] = []
+        if self._registry is not None:
+            # a registry read folds pending samples first, so the
+            # ``*_window`` gauges never show the deferral
+            self._registry.add_flush_hook(self.flush)
 
     # -- series management -------------------------------------------------
 
@@ -242,6 +327,13 @@ class TimelineRecorder:
         s = self.series(name, help, **labels)
         self._samplers.append((s, fn))
         return s
+
+    def flush(self) -> None:
+        """Fold every series' pending column into its windows."""
+        # a copy: a scrape thread may flush while the simulation thread
+        # creates a series
+        for s in list(self._series.values()):
+            s._fold()
 
     def advance_to(self, t: float) -> None:
         """Move the recorder clock: run samplers, close elapsed windows."""

@@ -234,8 +234,9 @@ def run_scenario(
     serves them on a healthy array.  ``throttle`` is a fixed per-stripe
     delay or a policy object (see :meth:`RaidController.rebuild`).
     Every settled read feeds ``slo`` and the throttle's ``observe``
-    hook, when present.  Availability and data survival are scored
-    here and nowhere else.
+    hook, when present; ``slo`` is flushed into its registry before
+    this returns.  Availability and data survival are scored here and
+    nowhere else.
     """
     ctrl = RaidController(
         layout,
@@ -269,6 +270,7 @@ def run_scenario(
     ).run()
     if slo is not None:
         slo.record_failure(online.failed_user_reads)
+        slo.flush()
     served = online.n_user_reads
     lost = len(online.fault_stats.lost_columns)
     return CampaignRun(

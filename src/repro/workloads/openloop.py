@@ -46,6 +46,7 @@ from typing import Protocol, runtime_checkable
 import numpy as np
 
 from ..obs import default_recorder, default_registry, percentile
+from ..obs.metrics import FOLD_LOCK
 from .generator import UserRead
 
 __all__ = [
@@ -331,6 +332,13 @@ class SLOAccountant:
     bucket's upper bound clamped to the max — deterministic, O(1)
     memory).  :meth:`summary` computes the final exact percentiles from
     the retained samples.
+
+    :meth:`record` only appends the latency and tenant; :meth:`flush`
+    folds what is pending into the registry in one pass.  It runs from
+    :func:`~repro.raidsim.campaign.run_scenario` before it returns, from
+    :meth:`summary`, and from every read of the registry (a flush hook),
+    and leaves each instrument — the quantile gauges included — exactly
+    where per-read updates would have.
     """
 
     def __init__(
@@ -357,6 +365,9 @@ class SLOAccountant:
         )
         self.gauge_every = max(1, gauge_every)
         self._lat: list[float] = []
+        #: tenants of the reads past the fold watermark ``_folded``
+        self._pending_tenants: list[str] = []
+        self._folded = 0
         self._misses = 0
         self._failed = 0
         self._tenants: dict[str, int] = {}
@@ -381,6 +392,7 @@ class SLOAccountant:
         self._obs_depth = reg.gauge(
             "serve.queue_depth", "in-flight + queued requests at last completion"
         ).labels()
+        reg.add_flush_hook(self.flush)
 
     @property
     def served(self) -> int:
@@ -404,16 +416,52 @@ class SLOAccountant:
                 )
                 self._ts_lat[tenant] = handle
             handle.observe(t_s, latency_s)
+        # tenant before latency: a concurrent fold sizes itself by _lat
+        self._pending_tenants.append(tenant)
         self._lat.append(latency_s)
-        self._tenants[tenant] = self._tenants.get(tenant, 0) + 1
-        self._obs_reads.inc(1.0, tenant=tenant or "all")
-        self._obs_hist.observe(latency_s)
-        if self.deadline_s is not None and latency_s > self.deadline_s:
-            self._misses += 1
-            self._obs_miss.inc()
-        if len(self._lat) % self.gauge_every == 0:
+
+    def flush(self) -> None:
+        """Fold the reads recorded since the last flush into the registry.
+
+        One pass updates the per-tenant and deadline-miss counters; the
+        histogram takes the latencies through ``observe_many``, split
+        at the last multiple of ``gauge_every`` so the quantile gauges
+        are set from the state they had after that read — the value
+        per-read refreshes would have left them at.
+        """
+        with FOLD_LOCK:
+            lo = self._folded
+            hi = len(self._lat)
+            if hi > lo:
+                self._fold(lo, hi)
+
+    def _fold(self, lo: int, hi: int) -> None:
+        lat = self._lat[lo:hi]
+        pending = self._pending_tenants
+        tenants = pending[: hi - lo]
+        del pending[: hi - lo]
+        self._folded = hi
+        counts: dict[str, int] = {}
+        for tenant in tenants:
+            counts[tenant] = counts.get(tenant, 0) + 1
+        for tenant, k in counts.items():
+            self._tenants[tenant] = self._tenants.get(tenant, 0) + k
+            self._obs_reads.inc(float(k), tenant=tenant or "all")
+        deadline = self.deadline_s
+        if deadline is not None:
+            misses = sum(1 for x in lat if x > deadline)
+            if misses:
+                self._misses += misses
+                self._obs_miss.inc(misses)
+        every = self.gauge_every
+        split = hi // every * every - lo  # reads up to the last gauge refresh
+        hist = self._obs_hist
+        if split > 0:
+            hist.observe_many(lat[:split])
             for q, gauge in self._obs_q.items():
-                gauge.set(self._obs_hist.quantile(q))
+                gauge.set(hist.quantile(q))
+            lat = lat[split:]
+        hist.observe_many(lat)
 
     def record_failure(self, n: int = 1) -> None:
         """Account reads that errored out after all retries."""
@@ -426,6 +474,7 @@ class SLOAccountant:
 
     def summary(self, duration_s: float) -> SLOSummary:
         """The run's exact, bit-reproducible SLO verdict."""
+        self.flush()
         served = len(self._lat)
         if served:
             ordered = sorted(self._lat)
