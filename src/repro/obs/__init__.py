@@ -9,7 +9,7 @@ simulation:
   null sink selected by ``REPRO_OBS=0``;
 * :mod:`repro.obs.tracing` — span tracer recording ``(name, ts, dur,
   args)`` on per-disk tracks;
-* :mod:`repro.obs.export` — chrome://tracing ("Trace Event Format")
+* :mod:`repro.obs.export` — the engine's io-span rows, chrome://tracing ("Trace Event Format")
   JSON, the incremental streaming JSONL sink, flat JSONL, and metrics
   snapshot round-trip;
 * :mod:`repro.obs.http` — live Prometheus text exposition
@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from .baseline import EWMABaseline, RollingBaseline, SeasonalBaseline, make_baseline
 from .export import (
+    IoSpan,
     JsonlTraceSink,
     StreamedTrace,
     chrome_trace,
@@ -111,6 +112,7 @@ __all__ = [
     "default_tracer",
     "set_default_tracer",
     # export
+    "IoSpan",
     "chrome_trace",
     "write_chrome_trace",
     "write_trace_jsonl",

@@ -21,6 +21,14 @@ Three trace formats:
   per event in plain seconds, for ad-hoc ``jq``-style analysis and for
   loading back with :func:`load_trace_jsonl`.
 
+Per-request spans are :class:`IoSpan` rows: the engine buffers the
+completed :class:`~repro.disksim.request.IORequest` itself and this
+module turns it into a span only when the span is exported — the sink
+renders a whole flush of rows through one line template, and the
+buffered exporters read the rows through the same interface as a
+:class:`~repro.obs.tracing.TraceEvent`.  This module is the one place
+that knows which request fields an io span carries.
+
 Metrics snapshots (:meth:`repro.obs.metrics.MetricsRegistry.snapshot`)
 are already plain data; :func:`write_metrics` / :func:`load_metrics`
 just add the file framing, and the round-trip is exact — a snapshot
@@ -38,6 +46,7 @@ from .metrics import MetricsRegistry
 from .tracing import TraceEvent, Tracer
 
 __all__ = [
+    "IoSpan",
     "chrome_trace",
     "write_chrome_trace",
     "write_trace_jsonl",
@@ -51,6 +60,133 @@ __all__ = [
 ]
 
 _S_TO_US = 1e6
+
+
+class IoSpan:
+    """One completed I/O request as a trace row.
+
+    The row holds the request itself, not a copy of its fields:
+    recording a span costs one small allocation, and the span's
+    columns — disk, start, finish, kind, tag, attempt, priority, size
+    and error kind — are read from the request when the row is
+    exported.  The read interface matches
+    :class:`~repro.obs.tracing.TraceEvent` (``name``, ``ph``, ``ts``,
+    ``dur``, ``pid``, ``tid``, ``cat``, ``args``), so buffered
+    tracers, :func:`chrome_trace`, :func:`write_trace_jsonl` and
+    ``repro obs summary`` treat rows and events alike.
+
+    ``base_pid`` is the owning :class:`~repro.obs.tracing.TraceGroup`'s
+    pid offset; the row's track is that plus the request's disk.
+    """
+
+    __slots__ = ("base_pid", "request")
+
+    ph = "X"
+    tid = 0
+    cat = "io"
+
+    def __init__(self, base_pid: int, request) -> None:
+        self.base_pid = base_pid
+        self.request = request
+
+    @property
+    def name(self) -> str:
+        r = self.request
+        return r.tag or r.kind.value
+
+    @property
+    def ts(self) -> float:
+        return self.request.start_time
+
+    @property
+    def dur(self) -> float:
+        r = self.request
+        return r.finish_time - r.start_time
+
+    @property
+    def pid(self) -> int:
+        return self.base_pid + self.request.disk
+
+    @property
+    def args(self) -> dict:
+        r = self.request
+        args = {
+            "kind": r.kind.value,
+            "tag": r.tag,
+            "attempt": r.attempt,
+            "priority": r.priority,
+            "bytes": r.size,
+        }
+        if r.error:
+            args["error"] = r.error_kind
+        return args
+
+
+#: an :class:`IoSpan`'s streamed line, byte-identical to
+#: ``json.dumps(_chrome_record(row)) + ",\n"``.  The string slots take
+#: JSON-encoded strings, the number slots exact ints and finite floats
+#: (whose ``repr`` is what ``json.dumps`` writes), and the last slot
+#: the ``"error"`` member or nothing.
+_IO_LINE = (
+    '{"name": %s, "ph": "X", "ts": %r, "pid": %r, "tid": 0, "dur": %r,'
+    ' "cat": "io", "args": {"kind": %s, "tag": %s, "attempt": %r,'
+    ' "priority": %r, "bytes": %r%s}},\n'
+)
+
+
+def _render_lines(events) -> list[str]:
+    """Streamed lines for a flush: rows by template, events by ``json``.
+
+    Each distinct string (kind, tag, error kind) is JSON-encoded once
+    per flush.  A row with a number whose ``repr`` is not what
+    ``json.dumps`` writes — a non-finite float, a float or int
+    subclass — takes the generic path, so every line is exactly
+    ``json.dumps(_chrome_record(ev)) + ",\n"``.
+    """
+    dumps = json.dumps
+    encoded: dict = {}
+    errors: dict = {}
+    lines: list[str] = []
+    append = lines.append
+    for ev in events:
+        if ev.__class__ is IoSpan:
+            r = ev.request
+            t0 = r.start_time
+            t1 = r.finish_time
+            pid = ev.base_pid + r.disk
+            attempt = r.attempt
+            priority = r.priority
+            size = r.size
+            if (
+                float is t0.__class__ is t1.__class__
+                and int is pid.__class__ is attempt.__class__
+                is priority.__class__ is size.__class__
+            ):
+                ts = t0 * _S_TO_US
+                dur = (t1 - t0) * _S_TO_US
+                if ts - ts == 0.0 == dur - dur:  # both finite
+                    kind = r.kind
+                    kind_s = encoded.get(kind)
+                    if kind_s is None:
+                        kind_s = encoded[kind] = dumps(kind.value)
+                    tag = r.tag
+                    tag_s = encoded.get(tag)
+                    if tag_s is None:
+                        tag_s = encoded[tag] = dumps(tag)
+                    error_s = ""
+                    if r.error:
+                        error = r.error_kind
+                        error_s = errors.get(error)
+                        if error_s is None:
+                            error_s = errors[error] = ', "error": ' + dumps(error)
+                    append(
+                        _IO_LINE
+                        % (tag_s if tag else kind_s, ts, pid, dur, kind_s,
+                           tag_s, attempt, priority, size, error_s)
+                    )
+                    continue
+        append(dumps(_chrome_record(ev)) + ",\n")
+    return lines
 
 
 def _chrome_record(ev: TraceEvent) -> dict:
@@ -215,9 +351,10 @@ class JsonlTraceSink:
             self._write_record(rec)
 
     def write_events(self, events) -> None:
-        for ev in events:
-            self._write_record(_chrome_record(ev))
-            self.events_written += 1
+        """Render a flush's events and rows and write them in one call."""
+        lines = _render_lines(events)
+        self._fh.write("".join(lines))
+        self.events_written += len(lines)
 
     def flush(self) -> None:
         self._fh.flush()

@@ -33,6 +33,13 @@ recorded in the exported trace header so downsampled files stay
 honest.  ``REPRO_OBS_SAMPLE`` / ``--trace-sample`` set this from the
 environment / CLI.
 
+The simulation engine records per-request spans as *rows*: an
+:class:`repro.obs.export.IoSpan` pairing a completed request with its
+track group's pid offset.  A row passes the same :meth:`Tracer._record`
+gate as a :class:`TraceEvent` — same sampling draw, same watermark,
+same counters — and reads like one, so :attr:`Tracer.events` may hold
+both; the request becomes span text only when the row is exported.
+
 Export lives in :mod:`repro.obs.export`; this module records, buffers
 and drains.
 """
@@ -111,7 +118,7 @@ class SpanToken:
 
 
 class Tracer:
-    """Accumulates :class:`TraceEvent` records for one run.
+    """Accumulates :class:`TraceEvent` records and io rows for one run.
 
     Parameters
     ----------
@@ -147,7 +154,9 @@ class Tracer:
         sample_seed: int = 2012,
         buffer_watermark: int | None = None,
     ) -> None:
-        self.events: list[TraceEvent] = []
+        #: buffered :class:`TraceEvent` records and
+        #: :class:`~repro.obs.export.IoSpan` rows, in record order
+        self.events: list = []
         self.clock = clock if clock is not None else time.perf_counter
         self.sink = sink
         self.sample = resolve_sample_rate(sample)
@@ -203,8 +212,13 @@ class Tracer:
         return meta
 
     # ------------------------------------------------------------------
-    def _record(self, ev: TraceEvent) -> None:
-        """Sampling decision, buffer append, watermark check — the one gate."""
+    def _record(self, ev) -> None:
+        """Sampling decision, buffer append, watermark check — the one gate.
+
+        Every event and every engine io row passes here, in record
+        order, so the sampler's random draws and the watermark flushes
+        are the same whichever form a span takes.
+        """
         if self.sample < 1.0 and ev.cat in SAMPLED_CATS:
             if self._rng.random() >= self.sample:
                 self.dropped_events += 1

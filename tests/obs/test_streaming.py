@@ -276,15 +276,19 @@ def test_metrics_server_scrapes_the_provider_live():
 
 
 class _WatchedTracer(Tracer):
-    """A tracer that remembers its peak buffered-event count."""
+    """A tracer that remembers its peak buffered-event count and how
+    many engine io rows passed its recording gate."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.peak_buffered = 0
+        self.io_recorded = 0
 
     def _record(self, ev):
         super()._record(ev)
         self.peak_buffered = max(self.peak_buffered, len(self.events))
+        if ev.cat == "io":
+            self.io_recorded += 1
 
 
 def test_rebuild_under_streaming_tracer_holds_the_watermark(tmp_path):
@@ -299,6 +303,8 @@ def test_rebuild_under_streaming_tracer_holds_the_watermark(tmp_path):
     ctrl.rebuild((0,), verify=False)
     tracer.close()
     assert tracer.total_events > 32  # the run genuinely overflowed the buffer
+    # the bound covers the engine's per-request spans, not just phases
+    assert tracer.io_recorded > 32
     assert tracer.peak_buffered <= 32
     loaded = load_streaming_trace(sink.path)
     assert len(loaded.events) == tracer.total_events
