@@ -16,8 +16,10 @@ Everything a downstream user needs without writing Python::
 from __future__ import annotations
 
 import argparse
+import errno
 import os
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -965,6 +967,8 @@ def main(argv=None) -> int:
         LayoutError,
         UnrecoverableFailureError,
         FileNotFoundError,
+        IsADirectoryError,
+        PermissionError,
     ) as exc:
         # domain errors (including a missing input artifact) become a
         # one-line message, not a traceback
@@ -1002,6 +1006,11 @@ def _run_with_obs(args: argparse.Namespace) -> int:
     metrics_port = getattr(args, "metrics_port", None)
     if trace_out is None and metrics_out is None and metrics_port is None:
         return _dispatch(args)
+    # an unwritable export path fails now, not after the whole command
+    # ran and printed its results
+    for out in (trace_out, metrics_out):
+        if out is not None:
+            _check_writable(out)
 
     from contextlib import ExitStack
 
@@ -1055,6 +1064,23 @@ def _run_with_obs(args: argparse.Namespace) -> int:
             path = obs.write_metrics(metrics_out, reg)
             print(f"metrics written to {path}", file=sys.stderr)
         return rc
+
+
+def _check_writable(path) -> None:
+    """Raise the error opening ``path`` for writing would raise.
+
+    Checks without creating or truncating the file: the directory must
+    exist, the path must not be a directory, and the file (or, for a
+    new file, its directory) must be writable.
+    """
+    path = Path(path)
+    directory = path.parent
+    if not directory.is_dir():
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), str(path))
+    if path.is_dir():
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+    if not os.access(path if path.exists() else directory, os.W_OK):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(path))
 
 
 def _dispatch(args: argparse.Namespace) -> int:

@@ -221,6 +221,21 @@ def test_simulate_rebuild_streaming_trace_with_sampling(capsys, tmp_path):
     assert any(ev.name == "rebuild.phase" for ev in loaded.events)
 
 
+@pytest.mark.parametrize("flag", ["--trace-out", "--metrics-out"])
+def test_unwritable_export_path_fails_before_the_command_runs(
+    capsys, tmp_path, flag
+):
+    target = tmp_path / "missing" / "out.json"
+    rc = main(["simulate", "rebuild", "--layout", "mirror", "--n", "3",
+               "--failed", "0", "--stripes", "4", flag, str(target)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.startswith("error: ")
+    assert "No such file or directory" in captured.err
+    assert captured.out == ""  # the command never ran
+    assert not target.parent.exists()
+
+
 def test_obs_summary_reads_streaming_traces(capsys, tmp_path):
     trace_path = tmp_path / "trace.jsonl"
     rc, _ = run_cli(capsys, "simulate", "rebuild", "--layout", "mirror",
