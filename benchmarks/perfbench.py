@@ -28,7 +28,9 @@ Kernels:
 * ``campaign_parallel``   — the same sweep fanned over every core
 * ``campaign_pooled``     — the same sweep on a persistent ``WorkerPool``
                             with a shared-memory film block
-* ``obs_overhead``        — the engine kernel under five observability
+* ``obs_overhead``        — the engine kernel, every request with a
+                            completion callback as in every real
+                            workload, under five observability
                             configurations: a hook-free engine subclass
                             (``bare``), the real engine with the null
                             sink (``REPRO_OBS=0``, with a flight
@@ -36,19 +38,15 @@ Kernels:
                             gate proves it is ignored), fully
                             instrumented, instrumented with a live
                             ``TimelineRecorder`` folding per-request
-                            latency windows (``engine_timeseries``),
+                            latency windows (``engine_callback_timeseries``),
                             and instrumented with a streaming JSONL
-                            trace sink draining to disk; each twice —
-                            callback-free (the vectorized drain, the
-                            gated path) and with a completion callback
-                            per request (the per-event loop every
-                            real workload runs, informational)
+                            trace sink writing to disk
 
 Derived ratios land in the record too: ``plan_cache_speedup``
 (nocache / cached), ``parallel_speedup`` (serial / parallel),
 ``pool_speedup`` (per-call pool / persistent pool) and
-``obs_null_overhead`` (null-sink slowdown over the hook-free engine —
-the ≤2% contract ``--obs-overhead`` gates in CI).
+``obs_callback_null_overhead`` (null-sink slowdown over the hook-free
+engine — the ≤2% contract ``--obs-overhead`` gates in CI).
 Gate a run against a baseline with ``tools/bench_compare.py``.
 """
 
@@ -163,11 +161,11 @@ def kernel_batch(n_ops: int) -> float:
 
 
 def kernel_openloop_submit(n_arrivals: int) -> float:
-    """Open-loop arrival scheduling: ``submit_many_at`` fan-in and drain.
+    """Open-loop arrival scheduling: ``submit_many_at`` fan-in and run.
 
     Generation is outside the timed region; the kernel prices turning a
     pre-built arrival stream into timestamped OP_CALL submissions plus
-    the calendar drain that serves them — the serve tier's hot path.
+    the run that serves them — the serve tier's hot path.
     """
     import numpy as np
 
@@ -265,8 +263,7 @@ class _BareSimulation(Simulation):
     ``REPRO_OBS=0`` prices exactly the null-sink residue (one
     ``is not None`` check per completion).  Everything cumulative is
     folded once per ``run()`` behind a null check in ``run``'s
-    ``finally`` (and the vectorized drain pays one more), so ``run``
-    itself is inherited unchanged.
+    ``finally``, so ``run`` itself is inherited unchanged.
     """
 
     def __init__(self, *args, **kwargs) -> None:
@@ -280,14 +277,10 @@ class _BareSimulation(Simulation):
         pop_batch = cal.pop_batch
         disks = self.disks
         faults = self.faults
-        callbacks = self._callbacks
-        pop_callback = callbacks.pop
+        pop_callback = self._callbacks.pop
         log = self.completed.append
         start_next = self._start_next
         while heap:
-            if until is None and cal._n_call == 0 and faults is None and not callbacks:
-                self._drain_fast()
-                break
             t = heap[0][0]
             if until is not None and t > until:
                 self.now = until
@@ -325,15 +318,13 @@ def kernel_obs_overhead(n_requests: int, repeats: int) -> dict:
     holding with the streaming machinery merged in but idle (no sink
     attached is the null path; there is nothing extra to disable).
     The ``streaming`` config prices the opposite end: fully
-    instrumented with a JSONL sink draining the span buffer to disk —
+    instrumented with a JSONL sink writing the span buffer to disk —
     informational, not gated.
 
-    The gated kernel submits without callbacks, so its run takes the
-    vectorized drain.  Every real workload submits with a completion
-    callback and so runs the per-event loop; the same five configs
-    with a no-op callback land under ``"callback"`` — informational,
-    not gated.
+    Every request carries a no-op completion callback, as in every
+    real workload.
     """
+    import gc
     import tempfile
 
     import numpy as np
@@ -352,7 +343,10 @@ def kernel_obs_overhead(n_requests: int, repeats: int) -> dict:
     disks = [int(d) for d in rng.integers(0, 8, size=n_requests)]
     offsets = [int(o) * element for o in rng.integers(0, 512, size=n_requests)]
 
-    def drive(sim_cls, enabled: bool, callback, tracer=None, recorder=None) -> float:
+    def callback(request) -> None:
+        pass
+
+    def drive(sim_cls, enabled: bool, tracer=None, recorder=None) -> float:
         from repro.disksim.request import IORequest
 
         old = set_obs_enabled(enabled)
@@ -377,17 +371,17 @@ def kernel_obs_overhead(n_requests: int, repeats: int) -> dict:
             if tracer is not None:
                 tracer.close()
 
+        # start every config from a collected heap, so none pays for
+        # the garbage the previous one left behind
+        gc.collect()
         return _time(go)
 
-    def drive_streaming(callback) -> float:
+    def drive_streaming() -> float:
         with tempfile.NamedTemporaryFile(suffix=".jsonl", delete=False) as tmp:
             path = Path(tmp.name)
         try:
             return drive(
-                Simulation,
-                enabled=True,
-                callback=callback,
-                tracer=Tracer(sink=JsonlTraceSink(path)),
+                Simulation, enabled=True, tracer=Tracer(sink=JsonlTraceSink(path))
             )
         finally:
             path.unlink(missing_ok=True)
@@ -396,39 +390,39 @@ def kernel_obs_overhead(n_requests: int, repeats: int) -> dict:
     # must hold with one present, because REPRO_OBS=0 is contracted to
     # skip it at construction.
     configs = {
-        "bare": lambda cb: drive(_BareSimulation, False, cb),
-        "null": lambda cb: drive(
-            Simulation, False, cb, recorder=TimelineRecorder(registry=False)
+        "bare": lambda: drive(_BareSimulation, False),
+        "null": lambda: drive(
+            Simulation, False, recorder=TimelineRecorder(registry=False)
         ),
-        "instrumented": lambda cb: drive(Simulation, True, cb),
-        "timeseries": lambda cb: drive(
-            Simulation, True, cb, recorder=TimelineRecorder(registry=False)
+        "instrumented": lambda: drive(Simulation, True),
+        "timeseries": lambda: drive(
+            Simulation, True, recorder=TimelineRecorder(registry=False)
         ),
         "streaming": drive_streaming,
     }
-    paths = {"drain": None, "callback": lambda request: None}
-    times = {(path, name): [] for path in paths for name in configs}
-    # interleave the configs within each round: sequential blocks bias
-    # the comparison (warm-up and CPU frequency drift land entirely on
-    # whichever config runs first), which at a 2% threshold drowns the
-    # signal being gated
-    for _ in range(repeats):
-        for path, callback in paths.items():
-            for name, run in configs.items():
-                times[path, name].append(run(callback))
+    names = list(configs)
+    times: dict[str, list[float]] = {name: [] for name in names}
+    # interleave the configs within each round and vary their order:
+    # sequential blocks or a fixed order bias the comparison (warm-up,
+    # CPU frequency drift and the previous config's leftovers land on
+    # whichever config runs first or after the heaviest one), which at
+    # a 2% threshold drowns the signal being gated.  Round i starts at
+    # config i and walks the ring of five with step 1..4 (each coprime
+    # with 5), so every config leads in turn and none always follows
+    # the same one.
+    n = len(names)
+    for i in range(repeats):
+        step = 1 + i % (n - 1)
+        for j in range(n):
+            name = names[(i + j * step) % n]
+            times[name].append(configs[name]())
 
-    def summary(path: str) -> dict:
-        best = {name: min(times[path, name]) for name in configs}
-        bare_s = max(best["bare"], 1e-9)
-        out = {f"{name}_s": best[name] for name in configs}
-        for name in configs:
-            if name != "bare":
-                out[f"{name}_overhead"] = best[name] / bare_s - 1.0
-        return out
-
-    result = summary("drain")
-    result["callback"] = summary("callback")
-    return result
+    best = {name: min(times[name]) for name in names}
+    bare_s = max(best["bare"], 1e-9)
+    out = {f"{name}_s": best[name] for name in names}
+    for name in names[1:]:
+        out[f"{name}_overhead"] = best[name] / bare_s - 1.0
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -499,37 +493,20 @@ def run_suite(tiny: bool, repeats: int) -> dict:
     )
     print(f"  campaign_pooled   {kernels['campaign_pooled']:.3f} s")
     obs = kernel_obs_overhead(scale["engine_requests"], repeats)
-    kernels["engine_bare"] = obs["bare_s"]
-    kernels["engine_nullsink"] = obs["null_s"]
-    kernels["engine_instrumented"] = obs["instrumented_s"]
-    kernels["engine_timeseries"] = obs["timeseries_s"]
-    kernels["engine_streaming"] = obs["streaming_s"]
-    cb = obs["callback"]
-    for name in ("bare", "null", "instrumented", "timeseries", "streaming"):
-        kernels[f"engine_callback_{name}"] = cb[f"{name}_s"]
+    names = ("bare", "null", "instrumented", "timeseries", "streaming")
+    for name in names:
+        kernels[f"engine_callback_{name}"] = obs[f"{name}_s"]
     print(f"  obs_overhead      bare {obs['bare_s']:.3f} s, "
-          f"null {obs['null_s']:.3f} s ({obs['null_overhead']:+.1%}), "
-          f"instrumented {obs['instrumented_s']:.3f} s "
-          f"({obs['instrumented_overhead']:+.1%}), "
-          f"timeseries {obs['timeseries_s']:.3f} s "
-          f"({obs['timeseries_overhead']:+.1%}), "
-          f"streaming {obs['streaming_s']:.3f} s "
-          f"({obs['streaming_overhead']:+.1%})")
-    print(f"  obs (callbacks)   bare {cb['bare_s']:.3f} s, "
-          f"null {cb['null_overhead']:+.1%}, "
-          f"instrumented {cb['instrumented_overhead']:+.1%}, "
-          f"timeseries {cb['timeseries_overhead']:+.1%}, "
-          f"streaming {cb['streaming_overhead']:+.1%}")
+          f"null {obs['null_overhead']:+.1%}, "
+          f"instrumented {obs['instrumented_overhead']:+.1%}, "
+          f"timeseries {obs['timeseries_overhead']:+.1%}, "
+          f"streaming {obs['streaming_overhead']:+.1%}")
 
     derived = {
-        "obs_null_overhead": obs["null_overhead"],
-        "obs_instrumented_overhead": obs["instrumented_overhead"],
-        "obs_timeseries_overhead": obs["timeseries_overhead"],
-        "obs_streaming_overhead": obs["streaming_overhead"],
-        "obs_callback_null_overhead": cb["null_overhead"],
-        "obs_callback_instrumented_overhead": cb["instrumented_overhead"],
-        "obs_callback_timeseries_overhead": cb["timeseries_overhead"],
-        "obs_callback_streaming_overhead": cb["streaming_overhead"],
+        **{
+            f"obs_callback_{name}_overhead": obs[f"{name}_overhead"]
+            for name in names[1:]
+        },
         "plan_cache_speedup": kernels["rebuild_nocache"]
         / max(kernels["rebuild_cached"], 1e-9),
         "parallel_speedup": kernels["campaign_serial"]
@@ -576,22 +553,13 @@ def main(argv=None) -> int:
         n_requests = 2000 if args.tiny else 20000
         repeats = max(args.repeats, 5)  # 2%-level gating needs stable best-of
         obs = kernel_obs_overhead(n_requests, repeats)
-        print(f"obs overhead gate ({n_requests} requests, best of {repeats}):")
+        print(f"obs overhead gate ({n_requests} requests, each with a "
+              f"completion callback, best of {repeats}):")
         print(f"  bare          {obs['bare_s']:.4f} s")
-        print(f"  null sink     {obs['null_s']:.4f} s  ({obs['null_overhead']:+.2%})")
-        print(f"  instrumented  {obs['instrumented_s']:.4f} s  "
-              f"({obs['instrumented_overhead']:+.2%})")
-        print(f"  timeseries    {obs['timeseries_s']:.4f} s  "
-              f"({obs['timeseries_overhead']:+.2%})")
-        print(f"  streaming     {obs['streaming_s']:.4f} s  "
-              f"({obs['streaming_overhead']:+.2%})")
-        cb = obs["callback"]
-        print("per-event loop, every request with a callback (informational):")
-        print(f"  bare          {cb['bare_s']:.4f} s")
         for name in ("null", "instrumented", "timeseries", "streaming"):
             label = "null sink" if name == "null" else name
-            print(f"  {label:<13} {cb[name + '_s']:.4f} s  "
-                  f"({cb[name + '_overhead']:+.2%})")
+            print(f"  {label:<13} {obs[name + '_s']:.4f} s  "
+                  f"({obs[name + '_overhead']:+.2%})")
         if obs["null_overhead"] > args.obs_tolerance:
             print(f"FAIL: null-sink overhead {obs['null_overhead']:.2%} exceeds "
                   f"{args.obs_tolerance:.0%}", file=sys.stderr)

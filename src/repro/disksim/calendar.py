@@ -23,9 +23,8 @@ Storage
 Pending events are kept in a binary heap of ``(time, seq, opcode,
 arg0)`` scalar tuples.  The calendar is shallow (one ``OP_COMPLETE``
 per busy disk plus a handful of deferred calls), so a scalar heap beats
-per-event numpy element ops by a wide margin; numpy enters only in
-:meth:`TypedCalendar.drain_completions`, which hands the engine's
-vectorized drain its seed arrays (see ``docs/performance.md``).
+per-event numpy element ops by a wide margin (see
+``docs/performance.md``).
 
 Determinism: ``seq`` is globally unique and monotone, so heap
 comparisons never reach the opcode and ties break in scheduling order.
@@ -35,8 +34,6 @@ from __future__ import annotations
 
 from heapq import heappop, heappush
 from typing import Callable
-
-import numpy as np
 
 __all__ = ["OP_CALL", "OP_COMPLETE", "TypedCalendar"]
 
@@ -55,21 +52,15 @@ class TypedCalendar:
     * :meth:`pop_batch` — remove and return *every* event sharing the
       earliest timestamp, in ``seq`` order;
     * :meth:`take_call` — claim the callable behind an ``OP_CALL``;
-    * ``_n_call`` — how many pending events are ``OP_CALL`` (zero
-      means the calendar holds only completions, the precondition for
-      the engine's vectorized drain);
     * ``n_taken`` — how many ``OP_CALL`` events have been claimed, ever
-      (the engine's dispatch counter is completions plus this);
-    * :meth:`drain_completions` — empty the calendar into numpy seed
-      arrays (completions only).
+      (the engine's dispatch counter is completions plus this).
     """
 
-    __slots__ = ("_heap", "_calls", "_n_call", "n_taken")
+    __slots__ = ("_heap", "_calls", "n_taken")
 
     def __init__(self) -> None:
         self._heap: list[tuple[float, int, int, int]] = []
         self._calls: dict[int, tuple[Callable[..., None], tuple]] = {}
-        self._n_call = 0
         self.n_taken = 0
 
     # ------------------------------------------------------------------
@@ -82,12 +73,10 @@ class TypedCalendar:
     ) -> None:
         """Schedule an arbitrary callable (the ``OP_CALL`` escape hatch)."""
         self._calls[seq] = (action, args)
-        self._n_call += 1
         heappush(self._heap, (time, seq, OP_CALL, 0))
 
     def take_call(self, seq: int) -> tuple[Callable[..., None], tuple]:
         """Claim (and forget) the callable behind an ``OP_CALL`` event."""
-        self._n_call -= 1
         self.n_taken += 1
         return self._calls.pop(seq)
 
@@ -110,23 +99,3 @@ class TypedCalendar:
         while heap and heap[0][0] == t:
             batch.append(heappop(heap))
         return batch
-
-    # ------------------------------------------------------------------
-    def drain_completions(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Empty the calendar into ``(times, seqs, disks)`` seed arrays.
-
-        Preconditions (the engine checks them): every pending event is
-        ``OP_COMPLETE``.  The returned arrays are sorted by
-        ``(time, seq)`` — the order the events would have popped in.
-        """
-        events = sorted(self._heap)
-        self._heap.clear()
-        n = len(events)
-        times = np.empty(n, dtype=np.float64)
-        seqs = np.empty(n, dtype=np.int64)
-        disks = np.empty(n, dtype=np.int64)
-        for i, (t, s, _op, a0) in enumerate(events):
-            times[i] = t
-            seqs[i] = s
-            disks[i] = a0
-        return times, seqs, disks

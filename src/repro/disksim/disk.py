@@ -129,8 +129,7 @@ class DiskModel:
         self.params = p = params if params is not None else DiskParameters.savvio_10k3()
         # every per-request quantity of the service-time model, computed
         # once (the parameters are frozen) with the same expressions as
-        # the DiskParameters helpers, so each float is bit-identical;
-        # the engine's vectorized drain reads these too
+        # the DiskParameters helpers, so each float is bit-identical
         self.capacity = p.capacity_bytes
         self.t2t_seek_s = p.track_to_track_seek_ms / 1e3
         self.seek_span_s = p.full_stroke_seek_ms / 1e3 - self.t2t_seek_s

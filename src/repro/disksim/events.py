@@ -31,20 +31,14 @@ Calendar
 Pending events live in the opcode calendar of
 :mod:`repro.disksim.calendar`: completions are integer-payload events
 dispatched through a two-entry opcode table, and the run loop pops
-whole same-timestamp batches.  When the pending set is completions
-only, with no callbacks and no fault hooks, the engine leaves the
-per-event loop entirely and computes every disk's remaining timeline
-vectorized (:meth:`Simulation._drain_fast`).  The drain is
-bit-identical to the per-event loop; the property suite in
-``tests/disksim/test_drain_property.py`` pins this.
+whole same-timestamp batches.  There is one run loop: every
+completion, with or without a callback, fault hook or tracer, takes
+the same per-event step in :meth:`Simulation._run_events`.
 """
 
 from __future__ import annotations
 
-import heapq
 from typing import Callable
-
-import numpy as np
 
 from ..obs import default_recorder, default_registry, default_tracer, obs_enabled
 from ..obs.export import IoSpan
@@ -186,23 +180,6 @@ class _SimObs:
             self.errors.inc(n_errors)
         if n_retries:
             self.retries.inc(n_retries)
-
-    def on_drain(self, completed: list[IORequest], disk_ids) -> None:
-        """What the vectorized drain owes at completion time.
-
-        The drained disks' queue-depth gauges land on their final depth
-        (0 — the drain ran to quiescence), and one trace row per request
-        passes the tracer's gate in completion order.  Everything
-        cumulative is left to :meth:`fold`, as on the per-event path.
-        """
-        qd = self.qd
-        for d in disk_ids:
-            qd[int(d)].set(0)
-        record = self.record_span
-        if record is not None:
-            pid = self.span_pid
-            for r in completed:
-                record(IoSpan(pid, r))
 
 
 class _DiskServer:
@@ -431,11 +408,7 @@ class Simulation:
         A completion frees its disk, runs the fault hook, logs the
         request, updates the queue-depth gauge and records its trace
         row (when observed), fires the callback and starts the disk's
-        next request.  Whenever the pending set is completions-only with no
-        callbacks outstanding and no fault hooks installed (checked per
-        batch — a deferred ``OP_CALL`` firing can make the rest of the
-        run eligible), the loop hands the whole remainder to
-        :meth:`_drain_fast` instead of popping events one at a time.
+        next request.
         """
         cal = self._cal
         heap = cal._heap
@@ -443,17 +416,13 @@ class Simulation:
         pop_batch = cal.pop_batch
         disks = self.disks
         faults = self.faults
-        callbacks = self._callbacks
-        pop_callback = callbacks.pop
+        pop_callback = self._callbacks.pop
         log = self.completed.append
         start_next = self._start_next
         obs = self._obs
         record_span = obs.record_span if obs is not None else None
         span_pid = obs.span_pid if obs is not None else 0
         while heap:
-            if until is None and cal._n_call == 0 and faults is None and not callbacks:
-                self._drain_fast()
-                break
             t = heap[0][0]
             if until is not None and t > until:
                 self.now = until
@@ -484,180 +453,6 @@ class Simulation:
             self.now = until
         return self.now
 
-    # ------------------------------------------------------------------
-    def _drain_fast(self) -> None:
-        """Run every pending completion to quiescence, vectorized.
-
-        Preconditions (checked by :meth:`run`): the calendar
-        holds only ``OP_COMPLETE`` events, no completion callbacks are
-        registered, and no fault model is installed.  Under those
-        conditions the disks are mutually independent — nothing a
-        completion does can affect another disk — so each disk's
-        remaining timeline is one scheduler :meth:`~repro.disksim.
-        scheduler.Scheduler.drain` plus a vectorized service-time
-        computation, and the global completion order is a merge of the
-        per-disk streams.  Every float is produced by the same
-        sequence of IEEE operations the per-event loop performs, so
-        clocks, busy times and request timestamps are bit-identical.
-        """
-        cal = self._cal
-        times, seqs, disk_ids = cal.drain_completions()
-        disks = self.disks
-        n_streams = len(times)
-        stream_f: list[np.ndarray] = []   # finish times, in-flight head first
-        stream_reqs: list[list[IORequest]] = []
-        total = 0
-        for si in range(n_streams):
-            server = disks[int(disk_ids[si])]
-            current = server.current
-            t0 = float(times[si])
-            queue = server.scheduler
-            if queue:
-                model = server.model
-                reqs = queue.drain(model.head_position)
-                durations = self._vector_service(model, reqs)
-                k = len(reqs)
-                f = np.empty(k + 1, dtype=np.float64)
-                f[0] = t0
-                f[1:] = durations
-                np.cumsum(f, out=f)  # accumulate preserves serve order
-                flist = f.tolist()
-                prev = t0
-                for r, ft in zip(reqs, flist[1:]):
-                    r.start_time = prev
-                    r.finish_time = ft
-                    prev = ft
-                stream = [current]
-                stream.extend(reqs)
-                stream_reqs.append(stream)
-                total += 1 + k
-            else:
-                f = times[si : si + 1]
-                stream_reqs.append([current])
-                total += 1
-            stream_f.append(f)
-            server.busy = False
-            server.current = None
-        if not total:
-            return
-        self._pending -= total
-        # global completion order: merge the per-disk streams the way
-        # the calendar would have popped them
-        if n_streams == 1:
-            ordered = stream_reqs[0]
-            self.now = float(stream_f[0][-1])
-            self._seq += total - 1
-        else:
-            all_f = np.concatenate(stream_f)
-            srt = np.sort(all_f)
-            self.now = float(srt[-1])
-            if (srt[1:] == srt[:-1]).any():
-                # equal finish times across disks: replay the heap's
-                # dynamic tie-breaking (each pop schedules the popped
-                # disk's next completion with the next global seq)
-                ordered = self._merge_streams(stream_f, stream_reqs, seqs)
-            else:
-                flat = np.empty(total, dtype=object)
-                pos = 0
-                for sr in stream_reqs:
-                    flat[pos : pos + len(sr)] = sr
-                    pos += len(sr)
-                ordered = flat[np.argsort(all_f)].tolist()
-                self._seq += total - n_streams
-        self.completed.extend(ordered)
-        if self._obs is not None:
-            self._obs.on_drain(ordered, disk_ids)
-
-    def _merge_streams(
-        self,
-        stream_f: list[np.ndarray],
-        stream_reqs: list[list[IORequest]],
-        seqs: np.ndarray,
-    ) -> list[IORequest]:
-        """Merge per-disk completion streams by ``(time, seq)``.
-
-        The in-flight heads carry the seqs their events were scheduled
-        with; every subsequent completion takes the next global seq at
-        the moment its predecessor pops — exactly the per-event loop's
-        assignment order, so ties resolve identically.
-        """
-        flists = [f.tolist() for f in stream_f]
-        heap = [
-            (flists[si][0], int(seqs[si]), si, 0) for si in range(len(flists))
-        ]
-        heapq.heapify(heap)
-        seq = self._seq
-        ordered: list[IORequest] = []
-        while heap:
-            t, s, si, i = heapq.heappop(heap)
-            ordered.append(stream_reqs[si][i])
-            ni = i + 1
-            fl = flists[si]
-            if ni < len(fl):
-                seq += 1
-                heapq.heappush(heap, (fl[ni], seq, si, ni))
-        self._seq = seq
-        return ordered
-
-    def _vector_service(self, model: DiskModel, reqs: list[IORequest]) -> np.ndarray:
-        """Service times for ``reqs`` served back to back, vectorized.
-
-        Replicates :meth:`~repro.disksim.disk.DiskModel.service_time`
-        and :meth:`~repro.disksim.disk.DiskModel.serve` elementwise —
-        same expression grouping, so every duration is the bit-exact
-        float the scalar path computes — and leaves the model's head,
-        sequential-run and byte counters in the post-serve state.
-        ``model.busy_time`` accumulates in serve order.
-        """
-        k = len(reqs)
-        capacity = model.capacity
-        off = np.fromiter((r.offset for r in reqs), np.int64, k)
-        size = np.fromiter((r.size for r in reqs), np.int64, k)
-        end = off + size
-        if int(end.max()) > capacity:
-            bad = reqs[int(np.argmax(end > capacity))]
-            raise ValueError(
-                f"request [{bad.offset}, {bad.end}) beyond disk capacity {capacity}"
-            )
-        is_write = np.fromiter((r.kind is IOKind.WRITE for r in reqs), np.bool_, k)
-        # the head and last-transfer state chain through the batch: the
-        # disk is busy, so its model already reflects the in-flight
-        # request (head == last_end == its end)
-        prev_end = np.empty(k, dtype=np.int64)
-        prev_end[0] = model._last_end
-        prev_end[1:] = end[:-1]
-        prev_write = np.empty(k, dtype=np.bool_)
-        prev_write[0] = model._last_kind is IOKind.WRITE
-        prev_write[1:] = is_write[:-1]
-        sequential = (off == prev_end) & (is_write == prev_write)
-        transfer = np.where(is_write, size / model.write_rate, size / model.read_rate)
-        dist = np.abs(off - prev_end)
-        frac = np.minimum(1.0, dist / capacity)
-        seek = np.where(
-            dist <= 0, 0.0, model.t2t_seek_s + model.seek_span_s * np.sqrt(frac)
-        )
-        overhead = np.where(is_write, model.write_overhead_s, model.read_overhead_s)
-        scattered = ((seek + model.half_rotation_s) + transfer) + overhead
-        durations = np.where(sequential, transfer, scattered)
-        # post-serve model state
-        n_seq = int(np.count_nonzero(sequential))
-        model.n_sequential += n_seq
-        model.n_scattered += k - n_seq
-        bytes_written = int(size[is_write].sum())
-        bytes_total = int(size.sum())
-        model.bytes_written += bytes_written
-        model.bytes_read += bytes_total - bytes_written
-        busy = np.empty(k + 1, dtype=np.float64)
-        busy[0] = model.busy_time
-        busy[1:] = durations
-        np.cumsum(busy, out=busy)
-        model.busy_time = float(busy[-1])
-        last_end = int(end[-1])
-        model._head = last_end
-        model._last_end = last_end
-        model._last_kind = reqs[-1].kind
-        return durations
-
     def max_finish_time_since(self, index: int, default: float = 0.0) -> float:
         """Latest completion time among ``completed[index:]`` — O(1).
 
@@ -673,10 +468,6 @@ class Simulation:
             if latest > default:
                 return latest
         return default
-
-    def drain(self) -> float:
-        """Alias of :meth:`run` to quiescence."""
-        return self.run()
 
     # ------------------------------------------------------------------
     @property

@@ -17,14 +17,9 @@ C tuple code (no ``key=`` callable per probe), and ``req_id`` is unique
 so ordering never falls through to comparing requests.  Arrivals stage
 in a plain append-only list and merge into the sorted queue lazily at
 the next pop: a burst of ``add`` calls costs one ``sort`` instead of a
-memmove-per-insert.  ``tests/disksim/test_scheduler_equivalence.py``
+memmove-per-insert.  ``tests/disksim/test_scheduler_property.py``
 property-checks that the ordering is identical to the original
 linear-scan definition.
-
-Every scheduler also supports :meth:`Scheduler.drain` — the full serve
-order under no further arrivals — which the event engine's vectorized
-drain path uses to compute a disk's remaining timeline in one call
-instead of one ``pop`` per completion event.
 """
 
 from __future__ import annotations
@@ -33,144 +28,9 @@ from bisect import bisect_left, insort
 from collections import deque
 from typing import Iterable
 
-import numpy as np
-
 from .request import IORequest
 
 __all__ = ["Scheduler", "FIFOScheduler", "ElevatorScheduler", "PriorityScheduler"]
-
-#: Below this queue length the Python sweep beats the numpy grid path's
-#: fixed array-materialisation cost.
-_GRID_MIN = 128
-
-
-def _grid_drain_staged(staged: list[IORequest], head: int) -> list[IORequest] | None:
-    """Vectorized drain order straight from unsorted arrivals, else ``None``.
-
-    Same uniform-grid argument as :func:`_cscan_drain_grid`, but starting
-    from the elevator's *staged* (arrival-order) list: one ``lexsort`` by
-    ``(offset, req_id)`` replaces the comparison sort the lazy merge
-    would otherwise pay, and no ``((offset, req_id), request)`` pair
-    tuples are ever built.
-    """
-    n = len(staged)
-    first_size = staged[0].size
-    sizes = np.fromiter((r.size for r in staged), np.int64, n)
-    if not (sizes == first_size).all():
-        return None
-    offs = np.fromiter((r.offset for r in staged), np.int64, n)
-    if (offs % first_size).any():
-        return None
-    rids = np.fromiter((r.req_id for r in staged), np.int64, n)
-    order = np.lexsort((rids, offs))
-    offs = offs[order]
-    start = int(np.searchsorted(offs, head, side="left"))
-    if start == n:
-        start = 0  # wrap: the first sweep covers the whole queue
-    boundary = np.empty(n, dtype=bool)
-    boundary[0] = True
-    np.not_equal(offs[1:], offs[:-1], out=boundary[1:])
-    run_starts = np.flatnonzero(boundary)
-    run_lengths = np.diff(run_starts, append=np.int64(n))
-    occurrence = np.arange(n, dtype=np.int64) - np.repeat(run_starts, run_lengths)
-    sweep = occurrence + (np.arange(n) < start)
-    final = order[np.argsort(sweep, kind="stable")]
-    return [staged[i] for i in final.tolist()]
-
-
-def _cscan_drain_grid(q: list, head: int) -> list[IORequest] | None:
-    """Vectorized drain order for uniform-grid queues, else ``None``.
-
-    When every request has the same size ``s`` and every offset is a
-    multiple of ``s`` (the element-array common case), consecutive
-    distinct offsets differ by at least ``s`` — so each C-SCAN sweep
-    serves exactly the *first remaining* request of every distinct
-    offset it covers.  A request's sweep number is therefore its
-    occurrence index within its equal-offset run, plus one if it sits
-    before the initial head (the first sweep only covers offsets at or
-    beyond the head).  The serve order is then a single stable argsort
-    by sweep number: ties keep the queue's (offset, req_id) order,
-    which is exactly the order each sweep picks them in.
-    """
-    n = len(q)
-    s = q[0][1].size
-    sizes = np.fromiter((pair[1].size for pair in q), np.int64, n)
-    if not (sizes == s).all():
-        return None
-    offs = np.fromiter((pair[0][0] for pair in q), np.int64, n)
-    if (offs % s).any():
-        return None
-    start = int(np.searchsorted(offs, head, side="left"))
-    if start == n:
-        start = 0  # wrap: the first sweep covers the whole queue
-    boundary = np.empty(n, dtype=bool)
-    boundary[0] = True
-    np.not_equal(offs[1:], offs[:-1], out=boundary[1:])
-    run_starts = np.flatnonzero(boundary)
-    run_lengths = np.diff(run_starts, append=np.int64(n))
-    occurrence = np.arange(n, dtype=np.int64) - np.repeat(run_starts, run_lengths)
-    sweep = occurrence + (np.arange(n) < start)
-    order = np.argsort(sweep, kind="stable")
-    return [q[i][1] for i in order.tolist()]
-
-
-def _cscan_drain(q: list, head: int) -> list[IORequest]:
-    """Serve order of repeated C-SCAN pops over a sorted pair list.
-
-    ``q`` is a ``((offset, req_id), request)`` list sorted ascending;
-    it is consumed.  Each sweep walks forward from the head greedily
-    chaining requests whose offset is at or beyond the previous
-    request's end (the head after serving), wraps to the lowest
-    remaining offset, and repeats — exactly the sequence of
-    ``pop(head)`` results, computed in O(n) per sweep instead of a
-    bisect plus list memmove per pop.
-    """
-    if len(q) >= _GRID_MIN:
-        ordered = _cscan_drain_grid(q, head)
-        if ordered is not None:
-            q.clear()
-            return ordered
-    out: list[IORequest] = []
-    low_yield_sweeps = 0
-    while q:
-        n_before = len(q)
-        start = bisect_left(q, ((head, -1),))
-        if start == len(q):
-            start = 0  # wrap: lowest remaining offset
-        leftovers = q[:start]
-        cur_end = -1  # first pick is unconditional (offsets are >= 0)
-        append = out.append
-        skip = leftovers.append
-        for j in range(start, n_before):
-            pair = q[j]
-            if pair[0][0] >= cur_end:
-                req = pair[1]
-                append(req)
-                cur_end = req.offset + req.size
-            else:
-                skip(pair)
-        q = leftovers
-        head = cur_end
-        # degenerate queues (many requests overlapping one hot range)
-        # pick O(1) requests per sweep; finish those with per-pop
-        # bisects rather than going quadratic in whole-queue sweeps.
-        # One low-yield sweep is normal (the first sweep starts at an
-        # arbitrary head, so it only covers the top of the range) —
-        # only bail after two in a row.
-        if (n_before - len(q)) * 8 < n_before:
-            low_yield_sweeps += 1
-            if low_yield_sweeps >= 2 and len(q) > 512:
-                while q:
-                    idx = bisect_left(q, ((head, -1),))
-                    if idx == len(q):
-                        idx = 0
-                    req = q.pop(idx)[1]
-                    append(req)
-                    head = req.offset + req.size
-                break
-        else:
-            low_yield_sweeps = 0
-    return out
 
 
 class Scheduler:
@@ -187,24 +47,6 @@ class Scheduler:
     def pop(self, head_position: int) -> IORequest:
         """Remove and return the next request to serve."""
         raise NotImplementedError
-
-    def drain(self, head_position: int) -> list[IORequest]:
-        """Full serve order assuming no further arrivals; empties the queue.
-
-        Semantically identical to calling :meth:`pop` until empty with
-        the head advanced to each served request's end — which is what
-        the engine does between arrivals, since the disk model moves
-        its head to ``request.end`` after every serve.  Subclasses
-        override this with O(n)-ish extraction; the base implementation
-        is the literal pop loop, so any scheduler is drainable.
-        """
-        out: list[IORequest] = []
-        pop = self.pop
-        while self:
-            request = pop(head_position)
-            out.append(request)
-            head_position = request.offset + request.size
-        return out
 
     def __len__(self) -> int:
         return len(self._pending)
@@ -241,11 +83,6 @@ class FIFOScheduler(Scheduler):
             raise IndexError("pop from empty scheduler")
         return self._pending.popleft()  # type: ignore[attr-defined]
 
-    def drain(self, head_position: int) -> list[IORequest]:
-        out = list(self._pending)
-        self._pending.clear()
-        return out
-
 
 class ElevatorScheduler(Scheduler):
     """C-SCAN: ascending offsets from the head, wrapping to the lowest.
@@ -266,7 +103,7 @@ class ElevatorScheduler(Scheduler):
     def add(self, request: IORequest) -> None:
         # bare request, no sort-key pair — arrivals are the engine's
         # hottest path and the key is only needed once the queue is
-        # actually ordered (lazily, at the next pop or drain)
+        # actually ordered (lazily, at the next pop)
         self._staged.append(request)
 
     def _merge(self) -> None:
@@ -294,18 +131,6 @@ class ElevatorScheduler(Scheduler):
         if idx == len(q):
             idx = 0  # wrap: lowest offset
         return q.pop(idx)[1]
-
-    def drain(self, head_position: int) -> list[IORequest]:
-        staged = self._staged
-        if not self._q and len(staged) >= _GRID_MIN:
-            out = _grid_drain_staged(staged, head_position)
-            if out is not None:
-                staged.clear()
-                return out
-        self._merge()
-        q = self._q
-        self._q = []
-        return _cscan_drain(q, head_position)
 
     def __len__(self) -> int:
         return len(self._q) + len(self._staged)
@@ -357,20 +182,6 @@ class PriorityScheduler(Scheduler):
             del self._classes[top]
         self._count -= 1
         return request
-
-    def drain(self, head_position: int) -> list[IORequest]:
-        # with no arrivals, strict priority serves class 0 to empty,
-        # then class 1, ... — the head carries across class boundaries
-        out: list[IORequest] = []
-        for priority in sorted(self._classes):
-            chain = _cscan_drain(self._classes[priority], head_position)
-            out.extend(chain)
-            if chain:
-                last = chain[-1]
-                head_position = last.offset + last.size
-        self._classes.clear()
-        self._count = 0
-        return out
 
     def __len__(self) -> int:
         return self._count

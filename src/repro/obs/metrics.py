@@ -210,7 +210,7 @@ class Distribution:
         assignment vectorises on large batches, but the running ``sum``
         still accumulates value by value in input order, so batch and
         per-value observation leave bit-identical state — the contract
-        the engine's vectorized drain path relies on.
+        the engine's once-per-run completion fold relies on.
         """
         vlist = values.tolist() if hasattr(values, "tolist") else list(values)
         n = len(vlist)

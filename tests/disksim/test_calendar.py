@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.disksim.calendar import OP_CALL, OP_COMPLETE, TypedCalendar
 
 
@@ -33,32 +31,21 @@ def test_call_side_table_roundtrip():
     hits = []
     cal.push_call(1.0, 1, hits.append, ("a",))
     cal.push_call(2.0, 2, hits.append, ("b",))
-    assert cal._n_call == 2
     (event,) = cal.pop_batch()
     assert event[2] == OP_CALL
     action, args = cal.take_call(event[1])
     action(*args)
-    assert hits == ["a"] and cal._n_call == 1
+    assert hits == ["a"] and cal.n_taken == 1
 
 
 def test_call_count_tracks_mixed_calendar():
-    """``_n_call == 0`` is the engine's precondition for the drain."""
+    """``n_taken`` counts claimed calls only, never completions."""
     cal = TypedCalendar()
     cal.push(1.0, 1, OP_COMPLETE, 0)
-    assert cal._n_call == 0
     cal.push_call(2.0, 2, print, ())
-    assert cal._n_call == 1
     assert len(cal) == 2
-
-
-def test_drain_completions_sorted_and_empties():
-    cal = TypedCalendar()
-    cal.push(2.0, 5, OP_COMPLETE, 1)
-    cal.push(1.0, 3, OP_COMPLETE, 0)
-    cal.push(1.0, 4, OP_COMPLETE, 2)
-    times, seqs, disks = cal.drain_completions()
-    assert times.tolist() == [1.0, 1.0, 2.0]
-    assert seqs.tolist() == [3, 4, 5]
-    assert disks.tolist() == [0, 2, 1]
-    assert times.dtype == np.float64 and seqs.dtype == np.int64
-    assert len(cal) == 0
+    assert cal.pop_batch() == [(1.0, 1, OP_COMPLETE, 0)]
+    assert cal.n_taken == 0
+    (event,) = cal.pop_batch()
+    cal.take_call(event[1])
+    assert cal.n_taken == 1 and len(cal) == 0

@@ -47,8 +47,8 @@ _ops = st.lists(
 )
 @settings(max_examples=80, deadline=None)
 def test_counter_equals_queue_scan(ops, deferred, per_event, until, priority):
-    """Per-event loop (a callback on every request), vectorized drain
-    (no callbacks), ``run(until=)`` and ``submit_many_at`` batches."""
+    """With and without a callback on every request, ``run(until=)``
+    and ``submit_many_at`` batches."""
     arr = _array(4, priority)
     sim = arr.sim
     seen = []
