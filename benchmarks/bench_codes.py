@@ -1,8 +1,8 @@
-"""Microbenchmarks of the erasure-coding substrate (the Jerasure stand-in).
+"""Microbenchmarks of the XOR-only RAID 6 codes.
 
 These are true repeated-measurement benchmarks (pytest-benchmark does
-the rounds): GF region kernels, Reed-Solomon encode/decode, EVENODD and
-RDP encode/decode on megabyte-scale buffers.
+the rounds): EVENODD, RDP and X-Code encode and double-erasure decode
+on 64 KiB-per-element stripes.
 """
 
 from __future__ import annotations
@@ -11,44 +11,10 @@ import numpy as np
 import pytest
 
 from repro.codes.evenodd import EvenOdd
-from repro.codes.galois import GF
 from repro.codes.rdp import RDP
-from repro.codes.reed_solomon import RSCode
+from repro.codes.xcode import XCode
 
-_MB = 1024 * 1024
 RNG = np.random.default_rng(99)
-
-
-def test_bench_gf8_multiply_region(benchmark):
-    gf = GF(8)
-    region = RNG.integers(0, 256, _MB, dtype=np.uint8)
-    out = benchmark(gf.multiply_region, 0x57, region)
-    assert out.shape == region.shape
-
-
-def test_bench_gf8_dot_regions(benchmark):
-    gf = GF(8)
-    regions = [RNG.integers(0, 256, _MB // 4, dtype=np.uint8) for _ in range(6)]
-    coeffs = [3, 7, 1, 0, 19, 255]
-    out = benchmark(gf.dot_regions, coeffs, regions)
-    assert out.shape == regions[0].shape
-
-
-def test_bench_rs_encode(benchmark):
-    code = RSCode(6, 3)
-    data = [RNG.integers(0, 256, _MB // 4, dtype=np.uint8) for _ in range(6)]
-    coding = benchmark(code.encode, data)
-    assert len(coding) == 3
-
-
-def test_bench_rs_decode_three_erasures(benchmark):
-    code = RSCode(6, 3)
-    data = [RNG.integers(0, 256, _MB // 4, dtype=np.uint8) for _ in range(6)]
-    devices = data + code.encode(data)
-    broken = [None, devices[1], None, devices[3], devices[4], None, *devices[6:]]
-    out = benchmark(code.decode, broken)
-    for i in range(6):
-        assert np.array_equal(out[i], data[i])
 
 
 @pytest.mark.parametrize("cls,p,n", [(EvenOdd, 7, 7), (RDP, 7, 6)])
@@ -71,27 +37,7 @@ def test_bench_raid6_double_decode(benchmark, cls, p, n):
     assert np.array_equal(d2, data)
 
 
-def test_bench_smart_vs_dumb_schedule_xors(benchmark):
-    """Jerasure's smart scheduling on a dense Cauchy generator."""
-    from repro.codes.bitmatrix import CauchyRSCode
-    from repro.codes.schedule import dumb_schedule, smart_schedule
-
-    code = CauchyRSCode(6, 3, 8)
-
-    def build():
-        return (
-            dumb_schedule(code.coding_bitmatrix, 6, 3, 8).xor_count,
-            smart_schedule(code.coding_bitmatrix, 6, 3, 8).xor_count,
-        )
-
-    dumb, smart = benchmark(build)
-    assert smart < dumb
-    benchmark.extra_info["xor_counts"] = {"dumb": dumb, "smart": smart}
-
-
 def test_bench_xcode_encode(benchmark):
-    from repro.codes.xcode import XCode
-
     code = XCode(7)
     data = RNG.integers(0, 256, (5, 7, 64 * 1024), dtype=np.uint8)
     diag, anti = benchmark(code.encode, data)
@@ -99,8 +45,6 @@ def test_bench_xcode_encode(benchmark):
 
 
 def test_bench_xcode_double_decode(benchmark):
-    from repro.codes.xcode import XCode
-
     code = XCode(7)
     data = RNG.integers(0, 256, (5, 7, 64 * 1024), dtype=np.uint8)
     cols = code.full_columns(data)

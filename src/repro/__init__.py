@@ -6,8 +6,8 @@ Subpackages
 -----------
 * :mod:`repro.core` — the paper's contribution: element arrangements,
   properties, layouts, reconstruction/write plans, closed-form analysis.
-* :mod:`repro.codes` — erasure-coding substrate (GF(2^w), Reed-Solomon,
-  EVENODD, RDP) standing in for Jerasure-1.2.
+* :mod:`repro.codes` — the XOR-only RAID 6 codes (EVENODD, RDP and
+  X-Code) behind the RAID 6 baselines.
 * :mod:`repro.disksim` — event-driven disk array simulator calibrated
   to the paper's Savvio 10K.3 testbed.
 * :mod:`repro.raidsim` — RAID controller, rebuild and write drivers,

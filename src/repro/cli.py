@@ -32,6 +32,7 @@ from .core.registry import (
     comparison_families,
     comparison_pair,
 )
+from .experiments.runner import EXPERIMENT_IDS, run_all
 
 __all__ = ["main", "build_layout", "LAYOUTS"]
 
@@ -86,13 +87,30 @@ def cmd_plan(args: argparse.Namespace) -> int:
     return 0
 
 
+def _check_data_cell(layout, i: int, j: int) -> None:
+    """Reject a data column ``i`` or data row ``j`` outside ``layout``."""
+    if not 0 <= j < layout.data_rows:
+        raise ValueError(
+            f"row {j} is not a data row of {layout.name} "
+            f"(data rows are 0..{layout.data_rows - 1})"
+        )
+    if not 0 <= i < layout.n:
+        raise ValueError(
+            f"column {i} is not a data column of {layout.name} "
+            f"(data columns are 0..{layout.n - 1})"
+        )
+
+
 def cmd_write_plan(args: argparse.Namespace) -> int:
     layout = build_layout(args.layout, args.n)
     if args.row is not None:
+        _check_data_cell(layout, 0, args.row)
         plan = layout.large_write_plan(args.row, strategy=args.strategy)
         what = f"full row {args.row}"
     else:
         cells = [tuple(map(int, e.split(","))) for e in args.element]
+        for i, j in cells:
+            _check_data_cell(layout, i, j)
         plan = layout.write_plan(cells, strategy=args.strategy)
         what = f"elements {cells}"
     print(f"{layout.name}: write of {what} ({args.strategy})")
@@ -107,6 +125,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     from .raidsim.controller import RaidController
     from .workloads.generator import random_large_writes
 
+    if args.ops < 1:
+        raise ValueError(f"--ops must be at least 1, got {args.ops}")
     layout = build_layout(args.layout, args.n)
     controller = RaidController(
         layout, n_stripes=args.stripes, payload_bytes=16
@@ -134,15 +154,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_experiments(args: argparse.Namespace) -> int:
-    from .experiments.runner import run_all
     from .parallel import WorkerPool
 
     # one persistent pool for the whole invocation: --jobs sizes it
     # once and every fan-out reuses the same workers
     with WorkerPool(args.jobs) as pool:
-        for result in run_all(quick=args.quick, pool=pool):
-            if args.only and result.experiment_id not in args.only:
-                continue
+        for result in run_all(quick=args.quick, only=args.only, pool=pool):
             print(result)
             print()
     return 0
@@ -249,6 +266,8 @@ def cmd_faultcampaign(args: argparse.Namespace) -> int:
         scenario_window_s,
     )
 
+    if args.seeds < 1:
+        raise ValueError(f"--seeds must be at least 1, got {args.seeds}")
     if args.seeds > 1:
         return _faultcampaign_sweep(args)
     family = args.family
@@ -745,7 +764,8 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--layout", required=True, choices=sorted(LAYOUTS))
     p.add_argument("--n", type=int, default=5)
     p.add_argument("--row", type=int, help="full-row (large) write")
-    p.add_argument("--element", nargs="+", default=[], metavar="I,J")
+    p.add_argument("--element", nargs="+", default=[], metavar="I,J",
+                   help="data elements to write: column (data disk) I, row J")
     p.add_argument("--strategy", choices=["rmw", "reconstruct"], default="rmw")
     p.set_defaults(func=cmd_write_plan)
 
@@ -762,8 +782,9 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("experiments", help="regenerate the paper's tables/figures")
     p.add_argument("--quick", action="store_true")
-    p.add_argument("--only", nargs="+", metavar="ID",
-                   help="restrict to experiment ids (table1 fig7 fig8 fig9a fig9b fig10a fig10b ext-three-mirror)")
+    p.add_argument("--only", nargs="+", metavar="ID", choices=EXPERIMENT_IDS,
+                   help="run only these experiments, from: "
+                        + " ".join(EXPERIMENT_IDS))
     p.add_argument("--jobs", type=int, default=None,
                    help="fan experiments across this many processes (0 = all cores)")
     _add_obs_args(p)
@@ -941,13 +962,12 @@ def _parser() -> argparse.ArgumentParser:
     ps.set_defaults(func=cmd_obs)
     pr = obs_sub.add_parser(
         "report",
-        help="render a flight-recorder artifact as a self-contained "
+        help="render a serve or leaderboard report as a self-contained "
              "HTML dashboard (inline SVG, no external assets)",
     )
     pr.add_argument("input", metavar="FILE",
-                    help="`repro serve --json` output, a timeseries "
-                         "snapshot .json, a .jsonl export, or a "
-                         "columnar .npz export")
+                    help="`repro serve --json` or `repro leaderboard "
+                         "--json` output, or a timeseries snapshot .json")
     pr.add_argument("--out", metavar="FILE.html", default="report.html",
                     help="output HTML path (default: report.html)")
     pr.add_argument("--title", default=None,

@@ -5,7 +5,6 @@ checkers, layout/architecture classes, plans, stacks and closed-form
 analysis used throughout the reproduction.
 """
 
-from .addressing import LogicalAddressSpace
 from .arrangement import (
     Arrangement,
     IdentityArrangement,
@@ -60,7 +59,6 @@ __all__ = [
     "ArrayKind",
     "ElementAddr",
     "StripeGeometry",
-    "LogicalAddressSpace",
     "Content",
     "Layout",
     "MirrorLayout",

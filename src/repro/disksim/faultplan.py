@@ -218,14 +218,6 @@ class ActiveFaults:
     consumes a failure budget drawn for its own chain, so two
     independent in-flight reads of the same geometry can never steal
     each other's fault state.
-
-    Beyond the frozen plan, the instance exposes *lifecycle hooks*
-    (:meth:`fail_disk`, :meth:`revive_disk`, :meth:`add_fail_slow`,
-    :meth:`add_transient_window`, :meth:`inject_lse_storm`) so a
-    long-running orchestrator — :mod:`repro.nemesis` — can inject and
-    retire faults while a simulation is live.  Dynamic faults share the
-    plan-seeded RNG stream, so a schedule replayed in the same order
-    reproduces bit-identical outcomes.
     """
 
     def __init__(
@@ -248,8 +240,6 @@ class ActiveFaults:
             if df.disk >= n_disks:
                 raise ValueError(f"failing disk {df.disk} outside the array")
         self.plan = plan
-        self.n_disks = n_disks
-        self.slots_per_disk = slots_per_disk
         self.rng = np.random.default_rng(plan.seed)
         self.lse = LatentSectorErrors(element_size)
         for disk, slot in plan.lse_cells:
@@ -263,75 +253,12 @@ class ActiveFaults:
         #: ``(chain_id, remaining failures)`` per in-flight transient,
         #: keyed by geometry
         self._transient_pending: dict[tuple[int, int, int], tuple[int, int]] = {}
-        #: fail-slow windows injected after activation (lifecycle hooks)
-        self._dynamic_fail_slow: list[FailSlow] = []
-        #: transient-burst windows: ``(start_s, end_s, spec)``
-        self._transient_windows: list[tuple[float, float, TransientFaults]] = []
-
-    # ------------------------------------------------------------------
-    # lifecycle hooks (used by repro.nemesis; safe while a sim is live)
-    # ------------------------------------------------------------------
-    def fail_disk(self, disk: int, time_s: float) -> None:
-        """Schedule (or backdate) a whole-disk failure at ``time_s``."""
-        if not 0 <= disk < self.n_disks:
-            raise ValueError(f"failing disk {disk} outside the array")
-        if disk in self._failed_at:
-            raise ValueError(f"disk {disk} already failed/scheduled; revive first")
-        self._failed_at[disk] = time_s
-
-    def revive_disk(self, disk: int) -> None:
-        """Clear a disk's failed state (post-rebuild replacement)."""
-        self._failed_at.pop(disk, None)
-
-    def add_fail_slow(
-        self,
-        disk: int,
-        multiplier: float,
-        start_s: float = 0.0,
-        end_s: float = math.inf,
-    ) -> FailSlow:
-        """Inject a fail-slow window after activation; returns the spec."""
-        if disk >= self.n_disks:
-            raise ValueError(f"fail-slow disk {disk} outside the array")
-        spec = FailSlow(disk, multiplier, start_s, end_s)
-        self._dynamic_fail_slow.append(spec)
-        return spec
-
-    def add_transient_window(
-        self, start_s: float, end_s: float, spec: TransientFaults
-    ) -> None:
-        """Raise the transient trigger rate inside ``[start_s, end_s)``.
-
-        While the window covers a read's completion time its spec
-        competes with the plan's baseline (and any other open windows);
-        the highest trigger rate wins.  Budgets drawn inside a window
-        persist past its end — an in-flight burst still has to be
-        retried through.
-        """
-        if end_s <= start_s:
-            raise ValueError(f"bad transient window [{start_s}, {end_s})")
-        self._transient_windows.append((start_s, end_s, spec))
-
-    def inject_lse_storm(self, n: int) -> int:
-        """Inject up to ``n`` random latent sector errors (plan RNG).
-
-        Returns the number actually injected — a nearly-full array
-        caps the storm instead of erroring.
-        """
-        free = self.n_disks * self.slots_per_disk - len(self.lse)
-        n = min(n, free)
-        if n > 0:
-            self.lse.inject_random(self.rng, n, self.n_disks, self.slots_per_disk)
-        return n
 
     # ------------------------------------------------------------------
     def service_factor(self, disk: int, now: float) -> float:
         """Service-time multiplier for ``disk`` at simulated time ``now``."""
         factor = 1.0
         for spec in self.plan.fail_slow:
-            if spec.disk == disk and spec.start_s <= now < spec.end_s:
-                factor *= spec.multiplier
-        for spec in self._dynamic_fail_slow:
             if spec.disk == disk and spec.start_s <= now < spec.end_s:
                 factor *= spec.multiplier
         if factor != 1.0:
@@ -345,15 +272,6 @@ class ActiveFaults:
 
     def failed_disks(self, now: float) -> list[int]:
         return sorted(d for d, t in self._failed_at.items() if now >= t)
-
-    def _transient_spec_at(self, now: float) -> TransientFaults | None:
-        """The transient spec governing a fresh read completing at ``now``."""
-        spec = self.plan.transient
-        for start_s, end_s, window_spec in self._transient_windows:
-            if start_s <= now < end_s:
-                if spec is None or window_spec.rate > spec.rate:
-                    spec = window_spec
-        return spec
 
     # ------------------------------------------------------------------
     def on_completion(self, request: IORequest) -> None:
@@ -391,7 +309,7 @@ class ActiveFaults:
             request.error_kind = "transient"
             self.counters.transient_errors += 1
             return
-        spec = self._transient_spec_at(now)
+        spec = self.plan.transient
         if spec is None:
             return
         # a fresh read (attempt == 0): any leftover pending entry is stale

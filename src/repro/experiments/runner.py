@@ -1,45 +1,41 @@
-"""Run every table/figure reproduction in one go.
+"""Run the table/figure reproductions behind ``repro experiments``.
 
-Usage::
-
-    python -m repro.experiments.runner            # full run
-    python -m repro.experiments.runner --quick    # smaller sweeps
-
-Prints each experiment's artifact (a table or figure-as-columns) in
-paper order: Table I, Fig. 7, Fig. 8, Fig. 9(a)/(b), Fig. 10(a)/(b).
+Results come back in paper order: Table I, Fig. 7, Fig. 8, Fig. 9(a)/(b),
+Fig. 10(a)/(b), then the §VIII extensions.
 """
 
 from __future__ import annotations
-
-import argparse
-import sys
-import time
 
 from ..parallel import parallel_map
 from . import ext_lse, ext_raid6, ext_three_mirror, fig7, fig8, fig9, fig10, table1
 from .reporting import ExperimentResult
 
-__all__ = ["run_all", "main"]
+__all__ = ["EXPERIMENT_IDS", "run_all"]
 
 
-def _experiment_specs(quick: bool) -> list[tuple]:
-    """(callable, args, kwargs) per experiment — plain picklable data.
+def _experiment_specs(quick: bool) -> dict[str, tuple]:
+    """(callable, args, kwargs) per experiment id, in paper order.
 
     Every experiment is independent and deterministic (each owns its
     seeds), so the battery is an embarrassingly parallel unit of work.
+    Each key is the ``experiment_id`` its callable's result carries.
     """
     n_values = (3, 4, 5) if quick else (3, 4, 5, 6, 7)
     n_ops = 60 if quick else 200
-    return [
-        (table1.run, (n_values,), {}),
-        (fig7.run, (2, 20 if quick else 50), {}),
-        (fig8.run, (), {}),
-        (fig9.run_a, (n_values,), {"n_stripes": 8 if quick else 16}),
-        (fig9.run_b, (n_values,), {"n_stripes": 6 if quick else 12}),
-        (fig10.run_a, (n_values,), {"n_ops": n_ops}),
-        (fig10.run_b, (n_values,), {"n_ops": n_ops}),
-        (ext_three_mirror.run, (n_values,), {"n_stripes": 8 if quick else 12}),
-        (
+    return {
+        "table1": (table1.run, (n_values,), {}),
+        "fig7": (fig7.run, (2, 20 if quick else 50), {}),
+        "fig8": (fig8.run, (), {}),
+        "fig9a": (fig9.run_a, (n_values,), {"n_stripes": 8 if quick else 16}),
+        "fig9b": (fig9.run_b, (n_values,), {"n_stripes": 6 if quick else 12}),
+        "fig10a": (fig10.run_a, (n_values,), {"n_ops": n_ops}),
+        "fig10b": (fig10.run_b, (n_values,), {"n_ops": n_ops}),
+        "ext-three-mirror": (
+            ext_three_mirror.run,
+            (n_values,),
+            {"n_stripes": 8 if quick else 12},
+        ),
+        "ext-lse": (
             ext_lse.run,
             (),
             {
@@ -48,7 +44,7 @@ def _experiment_specs(quick: bool) -> list[tuple]:
                 "trials": 8 if quick else 20,
             },
         ),
-        (
+        "ext-raid6": (
             ext_raid6.run,
             (),
             {
@@ -56,7 +52,11 @@ def _experiment_specs(quick: bool) -> list[tuple]:
                 "n_stripes": 6 if quick else 8,
             },
         ),
-    ]
+    }
+
+
+#: every experiment id, in paper order
+EXPERIMENT_IDS = tuple(_experiment_specs(quick=False))
 
 
 def _run_spec(spec: tuple) -> ExperimentResult:
@@ -65,46 +65,17 @@ def _run_spec(spec: tuple) -> ExperimentResult:
 
 
 def run_all(
-    quick: bool = False, jobs: int | None = None, pool=None
+    quick: bool = False, only=None, pool=None
 ) -> list[ExperimentResult]:
-    """All experiments: paper order, then the §VIII extension.
+    """The experiments in paper order, or only the ids in ``only``.
 
-    ``jobs`` fans the battery across a process pool (``None``/1 serial,
-    0 = all cores); ``pool`` (a :class:`repro.parallel.WorkerPool`)
-    reuses persistent workers instead.  Results always come back in
-    paper order.
+    ``pool`` (a :class:`repro.parallel.WorkerPool`) fans the battery
+    across its workers; results always come back in paper order.
     """
-    return parallel_map(_run_spec, _experiment_specs(quick), jobs=jobs, pool=pool)
-
-
-def main(argv=None) -> int:
-    """CLI entry point: print every experiment artifact."""
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--quick", action="store_true", help="smaller sweeps for CI")
-    parser.add_argument(
-        "--svg",
-        metavar="DIR",
-        help="also render Figs. 7/9/10 as SVG files into DIR",
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        help="fan experiments across this many processes (0 = all cores)",
-    )
-    args = parser.parse_args(argv)
-    t0 = time.time()
-    for result in run_all(quick=args.quick, jobs=args.jobs):
-        print(result)
-        print()
-    if args.svg:
-        from .svgplot import render_all
-
-        for path in render_all(args.svg, quick=args.quick):
-            print(f"wrote {path}")
-    print(f"[all experiments done in {time.time() - t0:.1f}s]")
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())
+    specs = _experiment_specs(quick)
+    if only is not None:
+        unknown = sorted(set(only) - set(specs))
+        if unknown:
+            raise ValueError(f"unknown experiment ids: {', '.join(unknown)}")
+        specs = {eid: spec for eid, spec in specs.items() if eid in only}
+    return parallel_map(_run_spec, list(specs.values()), pool=pool)

@@ -1,4 +1,4 @@
-"""Active-fault timelines: activation/deactivation as first-class objects.
+"""Fault timelines: each fault's active interval as a first-class object.
 
 The ydb-style nemesis pattern separates *doing* harm from *knowing*
 what harm is currently being done: every injected fault is recorded as
@@ -68,12 +68,11 @@ class FaultInterval:
 
 
 class FaultTimeline:
-    """An append-only record of fault activations and deactivations.
+    """An append-only record of fault intervals.
 
-    Intervals can be recorded whole (:meth:`record`, from a frozen
-    schedule) or live (:meth:`activate` … :meth:`deactivate`, from a
-    driver reacting to events).  Queries treat a still-open interval as
-    extending to infinity.
+    Intervals are recorded whole (:meth:`record`), from a frozen
+    schedule or plan.  An interval whose ``end_s`` is infinite is still
+    open; queries treat it as extending to infinity.
     """
 
     def __init__(self) -> None:
@@ -96,40 +95,11 @@ class FaultTimeline:
 
     # ------------------------------------------------------------------
     def record(self, interval: FaultInterval) -> FaultInterval:
-        """Record a complete interval (idempotent per ``fault_id``)."""
+        """Record an interval; a ``fault_id`` can be recorded only once."""
         if interval.fault_id in self._intervals:
             raise ValueError(f"fault_id {interval.fault_id} already recorded")
         self._intervals[interval.fault_id] = interval
         return interval
-
-    def activate(
-        self,
-        fault_id: int,
-        kind: str,
-        disk: int,
-        start_s: float,
-        magnitude: float = 1.0,
-    ) -> FaultInterval:
-        """Open an interval; close it later with :meth:`deactivate`."""
-        return self.record(
-            FaultInterval(fault_id, kind, disk, start_s, math.inf, magnitude)
-        )
-
-    def deactivate(self, fault_id: int, end_s: float) -> FaultInterval:
-        iv = self._intervals.get(fault_id)
-        if iv is None:
-            raise ValueError(f"fault_id {fault_id} was never activated")
-        if not math.isinf(iv.end_s):
-            raise ValueError(f"fault_id {fault_id} already deactivated")
-        if end_s < iv.start_s:
-            raise ValueError(
-                f"deactivation at {end_s} precedes activation at {iv.start_s}"
-            )
-        closed = FaultInterval(
-            iv.fault_id, iv.kind, iv.disk, iv.start_s, end_s, iv.magnitude
-        )
-        self._intervals[fault_id] = closed
-        return closed
 
     @classmethod
     def from_schedule(cls, schedule: NemesisSchedule) -> "FaultTimeline":

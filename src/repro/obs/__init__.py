@@ -9,9 +9,9 @@ simulation:
   null sink selected by ``REPRO_OBS=0``;
 * :mod:`repro.obs.tracing` — span tracer recording ``(name, ts, dur,
   args)`` on per-disk tracks;
-* :mod:`repro.obs.export` — the engine's io-span rows, chrome://tracing ("Trace Event Format")
-  JSON, the incremental streaming JSONL sink, flat JSONL, and metrics
-  snapshot round-trip;
+* :mod:`repro.obs.export` — the engine's io-span rows, chrome://tracing
+  ("Trace Event Format") JSON, the incremental streaming JSONL sink,
+  and metrics snapshot round-trip;
 * :mod:`repro.obs.http` — live Prometheus text exposition
   (``--metrics-port``) over a stdlib HTTP server;
 * :mod:`repro.obs.summary` — the ``repro obs summary`` pretty-printer;
@@ -35,11 +35,9 @@ from .export import (
     chrome_trace,
     load_metrics,
     load_streaming_trace,
-    load_trace_jsonl,
     registry_from_file,
     write_chrome_trace,
     write_metrics,
-    write_trace_jsonl,
 )
 from .http import MetricsServer, prometheus_text
 from .metrics import (
@@ -66,13 +64,9 @@ from .timeseries import (
     TimelineRecorder,
     TimeSeries,
     default_recorder,
-    load_timeseries_jsonl,
-    load_timeseries_npz,
     scoped_recorder,
     set_default_recorder,
     window_mean,
-    write_timeseries_jsonl,
-    write_timeseries_npz,
 )
 from .tracing import (
     DEFAULT_BUFFER_WATERMARK,
@@ -115,8 +109,6 @@ __all__ = [
     "IoSpan",
     "chrome_trace",
     "write_chrome_trace",
-    "write_trace_jsonl",
-    "load_trace_jsonl",
     "JsonlTraceSink",
     "StreamedTrace",
     "load_streaming_trace",
@@ -144,10 +136,6 @@ __all__ = [
     "set_default_recorder",
     "scoped_recorder",
     "window_mean",
-    "write_timeseries_jsonl",
-    "load_timeseries_jsonl",
-    "write_timeseries_npz",
-    "load_timeseries_npz",
 ]
 
 _default_tracer: Tracer | None = None

@@ -1,6 +1,6 @@
 """Serialisation of traces and metrics snapshots.
 
-Three trace formats:
+Two trace formats:
 
 * **chrome trace** — the ``chrome://tracing`` / Perfetto "Trace Event
   Format" JSON object (``{"traceEvents": [...]}``).  Timestamps are
@@ -17,9 +17,6 @@ Three trace formats:
   in ``chrome://tracing``/Perfetto and still parses with
   :func:`load_streaming_trace`, which recovers every complete record
   before the cut.
-* **flat JSONL** (:func:`write_trace_jsonl`) — one flat JSON object
-  per event in plain seconds, for ad-hoc ``jq``-style analysis and for
-  loading back with :func:`load_trace_jsonl`.
 
 Per-request spans are :class:`IoSpan` rows: the engine buffers the
 completed :class:`~repro.disksim.request.IORequest` itself and this
@@ -49,8 +46,6 @@ __all__ = [
     "IoSpan",
     "chrome_trace",
     "write_chrome_trace",
-    "write_trace_jsonl",
-    "load_trace_jsonl",
     "JsonlTraceSink",
     "StreamedTrace",
     "load_streaming_trace",
@@ -72,8 +67,8 @@ class IoSpan:
     exported.  The read interface matches
     :class:`~repro.obs.tracing.TraceEvent` (``name``, ``ph``, ``ts``,
     ``dur``, ``pid``, ``tid``, ``cat``, ``args``), so buffered
-    tracers, :func:`chrome_trace`, :func:`write_trace_jsonl` and
-    ``repro obs summary`` treat rows and events alike.
+    tracers, :func:`chrome_trace` and ``repro obs summary`` treat rows
+    and events alike.
 
     ``base_pid`` is the owning :class:`~repro.obs.tracing.TraceGroup`'s
     pid offset; the row's track is that plus the request's disk.
@@ -260,53 +255,6 @@ def write_chrome_trace(path, tracer: Tracer) -> Path:
     path = Path(path)
     path.write_text(json.dumps(chrome_trace(tracer)) + "\n", encoding="utf-8")
     return path
-
-
-def write_trace_jsonl(path, tracer: Tracer) -> Path:
-    """Write one flat JSON object per event; returns the path."""
-    path = Path(path)
-    with path.open("w", encoding="utf-8") as fh:
-        for ev in tracer.events:
-            fh.write(
-                json.dumps(
-                    {
-                        "name": ev.name,
-                        "ph": ev.ph,
-                        "ts": ev.ts,
-                        "dur": ev.dur,
-                        "pid": ev.pid,
-                        "tid": ev.tid,
-                        "cat": ev.cat,
-                        "args": ev.args,
-                    }
-                )
-            )
-            fh.write("\n")
-    return path
-
-
-def load_trace_jsonl(path) -> list[TraceEvent]:
-    """Load a :func:`write_trace_jsonl` file back into event records."""
-    events = []
-    with Path(path).open("r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            rec = json.loads(line)
-            events.append(
-                TraceEvent(
-                    name=rec["name"],
-                    ph=rec["ph"],
-                    ts=rec["ts"],
-                    dur=rec["dur"],
-                    pid=rec["pid"],
-                    tid=rec["tid"],
-                    cat=rec.get("cat", ""),
-                    args=rec.get("args", {}),
-                )
-            )
-    return events
 
 
 # ----------------------------------------------------------------------

@@ -8,13 +8,15 @@ and translucent fault-overlay bands, so "what did the p99 do while
 disk 0 was dead?" is answered by opening one file in a browser — no
 plotting stack, no server, no external assets.
 
-Two entry points:
+Three renderers:
 
 * :func:`serve_report_html` renders a ``repro serve --json`` document
   as a side-by-side traditional-vs-shifted dashboard (per-tenant p99
   trajectories, rebuild progress, rebuild throughput, queue depth);
-* :func:`timeseries_report_html` renders any bare snapshot (or JSONL /
-  ``.npz`` export) generically, one chart per metric name.
+* :func:`leaderboard_report_html` renders a ``repro leaderboard
+  --json`` document;
+* :func:`timeseries_report_html` renders any bare snapshot
+  generically, one chart per metric name.
 
 :func:`render_report` dispatches on the input file's shape and is what
 ``repro obs report`` calls.
@@ -28,7 +30,7 @@ from pathlib import Path
 
 from ..experiments.svgplot import LineChart
 from .metrics import bucket_quantile
-from .timeseries import load_timeseries_jsonl, load_timeseries_npz, window_mean
+from .timeseries import window_mean
 
 __all__ = [
     "serve_report_html",
@@ -346,18 +348,12 @@ def timeseries_report_html(
 def render_report(path, title: str | None = None) -> str:
     """Render whatever timeseries artifact lives at ``path`` to HTML.
 
-    Dispatches on shape: a ``repro serve --json`` document goes through
-    :func:`serve_report_html`; a bare snapshot (``.json``), a JSONL
-    export or a columnar ``.npz`` goes through
-    :func:`timeseries_report_html`.
+    Dispatches on the JSON document's shape: a ``repro leaderboard
+    --json`` document goes through :func:`leaderboard_report_html`, a
+    ``repro serve --json`` document through :func:`serve_report_html`
+    and a bare snapshot through :func:`timeseries_report_html`.
     """
     path = Path(path)
-    if path.suffix == ".npz":
-        snapshot = load_timeseries_npz(path)
-        return timeseries_report_html(snapshot, title=title or path.name)
-    if path.suffix == ".jsonl":
-        snapshot = load_timeseries_jsonl(path)
-        return timeseries_report_html(snapshot, title=title or path.name)
     with path.open("r", encoding="utf-8") as fh:
         doc = json.load(fh)
     if doc.get("kind") == "leaderboard":
@@ -368,7 +364,7 @@ def render_report(path, title: str | None = None) -> str:
         return timeseries_report_html(doc, title=title or path.name)
     raise ValueError(
         f"{path}: not a serve report or timeseries snapshot "
-        "(expected `repro serve --json` output or a flight-recorder export)"
+        "(expected `repro serve --json` output or a flight-recorder snapshot)"
     )
 
 

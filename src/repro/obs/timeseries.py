@@ -33,15 +33,13 @@ Merging is defined on plain-data snapshots — windows with the same
 index add counts and sums and combine min/max — and is used by
 ``compare_sweep`` to fold worker recorders into the parent in
 submission order, which keeps ``jobs=1`` and ``jobs=N`` sweeps
-bit-identical.  Exports: JSONL (torn-tail recoverable, mirroring
-``load_streaming_trace``) and a columnar ``.npz``.
+bit-identical.  A snapshot is plain data: ``repro serve --json``
+embeds it, and ``repro obs report`` renders it.
 """
 
 from __future__ import annotations
 
-import json
 from contextlib import contextmanager
-from pathlib import Path
 
 from .metrics import (
     DEFAULT_BUCKETS,
@@ -64,13 +62,9 @@ __all__ = [
     "default_recorder",
     "set_default_recorder",
     "scoped_recorder",
-    "write_timeseries_jsonl",
-    "load_timeseries_jsonl",
-    "write_timeseries_npz",
-    "load_timeseries_npz",
 ]
 
-#: schema version stamped into snapshots and both export formats
+#: schema version stamped into snapshots
 TIMESERIES_SCHEMA = 1
 
 #: default simulated-time window width (seconds)
@@ -473,163 +467,3 @@ def scoped_recorder(
     finally:
         set_default_recorder(old)
 
-
-# -- exports ----------------------------------------------------------------
-
-
-def write_timeseries_jsonl(path, snapshot: dict) -> Path:
-    """Write a snapshot as JSONL: one header line, one line per window.
-
-    Line-per-record makes the file tail-recoverable: a crash mid-write
-    loses at most the torn final line (see :func:`load_timeseries_jsonl`),
-    exactly like the streaming trace sink.
-    """
-    path = Path(path)
-    with path.open("w", encoding="utf-8") as fh:
-        header = {k: v for k, v in snapshot.items() if k != "series"}
-        header["kind"] = "timeseries"
-        fh.write(json.dumps(header) + "\n")
-        for key in sorted(snapshot.get("series", {})):
-            entry = snapshot["series"][key]
-            for win in entry["windows"]:
-                record = {
-                    "series": key,
-                    "name": entry["name"],
-                    "labels": entry["labels"],
-                }
-                record.update(win)
-                fh.write(json.dumps(record) + "\n")
-    return path
-
-
-def load_timeseries_jsonl(path) -> dict:
-    """Load a JSONL timeseries back into snapshot form.
-
-    Mirrors ``load_streaming_trace``: a torn final line (killed
-    process, full disk) ends the read at the last intact record
-    instead of raising, so every window written before the tear is
-    recovered.
-    """
-    path = Path(path)
-    snapshot: dict = {
-        "schema": TIMESERIES_SCHEMA,
-        "window_s": DEFAULT_WINDOW_S,
-        "horizon": DEFAULT_HORIZON,
-        "buckets": list(DEFAULT_BUCKETS),
-        "series": {},
-    }
-    series = snapshot["series"]
-    first = True
-    with path.open("r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                break  # torn tail: keep everything before it
-            if first:
-                first = False
-                if record.get("kind") == "timeseries":
-                    for field in ("schema", "window_s", "horizon", "buckets"):
-                        if field in record:
-                            snapshot[field] = record[field]
-                    continue
-            key = record.get("series")
-            if key is None:
-                continue
-            entry = series.get(key)
-            if entry is None:
-                entry = series[key] = {
-                    "name": record["name"],
-                    "help": "",
-                    "labels": record.get("labels", {}),
-                    "windows": [],
-                }
-            entry["windows"].append(
-                {
-                    "w": record["w"],
-                    "count": record["count"],
-                    "sum": record["sum"],
-                    "min": record["min"],
-                    "max": record["max"],
-                    "counts": list(record["counts"]),
-                }
-            )
-    return snapshot
-
-
-def write_timeseries_npz(path, snapshot: dict) -> Path:
-    """Write a snapshot as a columnar ``.npz``.
-
-    One int64 window-index column, float64 count/sum/min/max columns
-    and a 2-D int64 bucket-count matrix per series, plus a JSON
-    ``meta`` blob naming the series — the layout numpy analysis reads
-    straight into arrays without any per-window parsing.
-    """
-    import numpy as np
-
-    path = Path(path)
-    meta = {
-        "schema": snapshot.get("schema", TIMESERIES_SCHEMA),
-        "window_s": snapshot["window_s"],
-        "horizon": snapshot.get("horizon", DEFAULT_HORIZON),
-        "buckets": list(snapshot["buckets"]),
-        "series": [],
-    }
-    arrays: dict = {}
-    for i, key in enumerate(sorted(snapshot.get("series", {}))):
-        entry = snapshot["series"][key]
-        wins = entry["windows"]
-        meta["series"].append(
-            {"key": key, "name": entry["name"], "labels": entry["labels"]}
-        )
-        arrays[f"s{i}_w"] = np.array([w["w"] for w in wins], dtype=np.int64)
-        arrays[f"s{i}_count"] = np.array([w["count"] for w in wins], dtype=np.int64)
-        arrays[f"s{i}_sum"] = np.array([w["sum"] for w in wins], dtype=np.float64)
-        arrays[f"s{i}_min"] = np.array([w["min"] for w in wins], dtype=np.float64)
-        arrays[f"s{i}_max"] = np.array([w["max"] for w in wins], dtype=np.float64)
-        arrays[f"s{i}_counts"] = np.array(
-            [w["counts"] for w in wins], dtype=np.int64
-        ).reshape(len(wins), -1)
-    arrays["meta"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
-    with path.open("wb") as fh:
-        np.savez(fh, **arrays)
-    return path
-
-
-def load_timeseries_npz(path) -> dict:
-    """Load a columnar ``.npz`` timeseries back into snapshot form."""
-    import numpy as np
-
-    with np.load(Path(path)) as data:
-        meta = json.loads(bytes(data["meta"]).decode("utf-8"))
-        series = {}
-        for i, info in enumerate(meta["series"]):
-            ws = data[f"s{i}_w"]
-            counts2d = data[f"s{i}_counts"]
-            wins = [
-                {
-                    "w": int(ws[j]),
-                    "count": int(data[f"s{i}_count"][j]),
-                    "sum": float(data[f"s{i}_sum"][j]),
-                    "min": float(data[f"s{i}_min"][j]),
-                    "max": float(data[f"s{i}_max"][j]),
-                    "counts": counts2d[j].tolist(),
-                }
-                for j in range(len(ws))
-            ]
-            series[info["key"]] = {
-                "name": info["name"],
-                "help": "",
-                "labels": info["labels"],
-                "windows": wins,
-            }
-    return {
-        "schema": meta["schema"],
-        "window_s": meta["window_s"],
-        "horizon": meta["horizon"],
-        "buckets": meta["buckets"],
-        "series": series,
-    }

@@ -14,12 +14,6 @@ from .openloop import (
     make_throttle,
     open_arrivals,
 )
-from .persistence import (
-    load_user_reads,
-    load_write_ops,
-    save_user_reads,
-    save_write_ops,
-)
 
 __all__ = [
     "FilmSource",
@@ -38,8 +32,4 @@ __all__ = [
     "TokenBucketThrottle",
     "LatencyTargetThrottle",
     "make_throttle",
-    "save_write_ops",
-    "load_write_ops",
-    "save_user_reads",
-    "load_user_reads",
 ]

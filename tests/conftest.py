@@ -24,22 +24,6 @@ def ideal_disk() -> DiskParameters:
     return DiskParameters.ideal()
 
 
-def slow_gf_multiply(a: int, b: int, poly: int, w: int) -> int:
-    """Bitwise carry-less multiply mod the primitive polynomial.
-
-    The independent reference the table-driven field is checked against.
-    """
-    r = 0
-    while b:
-        if b & 1:
-            r ^= a
-        b >>= 1
-        a <<= 1
-        if a & (1 << w):
-            a ^= poly
-    return r
-
-
 def reference_film_payload(seed: int, payload_bytes: int, stripe: int, i: int, j: int) -> np.ndarray:
     """numpy's own generator for one film element — the rule every film
     payload follows, and the independent reference the film is checked

@@ -10,7 +10,6 @@ from __future__ import annotations
 import pytest
 
 from repro.core.registry import (
-    COMPARISONS,
     LAYOUTS,
     REGISTRY,
     LayoutSpec,

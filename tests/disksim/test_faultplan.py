@@ -347,95 +347,48 @@ def test_retry_of_one_chain_cannot_steal_anothers_budget():
 
 def test_reactivation_shares_no_state():
     """Activating one plan twice must give fully isolated instances —
-    counters, pending budgets, LSEs and dynamic faults must not leak
-    from a prior (even mutated) activation."""
-    plan = FaultPlan(seed=11, n_random_lses=2).with_transients(rate=1.0)
+    counters, pending budgets and LSEs must not leak from a prior (even
+    mutated) activation."""
+    plan = FaultPlan(seed=11, n_random_lses=2).with_transients(
+        rate=1.0, retry_success_rate=0.05, max_failures=4
+    )
     first = _activate(plan)
+    clean = [(d, s) for d in range(4) for s in range(8) if not first.lse.is_bad(d, s)]
+    reads, extra = clean[:4], clean[4:6]
     # drive and mutate the first activation hard
-    req = _read(0, 0)
-    active_errors = []
-    first.on_completion(req)
-    active_errors.append(req.error)
-    first.fail_disk(3, time_s=0.5)
-    first.add_fail_slow(1, 4.0)
-    first.add_transient_window(0.0, 9.0, TransientFaults(rate=1.0))
-    first.inject_lse_storm(3)
+    for disk, slot in reads:
+        first.on_completion(_read(disk, slot))
+    first_draws = {key: left for key, (_, left) in first._transient_pending.items()}
+    for disk, slot in extra:
+        first.lse.inject(disk, slot)
+    assert first.counters.transient_errors == 4
+    assert first_draws  # budgets parked for retries
+    assert len(first.lse) == 4
     # a second activation starts from the plan alone
     second = _activate(plan)
     assert second.counters.transient_errors == 0
     assert second._transient_pending == {}
-    assert second._dynamic_fail_slow == []
-    assert second._transient_windows == []
-    assert second.failed_disks(10.0) == []
-    assert len(second.lse) == 2  # plan burst only, no storm
-    assert second.service_factor(1, 1.0) == 1.0
+    assert len(second.lse) == 2  # plan burst only
+    assert not any(second.lse.is_bad(disk, slot) for disk, slot in extra)
+    # ...and replays the first activation's draws from the start
+    for disk, slot in reads:
+        second.on_completion(_read(disk, slot))
+    assert {key: left for key, (_, left) in second._transient_pending.items()} == first_draws
 
 
 def test_overlapping_fail_slow_windows_compose():
-    """Planned and dynamically injected windows on one disk multiply
-    while they overlap and fully deactivate when both close."""
-    plan = FaultPlan().with_fail_slow(2, 3.0, start_s=0.0, end_s=10.0)
+    """Two planned windows on one disk multiply while they overlap and
+    fully deactivate when both close (nemesis composes overlapping
+    fail-slow faults this way)."""
+    plan = (
+        FaultPlan()
+        .with_fail_slow(2, 3.0, start_s=0.0, end_s=10.0)
+        .with_fail_slow(2, 2.0, start_s=5.0, end_s=15.0)
+    )
     active = _activate(plan)
-    active.add_fail_slow(2, 2.0, start_s=5.0, end_s=15.0)
-    assert active.service_factor(2, 1.0) == 3.0  # plan window only
+    assert active.service_factor(2, 1.0) == 3.0  # first window only
     assert active.service_factor(2, 7.0) == 6.0  # overlap: 3 * 2
-    assert active.service_factor(2, 12.0) == 2.0  # dynamic only
+    assert active.service_factor(2, 12.0) == 2.0  # second window only
     assert active.service_factor(2, 20.0) == 1.0  # both closed
     assert active.service_factor(0, 7.0) == 1.0  # other disks untouched
     assert active.counters.slowed_requests == 3
-
-
-def test_fail_disk_revive_lifecycle():
-    active = _activate(FaultPlan())
-    active.fail_disk(1, time_s=2.0)
-    assert not active.is_failed(1, 1.0)
-    assert active.is_failed(1, 3.0)
-    with pytest.raises(ValueError, match="revive first"):
-        active.fail_disk(1, time_s=5.0)
-    with pytest.raises(ValueError, match="outside"):
-        active.fail_disk(99, time_s=1.0)
-    active.revive_disk(1)
-    assert not active.is_failed(1, 10.0)
-    active.fail_disk(1, time_s=8.0)  # re-failing after revive is clean
-    assert active.failed_disks(9.0) == [1]
-
-
-def test_transient_window_governs_by_completion_time():
-    """A dynamic burst window raises the trigger rate only inside its
-    span; budgets drawn inside the window persist past its end."""
-    active = _activate(FaultPlan(seed=0))  # no baseline transients
-    spec = TransientFaults(rate=1.0, retry_success_rate=0.05, max_failures=4)
-    active.add_transient_window(10.0, 20.0, spec)
-    before = _read(0, 0, t=5.0)
-    active.on_completion(before)
-    assert not before.error  # window not open yet
-    inside = _read(0, 1, t=15.0)
-    active.on_completion(inside)
-    assert inside.error and inside.error_kind == "transient"
-    # the drawn budget outlives the window: a retry completing after
-    # end_s still consumes it (rate=1, success=.05 makes budget>1 for
-    # seed 0's stream — assert rather than assume)
-    assert active._transient_pending
-    late_retry = _read(0, 1, t=25.0, attempt=1, root_id=inside.req_id)
-    active.on_completion(late_retry)
-    assert late_retry.error and late_retry.error_kind == "transient"
-    after = _read(0, 2, t=25.0)
-    active.on_completion(after)
-    assert not after.error  # window closed for fresh reads
-
-
-def test_transient_window_highest_rate_wins():
-    plan = FaultPlan(seed=0).with_transients(rate=0.0)
-    active = _activate(plan)
-    active.add_transient_window(0.0, 10.0, TransientFaults(rate=1.0))
-    req = _read(0, 0, t=1.0)
-    active.on_completion(req)
-    assert req.error and req.error_kind == "transient"
-
-
-def test_inject_lse_storm_caps_at_capacity():
-    active = _activate(FaultPlan(seed=3), n_disks=2, slots=4)
-    assert active.inject_lse_storm(5) == 5
-    assert active.inject_lse_storm(10) == 3  # only 3 cells left
-    assert active.inject_lse_storm(1) == 0  # full array: no-op
-    assert len(active.lse) == 8

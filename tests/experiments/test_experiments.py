@@ -178,3 +178,14 @@ def test_ext_raid6_measured_comparison():
         assert s > r > t  # shifted > RAID 6 > traditional, recovered MB/s
     ratios = res.data["shifted over RAID 6 (x)"]
     assert ratios[1] > ratios[0]  # the gap widens with n
+
+
+def test_run_all_keys_every_experiment_by_its_id():
+    from repro.experiments.runner import EXPERIMENT_IDS, run_all
+
+    results = run_all(quick=True)
+    assert [r.experiment_id for r in results] == list(EXPERIMENT_IDS)
+    picked = run_all(quick=True, only=["fig8", "table1"])
+    assert [r.experiment_id for r in picked] == ["table1", "fig8"]
+    with pytest.raises(ValueError, match="unknown experiment ids: nope"):
+        run_all(quick=True, only=["nope"])

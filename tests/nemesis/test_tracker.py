@@ -27,38 +27,23 @@ class _SpanSink:
 
 
 # ----------------------------------------------------------------------
-# lifecycle
+# recording and queries
 # ----------------------------------------------------------------------
 
 
-def test_activate_then_deactivate_closes_the_interval():
+def test_open_interval_extends_to_infinity():
     tl = FaultTimeline()
-    iv = tl.activate(0, "fail-slow", disk=2, start_s=10.0, magnitude=4.0)
-    assert math.isinf(iv.end_s)
-    assert tl.active_at(1e12)  # open interval extends to infinity
-    closed = tl.deactivate(0, end_s=50.0)
-    assert closed.end_s == 50.0
-    assert tl.active_at(30.0) == (closed,)
-    assert tl.active_at(50.0) == ()
+    iv = tl.record(FaultInterval(0, "fail-slow", 2, 10.0, math.inf, 4.0))
+    assert tl.active_at(1e12) == (iv,)
+    assert tl.active_at(5.0) == ()
+    assert tl.overlapping(1e9, 1e9 + 1.0) == (iv,)
 
 
 def test_duplicate_fault_id_is_rejected():
     tl = FaultTimeline()
-    tl.activate(7, "disk-death", disk=0, start_s=0.0)
+    tl.record(FaultInterval(7, "disk-death", 0, 0.0, math.inf))
     with pytest.raises(ValueError, match="already recorded"):
-        tl.activate(7, "disk-death", disk=1, start_s=5.0)
-
-
-def test_deactivate_guards_its_preconditions():
-    tl = FaultTimeline()
-    with pytest.raises(ValueError, match="never activated"):
-        tl.deactivate(3, end_s=1.0)
-    tl.activate(3, "lse-storm", disk=-1, start_s=10.0)
-    with pytest.raises(ValueError, match="precedes activation"):
-        tl.deactivate(3, end_s=5.0)
-    tl.deactivate(3, end_s=20.0)
-    with pytest.raises(ValueError, match="already deactivated"):
-        tl.deactivate(3, end_s=30.0)
+        tl.record(FaultInterval(7, "disk-death", 1, 5.0, math.inf))
 
 
 def test_margin_pads_the_attribution_window_both_ways():
@@ -127,7 +112,7 @@ def test_timeline_from_plan_on_an_empty_plan_is_empty():
 def test_export_spans_emits_one_span_per_interval():
     tl = FaultTimeline()
     tl.record(FaultInterval(0, "fail-slow", 3, 10.0, 40.0, 2.5))
-    tl.activate(1, "disk-death", disk=0, start_s=20.0)
+    tl.record(FaultInterval(1, "disk-death", 0, 20.0, math.inf))
     sink = _SpanSink()
     with pytest.raises(ValueError, match="horizon_s"):
         tl.export_spans(sink)  # open interval, no clamp
@@ -163,7 +148,7 @@ def test_observe_gauge_tracks_the_active_count():
 
 def test_to_dict_maps_open_end_to_none():
     tl = FaultTimeline()
-    tl.activate(0, "disk-death", disk=2, start_s=1.0)
+    tl.record(FaultInterval(0, "disk-death", 2, 1.0, math.inf))
     d = tl.to_dict()
     assert d["schema_version"] == 1
     assert d["n_faults"] == 1
@@ -173,7 +158,7 @@ def test_to_dict_maps_open_end_to_none():
 def test_overlay_bands_clamp_open_intervals_and_label_disks():
     tl = FaultTimeline()
     tl.record(FaultInterval(0, "fail-slow", 2, 1.0, 4.0, 3.0))
-    tl.activate(1, "disk-death", 0, 2.0)
+    tl.record(FaultInterval(1, "disk-death", 0, 2.0, math.inf))
     tl.record(FaultInterval(2, "transient-burst", -1, 0.0, 5.0, 0.5))
     with pytest.raises(ValueError, match="horizon"):
         tl.overlay_bands()  # open interval needs a clamp

@@ -1,16 +1,13 @@
-"""The simulated-time flight recorder: windows, merge, exports, gating.
+"""The simulated-time flight recorder: windows, merge, gating.
 
 The contracts under test: samples fold into fixed-width simulated-time
 windows with exact count/sum/min/max and bucketed quantiles, the ring
 buffer bounds memory at ``horizon`` windows, merging snapshots is
-deterministic and order-preserving (the jobs=1 vs jobs=N hinge), both
-export formats round-trip (JSONL recovering a torn tail), and
+deterministic and order-preserving (the jobs=1 vs jobs=N hinge), and
 ``REPRO_OBS=0`` makes an installed recorder invisible to components.
 """
 
 from __future__ import annotations
-
-import json
 
 import pytest
 
@@ -19,15 +16,11 @@ from repro.obs import (
     TimelineRecorder,
     bucket_quantile,
     default_recorder,
-    load_timeseries_jsonl,
-    load_timeseries_npz,
     scoped_recorder,
     scoped_registry,
     set_default_recorder,
     set_obs_enabled,
     window_mean,
-    write_timeseries_jsonl,
-    write_timeseries_npz,
 )
 
 
@@ -250,65 +243,3 @@ def test_engine_records_latency_series_under_a_scoped_recorder():
     assert sum(w["count"] for w in wins) == 4
     assert all(w["min"] > 0 for w in wins)
 
-
-# ----------------------------------------------------------------------
-# exports: JSONL (torn tail) and columnar npz
-# ----------------------------------------------------------------------
-
-
-def _sample_snapshot() -> dict:
-    rec = _recorder(window_s=0.25)
-    s = rec.series("lat", help="latency", tenant="a")
-    for t, v in ((0.1, 0.5), (0.3, 1.5), (0.9, 2.5)):
-        s.observe(t, v)
-    rec.series("depth").observe(0.1, 4.0)
-    return rec.snapshot()
-
-
-def test_jsonl_roundtrip_preserves_every_window(tmp_path):
-    snap = _sample_snapshot()
-
-    def strip_help(s):
-        return {
-            k: {kk: vv for kk, vv in e.items() if kk != "help"}
-            for k, e in s["series"].items()
-        }
-
-    path = write_timeseries_jsonl(tmp_path / "ts.jsonl", snap)
-    loaded = load_timeseries_jsonl(path)
-    assert loaded["window_s"] == snap["window_s"]
-    assert loaded["buckets"] == snap["buckets"]
-    assert strip_help(loaded) == strip_help(snap)
-
-
-def test_jsonl_torn_tail_recovers_complete_prefix(tmp_path):
-    snap = _sample_snapshot()
-    path = write_timeseries_jsonl(tmp_path / "ts.jsonl", snap)
-    raw = path.read_text()
-    n_lines = raw.count("\n")
-    path.write_text(raw[: len(raw) - 15])  # cut mid-record
-    loaded = load_timeseries_jsonl(path)
-    kept = sum(len(e["windows"]) for e in loaded["series"].values())
-    assert 0 < kept < n_lines - 1  # lost only the torn record
-    # every recovered window is intact data
-    for entry in loaded["series"].values():
-        for w in entry["windows"]:
-            assert w["count"] >= 1
-            assert len(w["counts"]) == len(loaded["buckets"]) + 1
-
-
-def test_jsonl_header_line_is_self_describing(tmp_path):
-    path = write_timeseries_jsonl(tmp_path / "ts.jsonl", _sample_snapshot())
-    header = json.loads(path.read_text().splitlines()[0])
-    assert header["kind"] == "timeseries"
-    assert header["window_s"] == 0.25
-
-
-def test_npz_roundtrip_is_exact(tmp_path):
-    snap = _sample_snapshot()
-    path = write_timeseries_npz(tmp_path / "ts.npz", snap)
-    loaded = load_timeseries_npz(path)
-    assert loaded["window_s"] == snap["window_s"]
-    for key, entry in snap["series"].items():
-        assert loaded["series"][key]["windows"] == entry["windows"]
-        assert loaded["series"][key]["labels"] == entry["labels"]

@@ -1,4 +1,4 @@
-"""Span tracer and trace exporters: chrome JSON shape, JSONL round-trip."""
+"""Span tracer and trace exporters: chrome JSON shape, summaries."""
 
 from __future__ import annotations
 
@@ -10,13 +10,11 @@ from repro.obs import (
     Tracer,
     chrome_trace,
     default_tracer,
-    load_trace_jsonl,
     metrics_summary,
     set_default_tracer,
     summarize_files,
     trace_summary,
     write_chrome_trace,
-    write_trace_jsonl,
 )
 from repro.obs.tracing import GROUP_PID_STRIDE
 
@@ -90,14 +88,6 @@ def test_write_chrome_trace_is_loadable_json(tmp_path):
     doc = json.loads(path.read_text())
     assert doc["displayTimeUnit"] == "ms"
     assert doc == chrome_trace(tr)
-
-
-def test_jsonl_round_trip(tmp_path):
-    tr = Tracer()
-    tr.complete("read", 1.5, 0.25, pid=7, tid=1, cat="io", bytes=8)
-    tr.instant("blip", 2.0)
-    path = write_trace_jsonl(tmp_path / "trace.jsonl", tr)
-    assert load_trace_jsonl(path) == tr.events
 
 
 def test_default_tracer_install_and_restore():

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.core.layouts import (
     shifted_mirror,
     shifted_mirror_parity,

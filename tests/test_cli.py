@@ -77,6 +77,62 @@ def test_write_plan_elements_reconstruct(capsys):
     assert "elements read: 3" in out
 
 
+@pytest.mark.parametrize(
+    "layout, args",
+    [
+        ("shifted-mirror", ["--element", "9,9"]),
+        ("shifted-mirror", ["--row", "99"]),
+        ("mirror", ["--element", "0,5"]),
+        ("raid5", ["--element", "5,0"]),  # disk 5 is the parity disk
+        ("raid5", ["--row", "5"]),
+        ("xcode", ["--element", "5,0"]),
+        ("xcode", ["--element", "0,3"]),  # rows 3 and 4 hold parity
+        ("declustered-mirror", ["--element", "0,2", "0,9"]),
+    ],
+)
+def test_write_plan_rejects_a_coordinate_outside_the_data_cells(
+    capsys, layout, args
+):
+    rc = main(["write-plan", "--layout", layout, "--n", "5", *args])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.startswith("error: ")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("layout", sorted(LAYOUTS))
+def test_write_plan_accepts_the_last_data_cell(capsys, layout):
+    lay = build_layout(layout, 5)
+    last = f"{lay.n - 1},{lay.data_rows - 1}"
+    rc, out = run_cli(capsys, "write-plan", "--layout", layout, "--n", "5",
+                      "--element", last)
+    assert rc == 0
+    assert "write accesses:" in out
+    rc, out = run_cli(capsys, "write-plan", "--layout", layout, "--n", "5",
+                      "--row", str(lay.data_rows - 1))
+    assert rc == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["faultcampaign", "--n", "3", "--stripes", "4", "--seeds", "0"],
+        ["faultcampaign", "--n", "3", "--stripes", "4", "--seeds", "-3"],
+        ["simulate", "writes", "--layout", "mirror", "--n", "3",
+         "--stripes", "4", "--ops", "-1"],
+        ["simulate", "writes", "--layout", "mirror", "--n", "3",
+         "--stripes", "4", "--ops", "0"],
+    ],
+)
+def test_counts_below_one_are_rejected(capsys, argv):
+    rc = main(argv)
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.startswith("error: ")
+    assert "must be at least 1" in captured.err
+    assert captured.out == ""
+
+
 def test_simulate_rebuild(capsys):
     rc, out = run_cli(capsys, "simulate", "rebuild", "--layout", "shifted-mirror",
                       "--n", "3", "--failed", "0", "--stripes", "4")
@@ -118,6 +174,41 @@ def test_experiments_only_table1(capsys):
     assert rc == 0
     assert "table1" in out
     assert "fig9a" not in out
+
+
+def test_experiments_only_runs_just_the_selected_experiments(capsys, monkeypatch):
+    from repro.experiments import fig9
+
+    def unselected(*args, **kwargs):
+        raise AssertionError("ran an experiment --only did not select")
+
+    monkeypatch.setattr(fig9, "run_a", unselected)
+    rc, out = run_cli(capsys, "experiments", "--quick", "--only", "fig8", "table1")
+    assert rc == 0
+    # paper order, whatever order --only names them in
+    headers = [line for line in out.splitlines() if line.startswith("== ")]
+    assert [h.split(":")[0] for h in headers] == ["== table1", "== fig8"]
+
+
+@pytest.mark.parametrize("ids", [["tabel1"], ["table1", "nope"]])
+def test_experiments_only_rejects_an_unknown_id(capsys, ids):
+    with pytest.raises(SystemExit) as exc:
+        main(["experiments", "--quick", "--only", *ids])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert "invalid choice" in captured.err
+    assert captured.out == ""
+
+
+def test_experiments_help_lists_every_experiment_id(capsys):
+    from repro.experiments.runner import EXPERIMENT_IDS
+
+    with pytest.raises(SystemExit):
+        main(["experiments", "--help"])
+    out = " ".join(capsys.readouterr().out.split())
+    assert "ext-lse" in EXPERIMENT_IDS and "ext-raid6" in EXPERIMENT_IDS
+    for eid in EXPERIMENT_IDS:
+        assert eid in out
 
 
 def test_missing_subcommand_is_an_error(capsys):
