@@ -1,4 +1,4 @@
-"""Memoised reconstruction plans, phases and read rounds.
+"""Memoised reconstruction plans, phases, compiled phases and read rounds.
 
 A rebuild derives, for every stripe, a
 :class:`~repro.core.reconstruction.ReconstructionPlan` from the
@@ -18,13 +18,20 @@ calls it whenever the failure set changes, keeping the cache small and
 making the invalidation point obvious for future layouts whose plans
 might depend on state beyond the failure set.
 
+Next to each class's phases the cache keeps them *compiled*
+(:class:`~repro.core.reconstruction.CompiledPhase`): the read cells,
+the reads coalesced into runs relative to the stripe's first slot, and
+the recovery steps as index groups.  A rebuild places those by
+arithmetic for every stripe of the class instead of placing cell by
+cell; the compiled entries are dropped together with the phases.
+
 The same cache memoises write plans, compiled to index arrays
 (:class:`~repro.core.writes.CompiledWrite`), keyed by the written
 elements and the parity strategy: a write plan depends on nothing else.
 
 Cached objects are **shared**: callers must treat plans, phase lists,
-rounds and compiled writes as immutable (the executor already does —
-substituted recovery steps are built as fresh lists).
+rounds, compiled phases and compiled writes as immutable (the executor
+already does — substituted recovery steps are built as fresh lists).
 """
 
 from __future__ import annotations
@@ -33,7 +40,13 @@ from ..obs import default_registry
 from .errors import UnrecoverableFailureError
 from .layouts import Layout
 from .planner import schedule_read_rounds
-from .reconstruction import RebuildPhase, ReconstructionPlan, split_into_phases
+from .reconstruction import (
+    CompiledPhase,
+    RebuildPhase,
+    ReconstructionPlan,
+    compile_phases,
+    split_into_phases,
+)
 from .writes import CompiledWrite
 
 __all__ = ["PlanCache"]
@@ -41,6 +54,11 @@ __all__ = ["PlanCache"]
 
 class PlanCache:
     """Per-layout memo of reconstruction plans keyed by logical failures.
+
+    Per logical failure set it holds the plan, its phases, the phases
+    compiled for arithmetic placement (:meth:`compiled_phases`) and the
+    read rounds; :meth:`invalidate` drops all of a set's entries
+    together.  Write plans are keyed by the written elements instead.
 
     Parameters
     ----------
@@ -59,6 +77,7 @@ class PlanCache:
         "misses",
         "_plans",
         "_phases",
+        "_compiled",
         "_rounds",
         "_unrecoverable",
         "_writes",
@@ -82,6 +101,7 @@ class PlanCache:
         ).labels()
         self._plans: dict[tuple[int, ...], ReconstructionPlan] = {}
         self._phases: dict[tuple[int, ...], list[RebuildPhase]] = {}
+        self._compiled: dict[tuple[int, ...], tuple[CompiledPhase, ...]] = {}
         self._rounds: dict[tuple[int, ...], list[list[tuple[int, int]]]] = {}
         #: failure sets known to be beyond the layout's tolerance,
         #: mapped to the planner's original message — counting-mode
@@ -127,6 +147,24 @@ class PlanCache:
         phases = split_into_phases(self.plan(failed_logical))
         self._phases[failed_logical] = phases
         return phases
+
+    def compiled_phases(
+        self, failed_logical: tuple[int, ...]
+    ) -> tuple[CompiledPhase, ...]:
+        """The phases compiled for arithmetic placement (shared, treat-as-immutable).
+
+        Derived from :meth:`phases` on a miss, so the plan counters see
+        the same lookups an uncompiled rebuild made; :meth:`invalidate`
+        drops an entry together with its phases.
+        """
+        failed_logical = tuple(failed_logical)
+        cached = self._compiled.get(failed_logical)
+        if cached is not None:
+            return cached
+        compiled = compile_phases(self.phases(failed_logical), self.layout.n_disks)
+        if self.enabled:
+            self._compiled[failed_logical] = compiled
+        return compiled
 
     def read_rounds(self, failed_logical: tuple[int, ...]) -> list[list[tuple[int, int]]]:
         """The plan's parallel read rounds (shared, treat-as-immutable)."""
@@ -179,6 +217,7 @@ class PlanCache:
             dropped = len(self._plans)
             self._plans.clear()
             self._phases.clear()
+            self._compiled.clear()
             self._rounds.clear()
             self._unrecoverable.clear()
             self._writes.clear()
@@ -186,7 +225,13 @@ class PlanCache:
             return dropped
         aff = frozenset(affected)
         dropped = 0
-        for table in (self._plans, self._phases, self._rounds, self._unrecoverable):
+        for table in (
+            self._plans,
+            self._phases,
+            self._compiled,
+            self._rounds,
+            self._unrecoverable,
+        ):
             stale = [key for key in table if not aff.isdisjoint(key)]
             for key in stale:
                 del table[key]

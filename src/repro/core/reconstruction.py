@@ -24,12 +24,17 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
+import numpy as np
+
 __all__ = [
     "RecoveryMethod",
     "RecoveryStep",
     "ReconstructionPlan",
     "RebuildPhase",
+    "CompiledSteps",
+    "CompiledPhase",
     "split_into_phases",
+    "compile_phases",
     "num_read_accesses",
 ]
 
@@ -227,3 +232,170 @@ def split_into_phases(plan: ReconstructionPlan) -> list[RebuildPhase]:
             produced.add(step.target)
         phases.append(phase)
     return phases
+
+
+class CompiledSteps:
+    """Ordered recovery steps as index groups over a stripe's cells.
+
+    Every non-CODE method computes its target as the XOR of its sources:
+    a COPY is the XOR of its one source, XOR and RECOMPUTE are what they
+    say.  Consecutive steps with the same number of sources form one
+    group unless a step reads or rewrites a target of an earlier step of
+    that group.  A group gathers all its sources before it stores any
+    target, so groups applied in order leave the bytes the steps applied
+    one by one leave.  A CODE step is a group of its own (``None``): one
+    decode of the stripe restores every failed column.
+
+    Groups are kept over logical disks and placed per rotation shift
+    (:meth:`at`), the shift of
+    :meth:`~repro.core.stack.RotatedStack.shift`.
+    """
+
+    __slots__ = ("steps", "failed_disks", "n_disks", "_groups", "_placed")
+
+    def __init__(self, steps, failed_disks, n_disks: int) -> None:
+        #: the logical steps, in plan order
+        self.steps: tuple[RecoveryStep, ...] = tuple(steps)
+        #: the plan's failed logical disks (the key of a CODE decode)
+        self.failed_disks: tuple[int, ...] = tuple(failed_disks)
+        self.n_disks = n_disks
+        groups: list = []  # (k, targets, sources) or None
+        targets: set | None = None  # the open group's targets
+        for step in self.steps:
+            if step.method is RecoveryMethod.CODE:
+                groups.append(None)
+                targets = None
+                continue
+            k = len(step.sources)
+            if (
+                targets is None
+                or groups[-1][0] != k
+                or step.target in targets
+                or not targets.isdisjoint(step.sources)
+            ):
+                targets = set()
+                groups.append((k, [], []))
+            groups[-1][1].append(step.target)
+            groups[-1][2].extend(step.sources)
+            targets.add(step.target)
+        # targets then sources in one list: one array build places a group
+        self._groups = [None if g is None else (g[0], g[1] + g[2]) for g in groups]
+        self._placed: dict[tuple[int, int], tuple] = {}
+
+    def at(self, shift: int, stride: int) -> tuple:
+        """The groups placed at a rotation shift, as flat cell indices.
+
+        Logical ``(d, r)`` becomes ``((d + shift) % n_disks) * stride +
+        r``: an index into a store viewed as ``(disks * stride, ...)``,
+        relative to the stripe's first slot.  Each group is ``(k,
+        targets, sources)`` of ``intp`` arrays — targets of shape
+        ``(g,)``, sources ``(g,)`` when ``k == 1`` and ``(g, k)``
+        otherwise; CODE groups are ``None``.  Memoised (shared, treat as
+        immutable).
+        """
+        key = (shift, stride)
+        placed = self._placed.get(key)
+        if placed is not None:
+            return placed
+        n_disks = self.n_disks
+        out = []
+        for group in self._groups:
+            if group is None:
+                out.append(None)
+                continue
+            k, cells = group
+            flat = np.array(
+                [(d + shift) % n_disks * stride + r for d, r in cells], dtype=np.intp
+            )
+            g = len(cells) // (k + 1)
+            sources = flat[g:] if k == 1 else flat[g:].reshape(g, k)
+            out.append((k, flat[:g], sources))
+        placed = self._placed[key] = tuple(out)
+        return placed
+
+
+class CompiledPhase:
+    """One rebuild phase compiled for every stripe of its failure class.
+
+    A phase depends only on the stripe's logical failure set, and its
+    placement only on the stripe's rotation shift and first slot, so
+    what the rebuild derived per stripe is derived here once:
+
+    * ``reads``/``read_set``/``n_reads`` — the phase's logical source
+      cells, in the phase's order;
+    * :meth:`runs_at` — those reads coalesced into runs of consecutive
+      rows on one disk, relative to the stripe's first slot, in the
+      ``(physical disk, start)`` order the array's coalescer emits;
+    * ``steps`` — the recovery steps as :class:`CompiledSteps`.
+    """
+
+    __slots__ = (
+        "phase",
+        "failed_disk",
+        "n_reads",
+        "steps",
+        "n_disks",
+        "_runs",
+        "_runs_at",
+        "_read_set",
+    )
+
+    def __init__(self, phase: RebuildPhase, failed_disks, n_disks: int) -> None:
+        #: the phase this was compiled from (the LSE fallback re-plans it)
+        self.phase = phase
+        self.failed_disk = phase.failed_disk
+        self.steps = CompiledSteps(phase.steps, failed_disks, n_disks)
+        self.n_disks = n_disks
+        # a phase's rows per disk ascend without repeats (see
+        # split_into_phases): a disk's rows are one run unless gapped
+        runs = []
+        n_reads = 0
+        for disk, rows in phase.reads.items():
+            n_reads += len(rows)
+            if rows[-1] - rows[0] + 1 == len(rows):
+                runs.append((disk, rows[0], rows[-1] + 1))
+                continue
+            start = prev = rows[0]
+            for row in rows[1:]:
+                if row != prev + 1:
+                    runs.append((disk, start, prev + 1))
+                    start = row
+                prev = row
+            runs.append((disk, start, prev + 1))
+        self.n_reads = n_reads
+        self._runs = runs
+        self._runs_at: dict[int, tuple[tuple[int, int, int], ...]] = {}
+        self._read_set: frozenset[tuple[int, int]] | None = None
+
+    @property
+    def reads(self) -> list[tuple[int, int]]:
+        """The phase's logical source cells, in the phase's order."""
+        return [(disk, row) for disk, rows in self.phase.reads.items() for row in rows]
+
+    @property
+    def read_set(self) -> frozenset[tuple[int, int]]:
+        """:attr:`reads` as a set (built on first use: only the fallback needs it)."""
+        if self._read_set is None:
+            self._read_set = frozenset(self.reads)
+        return self._read_set
+
+    def runs_at(self, shift: int) -> tuple[tuple[int, int, int], ...]:
+        """``(physical disk, start row, end row)`` runs at a rotation shift.
+
+        Rows are relative to the stripe's first slot and ``end`` is
+        exclusive; the runs ascend by disk, then start — the order the
+        array's coalescer submits them in.  Memoised per shift.
+        """
+        runs = self._runs_at.get(shift)
+        if runs is None:
+            n_disks = self.n_disks
+            runs = self._runs_at[shift] = tuple(
+                sorted(((d + shift) % n_disks, lo, hi) for d, lo, hi in self._runs)
+            )
+        return runs
+
+
+def compile_phases(phases: list[RebuildPhase], n_disks: int) -> tuple[CompiledPhase, ...]:
+    """Compile a plan's phases (see :class:`CompiledPhase`)."""
+    failed = tuple(ph.failed_disk for ph in phases)
+    return tuple(CompiledPhase(ph, failed, n_disks) for ph in phases)

@@ -76,6 +76,14 @@ class RotatedStack:
             return logical
         return (logical + stripe) % self.n_disks
 
+    def shift(self, stripe: int) -> int:
+        """Rotation of ``stripe``: logical ``l`` sits on ``(l + shift) % n_disks``.
+
+        Unchecked — the rebuild's arithmetic placement calls it once per
+        stripe of a range it already owns.
+        """
+        return stripe % self.n_disks if self.rotate else 0
+
     def logical_disk(self, stripe: int, physical: int) -> int:
         """Logical role of ``physical`` in ``stripe``."""
         self._check(stripe, physical)

@@ -30,8 +30,12 @@ layers perform.  Consequences callers must honour:
 Coalescing runs one of two equivalent implementations, chosen by batch
 size alone: a tuned scalar loop below :data:`_NUMPY_MIN_OPS` ops and a
 vectorized numpy pass from there on.  Both produce identical runs and
-op→request mappings; the coalesced requests then enter the engine in
-one :meth:`~repro.disksim.events.Simulation.submit_many` call.
+op→request mappings.  The runs then go through
+:meth:`ElementArray.submit_runs`, the one submission tail: it checks
+the whole batch's disks, logs it, builds the requests and hands them
+to the engine in one :meth:`~repro.disksim.events.Simulation.submit_many`
+call.  The RAID controller's compiled rebuild phases call it directly
+with runs coalesced once per failure class.
 
 A single-op :meth:`ElementArray.submit_elements` call — every user read
 of one element, the bulk of an open-loop or nemesis run — has nothing
@@ -300,6 +304,8 @@ class ElementArray:
             disk, slot = ops[0]
             if slot < 0:
                 raise ValueError(f"bad element range: slot={slot}, n=1")
+            if not 0 <= disk < len(self.sim.disks):
+                raise ValueError(f"request targets unknown disk {disk}")
             if self._obs is not None:
                 self._obs.log.append(_SINGLE)
             esize = self.element_size
@@ -348,23 +354,63 @@ class ElementArray:
         m = len(disks)
         if len(slots) != m or (n_elements is not None and len(n_elements) != m):
             raise ValueError("disks, slots and n_elements must be parallel")
-        use_numpy = m >= _NUMPY_MIN_OPS
-        if use_numpy:
+        if m >= _NUMPY_MIN_OPS:
             runs, op_req = self._coalesce_numpy(disks, slots, n_elements)
         else:
             runs, op_req = self._coalesce_scalar(disks, slots, n_elements)
+        return self.submit_runs(
+            runs,
+            kind,
+            n_ops=m,
+            priority=priority,
+            tag=tag,
+            callback=callback,
+            on_complete=on_complete,
+            op_req=op_req,
+        )
+
+    def submit_runs(
+        self,
+        runs,
+        kind: IOKind,
+        n_ops: int,
+        priority: int = 10,
+        tag: str = "",
+        callback=None,
+        on_complete=None,
+        op_req=None,
+    ) -> "BatchSubmission":
+        """Submit already-coalesced ``(disk, start slot, end slot)`` runs.
+
+        The one submission tail: :meth:`submit_batch` ends here after
+        coalescing, and the RAID controller's compiled rebuild phases
+        submit their precoalesced runs here directly.  ``runs`` ascend
+        by disk, then start — the order both coalescers emit — and each
+        becomes one request covering slots ``start .. end - 1``.
+        ``n_ops`` is the element operations the runs cover; it only
+        feeds the ``array.*`` instruments, whose path label it picks as
+        the coalescer would have.  ``op_req`` is the op→request mapping
+        :class:`BatchSubmission` carries.
+
+        The whole batch is checked before anything is logged or
+        submitted (the runs ascend by disk, so the first and the last
+        bound the rest): a run on an unknown disk raises ``ValueError``
+        and leaves the engine and the instruments untouched.
+        """
+        if runs:
+            n_disks = len(self.sim.disks)
+            first = runs[0][0]
+            last = runs[-1][0]
+            if first < 0 or last >= n_disks:
+                raise ValueError(
+                    f"request targets unknown disk {first if first < 0 else last}"
+                )
         if self._obs is not None:
-            self._obs.log.append((m, len(runs), use_numpy))
+            self._obs.log.append((n_ops, len(runs), n_ops >= _NUMPY_MIN_OPS))
         esize = self.element_size
+        # positional: the keyword form costs ~30% more per request
         requests = [
-            IORequest(
-                disk=d,
-                offset=start * esize,
-                size=(end - start) * esize,
-                kind=kind,
-                priority=priority,
-                tag=tag,
-            )
+            IORequest(d, start * esize, (end - start) * esize, kind, priority, tag)
             for d, start, end in runs
         ]
         submission = BatchSubmission(requests, op_req)
@@ -387,7 +433,9 @@ class ElementArray:
             order = sorted(range(m), key=lambda k: (disks[k], slots[k], n_elements[k]))
         runs: list[tuple[int, int, int]] = []
         op_req = [0] * m
-        cur_disk = -1
+        # no run open yet: a sentinel no disk id equals (an id of -1
+        # must reach submit_runs' check, not merge into "no run")
+        cur_disk = None
         cur_start = cur_end = 0
         for k in order:
             d = disks[k]
@@ -399,11 +447,11 @@ class ElementArray:
                 if e > cur_end:
                     cur_end = e
             else:
-                if cur_disk >= 0:
+                if cur_disk is not None:
                     runs.append((cur_disk, cur_start, cur_end))
                 cur_disk, cur_start, cur_end = d, s, e
             op_req[k] = len(runs)
-        if cur_disk >= 0:
+        if cur_disk is not None:
             runs.append((cur_disk, cur_start, cur_end))
         return runs, op_req
 

@@ -10,9 +10,9 @@ The engine is deterministic: ties are broken by event sequence number.
 
 Observability
 -------------
-A completion does only what must happen at that instant: the per-disk
-queue-depth gauge, the request's trace row, the fault hook and the
-completion callback.  The trace row is the completed request itself,
+A completion does only what must happen at that instant: the request's
+trace row, the fault hook, the completion callback, and a store of its
+disk's queue depth into a plain per-disk list.  The trace row is the completed request itself,
 paired with its track group's pid offset
 (:class:`~repro.obs.export.IoSpan`); it passes the tracer's sampling
 and watermark gate at once, and is rendered into a span only when the
@@ -24,7 +24,9 @@ tracer exports it.  Everything cumulative — ``sim.requests``,
 block, from a per-simulation watermark, so a nested or ``until=``-split
 run never counts a completion twice.  The fold walks the log in
 completion order, so every instrument ends bit-identical to
-per-completion updates.  The same fold drains the owning
+per-completion updates.  The ``sim.queue_depth`` gauges are set there
+too, for each disk that completed a request since the last fold, from
+the depth list, in first-completion order.  The same fold drains the owning
 :class:`~repro.disksim.array.ElementArray`'s submission log into the
 ``array.*`` instruments.
 
@@ -69,6 +71,7 @@ class _SimObs:
         "record_span",
         "span_pid",
         "qd",
+        "depth",
         "reads",
         "writes",
         "bytes_read",
@@ -107,6 +110,9 @@ class _SimObs:
             "sim.queue_depth", "per-disk scheduler queue depth at last completion"
         )
         self.qd = [qd.labels(disk=str(d)) for d in range(len(sim.disks))]
+        #: each disk's scheduler queue depth at its last completion; the
+        #: fold copies it into ``qd``
+        self.depth = [0] * len(sim.disks)
         # flight-recorder series: windowed latency over the simulated
         # clock (None when no recorder is installed)
         rec = sim.recorder
@@ -141,9 +147,14 @@ class _SimObs:
         the ``sim.latency_s`` series take ``observe_many`` calls in
         completion order (bucket counts identical, running sum
         accumulated in the same order) — the state per-completion
-        updates would have left.  Events dispatched are the
-        completions plus the calendar calls claimed since the last
-        fold.  The owning array's logged submissions fold first.
+        updates would have left.  Each disk that completed a request
+        since the last fold gets its ``sim.queue_depth`` gauge set to
+        the depth stored at its last completion, in the order of the
+        disks' first completions, so the gauges' values and label order
+        are what a ``set`` per completion would have left.  Events
+        dispatched are the completions plus the calendar calls claimed
+        since the last fold.  The owning array's logged submissions
+        fold first.
         """
         batches = self.batches
         if batches is not None and batches.log:
@@ -162,9 +173,11 @@ class _SimObs:
         write = IOKind.WRITE
         latency = self.latency
         ts = self.ts_latency
+        touched: dict[int, None] = {}
         # chunked, so a long run's fold needs only bounded scratch lists
         for start in range(lo, hi, COLUMN_BOUND):
             batch = completed[start : min(hi, start + COLUMN_BOUND)]
+            touched.update(dict.fromkeys([r.disk for r in batch]))
             for r in batch:
                 if r.kind is write:
                     n_writes += 1
@@ -190,6 +203,10 @@ class _SimObs:
             self.errors.inc(n_errors)
         if n_retries:
             self.retries.inc(n_retries)
+        qd = self.qd
+        depth = self.depth
+        for d in touched:
+            qd[d].set(depth[d])
 
 
 class _DiskServer:
@@ -416,7 +433,7 @@ class Simulation:
         """The event loop of :meth:`run`, completion step inlined.
 
         A completion frees its disk, runs the fault hook, logs the
-        request, updates the queue-depth gauge and records its trace
+        request, stores its disk's queue depth and records its trace
         row (when observed), fires the callback and starts the disk's
         next request.
         """
@@ -432,6 +449,7 @@ class Simulation:
         obs = self._obs
         record_span = obs.record_span if obs is not None else None
         span_pid = obs.span_pid if obs is not None else 0
+        depth = obs.depth if obs is not None else None
         while heap:
             t = heap[0][0]
             if until is not None and t > until:
@@ -449,7 +467,7 @@ class Simulation:
                         faults.on_completion(request)
                     log(request)
                     if obs is not None:
-                        obs.qd[arg0].set(len(server.scheduler))
+                        depth[arg0] = len(server.scheduler)
                         if record_span is not None:
                             record_span(IoSpan(span_pid, request))
                     cb = pop_callback(request.req_id, None)

@@ -24,6 +24,7 @@ throughput experiments pin down one specific logical case.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
@@ -33,6 +34,8 @@ from ..core.errors import UnrecoverableFailureError
 from ..core.layouts import Layout, MirrorParityLayout
 from ..core.plancache import PlanCache
 from ..core.reconstruction import (
+    CompiledPhase,
+    CompiledSteps,
     RebuildPhase,
     ReconstructionPlan,
     RecoveryMethod,
@@ -329,7 +332,8 @@ class _RetryBatch:
     The settle logic used to be a nest of closures capturing a state
     dict per batch; on the rebuild hot path that allocated several
     cells and a dict for every stripe.  One slotted object with a
-    bound-method callback does the same job.
+    bound-method callback does the same job.  :attr:`callback` is the
+    per-request hook for a submission.
     """
 
     __slots__ = ("controller", "on_settled", "failed", "outstanding", "primed")
@@ -345,15 +349,40 @@ class _RetryBatch:
         self.outstanding = 0
         self.primed = False
 
+    @property
+    def callback(self) -> Callable[[IORequest], None]:
+        """:meth:`on_request`, or :meth:`count_down` without a retry policy.
+
+        Without a policy nothing is ever resubmitted or timed out, so
+        the hook only counts down.  Not stored on the batch: a bound
+        method held by its own object is a reference cycle, which with
+        the collector off would keep every settled batch alive.
+        """
+        if self.controller.retry_policy is not None:
+            return self.on_request
+        return self.count_down
+
+    def count_down(self, req: IORequest) -> None:
+        """:meth:`on_request` without a retry policy: settle, never retry.
+
+        No policy means no fault plan (the controller defaults a policy
+        for every plan), so an error here is an LSE, never transient.
+        """
+        self.outstanding -= 1
+        if req.error:
+            self.failed.append(req)
+        if self.primed and self.outstanding == 0:
+            self.on_settled(self.failed)
+
     def on_request(self, req: IORequest) -> None:
+        """The hook under a retry policy: time out, retry or settle."""
         ctrl = self.controller
         policy = ctrl.retry_policy
         stats = ctrl.fault_stats
         obs = ctrl._obs
         self.outstanding -= 1
         timed_out = (
-            policy is not None
-            and policy.timeout_s is not None
+            policy.timeout_s is not None
             and not req.error
             and req.latency > policy.timeout_s
         )
@@ -361,7 +390,7 @@ class _RetryBatch:
             stats.timeouts += 1
             obs.timeouts.inc()
         retryable = (req.error and req.error_kind == "transient") or timed_out
-        if policy is not None and retryable and req.attempt + 1 < policy.max_attempts:
+        if retryable and req.attempt + 1 < policy.max_attempts:
             delay = policy.backoff_s(req.attempt, ctrl._retry_rng)
             stats.retries += 1
             stats.backoff_time_s += delay
@@ -390,6 +419,290 @@ class _RetryBatch:
             obs.slow_accepted.inc()
         if self.primed and self.outstanding == 0:
             self.on_settled(self.failed)
+
+
+class _RebuildPass:
+    """What the stripes of one phased rebuild sweep share.
+
+    One object per :meth:`RaidController._rebuild_pass`; each stripe of
+    each phase runs as a :class:`_StripeTask` that points back here.
+    Stripes start in ``pending`` order through :meth:`launch`, which
+    runs a stripe that settles at once (a phase with nothing to read)
+    and the stripes it hands on to in a loop rather than by recursion,
+    in the order a recursive hand-on would start them.
+    """
+
+    __slots__ = (
+        "ctrl",
+        "entries",
+        "n_phases",
+        "phase_idx",
+        "pending",
+        "dead_stripes",
+        "completed",
+        "lost",
+        "stats",
+        "counting",
+        "write_spare",
+        "spare_of",
+        "throttle_fn",
+        "throttle_delay_s",
+        "dead_before",
+        "ts_progress",
+        "total_stripes",
+        "starting",
+        "chained",
+    )
+
+    def __init__(
+        self,
+        ctrl: "RaidController",
+        n_phases: int,
+        completed: dict[int, set[int]],
+        lost: list[tuple[int, int]],
+        stats: FaultStats,
+        counting: bool,
+        write_spare: bool,
+        spare_of: dict[int, int],
+        throttle_delay_s: "float | RebuildThrottle",
+    ) -> None:
+        self.ctrl = ctrl
+        #: stripe -> (plan, compiled phases); shared, read-only
+        self.entries: dict[int, tuple[ReconstructionPlan, tuple[CompiledPhase, ...]]] = {}
+        self.n_phases = n_phases
+        self.phase_idx = 0
+        self.pending: deque[int] = deque()
+        self.dead_stripes: set[int] = set()
+        self.completed = completed
+        self.lost = lost
+        self.stats = stats
+        self.counting = counting
+        self.write_spare = write_spare
+        self.spare_of = spare_of
+        # policy objects are consulted per stripe (they see the live
+        # clock); a bare float is the fixed md-style rate limit
+        self.throttle_fn = getattr(throttle_delay_s, "delay_s", None)
+        self.throttle_delay_s = throttle_delay_s
+        self.dead_before = len(ctrl._dead_disks)
+        # flight-recorder progress feed: one point per rebuilt stripe
+        # (the phase barrier alone would give a single-failure rebuild
+        # a one-point "curve"); None when no recorder is installed
+        self.ts_progress = ctrl._obs.ts_progress if completed else None
+        self.total_stripes = len(completed) * ctrl.n_stripes
+        self.starting = False
+        self.chained = False
+
+    def interrupted(self) -> bool:
+        """Whether another disk died since the pass began."""
+        return len(self.ctrl._dead_disks) > self.dead_before
+
+    def launch(self, stripe: int) -> None:
+        """Start ``stripe``, then every stripe a synchronous settle hands on to."""
+        self.starting = True
+        try:
+            while True:
+                self.chained = False
+                _StripeTask(self, stripe).start()
+                if not self.chained:
+                    return
+                stripe = self._pop()
+                if stripe is None:
+                    return
+        finally:
+            self.starting = False
+
+    def next_stripe(self) -> None:
+        """A stripe settled: start the next pending one, if any."""
+        if self.starting:
+            # inside launch(): its loop starts the next stripe
+            self.chained = True
+            return
+        stripe = self._pop()
+        if stripe is not None:
+            self.launch(stripe)
+
+    def _pop(self) -> int | None:
+        pending = self.pending
+        while pending and not self.interrupted():
+            stripe = pending.popleft()
+            if stripe not in self.dead_stripes:
+                return stripe
+        return None
+
+    def fail_stripe_from(self, stripe: int, shift: int, from_idx: int) -> None:
+        """Lose the stripe's current and dependent later phases."""
+        ctrl = self.ctrl
+        n_disks = ctrl.stack.n_disks
+        phases = self.entries[stripe][1]
+        for k in range(from_idx, self.n_phases):
+            pfk = (phases[k].failed_disk + shift) % n_disks
+            ctrl._record_loss((pfk,), stripe, self.lost, self.stats)
+        self.dead_stripes.add(stripe)
+
+
+class _StripeTask:
+    """One stripe's share of one rebuild phase, from its reads to its hand-on.
+
+    Placement is arithmetic: logical disk ``d`` sits on physical
+    ``(d + shift) % n_disks`` and row ``r`` in slot ``base + r``.  The
+    phase's reads were coalesced once per failure class
+    (:meth:`~repro.core.reconstruction.CompiledPhase.runs_at`), so a
+    stripe's requests are its runs moved to its first slot.
+    """
+
+    __slots__ = ("run", "stripe", "shift", "base", "plan", "phase", "pf", "fallback")
+
+    def __init__(self, run: _RebuildPass, stripe: int) -> None:
+        stack = run.ctrl.stack
+        self.run = run
+        self.stripe = stripe
+        self.shift = shift = stack.shift(stripe)
+        self.base = stripe * stack.rows
+        self.plan, phases = run.entries[stripe]
+        self.phase = phase = phases[run.phase_idx]
+        self.pf = (phase.failed_disk + shift) % stack.n_disks
+        self.fallback: CompiledSteps | None = None
+
+    def start(self) -> None:
+        run = self.run
+        throttle_fn = run.throttle_fn
+        delay = (
+            throttle_fn(run.ctrl.array.now, self.phase.n_reads)
+            if throttle_fn is not None
+            else run.throttle_delay_s
+        )
+        if delay > 0:
+            run.ctrl.array.sim.schedule(delay, self.submit)
+        else:
+            self.submit()
+
+    def submit(self) -> None:
+        ctrl = self.run.ctrl
+        base = self.base
+        runs = [(d, base + lo, base + hi) for d, lo, hi in self.phase.runs_at(self.shift)]
+        batch = _RetryBatch(ctrl, self.on_settled)
+        batch.outstanding = len(runs)
+        batch.primed = True
+        ctrl.array.submit_runs(
+            runs, IOKind.READ, n_ops=self.phase.n_reads, tag="rebuild", callback=batch.callback
+        )
+        if not runs:
+            self.on_settled([])
+
+    def on_settled(self, failed_reqs: list[IORequest]) -> None:
+        ctrl = self.run.ctrl
+        if not failed_reqs and ctrl.lse is None and not ctrl._dead_disks:
+            # nothing failed and nothing can have: no source to re-route
+            ctrl._apply_steps(self.stripe, self.phase.steps)
+            self.finish_ok()
+            return
+        bad = self.bad_source_cells()
+        dead = set(ctrl._dead_disks)
+        n_disks = ctrl.stack.n_disks
+        base = self.base
+        esize = ctrl.array.element_size
+        read_set = self.phase.read_set
+        for req in failed_reqs:
+            disk = (req.disk - self.shift) % n_disks
+            first = req.offset // esize
+            last = (req.offset + req.size - 1) // esize
+            for slot in range(first, last + 1):
+                cell = (disk, slot - base)
+                if cell in read_set:
+                    bad.add(cell)
+        if dead:
+            # sources whose disk died after the reads were submitted: the
+            # store no longer holds their bytes
+            for cell in self.phase.reads:
+                if (cell[0] + self.shift) % n_disks in dead:
+                    bad.add(cell)
+        if not bad:
+            ctrl._apply_steps(self.stripe, self.phase.steps)
+            self.finish_ok()
+            return
+        run = self.run
+        stripe = self.stripe
+        plan = self.plan
+        try:
+            steps, extra = ctrl._lse_substitute(
+                stripe, plan, self.phase.phase, bad, dead_physical=dead
+            )
+        except UnrecoverableFailureError:
+            dead_driven = any(
+                c[0] not in plan.failed_disks and ctrl.place(stripe, c)[0] in dead
+                for c in bad
+            )
+            if run.counting and dead_driven and run.interrupted():
+                # recoverable once the caller regroups with the enlarged
+                # failure set — defer, not lose
+                run.next_stripe()
+                return
+            if not run.counting:
+                raise
+            run.fail_stripe_from(stripe, self.shift, run.phase_idx)
+            run.next_stripe()
+            return
+        run.stats.rerouted_reads += len(bad)
+        ctrl._obs.rerouted.inc(len(bad))
+        extra_phys = sorted(
+            {ctrl.place(stripe, c) for c in extra if c[0] not in plan.failed_disks}
+        )
+        self.fallback = CompiledSteps(steps, plan.failed_disks, n_disks)
+        ctrl._submit_reads_with_retry(extra_phys, "lse-fallback", self.finish_fallback)
+
+    def bad_source_cells(self) -> set[tuple[int, int]]:
+        """Phase source cells that hit an LSE on their physical slot."""
+        lse = self.run.ctrl.lse
+        if lse is None:
+            return set()
+        n_disks = self.run.ctrl.stack.n_disks
+        return {
+            (disk, row)
+            for disk, row in self.phase.reads
+            if lse.is_bad((disk + self.shift) % n_disks, self.base + row)
+        }
+
+    def finish_fallback(self, fb_failed: list[IORequest]) -> None:
+        run = self.run
+        if fb_failed:
+            if not run.counting:
+                raise UnrecoverableFailureError(
+                    f"fallback sources unreadable during "
+                    f"reconstruction of stripe {self.stripe}"
+                )
+            run.fail_stripe_from(self.stripe, self.shift, run.phase_idx)
+            run.next_stripe()
+            return
+        run.ctrl._apply_steps(self.stripe, self.fallback)
+        self.finish_ok()
+
+    def finish_ok(self) -> None:
+        run = self.run
+        ctrl = run.ctrl
+        pf = self.pf
+        run.completed[pf].add(self.stripe)
+        if run.ts_progress is not None:
+            run.ts_progress.observe(
+                ctrl.array.now,
+                sum(len(v) for v in run.completed.values()) / run.total_stripes,
+            )
+        rows = ctrl.stack.rows
+        base = self.base
+        if ctrl.lse is not None:
+            # every sector of the rebuilt column was just rewritten (or
+            # lives on a fresh spare): latent errors recorded there die
+            # with the old media
+            for slot in range(base, base + rows):
+                ctrl.lse.heal(pf, slot)
+        if run.write_spare and pf in run.spare_of:
+            ctrl.array.submit_runs(
+                [(run.spare_of[pf], base, base + rows)],
+                IOKind.WRITE,
+                n_ops=rows,
+                tag="rebuild-write",
+            )
+            ctrl._obs.spare_writes.inc()
+        run.next_stripe()
 
 
 class RaidController:
@@ -513,6 +826,9 @@ class RaidController:
         self.content = np.zeros(
             (layout.n_disks + spares, slots, payload_bytes), dtype=np.uint8
         )
+        #: the same store, one row per element: compiled recovery
+        #: groups index it with flat cell numbers
+        self._cell_rows = self.content.reshape(-1, payload_bytes)
         self._decoded: set[tuple[int, tuple[int, ...]]] = set()
         #: disks killed by scheduled :class:`DiskFailure` events, in
         #: death order; content snapshots taken at the moment of death
@@ -593,11 +909,12 @@ class RaidController:
 
         The bookkeeping lives in one slotted :class:`_RetryBatch`
         object per batch; its bound method is the per-request callback,
-        so no closure cells are allocated on this path.
+        so no closure cells are allocated on this path.  The compiled
+        rebuild phases use the same object for their reads.
         """
         batch = _RetryBatch(self, on_settled)
         reqs = self.array.submit_elements(
-            cells, IOKind.READ, priority=priority, tag=tag, callback=batch.on_request
+            cells, IOKind.READ, priority=priority, tag=tag, callback=batch.callback
         )
         batch.outstanding += len(reqs)
         batch.primed = True
@@ -849,24 +1166,44 @@ class RaidController:
     ) -> int:
         """One phased rebuild sweep of ``stripes`` for failure set ``fset``.
 
+        Each stripe's logical failure set selects its plan and its
+        compiled phases from the :class:`PlanCache`
+        (:meth:`~repro.core.plancache.PlanCache.compiled_phases`); a
+        stripe of a phase then runs as one :class:`_StripeTask`, which
+        places the phase's precoalesced read runs and recovery groups by
+        arithmetic and submits the runs through
+        :meth:`~repro.disksim.array.ElementArray.submit_runs`.  Up to
+        ``window`` stripes are in flight; each settled stripe starts the
+        next, and a phase ends at the barrier of ``array.run()``.  LSE
+        fallback, dead-source re-routing and data-loss counting take the
+        general path only when a read failed, a disk died or an LSE
+        model is attached.
+
         Stops seeding new work as soon as an additional disk death is
         detected — the caller regroups the remainder under the enlarged
         failure set.  Returns the stripes' max parallel-read-access
         count (the paper's Table access metric).
         """
         fset = tuple(sorted(fset))
-        dead_before = len(self._dead_disks)
-        # policy objects are consulted per stripe (they see the live
-        # clock); a bare float is the fixed md-style rate limit
-        throttle_fn = getattr(throttle_delay_s, "delay_s", None)
-
-        plans: dict[int, ReconstructionPlan] = {}
-        phase_lists: dict[int, list[RebuildPhase]] = {}
-        plannable: list[int] = []
         stack = self.stack
+        n_disks = stack.n_disks
         cache = self.plan_cache
+        run = _RebuildPass(
+            self,
+            len(fset),
+            completed,
+            lost,
+            stats,
+            counting,
+            write_spare,
+            spare_of,
+            throttle_delay_s,
+        )
+        entries = run.entries
+        plannable: list[int] = []
         for s in stripes:
-            logical = tuple(sorted(stack.logical_disk(s, f) for f in fset))
+            shift = stack.shift(s)
+            logical = tuple(sorted((f - shift) % n_disks for f in fset))
             try:
                 plan = cache.plan(logical)
             except UnrecoverableFailureError:
@@ -874,173 +1211,25 @@ class RaidController:
                     raise
                 self._record_loss(fset, s, lost, stats)
                 continue
-            # plans and phase lists are shared across same-class stripes
-            # (and across rebuilds): read-only from here on
-            plans[s] = plan
-            phase_lists[s] = cache.phases(logical)
+            # plans and compiled phases are shared across same-class
+            # stripes (and across rebuilds): read-only from here on
+            entries[s] = (plan, cache.compiled_phases(logical))
             plannable.append(s)
-        max_accesses = max((p.num_read_accesses for p in plans.values()), default=0)
-        n_phases = len(fset)
-        dead_stripes: set[int] = set()
-        # flight-recorder progress feed: one point per rebuilt stripe
-        # (the phase barrier alone would give a single-failure rebuild
-        # a one-point "curve"); None when no recorder is installed
-        ts_progress = self._obs.ts_progress if completed else None
-        total_stripes = len(completed) * self.n_stripes
-
-        def observe_progress() -> None:
-            ts_progress.observe(
-                self.array.now,
-                sum(len(v) for v in completed.values()) / total_stripes,
-            )
-
-        def interrupted() -> bool:
-            return len(self._dead_disks) > dead_before
-
-        def fail_stripe_from(stripe: int, from_idx: int) -> None:
-            """Lose the stripe's current and dependent later phases."""
-            for k in range(from_idx, n_phases):
-                ph = phase_lists[stripe][k]
-                pfk = self.stack.physical_disk(stripe, ph.failed_disk)
-                self._record_loss((pfk,), stripe, lost, stats)
-            dead_stripes.add(stripe)
-
-        for phase_idx in range(n_phases):
-            if interrupted():
+        max_accesses = max(
+            (plan.num_read_accesses for plan, _ in entries.values()), default=0
+        )
+        for phase_idx in range(run.n_phases):
+            if run.interrupted():
                 break
-            pending = [s for s in plannable if s not in dead_stripes]
-
-            def start_stripe(
-                stripe: int,
-                phase_idx: int = phase_idx,
-                pending: list[int] = pending,
-            ) -> None:
-                phase: RebuildPhase = phase_lists[stripe][phase_idx]
-                plan = plans[stripe]
-                phys_to_cell: dict[tuple[int, int], tuple[int, int]] = {}
-                reads = []
-                for disk, rows in phase.reads.items():
-                    for row in rows:
-                        pd, slot = self.place(stripe, (disk, row))
-                        phys_to_cell[(pd, slot)] = (disk, row)
-                        reads.append((pd, slot))
-                pf = self.stack.physical_disk(stripe, phase.failed_disk)
-
-                def next_stripe() -> None:
-                    while pending and not interrupted():
-                        s = pending.pop(0)
-                        if s in dead_stripes:
-                            continue
-                        start_stripe(s, phase_idx, pending)
-                        return
-
-                def finish_ok() -> None:
-                    completed[pf].add(stripe)
-                    if ts_progress is not None:
-                        observe_progress()
-                    if self.lse is not None:
-                        # every sector of the rebuilt column was just
-                        # rewritten (or lives on a fresh spare): latent
-                        # errors recorded there die with the old media
-                        for r in range(self.layout.rows):
-                            _, slot = self.place(stripe, (phase.failed_disk, r))
-                            self.lse.heal(pf, slot)
-                    if write_spare and pf in spare_of:
-                        writes = [
-                            (spare_of[pf], self.place(stripe, (phase.failed_disk, r))[1])
-                            for r in range(self.layout.rows)
-                        ]
-                        self.array.submit_elements(
-                            writes, IOKind.WRITE, tag="rebuild-write"
-                        )
-                        self._obs.spare_writes.inc()
-                    next_stripe()
-
-                def on_settled(failed_reqs: list[IORequest]) -> None:
-                    bad = self._bad_source_cells(stripe, phase)
-                    dead = set(self._dead_disks)
-                    for req in failed_reqs:
-                        first = req.offset // self.array.element_size
-                        last = (req.offset + req.size - 1) // self.array.element_size
-                        for slot in range(first, last + 1):
-                            cell = phys_to_cell.get((req.disk, slot))
-                            if cell is not None:
-                                bad.add(cell)
-                    # sources whose disk died after the reads were
-                    # issued: the store no longer holds their bytes
-                    for disk, rows in phase.reads.items():
-                        for row in rows:
-                            if self.place(stripe, (disk, row))[0] in dead:
-                                bad.add((disk, row))
-                    if not bad:
-                        self._apply_steps(stripe, plan, phase.steps)
-                        finish_ok()
-                        return
-                    try:
-                        steps, extra = self._lse_substitute(
-                            stripe, plan, phase, bad, dead_physical=dead
-                        )
-                    except UnrecoverableFailureError:
-                        dead_driven = any(
-                            c[0] not in plan.failed_disks
-                            and self.place(stripe, c)[0] in dead
-                            for c in bad
-                        )
-                        if counting and dead_driven and interrupted():
-                            # recoverable once the caller regroups with
-                            # the enlarged failure set — defer, not lose
-                            next_stripe()
-                            return
-                        if not counting:
-                            raise
-                        fail_stripe_from(stripe, phase_idx)
-                        next_stripe()
-                        return
-                    stats.rerouted_reads += len(bad)
-                    self._obs.rerouted.inc(len(bad))
-                    extra_phys = sorted(
-                        {
-                            self.place(stripe, c)
-                            for c in extra
-                            if c[0] not in plan.failed_disks
-                        }
-                    )
-
-                    def finish_fallback(fb_failed: list[IORequest]) -> None:
-                        if fb_failed:
-                            if not counting:
-                                raise UnrecoverableFailureError(
-                                    f"fallback sources unreadable during "
-                                    f"reconstruction of stripe {stripe}"
-                                )
-                            fail_stripe_from(stripe, phase_idx)
-                            next_stripe()
-                            return
-                        self._apply_steps(stripe, plan, steps)
-                        finish_ok()
-
-                    self._submit_reads_with_retry(
-                        extra_phys, "lse-fallback", finish_fallback
-                    )
-
-                def submit() -> None:
-                    self._submit_reads_with_retry(reads, "rebuild", on_settled)
-
-                delay = (
-                    throttle_fn(self.array.now, len(reads))
-                    if throttle_fn is not None
-                    else throttle_delay_s
-                )
-                if delay > 0:
-                    self.array.sim.schedule(delay, submit)
-                else:
-                    submit()
-
+            run.phase_idx = phase_idx
+            pending = run.pending = deque(
+                s for s in plannable if s not in run.dead_stripes
+            )
             n_phase_stripes = len(pending)
             t0 = self.array.now
             seeded = 0
             while pending and seeded < window:
-                start_stripe(pending.pop(0))
+                run.launch(pending.popleft())
                 seeded += 1
             self.array.run()  # phase barrier
             self._obs.phase_span(
@@ -1058,18 +1247,6 @@ class RaidController:
     # ------------------------------------------------------------------
     # latent sector error handling (see repro.disksim.faults)
     # ------------------------------------------------------------------
-    def _bad_source_cells(self, stripe: int, phase: RebuildPhase) -> set[tuple[int, int]]:
-        """Phase source cells that hit an LSE on their physical slot."""
-        if self.lse is None:
-            return set()
-        bad: set[tuple[int, int]] = set()
-        for disk, rows in phase.reads.items():
-            for row in rows:
-                pd, slot = self.place(stripe, (disk, row))
-                if self.lse.is_bad(pd, slot):
-                    bad.add((disk, row))
-        return bad
-
     def _lse_substitute(
         self,
         stripe: int,
@@ -1156,31 +1333,37 @@ class RaidController:
         return new_steps, extra
 
     # ------------------------------------------------------------------
-    def _apply_steps(self, stripe: int, plan: ReconstructionPlan, steps) -> None:
-        for step in steps:
-            pd, slot = self.place(stripe, step.target)
-            if step.method in (RecoveryMethod.XOR, RecoveryMethod.RECOMPUTE):
-                acc = np.zeros(self.payload_bytes, dtype=np.uint8)
-                for src in step.sources:
-                    spd, sslot = self.place(stripe, src)
-                    acc ^= self.content[spd, sslot]
-                self.content[pd, slot] = acc
-            elif step.method is RecoveryMethod.COPY:
-                spd, sslot = self.place(stripe, step.sources[0])
-                self.content[pd, slot] = self.content[spd, sslot]
-            elif step.method is RecoveryMethod.CODE:
-                key = (stripe, plan.failed_disks)
-                if key not in self._decoded:
-                    # one decode restores every failed column of the stripe
-                    lay = self.layout
-                    disks, slots = self.stack.cells(stripe)
-                    failed = list(plan.failed_disks)
-                    block = lay.encode(lay.decode(self.content[disks, slots], failed))
-                    self.content[disks[failed], slots[failed]] = block[failed]
-                    self._decoded.add(key)
-                    self._obs.decodes.inc()
-            else:  # pragma: no cover - defensive
-                raise AssertionError(f"unknown recovery method {step.method}")
+    def _apply_steps(self, stripe: int, steps: CompiledSteps) -> None:
+        """Run compiled recovery steps against the stripe's content.
+
+        Each group stores the XOR of its gathered sources (one source:
+        a copy) into its targets, placed at the stripe's rotation shift
+        and first slot of the store viewed as one row per element.
+        """
+        flat = self._cell_rows
+        base = stripe * self.stack.rows
+        for group in steps.at(self.stack.shift(stripe), self.content.shape[1]):
+            if group is None:
+                self._decode_stripe(stripe, steps.failed_disks)
+                continue
+            k, targets, sources = group
+            if k == 1:
+                flat[targets + base] = flat[sources + base]
+            else:
+                flat[targets + base] = np.bitwise_xor.reduce(flat[sources + base], axis=1)
+
+    def _decode_stripe(self, stripe: int, failed_disks: tuple[int, ...]) -> None:
+        """One decode restores every failed column of the stripe (CODE steps)."""
+        key = (stripe, failed_disks)
+        if key in self._decoded:
+            return
+        lay = self.layout
+        disks, slots = self.stack.cells(stripe)
+        failed = list(failed_disks)
+        block = lay.encode(lay.decode(self.content[disks, slots], failed))
+        self.content[disks[failed], slots[failed]] = block[failed]
+        self._decoded.add(key)
+        self._obs.decodes.inc()
 
     # ==================================================================
     # writes

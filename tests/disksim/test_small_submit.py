@@ -158,16 +158,23 @@ def test_negative_slot_raises_and_submits_nothing(general):
     assert snap["counters"]["array.batch_ops"]["values"] == []
 
 
-def _unknown_disk_state(general: bool) -> dict:
+#: refused batches: one bad op, a good op then a bad one, a bad one first
+_REFUSED = ([(_N_DISKS, 0)], [(0, 3), (_N_DISKS, 0)], [(-1, 2), (1, 2)])
+
+
+def _refused_state(general: bool, bad_batch) -> dict:
     def drive():
         arr = _array()
         arr.submit_elements([(0, 0)], IOKind.READ)
         with pytest.raises(ValueError, match="unknown disk"):
             if general:
-                arr.submit_batch([_N_DISKS], [0], IOKind.READ)
+                arr.submit_batch([d for d, _ in bad_batch], [s for _, s in bad_batch], IOKind.READ)
             else:
-                arr.submit_elements([(_N_DISKS, 0)], IOKind.READ)
+                arr.submit_elements(bad_batch, IOKind.READ)
+        # nothing of the refused batch reached the engine or the log
         assert arr.sim.pending_count() == 1
+        assert len(arr.sim._cal) == 1
+        assert len(arr._obs.log) == 1
         arr.run()
         assert len(arr.sim.completed) == 1
         assert arr.sim.pending_count() == 0
@@ -177,9 +184,14 @@ def _unknown_disk_state(general: bool) -> dict:
 
 
 def test_unknown_disk_raises_and_leaves_pending_unchanged():
-    # the rejected batch was logged before the engine refused it, on
-    # both paths alike
-    assert _unknown_disk_state(general=False) == _unknown_disk_state(general=True)
+    for bad_batch in _REFUSED:
+        for general in (False, True):
+            state = _refused_state(general, bad_batch)
+            # only the one good op counts: the refused batch is absent
+            assert state["counters"]["array.batch_ops"]["values"][0]["value"] == 1.0
+            paths = state["counters"]["array.batch_path"]["values"]
+            assert [(e["labels"]["path"], e["value"]) for e in paths] == [("scalar", 1.0)]
+            assert state["histograms"]["array.coalesce_ratio"]["values"][0]["count"] == 1
 
 
 @pytest.mark.parametrize("with_callback", [False, True])

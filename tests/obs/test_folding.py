@@ -419,3 +419,97 @@ def test_until_split_run_matches_one_run():
     assert [r.finish_time for r in split_log] == [r.finish_time for r in whole_log]
     assert split["counters"] == whole["counters"]
     assert split["histograms"] == whole["histograms"]
+
+
+# ----------------------------------------------------------------------
+# the queue-depth gauges: set at each run() exit, as per completion
+# ----------------------------------------------------------------------
+
+
+def _depth_check(batches, gaps, mode):
+    """Submit ``batches`` of requests under ``mode``; at every ``run()``
+    exit, top-level or nested, the ``sim.queue_depth`` gauges must equal
+    a reference gauge set on every completion — values and label order."""
+    ref = MetricsRegistry()
+    ref_qd = ref.gauge("sim.queue_depth", "per-disk scheduler queue depth at last completion")
+    checks = []
+    old = set_obs_enabled(True)
+    try:
+        with scoped_registry() as reg:
+            sim = Simulation(3, DiskParameters.savvio_10k3())
+            pending = list(batches)
+            nested = []
+
+            def check():
+                folded = reg.gauge("sim.queue_depth", "")
+                checks.append(
+                    (
+                        (folded._values.copy(), folded.label_sets()),
+                        (ref_qd._values.copy(), ref_qd.label_sets()),
+                    )
+                )
+
+            def settled(req: IORequest) -> None:
+                # the depth the engine stored for this completion
+                ref_qd.labels(disk=str(req.disk)).set(len(sim.disks[req.disk].scheduler))
+                if mode == "nested":
+                    if pending:
+                        submit(pending.pop(0))
+                    if len(nested) < 3:
+                        nested.append(sim.now)
+                        sim.run(until=sim.now + 0.01)
+                        check()
+
+            def submit(batch):
+                for disk, slot in batch:
+                    sim.submit(IORequest(disk, slot * _MB, _MB, IOKind.READ), settled)
+
+            if mode == "whole":
+                for batch in batches:
+                    submit(batch)
+                sim.run()
+                check()
+            elif mode == "until-split":
+                for batch, gap in zip(batches, gaps):
+                    submit(batch)
+                    sim.run(until=sim.now + gap)
+                    check()
+                sim.run()
+                check()
+            else:
+                submit(pending.pop(0))
+                sim.run()
+                check()
+                while pending:
+                    submit(pending.pop(0))
+                    sim.run()
+                    check()
+    finally:
+        set_obs_enabled(old)
+    for folded, reference in checks:
+        assert folded == reference
+    return checks
+
+
+_depth_batch = st.lists(
+    st.tuples(st.integers(0, 2), st.integers(0, 60)), min_size=1, max_size=12
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    batches=st.lists(_depth_batch, min_size=1, max_size=8),
+    gaps=st.lists(st.floats(0.0, 0.05), min_size=8, max_size=8),
+    mode=st.sampled_from(["whole", "until-split", "nested"]),
+)
+def test_folded_queue_depth_equals_per_completion_gauge(batches, gaps, mode):
+    _depth_check(batches, gaps, mode)
+
+
+@pytest.mark.parametrize("mode", ["whole", "until-split", "nested"])
+def test_queue_depth_gauges_cover_every_disk_that_completed(mode):
+    batches = [[(2, 5), (2, 6), (0, 1)], [(2, 40), (1, 3)], [(0, 9)] * 4]
+    checks = _depth_check(batches, [0.005, 0.0, 0.02], mode)
+    values, labels = checks[-1][0]
+    assert sorted(lab["disk"] for lab in labels) == ["0", "1", "2"]
+    assert all(v == 0 for v in values.values())  # every queue drained
