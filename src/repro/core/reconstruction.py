@@ -85,6 +85,10 @@ class ReconstructionPlan:
     failed_disks: tuple[int, ...]
     reads: dict[int, list[int]] = field(default_factory=dict)
     steps: list[RecoveryStep] = field(default_factory=list)
+    #: targets of ``steps``, kept by :meth:`add_step`
+    _produced: set[tuple[int, int]] = field(
+        default_factory=set, init=False, repr=False, compare=False
+    )
 
     # ------------------------------------------------------------------
     def add_read(self, disk: int, row: int) -> None:
@@ -112,12 +116,13 @@ class ReconstructionPlan:
         """
         sources = tuple(sources)
         if read_sources:
-            produced = {s.target for s in self.steps}
+            produced = self._produced
             for disk, row in sources:
                 if disk in self.failed_disks or (disk, row) in produced:
                     continue
                 self.add_read(disk, row)
         self.steps.append(RecoveryStep(target, method, sources))
+        self._produced.add(target)
 
     # ------------------------------------------------------------------
     @property

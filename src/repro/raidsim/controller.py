@@ -38,7 +38,6 @@ from ..core.reconstruction import (
     CompiledSteps,
     RebuildPhase,
     ReconstructionPlan,
-    RecoveryMethod,
     RecoveryStep,
 )
 from ..core.stack import RotatedStack
@@ -1258,78 +1257,54 @@ class RaidController:
         """Re-route recovery steps around unreadable source elements.
 
         Returns the substituted step list plus the extra source cells
-        the fallback must read.  Only the mirror family has alternate
-        paths: the plain mirror method *loses data* when its single
-        replica is unreadable — precisely the LSE-during-reconstruction
-        hazard §I cites — and the parity variant survives through the
-        parity path.  ``dead_physical`` disks (killed mid-rebuild) are
-        never usable substitutes.
+        the fallback must read.  Each step with a ``bad`` source is
+        replaced by :meth:`~repro.core.layouts.Layout.read_sources` of
+        its target, with unavailable: the ``bad`` cells, the columns
+        this or a later phase rebuilds, the ``dead_physical`` disks
+        (killed mid-rebuild) and every latent sector error.  Only the
+        mirror method with parity re-routes: the plain mirror method
+        *loses data* when its single replica is unreadable — precisely
+        the LSE-during-reconstruction hazard §I cites.
         """
         lay = self.layout
+        if not isinstance(lay, MirrorParityLayout):
+            raise UnrecoverableFailureError(
+                f"{lay.name}: source {sorted(bad)} unreadable (latent sector "
+                f"error) during reconstruction and no redundancy remains"
+            )
         failed = set(plan.failed_disks)
-        phase_rank = {f: k for k, f in enumerate(plan.failed_disks)}
-        current_rank = phase_rank[phase.failed_disk]
+        waiting = plan.failed_disks[plan.failed_disks.index(phase.failed_disk):]
         dead = dead_physical if dead_physical is not None else set()
-
-        def usable(cell: tuple[int, int]) -> bool:
-            """A substitute source must be readable now."""
-            if cell in bad:
-                return False
-            if cell[0] in failed:
+        lse = self.lse
+        unavailable = set(bad)
+        for disk in range(lay.n_disks):
+            if disk in failed:
                 # only elements recovered by an *earlier* phase exist
-                return phase_rank[cell[0]] < current_rank
-            pd, slot = self.place(stripe, cell)
-            if pd in dead:
-                return False
-            return self.lse is None or not self.lse.is_bad(pd, slot)
+                if disk in waiting:
+                    unavailable.update((disk, row) for row in range(lay.rows))
+                continue
+            for row in range(lay.rows):
+                pd, slot = self.place(stripe, (disk, row))
+                if pd in dead or (lse is not None and lse.is_bad(pd, slot)):
+                    unavailable.add((disk, row))
 
         new_steps: list[RecoveryStep] = []
         extra: list[tuple[int, int]] = []
         for step in phase.steps:
-            if not any(s in bad for s in step.sources):
+            if bad.isdisjoint(step.sources):
                 new_steps.append(step)
                 continue
-            if not isinstance(lay, MirrorParityLayout):
+            alt = lay.read_sources(step.target, unavailable)
+            if alt is None:
                 raise UnrecoverableFailureError(
-                    f"{lay.name}: source {sorted(bad)} unreadable (latent sector "
-                    f"error) during reconstruction and no redundancy remains"
+                    f"cell {step.target}: sources {sorted(bad)} unreadable and "
+                    f"the parity path is also damaged"
                 )
-            if step.method is RecoveryMethod.COPY:
-                (src,) = step.sources
-                c = lay.content(*src)
-                row_sources = [
-                    lay.data_cell(ii, c.j) for ii in range(lay.n) if ii != c.i
-                ]
-                alt = row_sources + [lay.parity_cell(c.j)]
-                if not all(usable(cell) for cell in alt):
-                    raise UnrecoverableFailureError(
-                        f"element a[{c.i},{c.j}]: replica unreadable and the "
-                        f"parity path is also damaged"
-                    )
-                new_steps.append(RecoveryStep(step.target, RecoveryMethod.XOR, tuple(alt)))
-                extra.extend(cell for cell in alt if cell[0] not in failed)
-            else:  # XOR / RECOMPUTE: swap each bad member for its replica
-                substituted = []
-                for s in step.sources:
-                    if s not in bad:
-                        substituted.append(s)
-                        continue
-                    c = lay.content(*s)
-                    if c.kind != "data":
-                        raise UnrecoverableFailureError(
-                            f"unreadable {c.kind} element {s} has no replica"
-                        )
-                    (rep,) = lay.replica_cells(c.i, c.j)
-                    if not usable(rep):
-                        raise UnrecoverableFailureError(
-                            f"element a[{c.i},{c.j}] and its replica both unreadable"
-                        )
-                    substituted.append(rep)
-                    if rep[0] not in failed:
-                        extra.append(rep)
-                new_steps.append(
-                    RecoveryStep(step.target, step.method, tuple(substituted))
-                )
+            new_steps.append(alt)
+            extra.extend(
+                cell for cell in alt.sources
+                if cell[0] not in failed and cell not in step.sources
+            )
         return new_steps, extra
 
     # ------------------------------------------------------------------

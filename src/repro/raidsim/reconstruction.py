@@ -8,16 +8,12 @@ to user with a higher priority than other reconstruction I/Os."
 :class:`OnlineReconstruction` composes a controller rebuild (priority
 10 I/O) with a stream of user reads (priority 0).  A user read whose
 target element sits on a failed disk becomes a *degraded read*: the
-controller fetches the cheapest surviving source set —
-
-1. the element itself, if its disk survives;
-2. a surviving replica (one element — where the shifted arrangement
-   shines, because replicas of a failed disk spread over all disks
-   instead of queueing behind the rebuild stream on one disk);
-3. the parity path: the row's surviving elements plus the parity
-   element;
-4. last resort (RAID 6 double failures): every intact element of the
-   stripe.
+controller fetches the cheapest surviving source set that
+:meth:`~repro.core.layouts.Layout.read_sources` names — a surviving
+replica first (one element: where the shifted arrangement shines,
+because replicas of a failed disk spread over all disks instead of
+queueing behind the rebuild stream on one disk), then the row-parity
+path, then a whole-stripe decode of the erasure codes.
 
 The run reports user-read latency statistics alongside the rebuild
 timing, quantifying the availability difference the paper motivates.
@@ -30,7 +26,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..core.errors import UnrecoverableFailureError
-from ..core.layouts import MirrorParityLayout, RAID5Layout, RAID6Layout
 from ..disksim.scheduler import PriorityScheduler
 from ..obs.metrics import percentile
 from ..workloads.generator import UserRead
@@ -72,39 +67,22 @@ class OnlineResult:
 def degraded_read_sources(layout, failed: set[int], i: int, j: int) -> list[tuple[int, int]]:
     """Surviving cells whose contents answer a read of ``a[i, j]``.
 
-    Implements the cascade documented in the module docstring; raises
-    :class:`~repro.core.errors.UnrecoverableFailureError` indirectly if
-    no path exists (which cannot happen within the layout's tolerance).
+    The element's own cell when its disk survives, else the sources of
+    :meth:`~repro.core.layouts.Layout.read_sources` with every cell of
+    the ``failed`` disks unavailable.  Raises
+    :class:`~repro.core.errors.UnrecoverableFailureError` when no source
+    set survives (which cannot happen within the layout's tolerance).
     """
     primary = layout.data_cell(i, j)
     if primary[0] not in failed:
         return [primary]
-    for cell in layout.replica_cells(i, j):
-        if cell[0] not in failed:
-            return [cell]
-    if isinstance(layout, (MirrorParityLayout, RAID5Layout)):
-        row_sources = [
-            layout.data_cell(ii, j) for ii in range(layout.n) if ii != i
-        ]
-        parity = layout.parity_cell(j)
-        cells = row_sources + [parity]
-        if all(c[0] not in failed for c in cells):
-            return cells
-    if isinstance(layout, RAID6Layout):
-        row_sources = [layout.data_cell(ii, j) for ii in range(layout.n) if ii != i]
-        cells = row_sources + [(layout.p_disk, j)]
-        if all(c[0] not in failed for c in cells):
-            return cells
-        # double failure: generic decode reads everything intact
-        return [
-            (d, r)
-            for d in range(layout.n_disks)
-            if d not in failed
-            for r in range(layout.rows)
-        ]
-    raise UnrecoverableFailureError(
-        f"no surviving source for data element ({i}, {j}) under failures {sorted(failed)}"
-    )
+    unavailable = {(d, r) for d in failed for r in range(layout.rows)}
+    step = layout.read_sources(primary, unavailable)
+    if step is None:
+        raise UnrecoverableFailureError(
+            f"no surviving source for data element ({i}, {j}) under failures {sorted(failed)}"
+        )
+    return list(step.sources)
 
 
 class OnlineReconstruction:

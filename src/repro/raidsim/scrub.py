@@ -8,11 +8,14 @@ parity path (the rewrite reallocates the sector and heals it).
 
 :class:`Scrubber` sweeps every disk of a controller's array
 sequentially (the cheap, streaming pattern), identifies unreadable
-elements, and repairs each from the cheapest surviving source:
+elements, and repairs each from the cheapest readable source set that
+:meth:`~repro.core.layouts.Layout.read_sources` names:
 
-1. a replica (mirror family) — one extra read;
-2. the parity path — a row read;
-3. nothing available → the element is reported unrepairable (and a
+1. a copy (mirror family) — one extra read;
+2. the row-parity path — a row read;
+3. a whole-stripe decode (RAID 6, X-Code) — every column free of
+   latent errors;
+4. nothing available → the element is reported unrepairable (and a
    subsequent disk failure would lose it: exactly the §I scenario).
 
 A scrub before rebuild turns the mirror method's LSE data-loss case
@@ -23,7 +26,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..core.layouts import MirrorLayout, MirrorParityLayout, ThreeMirrorLayout
 from ..disksim.request import IOKind
 from .controller import RaidController
 
@@ -70,57 +72,6 @@ class Scrubber:
         self.controller = controller
 
     # ------------------------------------------------------------------
-    def _repair_sources(self, stripe: int, cell: tuple[int, int]) -> list[tuple[int, int]] | None:
-        """Surviving logical source cells whose XOR/copy regenerates ``cell``.
-
-        Returns ``None`` when no readable source set exists.
-        """
-        ctrl = self.controller
-        lay = ctrl.layout
-        lse = ctrl.lse
-
-        def readable(logical: tuple[int, int]) -> bool:
-            pd, slot = ctrl.place(stripe, logical)
-            return not lse.is_bad(pd, slot)
-
-        c = lay.content(*cell)
-        candidates: list[list[tuple[int, int]]] = []
-        if c.kind in ("data", "replica"):
-            copies = [lay.data_cell(c.i, c.j)]
-            if isinstance(lay, ThreeMirrorLayout):
-                copies += [lay.mirror_cell(c.i, c.j, 0), lay.mirror_cell(c.i, c.j, 1)]
-            elif isinstance(lay, (MirrorLayout, MirrorParityLayout)):
-                copies += lay.replica_cells(c.i, c.j)
-            candidates.extend([copy] for copy in copies if copy != cell)
-            if isinstance(lay, MirrorParityLayout):
-                row = [lay.data_cell(ii, c.j) for ii in range(lay.n) if ii != c.i]
-                candidates.append(row + [lay.parity_cell(c.j)])
-        elif c.kind == "parity" and isinstance(lay, MirrorParityLayout):
-            candidates.append([lay.data_cell(ii, c.j) for ii in range(lay.n)])
-            # each data element may be swapped for its replica
-        for sources in candidates:
-            fixed: list[tuple[int, int]] = []
-            ok = True
-            for s in sources:
-                if readable(s):
-                    fixed.append(s)
-                    continue
-                sc = lay.content(*s)
-                swapped = False
-                if sc.kind == "data" and isinstance(lay, (MirrorParityLayout, MirrorLayout)):
-                    for rep in lay.replica_cells(sc.i, sc.j):
-                        if readable(rep):
-                            fixed.append(rep)
-                            swapped = True
-                            break
-                if not swapped:
-                    ok = False
-                    break
-            if ok:
-                return fixed
-        return None
-
-    # ------------------------------------------------------------------
     def run(self, repair: bool = True) -> ScrubReport:
         """One full pass: sweep every disk, then repair what was found."""
         ctrl = self.controller
@@ -137,23 +88,26 @@ class Scrubber:
         ctrl.array.run()
         scanned = n_disks * slots
 
-        # 2) classify the damage (the scan surfaces every bad element)
+        # 2) classify the damage (the scan surfaces every bad element):
+        #    each is sourced with its stripe's bad cells unreadable
         found = [
             (disk, slot) for disk, slot in sorted(lse.bad_cells()) if disk < n_disks
         ]
+        located = []
+        unreadable: dict[int, set[tuple[int, int]]] = {}  # stripe -> logical cells
+        for disk, slot in found:
+            stripe, row = divmod(slot, ctrl.layout.rows)
+            logical = (ctrl.stack.logical_disk(stripe, disk), row)
+            unreadable.setdefault(stripe, set()).add(logical)
+            located.append((stripe, logical))
         repairs: list[_Repair] = []
         unrepairable: list[tuple[int, int]] = []
-        for disk, slot in found:
-            stripe = slot // ctrl.layout.rows
-            row = slot % ctrl.layout.rows
-            logical = (ctrl.stack.logical_disk(stripe, disk), row)
-            sources = self._repair_sources(stripe, logical)
-            if sources is None:
-                unrepairable.append((disk, slot))
+        for cell, (stripe, logical) in zip(found, located):
+            step = ctrl.layout.read_sources(logical, unreadable[stripe])
+            if step is None:
+                unrepairable.append(cell)
             else:
-                repairs.append(
-                    _Repair((disk, slot), [ctrl.place(stripe, s) for s in sources])
-                )
+                repairs.append(_Repair(cell, [ctrl.place(stripe, s) for s in step.sources]))
 
         # 3) repair: read the sources, rewrite the bad element (the write
         #    reallocates the sector, healing it in the fault model)

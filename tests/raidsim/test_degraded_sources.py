@@ -128,13 +128,8 @@ def test_source_set_determines_the_element(make):
                 assert set(sources) == intact
             else:
                 # XOR path: the row's survivors plus its parity element
-                parity = (
-                    layout.parity_cell(j)
-                    if hasattr(layout, "parity_cell")
-                    else (layout.p_disk, j)
-                )
                 row = {(ii, j) for ii in range(layout.n) if ii != i}
-                assert set(sources) == row | {parity}
+                assert set(sources) == row | {layout.parity_cell(j)}
 
 
 def test_mirror_overlap_is_the_only_unrecoverable_pair():

@@ -7,6 +7,9 @@ import pytest
 
 from repro.core.errors import UnrecoverableFailureError
 from repro.core.layouts import (
+    RAID5Layout,
+    RAID6Layout,
+    XCodeLayout,
     shifted_mirror,
     shifted_mirror_parity,
     traditional_mirror,
@@ -137,3 +140,40 @@ def test_scrub_without_repair_only_reports():
     assert report.errors_found == 1
     assert report.errors_repaired == 0
     assert lse.is_bad(pd, slot)
+
+
+@pytest.mark.parametrize(
+    "layout",
+    [RAID5Layout(4), RAID6Layout(4, "rdp"), XCodeLayout(5)],
+    ids=lambda lay: lay.name,
+)
+def test_parity_and_code_layouts_repair_one_lse_per_stripe(layout):
+    """The row-parity path (RAID 5, RDP's P) or a whole-stripe decode
+    (X-Code) regenerates a lone unreadable element of any kind."""
+    lse = LatentSectorErrors(ELEM)
+    ctrl = _ctrl(layout, lse)
+    bad = [
+        ctrl.place(s, (layout.n_disks - 1 - s, (2 * s + 1) % layout.rows))
+        for s in range(ctrl.n_stripes)
+    ]
+    for pd, slot in bad:
+        lse.inject(pd, slot)
+    report = Scrubber(ctrl).run()
+    assert report.errors_found == report.errors_repaired == len(bad)
+    assert report.fully_repaired
+    assert len(lse) == 0
+
+
+def test_two_lses_in_one_raid5_row_stay_unrepairable():
+    """Each of the two is the other's only way back; a lone LSE in
+    another stripe is still repaired."""
+    lse = LatentSectorErrors(ELEM)
+    ctrl = _ctrl(RAID5Layout(4), lse)
+    pair = [ctrl.place(2, ctrl.layout.data_cell(i, 1)) for i in (0, 3)]
+    lone = ctrl.place(1, ctrl.layout.parity_cell(1))
+    for cell in (*pair, lone):
+        lse.inject(*cell)
+    report = Scrubber(ctrl).run()
+    assert report.errors_found == 3
+    assert report.errors_repaired == 1
+    assert sorted(report.unrepairable) == sorted(pair)
