@@ -21,6 +21,7 @@ from repro.disksim.scheduler import PriorityScheduler
 from repro.raidsim.controller import RaidController
 from repro.raidsim.reconstruction import OnlineReconstruction
 from repro.workloads.generator import user_read_stream
+from repro.workloads.openloop import FixedThrottle
 
 N = 5
 STRIPES = 20
@@ -35,7 +36,7 @@ def _measure(builder, throttle):
         scheduler_factory=PriorityScheduler,
     )
     reads = user_read_stream(N, STRIPES, duration_s=2.0, rate_per_s=10, target_disk=0)
-    res = OnlineReconstruction(ctrl, [0], reads, throttle_delay_s=throttle).run()
+    res = OnlineReconstruction(ctrl, [0], reads, throttle=FixedThrottle(throttle)).run()
     assert res.rebuild.verified
     return res.mean_user_latency_s, res.rebuild.makespan_s
 

@@ -705,13 +705,13 @@ def _add_obs_args(p: argparse.ArgumentParser) -> None:
         help="write a chrome://tracing / Perfetto trace of every "
              "simulated I/O (one track per disk); a .jsonl suffix "
              "selects the incremental streaming writer (bounded "
-             "memory, flushed per rebuild phase — see REPRO_OBS_BUFFER)",
+             "memory, flushed per rebuild phase)",
     )
     p.add_argument(
         "--trace-sample", metavar="RATE", type=float, default=None,
         help="keep this fraction of per-request spans in the trace "
              "(controller/phase spans are always kept; the rate lands "
-             "in the trace header); default REPRO_OBS_SAMPLE or 1.0",
+             "in the trace header); default 1.0",
     )
     p.add_argument(
         "--metrics-out", metavar="FILE.json", default=None,
@@ -1011,7 +1011,7 @@ def _run_with_obs(args: argparse.Namespace) -> int:
     writer: events drain to disk incrementally (bounded buffer, flush
     per rebuild phase / sweep point) instead of accumulating, so trace
     memory no longer scales with campaign length.  ``--trace-sample``
-    (or ``REPRO_OBS_SAMPLE``) thins per-request spans, with the rate
+    thins per-request spans, with the rate
     recorded in the trace header.
 
     ``--metrics-out`` forces observability on and scopes a fresh

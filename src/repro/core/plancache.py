@@ -12,18 +12,15 @@ large array.
 
 :class:`PlanCache` computes each equivalence class once.  Correctness
 is keyed entirely on the logical failure tuple, so a *growing* failure
-set (a disk dying mid-rebuild) simply lands in a new cache slot — but
-:meth:`invalidate` exists as an explicit hook and the rebuild executor
-calls it whenever the failure set changes, keeping the cache small and
-making the invalidation point obvious for future layouts whose plans
-might depend on state beyond the failure set.
+set (a disk dying mid-rebuild) simply lands in a new cache slot: an
+entry never goes stale, and nothing is ever dropped.
 
 Next to each class's phases the cache keeps them *compiled*
 (:class:`~repro.core.reconstruction.CompiledPhase`): the read cells,
 the reads coalesced into runs relative to the stripe's first slot, and
 the recovery steps as index groups.  A rebuild places those by
 arithmetic for every stripe of the class instead of placing cell by
-cell; the compiled entries are dropped together with the phases.
+cell.
 
 The same cache memoises write plans, compiled to index arrays
 (:class:`~repro.core.writes.CompiledWrite`), keyed by the written
@@ -57,8 +54,7 @@ class PlanCache:
 
     Per logical failure set it holds the plan, its phases, the phases
     compiled for arithmetic placement (:meth:`compiled_phases`) and the
-    read rounds; :meth:`invalidate` drops all of a set's entries
-    together.  Write plans are keyed by the written elements instead.
+    read rounds.  Write plans are keyed by the written elements instead.
 
     Parameters
     ----------
@@ -83,7 +79,6 @@ class PlanCache:
         "_writes",
         "_c_hits",
         "_c_misses",
-        "_c_invalidated",
     )
 
     def __init__(self, layout: Layout, enabled: bool = True) -> None:
@@ -96,9 +91,6 @@ class PlanCache:
         reg = default_registry()
         self._c_hits = reg.counter("plancache.hits", "plan lookups served from cache").labels()
         self._c_misses = reg.counter("plancache.misses", "plan lookups that derived a plan").labels()
-        self._c_invalidated = reg.counter(
-            "plancache.invalidated", "plan entries dropped by invalidation"
-        ).labels()
         self._plans: dict[tuple[int, ...], ReconstructionPlan] = {}
         self._phases: dict[tuple[int, ...], list[RebuildPhase]] = {}
         self._compiled: dict[tuple[int, ...], tuple[CompiledPhase, ...]] = {}
@@ -154,8 +146,7 @@ class PlanCache:
         """The phases compiled for arithmetic placement (shared, treat-as-immutable).
 
         Derived from :meth:`phases` on a miss, so the plan counters see
-        the same lookups an uncompiled rebuild made; :meth:`invalidate`
-        drops an entry together with its phases.
+        the same lookups an uncompiled rebuild made.
         """
         failed_logical = tuple(failed_logical)
         cached = self._compiled.get(failed_logical)
@@ -197,48 +188,6 @@ class PlanCache:
         if self.enabled:
             self._writes[key] = compiled
         return compiled
-
-    # ------------------------------------------------------------------
-    def invalidate(self, affected=None) -> int:
-        """Drop cached plans; returns how many plan entries were dropped.
-
-        Called by the rebuild executor when the active failure set
-        grows mid-rebuild.  With ``affected`` — an iterable of the
-        *logical* disk ids the new failure maps onto — only entries
-        whose failure set intersects it are dropped: keys fully encode
-        the failure sets they were derived from, so a disjoint entry
-        (e.g. the plans for stripes whose rotation keeps the new dead
-        disk out of their logical set) stays valid and keeps its hits.
-        ``invalidate()`` with no argument still flushes everything —
-        the conservative hook for future layout state beyond the
-        failure set.
-        """
-        if affected is None:
-            dropped = len(self._plans)
-            self._plans.clear()
-            self._phases.clear()
-            self._compiled.clear()
-            self._rounds.clear()
-            self._unrecoverable.clear()
-            self._writes.clear()
-            self._c_invalidated.inc(dropped)
-            return dropped
-        aff = frozenset(affected)
-        dropped = 0
-        for table in (
-            self._plans,
-            self._phases,
-            self._compiled,
-            self._rounds,
-            self._unrecoverable,
-        ):
-            stale = [key for key in table if not aff.isdisjoint(key)]
-            for key in stale:
-                del table[key]
-            if table is self._plans:
-                dropped = len(stale)
-        self._c_invalidated.inc(dropped)
-        return dropped
 
     def __len__(self) -> int:
         return len(self._plans)

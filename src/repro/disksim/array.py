@@ -27,14 +27,11 @@ layers perform.  Consequences callers must honour:
   (in input order) to the request that covers it, for callers that do
   need per-operation attribution.
 
-Coalescing runs one of two equivalent implementations, chosen by batch
-size alone: a tuned scalar loop below :data:`_NUMPY_MIN_OPS` ops and a
-vectorized numpy pass from there on.  Both produce identical runs and
-op→request mappings.  The runs then go through
-:meth:`ElementArray.submit_runs`, the one submission tail: it checks
-the whole batch's disks, logs it, builds the requests and hands them
-to the engine in one :meth:`~repro.disksim.events.Simulation.submit_many`
-call.  The RAID controller's compiled rebuild phases call it directly
+Coalescing is one sort-and-merge loop over the ops.  The runs then go
+through :meth:`ElementArray.submit_runs`, the one submission tail: it
+checks the whole batch's disks, logs it, builds the requests and hands
+them to the engine in one
+:meth:`~repro.disksim.events.Simulation.submit_many` call.  The RAID controller's compiled rebuild phases call it directly
 with runs coalesced once per failure class.
 
 A single-op :meth:`ElementArray.submit_elements` call — every user read
@@ -42,25 +39,22 @@ of one element, the bulk of an open-loop or nemesis run — has nothing
 to coalesce: it builds its one request directly and hands it to
 :meth:`~repro.disksim.events.Simulation.submit`.  The request, its
 ``req_id``, the op mapping, the callbacks and the instruments are what
-the scalar coalescer would have produced; it counts as a
-``path="scalar"`` batch.
+the coalescer would have produced.
 
 Observability
 -------------
 The ``array.*`` instruments (``array.batch_path``, ``array.batch_ops``,
 ``array.coalesce_ratio``) are not updated per submission.  Each
-submission appends one ``(ops, requests, used_numpy)`` entry to its
-array's log, and the log is folded into the instruments at the exit of
-every :meth:`~repro.disksim.events.Simulation.run`, next to the engine's
-own completion fold, in submission order — the state per-submission
-updates would have left.
+submission appends one ``(ops, requests)`` entry to its array's log,
+and the log is folded into the instruments at the exit of every
+:meth:`~repro.disksim.events.Simulation.run`, next to the engine's own
+completion fold, in submission order — the state per-submission updates
+would have left.
 """
 
 from __future__ import annotations
 
 from typing import Callable
-
-import numpy as np
 
 from ..obs import default_registry, obs_enabled
 from .disk import DiskParameters
@@ -79,13 +73,6 @@ _MB = 1024 * 1024
 
 #: 4 MB, "a typical choice in storage systems" (§VII citing Atropos).
 DEFAULT_ELEMENT_SIZE = 4 * _MB
-
-#: below this many ops the tuned scalar coalescer beats numpy's fixed
-#: per-call overhead (asarray/lexsort on tiny inputs).  Timing both
-#: coalescers over a ladder of batch sizes (CPython 3.11, numpy 2.4,
-#: x86-64) puts the crossover at 48.  The choice never changes results,
-#: only speed: both coalescers produce identical requests.
-_NUMPY_MIN_OPS = 48
 
 
 class BatchSubmission(list):
@@ -143,28 +130,26 @@ class _ArrayObs:
     """Batch-path instruments and their submission log.
 
     ``None`` on the array when obs is off.  A submission appends one
-    ``(ops, requests, used_numpy)`` tuple to :attr:`log`; the engine
-    calls :meth:`fold` at the exit of every ``Simulation.run``.
+    ``(ops, requests)`` tuple to :attr:`log`; the engine calls
+    :meth:`fold` at the exit of every ``Simulation.run``.
     """
 
-    __slots__ = ("log", "coalesce_ratio", "scalar_path", "numpy_path", "batch_ops")
+    __slots__ = ("log", "coalesce_ratio", "batch_path", "batch_ops")
 
     #: dimensionless ops-per-request ratio buckets (1 = nothing merged)
     _RATIO_BUCKETS = (1.0, 1.5, 2.0, 3.0, 4.0, 8.0, 16.0, 32.0, 64.0)
 
     def __init__(self) -> None:
-        self.log: list[tuple[int, int, bool]] = []
+        self.log: list[tuple[int, int]] = []
         reg = default_registry()
         self.coalesce_ratio = reg.histogram(
             "array.coalesce_ratio",
             "submitted ops per coalesced request, per batch",
             buckets=self._RATIO_BUCKETS,
         ).labels()
-        path = reg.counter(
-            "array.batch_path", "batches coalesced by the scalar vs numpy path"
-        )
-        self.scalar_path = path.labels(path="scalar")
-        self.numpy_path = path.labels(path="numpy")
+        self.batch_path = reg.counter(
+            "array.batch_path", "batches submitted through the coalescer"
+        ).labels()
         self.batch_ops = reg.counter(
             "array.batch_ops", "element operations submitted through batches"
         ).labels()
@@ -172,7 +157,7 @@ class _ArrayObs:
     def fold(self) -> None:
         """Fold the logged submissions into the instruments and clear the log.
 
-        Counters take one ``inc`` per label (integer totals, exact as
+        Counters take one ``inc`` each (integer totals, exact as
         floats), and the ratio histogram one ``observe_many`` in
         submission order, so the running sum rounds as per-submission
         observation would.  Empty batches count as batches but observe
@@ -182,26 +167,20 @@ class _ArrayObs:
         log = self.log
         if not log:
             return
-        n_numpy = n_ops = 0
+        n_ops = 0
         ratios = []
-        for n, n_requests, used_numpy in log:
+        for n, n_requests in log:
             n_ops += n
-            if used_numpy:
-                n_numpy += 1
             if n_requests:
                 ratios.append(n / n_requests)
-        n_scalar = len(log) - n_numpy
+        self.batch_path.inc(len(log))
         log.clear()
-        if n_scalar:
-            self.scalar_path.inc(n_scalar)
-        if n_numpy:
-            self.numpy_path.inc(n_numpy)
         self.batch_ops.inc(n_ops)
         self.coalesce_ratio.observe_many(ratios)
 
 
-#: the log entry of a single-op submission: one op, one request, scalar
-_SINGLE = (1, 1, False)
+#: the log entry of a single-op submission: one op, one request
+_SINGLE = (1, 1)
 
 
 class ElementArray:
@@ -346,18 +325,16 @@ class ElementArray:
         requests, submitted in deterministic ``(disk asc, start slot
         asc)`` order — byte-identical to what the per-element loop
         produced, so scheduler decisions and timings are unchanged.
-
-        Large batches coalesce with numpy array ops (lexsort + segmented
-        running-max); small ones use a tuned scalar loop that beats
-        numpy's fixed per-call overhead.
         """
         m = len(disks)
         if len(slots) != m or (n_elements is not None and len(n_elements) != m):
             raise ValueError("disks, slots and n_elements must be parallel")
-        if m >= _NUMPY_MIN_OPS:
-            runs, op_req = self._coalesce_numpy(disks, slots, n_elements)
-        else:
-            runs, op_req = self._coalesce_scalar(disks, slots, n_elements)
+        # numpy arrays become lists: indexing a list is faster, and the
+        # requests then carry Python ints
+        disks, slots, n_elements = (
+            x.tolist() if hasattr(x, "tolist") else x for x in (disks, slots, n_elements)
+        )
+        runs, op_req = self._coalesce(disks, slots, n_elements)
         return self.submit_runs(
             runs,
             kind,
@@ -385,12 +362,11 @@ class ElementArray:
         The one submission tail: :meth:`submit_batch` ends here after
         coalescing, and the RAID controller's compiled rebuild phases
         submit their precoalesced runs here directly.  ``runs`` ascend
-        by disk, then start — the order both coalescers emit — and each
+        by disk, then start — the order the coalescer emits — and each
         becomes one request covering slots ``start .. end - 1``.
         ``n_ops`` is the element operations the runs cover; it only
-        feeds the ``array.*`` instruments, whose path label it picks as
-        the coalescer would have.  ``op_req`` is the op→request mapping
-        :class:`BatchSubmission` carries.
+        feeds the ``array.*`` instruments.  ``op_req`` is the
+        op→request mapping :class:`BatchSubmission` carries.
 
         The whole batch is checked before anything is logged or
         submitted (the runs ascend by disk, so the first and the last
@@ -406,7 +382,7 @@ class ElementArray:
                     f"request targets unknown disk {first if first < 0 else last}"
                 )
         if self._obs is not None:
-            self._obs.log.append((n_ops, len(runs), n_ops >= _NUMPY_MIN_OPS))
+            self._obs.log.append((n_ops, len(runs)))
         esize = self.element_size
         # positional: the keyword form costs ~30% more per request
         requests = [
@@ -424,8 +400,8 @@ class ElementArray:
         self.sim.submit_many(requests, cb)
         return submission
 
-    def _coalesce_scalar(self, disks, slots, n_elements):
-        """Merge ops into (disk, start, end) runs with a Python loop."""
+    def _coalesce(self, disks, slots, n_elements):
+        """Merge ops into (disk, start, end) runs: sort, then one pass."""
         m = len(disks)
         if n_elements is None:
             order = sorted(range(m), key=lambda k: (disks[k], slots[k]))
@@ -454,51 +430,6 @@ class ElementArray:
         if cur_disk is not None:
             runs.append((cur_disk, cur_start, cur_end))
         return runs, op_req
-
-    def _coalesce_numpy(self, disks, slots, n_elements):
-        """Merge ops into (disk, start, end) runs with array ops.
-
-        Runs are found without a Python-level pass over the ops: lexsort
-        by (disk, start), take a segmented running maximum of interval
-        ends (the segment offset trick keeps one ``maximum.accumulate``
-        global), and break a run wherever the disk changes or a start
-        exceeds every prior end in its segment.
-        """
-        d = np.asarray(disks, dtype=np.int64)
-        s = np.asarray(slots, dtype=np.int64)
-        if n_elements is None:
-            e = s + 1
-        else:
-            e = s + np.asarray(n_elements, dtype=np.int64)
-        if s.min() < 0 or (e <= s).any():
-            raise ValueError("bad element range in batch")
-        order = np.lexsort((s, d))
-        ds = d[order]
-        ss = s[order]
-        es = e[order]
-        m = len(ds)
-        disk_break = np.empty(m, dtype=bool)
-        disk_break[0] = True
-        np.not_equal(ds[1:], ds[:-1], out=disk_break[1:])
-        # segmented running max of ends: offset each disk-segment into
-        # its own value band so one global accumulate stays segmented
-        seg = np.cumsum(disk_break)
-        big = int(es.max()) + 1
-        run_end = np.maximum.accumulate(es + seg * big) - seg * big
-        new_run = disk_break.copy()
-        np.logical_or(new_run[1:], ss[1:] > run_end[:-1], out=new_run[1:])
-        run_id = np.cumsum(new_run) - 1
-        first = np.flatnonzero(new_run)
-        last = np.empty(len(first), dtype=np.int64)
-        last[:-1] = first[1:] - 1
-        last[-1] = m - 1
-        run_disks = ds[first].tolist()
-        run_starts = ss[first].tolist()
-        run_ends = run_end[last].tolist()
-        runs = list(zip(run_disks, run_starts, run_ends))
-        op_req = np.empty(m, dtype=np.int64)
-        op_req[order] = run_id
-        return runs, op_req.tolist()
 
     # ------------------------------------------------------------------
     def run(self, until: float | None = None) -> float:

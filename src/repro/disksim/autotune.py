@@ -1,15 +1,12 @@
-"""Compatibility stub: the batch threshold is now a constant.
+"""Compatibility stub: there is nothing left to calibrate.
 
-The per-machine calibration that lived here was removed in favour of
-``repro.disksim.array._NUMPY_MIN_OPS``.  ``batch_threshold`` remains
-only because the end-to-end benchmark driver still imports it.
+``submit_batch`` coalesces every batch with one sort-and-merge loop, so
+no batch-size crossover exists.  ``batch_threshold`` remains only
+because the end-to-end benchmark driver still imports and calls it.
 """
-
-from .array import _NUMPY_MIN_OPS
 
 __all__ = ["batch_threshold"]
 
 
-def batch_threshold() -> int:
-    """The batch size at which ``submit_batch`` switches to numpy."""
-    return _NUMPY_MIN_OPS
+def batch_threshold() -> None:
+    """Nothing: kept so the end-to-end benchmark driver's import resolves."""

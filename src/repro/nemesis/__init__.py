@@ -43,22 +43,21 @@ from .campaign import (
 )
 from .schedule import (
     FAULT_KINDS,
+    FaultInterval,
     HazardRates,
     NemesisSchedule,
-    ScheduledFault,
     build_schedule,
 )
-from .tracker import FaultInterval, FaultTimeline, timeline_from_plan
+from .tracker import FaultTimeline, timeline_from_plan
 
 __all__ = [
     # schedule
     "FAULT_KINDS",
     "HazardRates",
-    "ScheduledFault",
+    "FaultInterval",
     "NemesisSchedule",
     "build_schedule",
     # tracker
-    "FaultInterval",
     "FaultTimeline",
     "timeline_from_plan",
     # anomaly

@@ -65,10 +65,43 @@ CAMPAIGN_SCHEMA_VERSION = 1
 
 _ROLES = ("traditional", "shifted")
 
+# Probe sizing.  8 reads/s keeps the probe array comfortably below
+# saturation, so quiet-tick latency jitter stays ~6% CV — far inside the
+# excursion thresholds (saturated probes at 30/s showed 20% CV and tails
+# past 1.7x the mean, indistinguishable from real fault damage).
+PROBE_ELEMENT_SIZE = DEFAULT_ELEMENT_SIZE
+PROBE_PAYLOAD_BYTES = 8
+PROBE_READS_PER_TICK = 32
+PROBE_READ_RATE_PER_S = 8.0
+PROBE_REBUILD_WINDOW = 4
+PROBE_BACKOFF_JITTER = 0.3
+
+# Anomaly thresholds, and the quiet-sample baseline they judge against.
+REL_THRESHOLD = 0.5
+Z_THRESHOLD = 5.0
+BASELINE_WINDOW = 64
+MIN_BASELINE = 6
+
+METRIC_SPECS = tuple(
+    MetricSpec(name, bad_side, REL_THRESHOLD, Z_THRESHOLD, BASELINE_WINDOW, min_samples)
+    for name, bad_side, min_samples in (
+        ("user_latency_s", "high", MIN_BASELINE),
+        ("read_throughput_rps", "low", MIN_BASELINE),
+        ("unavailability", "high", 2),
+        ("rebuild_mbps", "low", 3),
+    )
+)
+
 
 @dataclass(frozen=True)
 class NemesisConfig:
-    """Everything a nemesis campaign run is a pure function of."""
+    """Everything a nemesis campaign run is a pure function of.
+
+    The probe sizing and the detector thresholds are module constants;
+    :meth:`to_dict` writes them beside the fields, so a report records
+    what it ran with and a checkpoint refuses to resume across a change
+    to one of them.
+    """
 
     family: str = "mirror"
     n: int = 4
@@ -78,50 +111,34 @@ class NemesisConfig:
     rates: HazardRates = field(default_factory=HazardRates)
     safety_budget: int = 1
     allow_excess: bool = False
-    # probe sizing
     n_stripes: int = 6
-    element_size: int = DEFAULT_ELEMENT_SIZE
-    payload_bytes: int = 8
-    # 8 reads/s keeps the probe array comfortably below saturation, so
-    # quiet-tick latency jitter stays ~6% CV — far inside the excursion
-    # thresholds (saturated probes at 30/s showed 20% CV and tails past
-    # 1.7x the mean, indistinguishable from real fault damage)
-    reads_per_tick: int = 32
-    read_rate_per_s: float = 8.0
-    rebuild_window: int = 4
-    backoff_jitter: float = 0.3
-    # anomaly thresholds
-    rel_threshold: float = 0.5
-    z_threshold: float = 5.0
-    baseline_window: int = 64
-    min_baseline: int = 6
 
     def __post_init__(self) -> None:
         if self.horizon_s <= 0 or self.tick_s <= 0:
             raise ValueError("horizon_s and tick_s must be positive")
         if self.tick_s > self.horizon_s:
             raise ValueError("tick_s must not exceed horizon_s")
-        if self.reads_per_tick < 1:
-            raise ValueError("reads_per_tick must be >= 1")
         comparison_pair(self.family)  # validate the family up front
 
     @property
     def n_ticks(self) -> int:
         return int(math.ceil(self.horizon_s / self.tick_s))
 
-    def metric_specs(self) -> tuple[MetricSpec, ...]:
-        rel, z = self.rel_threshold, self.z_threshold
-        win, lo = self.baseline_window, self.min_baseline
-        return (
-            MetricSpec("user_latency_s", "high", rel, z, win, lo),
-            MetricSpec("read_throughput_rps", "low", rel, z, win, lo),
-            MetricSpec("unavailability", "high", rel, z, win, min_samples=2),
-            MetricSpec("rebuild_mbps", "low", rel, z, win, min_samples=3),
-        )
-
     def to_dict(self) -> dict:
         d = asdict(self)
-        d["rates"] = asdict(self.rates)
+        d["rates"] = self.rates.to_dict()
+        d.update(
+            element_size=PROBE_ELEMENT_SIZE,
+            payload_bytes=PROBE_PAYLOAD_BYTES,
+            reads_per_tick=PROBE_READS_PER_TICK,
+            read_rate_per_s=PROBE_READ_RATE_PER_S,
+            rebuild_window=PROBE_REBUILD_WINDOW,
+            backoff_jitter=PROBE_BACKOFF_JITTER,
+            rel_threshold=REL_THRESHOLD,
+            z_threshold=Z_THRESHOLD,
+            baseline_window=BASELINE_WINDOW,
+            min_baseline=MIN_BASELINE,
+        )
         return d
 
     def fingerprint(self) -> str:
@@ -289,8 +306,8 @@ def _probe_tick(
     reads = user_read_stream(
         layout.n,
         config.n_stripes,
-        duration_s=config.reads_per_tick / config.read_rate_per_s,
-        rate_per_s=config.read_rate_per_s,
+        duration_s=PROBE_READS_PER_TICK / PROBE_READ_RATE_PER_S,
+        rate_per_s=PROBE_READ_RATE_PER_S,
         rng=np.random.default_rng(read_seed),
     )
     online = run_scenario(
@@ -298,11 +315,11 @@ def _probe_tick(
         reads,
         failed_disks=failed_disks,
         n_stripes=config.n_stripes,
-        element_size=config.element_size,
-        payload_bytes=config.payload_bytes,
-        window=config.rebuild_window,
+        element_size=PROBE_ELEMENT_SIZE,
+        payload_bytes=PROBE_PAYLOAD_BYTES,
+        window=PROBE_REBUILD_WINDOW,
         fault_plan=plan,
-        retry_policy=RetryPolicy(jitter=config.backoff_jitter),
+        retry_policy=RetryPolicy(jitter=PROBE_BACKOFF_JITTER),
         tracer=False,
     ).online
     served, n_failed = online.n_user_reads, online.failed_user_reads
@@ -416,7 +433,7 @@ def _run_arrangement(
 ) -> ArrangementReport | None:
     reg = default_registry()
     ticks_counter = reg.counter("nemesis.ticks_total", "probe ticks completed")
-    detector = AnomalyDetector(timeline, metrics=config.metric_specs())
+    detector = AnomalyDetector(timeline, metrics=METRIC_SPECS)
     mine = samples[role]
     for tick in range(config.n_ticks):
         if tick < len(mine):

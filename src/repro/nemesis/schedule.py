@@ -1,7 +1,7 @@
 """Stochastic fault schedules: hazard classes composed over simulated weeks.
 
 A :class:`NemesisSchedule` is the frozen output of :func:`build_schedule`:
-a time-sorted tuple of :class:`ScheduledFault` intervals drawn from four
+a time-sorted tuple of :class:`FaultInterval` records drawn from four
 hazard classes —
 
 * **disk deaths** — whole-disk failures followed by a repair window;
@@ -24,14 +24,14 @@ asks for data-loss territory.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 __all__ = [
     "FAULT_KINDS",
     "HazardRates",
-    "ScheduledFault",
+    "FaultInterval",
     "NemesisSchedule",
     "build_schedule",
 ]
@@ -45,68 +45,61 @@ FAULT_KINDS = ("disk-death", "fail-slow", "transient-burst", "lse-storm")
 SCHEDULE_SCHEMA_VERSION = 1
 
 
+#: uniform service-time multiplier range for fail-slow windows
+FAIL_SLOW_MULTIPLIER = (2.0, 8.0)
+FAIL_SLOW_DURATION_S = (1800.0, 14_400.0)
+#: uniform transient trigger-rate range during a burst
+BURST_RATE = (0.2, 0.8)
+BURST_DURATION_S = (600.0, 7200.0)
+#: uniform (inclusive) latent-sector-error count per storm
+LSE_STORM_SIZE = (1, 4)
+#: how long a storm's injected errors dominate read outcomes
+LSE_EFFECT_S = 1800.0
+#: how long a dead disk stays under repair (its failure interval)
+REPAIR_S = 7200.0
+
+
 @dataclass(frozen=True)
 class HazardRates:
-    """Per-class arrival rates and magnitude ranges.
+    """Per-class Poisson arrival rates, per simulated day.
 
-    Rates are Poisson arrivals per simulated day; ``(lo, hi)`` pairs
-    are uniform magnitude ranges.  A rate of 0 disables its class.
+    A rate of 0 disables its class.  The magnitude ranges and the
+    repair and LSE-effect windows are module constants.
     """
 
     disk_death_per_day: float = 0.5
     fail_slow_per_day: float = 1.0
     transient_burst_per_day: float = 2.0
     lse_storm_per_day: float = 1.0
-    #: uniform service-time multiplier range for fail-slow windows
-    fail_slow_multiplier: tuple[float, float] = (2.0, 8.0)
-    fail_slow_duration_s: tuple[float, float] = (1800.0, 14_400.0)
-    #: uniform transient trigger-rate range during a burst
-    burst_rate: tuple[float, float] = (0.2, 0.8)
-    burst_duration_s: tuple[float, float] = (600.0, 7200.0)
-    #: uniform (inclusive) latent-sector-error count per storm
-    lse_storm_size: tuple[int, int] = (1, 4)
-    #: how long a storm's injected errors dominate read outcomes
-    lse_effect_s: float = 1800.0
-    #: how long a dead disk stays under repair (its failure interval)
-    repair_s: float = 7200.0
 
     def __post_init__(self) -> None:
-        for name in (
-            "disk_death_per_day",
-            "fail_slow_per_day",
-            "transient_burst_per_day",
-            "lse_storm_per_day",
-        ):
-            if getattr(self, name) < 0:
+        for name, rate in asdict(self).items():
+            if rate < 0:
                 raise ValueError(f"{name} must be >= 0")
-        for name in (
-            "fail_slow_multiplier",
-            "fail_slow_duration_s",
-            "burst_rate",
-            "burst_duration_s",
-            "lse_storm_size",
-        ):
-            lo, hi = getattr(self, name)
-            if lo > hi or lo < 0:
-                raise ValueError(f"bad {name} range ({lo}, {hi})")
-        if self.fail_slow_multiplier[0] < 1.0:
-            raise ValueError("fail-slow multipliers must be >= 1")
-        if not 0.0 <= self.burst_rate[1] <= 1.0:
-            raise ValueError("burst rates must be probabilities")
-        if self.lse_storm_size[0] < 1:
-            raise ValueError("lse_storm_size must be >= 1")
-        if self.repair_s <= 0 or self.lse_effect_s <= 0:
-            raise ValueError("repair_s and lse_effect_s must be positive")
+
+    def to_dict(self) -> dict:
+        """The rates plus the constant ranges, under their own keys."""
+        return {
+            **asdict(self),
+            "fail_slow_multiplier": FAIL_SLOW_MULTIPLIER,
+            "fail_slow_duration_s": FAIL_SLOW_DURATION_S,
+            "burst_rate": BURST_RATE,
+            "burst_duration_s": BURST_DURATION_S,
+            "lse_storm_size": LSE_STORM_SIZE,
+            "lse_effect_s": LSE_EFFECT_S,
+            "repair_s": REPAIR_S,
+        }
 
 
 @dataclass(frozen=True)
-class ScheduledFault:
-    """One fault interval inside a schedule.
+class FaultInterval:
+    """One fault's active window, in a schedule or on a timeline.
 
     ``disk`` is ``-1`` for array-wide hazards (transient bursts, LSE
     storms).  ``magnitude`` is class-specific: the fail-slow
     multiplier, the burst's transient trigger rate, the storm's error
-    count; disk deaths carry 1.0.
+    count; disk deaths carry 1.0.  ``end_s`` is ``inf`` while a
+    timeline interval is open; a schedule's intervals are all closed.
     """
 
     fault_id: int
@@ -114,14 +107,14 @@ class ScheduledFault:
     disk: int
     start_s: float
     end_s: float
-    magnitude: float
+    magnitude: float = 1.0
+
+    def active_at(self, t: float, margin: float = 0.0) -> bool:
+        return self.start_s - margin <= t < self.end_s + margin
 
     def overlaps(self, t0: float, t1: float, margin: float = 0.0) -> bool:
         """Whether the interval intersects ``[t0, t1)`` (padded)."""
         return self.start_s - margin < t1 and t0 < self.end_s + margin
-
-    def active_at(self, t: float, margin: float = 0.0) -> bool:
-        return self.start_s - margin <= t < self.end_s + margin
 
     def to_dict(self) -> dict:
         return {
@@ -129,7 +122,7 @@ class ScheduledFault:
             "kind": self.kind,
             "disk": self.disk,
             "start_s": self.start_s,
-            "end_s": self.end_s,
+            "end_s": None if math.isinf(self.end_s) else self.end_s,
             "magnitude": self.magnitude,
         }
 
@@ -142,7 +135,7 @@ class NemesisSchedule:
     horizon_s: float
     n_disks: int
     safety_budget: int
-    faults: tuple[ScheduledFault, ...]
+    faults: tuple[FaultInterval, ...]
     #: disk deaths suppressed by the safety budget
     dropped_deaths: int = 0
     rates: HazardRates = field(default_factory=HazardRates)
@@ -150,10 +143,10 @@ class NemesisSchedule:
     def __len__(self) -> int:
         return len(self.faults)
 
-    def active_at(self, t: float, margin: float = 0.0) -> tuple[ScheduledFault, ...]:
+    def active_at(self, t: float, margin: float = 0.0) -> tuple[FaultInterval, ...]:
         return tuple(f for f in self.faults if f.active_at(t, margin))
 
-    def of_kind(self, kind: str) -> tuple[ScheduledFault, ...]:
+    def of_kind(self, kind: str) -> tuple[FaultInterval, ...]:
         if kind not in FAULT_KINDS:
             raise ValueError(f"unknown fault kind {kind!r}")
         return tuple(f for f in self.faults if f.kind == kind)
@@ -226,7 +219,7 @@ def build_schedule(
     dropped = 0
     for t in _arrivals(rng, rates.disk_death_per_day, horizon_s):
         disk = int(rng.integers(0, n_disks))
-        end = t + rates.repair_s
+        end = t + REPAIR_S
         concurrent = [d for d in deaths if d[0] < end and t < d[1]]
         same_disk = any(d[2] == disk for d in concurrent)
         if not allow_excess and (same_disk or len(concurrent) >= safety_budget):
@@ -241,31 +234,26 @@ def build_schedule(
     rng = streams["fail-slow"]
     for t in _arrivals(rng, rates.fail_slow_per_day, horizon_s):
         disk = int(rng.integers(0, n_disks))
-        dur = _uniform(rng, rates.fail_slow_duration_s)
-        mult = _uniform(rng, rates.fail_slow_multiplier)
+        dur = _uniform(rng, FAIL_SLOW_DURATION_S)
+        mult = _uniform(rng, FAIL_SLOW_MULTIPLIER)
         raw.append((t, t + dur, "fail-slow", disk, mult))
 
     rng = streams["transient-burst"]
     for t in _arrivals(rng, rates.transient_burst_per_day, horizon_s):
-        dur = _uniform(rng, rates.burst_duration_s)
-        rate = _uniform(rng, rates.burst_rate)
+        dur = _uniform(rng, BURST_DURATION_S)
+        rate = _uniform(rng, BURST_RATE)
         raw.append((t, t + dur, "transient-burst", -1, rate))
 
     rng = streams["lse-storm"]
-    lo, hi = rates.lse_storm_size
+    lo, hi = LSE_STORM_SIZE
     for t in _arrivals(rng, rates.lse_storm_per_day, horizon_s):
         size = int(rng.integers(lo, hi + 1))
-        raw.append((t, t + rates.lse_effect_s, "lse-storm", -1, float(size)))
+        raw.append((t, t + LSE_EFFECT_S, "lse-storm", -1, float(size)))
 
     raw.sort(key=lambda r: (r[0], FAULT_KINDS.index(r[2]), r[3]))
     faults = tuple(
-        ScheduledFault(
-            fault_id=i,
-            kind=kind,
-            disk=disk,
-            start_s=start,
-            end_s=min(end, math.inf),
-            magnitude=mag,
+        FaultInterval(
+            fault_id=i, kind=kind, disk=disk, start_s=start, end_s=end, magnitude=mag
         )
         for i, (start, end, kind, disk, mag) in enumerate(raw)
     )

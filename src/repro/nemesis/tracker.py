@@ -2,9 +2,9 @@
 
 The ydb-style nemesis pattern separates *doing* harm from *knowing*
 what harm is currently being done: every injected fault is recorded as
-a :class:`FaultInterval` on a :class:`FaultTimeline`, so the anomaly
-detector can ask "what was hurting the array at time *t*?" — the
-question attribution is made of.
+a :class:`~repro.nemesis.schedule.FaultInterval` on a
+:class:`FaultTimeline`, so the anomaly detector can ask "what was
+hurting the array at time *t*?" — the question attribution is made of.
 
 The timeline exports through the observability layer:
 
@@ -22,49 +22,19 @@ The timeline exports through the observability layer:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from ..disksim.faultplan import FaultPlan
 from ..obs import default_registry
-from .schedule import NemesisSchedule
+from .schedule import FaultInterval, NemesisSchedule
 
 __all__ = [
     "TIMELINE_SCHEMA_VERSION",
-    "FaultInterval",
     "FaultTimeline",
     "timeline_from_plan",
 ]
 
 #: bump when the ``to_dict`` wire format changes shape
 TIMELINE_SCHEMA_VERSION = 1
-
-
-@dataclass(frozen=True)
-class FaultInterval:
-    """One fault's recorded activation window (``end_s`` = inf if open)."""
-
-    fault_id: int
-    kind: str
-    disk: int
-    start_s: float
-    end_s: float
-    magnitude: float = 1.0
-
-    def active_at(self, t: float, margin: float = 0.0) -> bool:
-        return self.start_s - margin <= t < self.end_s + margin
-
-    def overlaps(self, t0: float, t1: float, margin: float = 0.0) -> bool:
-        return self.start_s - margin < t1 and t0 < self.end_s + margin
-
-    def to_dict(self) -> dict:
-        return {
-            "fault_id": self.fault_id,
-            "kind": self.kind,
-            "disk": self.disk,
-            "start_s": self.start_s,
-            "end_s": None if math.isinf(self.end_s) else self.end_s,
-            "magnitude": self.magnitude,
-        }
 
 
 class FaultTimeline:
@@ -106,11 +76,7 @@ class FaultTimeline:
         """The timeline a schedule *promises* (pre-recorded intervals)."""
         tl = cls()
         for f in schedule.faults:
-            tl.record(
-                FaultInterval(
-                    f.fault_id, f.kind, f.disk, f.start_s, f.end_s, f.magnitude
-                )
-            )
+            tl.record(f)
         return tl
 
     # ------------------------------------------------------------------

@@ -71,7 +71,6 @@ from .timeseries import (
 from .tracing import (
     DEFAULT_BUFFER_WATERMARK,
     SAMPLED_CATS,
-    SpanToken,
     TraceEvent,
     TraceGroup,
     Tracer,
@@ -99,7 +98,6 @@ __all__ = [
     "Tracer",
     "TraceGroup",
     "TraceEvent",
-    "SpanToken",
     "SAMPLED_CATS",
     "DEFAULT_BUFFER_WATERMARK",
     "resolve_sample_rate",

@@ -195,8 +195,6 @@ def _chrome_record(ev: TraceEvent) -> dict:
     }
     if ev.ph == "X":
         rec["dur"] = ev.dur * _S_TO_US
-    if ev.ph == "i":
-        rec["s"] = "t"  # instant scope: thread
     if ev.cat:
         rec["cat"] = ev.cat
     if ev.args:

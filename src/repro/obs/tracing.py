@@ -1,10 +1,8 @@
 """Span tracing with chrome://tracing ("Trace Event Format") export.
 
 A :class:`Tracer` collects timestamped spans — explicit
-``complete(name, ts, dur)`` records, ``begin``/``end`` pairs for
-callback-driven code like the event loop, and a ``span(...)`` context
-manager for straight-line code.  Timestamps are *simulated seconds*
-(any monotone float works; wall-clock tracers pass their own clock).
+``complete(name, ts, dur)`` records and the engine's per-request rows.
+Timestamps are *simulated seconds*.
 
 Tracks are organised the chrome-trace way: a *pid* is a track group
 (we use one pid per simulated disk, so a rebuild renders as a Gantt
@@ -22,7 +20,8 @@ Two sink modes:
 * **streaming** (``sink=`` a :class:`repro.obs.export.JsonlTraceSink`)
   — :attr:`Tracer.events` is a *bounded* buffer that drains to the
   sink whenever it reaches :attr:`Tracer.buffer_watermark` events
-  (env ``REPRO_OBS_BUFFER``), at every :meth:`phase_boundary`, and on
+  (default :data:`DEFAULT_BUFFER_WATERMARK`), at every
+  :meth:`phase_boundary`, and on
   :meth:`close`.  Peak tracer memory is then the watermark, not the
   campaign length — the mode long fault campaigns run under.
 
@@ -30,8 +29,7 @@ Per-request spans (category in :data:`SAMPLED_CATS`) can additionally
 be *sampled*: ``Tracer(sample=0.1)`` keeps a deterministic ~10% of
 them while always keeping controller/phase spans, and the rate is
 recorded in the exported trace header so downsampled files stay
-honest.  ``REPRO_OBS_SAMPLE`` / ``--trace-sample`` set this from the
-environment / CLI.
+honest.  ``--trace-sample`` sets this from the CLI.
 
 The simulation engine records per-request spans as *rows*: an
 :class:`repro.obs.export.IoSpan` pairing a completed request with its
@@ -46,15 +44,11 @@ and drains.
 
 from __future__ import annotations
 
-import os
 import random
-import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 __all__ = [
     "TraceEvent",
-    "SpanToken",
     "Tracer",
     "TraceGroup",
     "SAMPLED_CATS",
@@ -66,8 +60,7 @@ __all__ = [
 #: any simulated array uses
 GROUP_PID_STRIDE = 1000
 
-#: streaming-buffer flush threshold (events) when neither the ctor nor
-#: ``REPRO_OBS_BUFFER`` says otherwise
+#: streaming-buffer flush threshold (events) unless the ctor says otherwise
 DEFAULT_BUFFER_WATERMARK = 4096
 
 #: event categories subject to span sampling — the high-volume
@@ -77,14 +70,12 @@ SAMPLED_CATS = frozenset({"io"})
 
 
 def resolve_sample_rate(rate: float | None = None) -> float:
-    """A span sample rate: explicit value, else ``REPRO_OBS_SAMPLE``, else 1.
+    """A span sample rate: the explicit value, else 1.
 
     Raises on values outside ``[0, 1]`` — a silent clamp would make the
     recorded header lie about what was dropped.
     """
-    if rate is None:
-        rate = float(os.environ.get("REPRO_OBS_SAMPLE", "1.0"))
-    rate = float(rate)
+    rate = 1.0 if rate is None else float(rate)
     if not 0.0 <= rate <= 1.0:
         raise ValueError(f"span sample rate must be in [0, 1], got {rate}")
     return rate
@@ -92,10 +83,10 @@ def resolve_sample_rate(rate: float | None = None) -> float:
 
 @dataclass(slots=True)
 class TraceEvent:
-    """One trace record (chrome "complete" or "instant" event)."""
+    """One trace record (a chrome "complete" event)."""
 
     name: str
-    ph: str  # "X" complete, "i" instant
+    ph: str  # "X": complete
     ts: float  # seconds
     dur: float  # seconds ("X" only)
     pid: int
@@ -104,29 +95,11 @@ class TraceEvent:
     args: dict = field(default_factory=dict)
 
 
-@dataclass(slots=True)
-class SpanToken:
-    """Handle returned by :meth:`Tracer.begin`, closed by :meth:`Tracer.end`."""
-
-    name: str
-    ts: float
-    pid: int
-    tid: int
-    cat: str
-    args: dict
-    closed: bool = False
-
-
 class Tracer:
     """Accumulates :class:`TraceEvent` records and io rows for one run.
 
     Parameters
     ----------
-    clock:
-        Zero-argument callable giving the current time in seconds for
-        :meth:`span`; defaults to wall clock
-        (:func:`time.perf_counter`).  Simulation code records explicit
-        timestamps instead and never consults the clock.
     sink:
         Optional streaming sink (duck-typed like
         :class:`repro.obs.export.JsonlTraceSink`).  With a sink
@@ -134,37 +107,30 @@ class Tracer:
         watermark, at phase boundaries, and on :meth:`close`.
     sample:
         Keep probability for per-request spans (categories in
-        :data:`SAMPLED_CATS`); ``None`` reads ``REPRO_OBS_SAMPLE``.
-        Spans outside those categories are never dropped.
+        :data:`SAMPLED_CATS`); ``None`` keeps them all.  Spans outside
+        those categories are never dropped.
     sample_seed:
         Seed for the sampling decisions — two tracers with the same
         seed and rate drop the same spans, keeping sampled traces
         reproducible.
     buffer_watermark:
-        Streaming flush threshold in buffered events; ``None`` reads
-        ``REPRO_OBS_BUFFER`` (default
-        :data:`DEFAULT_BUFFER_WATERMARK`).  Ignored without a sink.
+        Streaming flush threshold in buffered events.  Ignored without
+        a sink.
     """
 
     def __init__(
         self,
-        clock=None,
         sink=None,
         sample: float | None = None,
         sample_seed: int = 2012,
-        buffer_watermark: int | None = None,
+        buffer_watermark: int = DEFAULT_BUFFER_WATERMARK,
     ) -> None:
         #: buffered :class:`TraceEvent` records and
         #: :class:`~repro.obs.export.IoSpan` rows, in record order
         self.events: list = []
-        self.clock = clock if clock is not None else time.perf_counter
         self.sink = sink
         self.sample = resolve_sample_rate(sample)
         self._rng = random.Random(sample_seed)
-        if buffer_watermark is None:
-            buffer_watermark = int(
-                os.environ.get("REPRO_OBS_BUFFER", DEFAULT_BUFFER_WATERMARK)
-            )
         self.buffer_watermark = max(1, int(buffer_watermark))
         #: events recorded (post-sampling), including already-flushed ones
         self.total_events = 0
@@ -240,46 +206,6 @@ class Tracer:
     ) -> None:
         """Record a finished span with explicit start and duration."""
         self._record(TraceEvent(name, "X", ts, dur, pid, tid, cat, args))
-
-    def instant(
-        self, name: str, ts: float, pid: int = 0, tid: int = 0, cat: str = "", **args
-    ) -> None:
-        """Record a zero-duration marker."""
-        self._record(TraceEvent(name, "i", ts, 0.0, pid, tid, cat, args))
-
-    def begin(
-        self, name: str, ts: float, pid: int = 0, tid: int = 0, cat: str = "", **args
-    ) -> SpanToken:
-        """Open a span whose end isn't lexically scoped (event loops)."""
-        return SpanToken(name, ts, pid, tid, cat, args)
-
-    def end(self, token: SpanToken, ts: float) -> None:
-        """Close a :meth:`begin` span at ``ts``."""
-        if token.closed:
-            raise ValueError(f"span {token.name!r} already ended")
-        token.closed = True
-        self._record(
-            TraceEvent(
-                token.name,
-                "X",
-                token.ts,
-                max(0.0, ts - token.ts),
-                token.pid,
-                token.tid,
-                token.cat,
-                token.args,
-            )
-        )
-
-    @contextmanager
-    def span(self, name: str, pid: int = 0, tid: int = 0, cat: str = "", **args):
-        """``with tracer.span("rebuild.phase", disk=3): ...`` — clock-timed."""
-        t0 = self.clock()
-        token = self.begin(name, t0, pid, tid, cat, **args)
-        try:
-            yield token
-        finally:
-            self.end(token, self.clock())
 
     # ------------------------------------------------------------------
     # streaming: drain the bounded buffer into the sink
@@ -364,19 +290,6 @@ class TraceGroup:
         self.tracer.complete(
             name, ts, dur, self.base_pid + pid, tid, cat, **args
         )
-
-    def instant(
-        self, name: str, ts: float, pid: int = 0, tid: int = 0, cat: str = "", **args
-    ) -> None:
-        self.tracer.instant(name, ts, self.base_pid + pid, tid, cat, **args)
-
-    def begin(
-        self, name: str, ts: float, pid: int = 0, tid: int = 0, cat: str = "", **args
-    ) -> SpanToken:
-        return self.tracer.begin(name, ts, self.base_pid + pid, tid, cat, **args)
-
-    def end(self, token: SpanToken, ts: float) -> None:
-        self.tracer.end(token, ts)
 
     def phase_boundary(self) -> None:
         """Propagate a semantic flush point to the owning tracer."""

@@ -39,7 +39,7 @@ from ..obs import (
 )
 from ..parallel import parallel_map
 from ..workloads.generator import UserRead, user_read_stream
-from ..workloads.openloop import SLOAccountant
+from ..workloads.openloop import RebuildThrottle, SLOAccountant
 from .controller import FaultStats, RaidController, RebuildResult, RetryPolicy
 from .reconstruction import OnlineReconstruction, OnlineResult
 
@@ -196,6 +196,12 @@ def scenario_window_s(layouts, factor: float, **sizing) -> float:
     )
 
 
+#: the serve and leaderboard arrays: stripes rebuilt 4 at a time, each
+#: 4 MB element carrying a 16-byte content payload
+SCENARIO_WINDOW = 4
+SCENARIO_PAYLOAD_BYTES = 16
+
+
 def _geometry(config) -> dict:
     """The :func:`run_scenario` array keywords (and window sizing) of a
     :class:`~repro.raidsim.serve.ServeConfig` or
@@ -203,9 +209,9 @@ def _geometry(config) -> dict:
     return dict(
         failed_disks=(config.failed_disk,),
         n_stripes=config.n_stripes,
-        element_size=config.element_size,
-        payload_bytes=config.payload_bytes,
-        window=config.window,
+        element_size=DEFAULT_ELEMENT_SIZE,
+        payload_bytes=SCENARIO_PAYLOAD_BYTES,
+        window=SCENARIO_WINDOW,
     )
 
 
@@ -220,7 +226,7 @@ def run_scenario(
     window: int,
     fault_plan: FaultPlan | None = None,
     retry_policy: RetryPolicy | None = None,
-    throttle=0.0,
+    throttle: RebuildThrottle | None = None,
     slo: SLOAccountant | None = None,
     tracer=None,
 ) -> CampaignRun:
@@ -231,8 +237,8 @@ def run_scenario(
     priority-scheduled controller (``fault_plan`` armed, ``tracer``
     as for :class:`RaidController`) rebuilds ``failed_disks`` on-line
     while ``arrivals`` fire on the simulated clock; ``failed_disks=()``
-    serves them on a healthy array.  ``throttle`` is a fixed per-stripe
-    delay or a policy object (see :meth:`RaidController.rebuild`).
+    serves them on a healthy array.  ``throttle`` is ``None`` or a
+    rebuild-rate policy (see :meth:`RaidController.rebuild`).
     Every settled read feeds ``slo`` and the throttle's ``observe``
     hook, when present; ``slo`` is flushed into its registry before
     this returns.  Availability and data survival are scored here and
@@ -265,7 +271,7 @@ def run_scenario(
         failed_disks,
         arrivals,
         window=window,
-        throttle_delay_s=throttle,
+        throttle=throttle,
         on_latency=on_latency,
     ).run()
     if slo is not None:

@@ -444,8 +444,7 @@ class _RebuildPass:
         "counting",
         "write_spare",
         "spare_of",
-        "throttle_fn",
-        "throttle_delay_s",
+        "throttle",
         "dead_before",
         "ts_progress",
         "total_stripes",
@@ -463,7 +462,7 @@ class _RebuildPass:
         counting: bool,
         write_spare: bool,
         spare_of: dict[int, int],
-        throttle_delay_s: "float | RebuildThrottle",
+        throttle: "RebuildThrottle | None",
     ) -> None:
         self.ctrl = ctrl
         #: stripe -> (plan, compiled phases); shared, read-only
@@ -478,10 +477,8 @@ class _RebuildPass:
         self.counting = counting
         self.write_spare = write_spare
         self.spare_of = spare_of
-        # policy objects are consulted per stripe (they see the live
-        # clock); a bare float is the fixed md-style rate limit
-        self.throttle_fn = getattr(throttle_delay_s, "delay_s", None)
-        self.throttle_delay_s = throttle_delay_s
+        # consulted per stripe, so feedback policies see the live clock
+        self.throttle = throttle
         self.dead_before = len(ctrl._dead_disks)
         # flight-recorder progress feed: one point per rebuilt stripe
         # (the phase barrier alone would give a single-failure rebuild
@@ -564,16 +561,12 @@ class _StripeTask:
 
     def start(self) -> None:
         run = self.run
-        throttle_fn = run.throttle_fn
-        delay = (
-            throttle_fn(run.ctrl.array.now, self.phase.n_reads)
-            if throttle_fn is not None
-            else run.throttle_delay_s
-        )
-        if delay > 0:
-            run.ctrl.array.sim.schedule(delay, self.submit)
-        else:
-            self.submit()
+        if run.throttle is not None:
+            delay = run.throttle.delay_s(run.ctrl.array.now, self.phase.n_reads)
+            if delay > 0:
+                run.ctrl.array.sim.schedule(delay, self.submit)
+                return
+        self.submit()
 
     def submit(self) -> None:
         ctrl = self.run.ctrl
@@ -951,7 +944,7 @@ class RaidController:
         window: int = 4,
         verify: bool = True,
         write_spare: bool = False,
-        throttle_delay_s: "float | RebuildThrottle" = 0.0,
+        throttle: "RebuildThrottle | None" = None,
         resume_from: RebuildCheckpoint | None = None,
     ) -> RebuildResult:
         """Reconstruct the failed *physical* disks across every stripe.
@@ -965,14 +958,14 @@ class RaidController:
         steps execute against the content store (and, if requested, the
         recovered elements are written to hot spares).
 
-        ``throttle_delay_s`` inserts a pause before each stripe's reads
-        — the classic rebuild-rate limit (md's ``speed_limit``) that
-        trades reconstruction time for user-I/O headroom.  It may be a
-        fixed delay in seconds, or any policy object exposing
-        ``delay_s(now, n_ios) -> float`` (consulted per stripe, so
-        feedback policies see the live clock): see
-        :class:`~repro.workloads.openloop.TokenBucketThrottle` and
-        :class:`~repro.workloads.openloop.LatencyTargetThrottle`.  The
+        ``throttle`` inserts a pause before each stripe's reads — the
+        classic rebuild-rate limit (md's ``speed_limit``) that trades
+        reconstruction time for user-I/O headroom.  It is any policy
+        exposing ``delay_s(now, n_ios) -> float``, consulted per stripe
+        so feedback policies see the live clock:
+        :class:`~repro.workloads.openloop.FixedThrottle` (a constant
+        pause), :class:`~repro.workloads.openloop.TokenBucketThrottle`
+        or :class:`~repro.workloads.openloop.LatencyTargetThrottle`.  The
         paper notes its arrangement is *orthogonal* to such
         reconstruction optimisations [10, 11];
         ``benchmarks/bench_ablation_throttle.py`` measures exactly that
@@ -1050,7 +1043,7 @@ class RaidController:
                             window,
                             write_spare,
                             spare_of,
-                            throttle_delay_s,
+                            throttle,
                             counting,
                         ),
                     )
@@ -1077,15 +1070,6 @@ class RaidController:
                         stats.mid_rebuild_failures = tuple(
                             sorted(set(stats.mid_rebuild_failures) | set(new_dead))
                         )
-                        # the failure set grew: drop only the memoised
-                        # plans whose logical sets the new deaths touch
-                        # (the explicit invalidation point of the cache)
-                        affected = {
-                            self.stack.logical_disk(s, d)
-                            for d in new_dead
-                            for s in range(self.n_stripes)
-                        }
-                        self.plan_cache.invalidate(affected)
                         break  # regroup with the enlarged failure set
         finally:
             self._rebuilding = ()
@@ -1160,7 +1144,7 @@ class RaidController:
         window: int,
         write_spare: bool,
         spare_of,
-        throttle_delay_s: "float | RebuildThrottle",
+        throttle: "RebuildThrottle | None",
         counting: bool,
     ) -> int:
         """One phased rebuild sweep of ``stripes`` for failure set ``fset``.
@@ -1196,7 +1180,7 @@ class RaidController:
             counting,
             write_spare,
             spare_of,
-            throttle_delay_s,
+            throttle,
         )
         entries = run.entries
         plannable: list[int] = []

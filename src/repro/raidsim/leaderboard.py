@@ -30,7 +30,6 @@ import math
 from dataclasses import dataclass
 
 from ..core.registry import LAYOUTS, REGISTRY, build_layout, leaderboard_layouts
-from ..disksim.array import DEFAULT_ELEMENT_SIZE
 from ..obs import scoped_registry
 from ..parallel import parallel_map
 from ..workloads.openloop import SLOAccountant, TenantSpec, open_arrivals
@@ -44,6 +43,9 @@ __all__ = [
     "run_leaderboard",
 ]
 
+#: service-time multiplier of the storm's fail-slow survivor
+FAIL_SLOW_MULTIPLIER = 4.0
+
 
 @dataclass(frozen=True)
 class LeaderboardConfig:
@@ -55,7 +57,11 @@ class LeaderboardConfig:
     :func:`~repro.raidsim.campaign.default_fault_plan` minus the second
     whole-disk failure, which would be unrecoverable for the
     single-fault-tolerant half of the roster and turn the comparison
-    into a fault-tolerance quiz instead of an arrangement race.
+    into a fault-tolerance quiz instead of an arrangement race.  The
+    fail-slow survivor runs at :data:`FAIL_SLOW_MULTIPLIER` times its
+    service time, on the serve tier's array
+    (:data:`~repro.raidsim.campaign.SCENARIO_WINDOW`,
+    :data:`~repro.raidsim.campaign.SCENARIO_PAYLOAD_BYTES`).
     """
 
     n: int = 5
@@ -64,12 +70,8 @@ class LeaderboardConfig:
     failed_disk: int = 0
     rate_per_s: float = 40.0
     duration_factor: float = 1.5
-    window: int = 4
     lse_burst: int = 2
-    fail_slow_multiplier: float = 4.0
     transient_rate: float = 0.02
-    element_size: int = DEFAULT_ELEMENT_SIZE
-    payload_bytes: int = 16
     layouts: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
@@ -147,7 +149,7 @@ def run_leaderboard_entry(
         layout.n_disks,
         seed=config.seed,
         lse_burst=config.lse_burst,
-        fail_slow_multiplier=config.fail_slow_multiplier,
+        fail_slow_multiplier=FAIL_SLOW_MULTIPLIER,
         second_failure_time_s=None,
         transient_rate=config.transient_rate,
     )

@@ -103,11 +103,10 @@ class OnlineReconstruction:
         (or any sorted-by-time iterable of
         :class:`~repro.workloads.generator.UserRead`, e.g. the open-loop
         streams of :mod:`repro.workloads.openloop`).
-    throttle_delay_s:
-        Either a fixed pre-submit delay per rebuild stripe (seconds) or
-        a policy object with a ``delay_s(now, n_ios)`` method — see
-        :class:`~repro.workloads.openloop.TokenBucketThrottle` and
-        friends; forwarded to :meth:`RaidController.rebuild`.
+    throttle:
+        ``None`` or a rebuild-rate policy with a ``delay_s(now, n_ios)``
+        method — see :class:`~repro.workloads.openloop.FixedThrottle`
+        and friends; forwarded to :meth:`RaidController.rebuild`.
     on_latency:
         Optional hook called as ``on_latency(read, latency_s)`` after
         each user read settles — the serve tier feeds its SLO
@@ -120,7 +119,7 @@ class OnlineReconstruction:
         failed_disks,
         user_reads: list[UserRead],
         window: int = 4,
-        throttle_delay_s=0.0,
+        throttle=None,
         on_latency=None,
     ) -> None:
         for server in controller.array.sim.disks:
@@ -133,7 +132,7 @@ class OnlineReconstruction:
         self.failed = tuple(sorted(set(failed_disks)))
         self.user_reads = sorted(user_reads, key=lambda r: r.time)
         self.window = window
-        self.throttle_delay_s = throttle_delay_s
+        self.throttle = throttle
         self.on_latency = on_latency
         self._latencies: list[float] = []
         self._degraded = 0
@@ -212,9 +211,7 @@ class OnlineReconstruction:
 
         for read in self.user_reads:
             schedule_user_read(read)
-        rebuild = ctrl.rebuild(
-            self.failed, window=self.window, throttle_delay_s=self.throttle_delay_s
-        )
+        rebuild = ctrl.rebuild(self.failed, window=self.window, throttle=self.throttle)
         # settle user reads arriving after the rebuild's last event
         ctrl.array.run()
 

@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 
 from ..core.registry import build_layout, comparison_pair
 from ..obs import scoped_recorder
-from ..disksim.array import DEFAULT_ELEMENT_SIZE
 from ..workloads.generator import UserRead
 from ..workloads.openloop import (
     DiurnalCurve,
@@ -43,6 +42,9 @@ __all__ = [
     "compare_serve",
 ]
 
+#: flight-recorder windows per serve duration
+TS_WINDOWS = 96
+
 
 @dataclass(frozen=True)
 class ServeConfig:
@@ -51,9 +53,8 @@ class ServeConfig:
     ``tenants`` overrides the single-tenant shorthand fields
     (``rate_per_s`` / ``process`` / ``zipf_s``); leave it ``None`` to
     serve one default tenant built from those.  ``diurnal_amplitude``
-    > 0 adds a sinusoidal load curve whose period defaults to the serve
-    window (one full peak-and-trough per run) unless
-    ``diurnal_period_s`` pins it.  ``throttle`` is a
+    > 0 adds a sinusoidal load curve whose period is the serve window
+    (one full peak-and-trough per run).  ``throttle`` is a
     :func:`~repro.workloads.openloop.make_throttle` spec string, kept
     as a string precisely so the config stays picklable — each run
     builds its own fresh policy instance.
@@ -68,25 +69,16 @@ class ServeConfig:
     process: str = "poisson"
     zipf_s: float = 0.0
     diurnal_amplitude: float = 0.0
-    diurnal_period_s: float | None = None
     tenants: tuple[TenantSpec, ...] | None = None
     duration_factor: float = 1.5
     deadline_s: float | None = None
-    window: int = 4
     throttle: str = "none"
-    element_size: int = DEFAULT_ELEMENT_SIZE
-    payload_bytes: int = 16
-    #: flight-recorder resolution: windows per serve duration (the
-    #: recorder's window width is ``duration_s / ts_windows``)
-    ts_windows: int = 96
 
     def __post_init__(self) -> None:
         if self.duration_factor <= 0:
             raise ValueError(
                 f"duration_factor must be positive, got {self.duration_factor}"
             )
-        if self.ts_windows < 1:
-            raise ValueError(f"ts_windows must be >= 1, got {self.ts_windows}")
         # fail fast on a bad spec string — before any simulation runs
         make_throttle(self.throttle)
 
@@ -164,12 +156,7 @@ def serve_arrivals(
         duration_s = _window_s(config)
     diurnal = None
     if config.diurnal_amplitude > 0:
-        period = (
-            config.diurnal_period_s
-            if config.diurnal_period_s is not None
-            else duration_s
-        )
-        diurnal = DiurnalCurve(config.diurnal_amplitude, period)
+        diurnal = DiurnalCurve(config.diurnal_amplitude, duration_s)
     return open_arrivals(
         config.n,
         config.n_stripes,
@@ -194,16 +181,16 @@ def run_serve(
     arrivals firing open-loop on the simulated clock.
 
     The whole run executes under a scoped flight recorder (window
-    width ``duration_s / ts_windows``; a no-op when observability is
+    width ``duration_s / TS_WINDOWS``; a no-op when observability is
     off), so the result carries the per-tenant latency, queue-depth
     and rebuild-progress trajectories plus the fault-interval overlay
     bands the dashboard report draws.
     """
     # function-local: repro.nemesis imports raidsim, so a module-level
     # import here would be circular
-    from ..nemesis.tracker import FaultInterval, FaultTimeline
+    from ..nemesis import FaultInterval, FaultTimeline
 
-    with scoped_recorder(window_s=duration_s / config.ts_windows) as rec:
+    with scoped_recorder(window_s=duration_s / TS_WINDOWS) as rec:
         slo = SLOAccountant(deadline_s=config.deadline_s)
         run = run_scenario(
             build_layout(layout_name, config.n),

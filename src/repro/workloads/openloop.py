@@ -19,8 +19,7 @@ Three independently composable axes:
   Lewis–Shedler thinning, so load peaks and troughs inside the serve
   window;
 * **popularity** — Zipfian film popularity over stripes (rank 0 = the
-  hottest title) with uniform element choice inside a stripe, or a
-  pinned ``target_disk`` for the §III adversarial case.
+  hottest title) with uniform element choice inside a stripe.
 
 Per-tenant mixes compose these: each :class:`TenantSpec` draws from its
 own :class:`numpy.random.SeedSequence` child, so a tenant can be added
@@ -64,6 +63,10 @@ __all__ = [
 
 ARRIVAL_PROCESSES = ("poisson", "bursty")
 
+#: mean ON and OFF sojourns of the bursty process, in seconds
+BURST_ON_S = 2.0
+BURST_OFF_S = 6.0
+
 
 # ----------------------------------------------------------------------
 # arrival processes
@@ -76,21 +79,15 @@ class TenantSpec:
 
     ``zipf_s = 0`` spreads reads uniformly over stripes; larger
     exponents concentrate them on the low-numbered (popular) titles.
-    ``target_disk`` pins every read to one data disk — the §III
-    adversarial stream — and is bounds-checked like
-    :func:`~repro.workloads.generator.user_read_stream`.  The bursty
-    process alternates exponential ON (``burst_on_s`` mean) and OFF
-    (``burst_off_s`` mean) sojourns; ``rate_per_s`` is always the
-    long-run mean rate.
+    The bursty process alternates exponential ON (:data:`BURST_ON_S`
+    mean) and OFF (:data:`BURST_OFF_S` mean) sojourns; ``rate_per_s``
+    is always the long-run mean rate.
     """
 
     name: str
     rate_per_s: float
     process: str = "poisson"
     zipf_s: float = 0.0
-    target_disk: int | None = None
-    burst_on_s: float = 2.0
-    burst_off_s: float = 6.0
 
     def __post_init__(self) -> None:
         if not self.name:
@@ -104,13 +101,11 @@ class TenantSpec:
             )
         if self.zipf_s < 0:
             raise ValueError(f"zipf_s must be >= 0, got {self.zipf_s}")
-        if self.burst_on_s <= 0 or self.burst_off_s < 0:
-            raise ValueError("burst sojourn means must be positive")
 
 
 @dataclass(frozen=True)
 class DiurnalCurve:
-    """Sinusoidal load modulation: ``1 + amplitude * sin(2πt/period + phase)``.
+    """Sinusoidal load modulation: ``1 + amplitude * sin(2πt/period)``.
 
     ``amplitude`` must sit in ``[0, 1)`` so the rate never goes
     negative; the peak factor ``1 + amplitude`` is what the thinning
@@ -119,7 +114,6 @@ class DiurnalCurve:
 
     amplitude: float = 0.5
     period_s: float = 86_400.0
-    phase: float = 0.0
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.amplitude < 1.0:
@@ -134,7 +128,7 @@ class DiurnalCurve:
     def factor(self, t: np.ndarray) -> np.ndarray:
         """Rate multiplier at time(s) ``t`` (vectorized)."""
         return 1.0 + self.amplitude * np.sin(
-            2.0 * np.pi * np.asarray(t) / self.period_s + self.phase
+            2.0 * np.pi * np.asarray(t) / self.period_s
         )
 
 
@@ -161,7 +155,7 @@ def _onoff_rate_fn(
     The ON-state rate is inflated by ``(on + off) / on`` so the
     long-run mean over the alternating sojourns equals ``rate_per_s``.
     """
-    on, off = spec.burst_on_s, spec.burst_off_s
+    on, off = BURST_ON_S, BURST_OFF_S
     burst_rate = spec.rate_per_s * (on + off) / on
     edges = [0.0]
     t = 0.0
@@ -244,12 +238,6 @@ def open_arrivals(
         raise ValueError(f"tenant names must be unique, got {names}")
     if duration_s <= 0:
         raise ValueError(f"duration must be positive, got {duration_s}")
-    for spec in tenants:
-        if spec.target_disk is not None and not 0 <= spec.target_disk < n:
-            raise ValueError(
-                f"target_disk must be in [0, {n}), got {spec.target_disk} "
-                f"(tenant {spec.name!r})"
-            )
     reads: list[UserRead] = []
     children = np.random.SeedSequence(seed).spawn(len(tenants))
     for spec, child in zip(tenants, children):
@@ -257,10 +245,7 @@ def open_arrivals(
         times = _tenant_arrival_times(spec, duration_s, diurnal, rng)
         count = times.size
         stripes = _zipf_stripes(n_stripes, spec.zipf_s, count, rng)
-        if spec.target_disk is None:
-            disks = rng.integers(0, n, size=count)
-        else:
-            disks = np.full(count, spec.target_disk, dtype=np.int64)
+        disks = rng.integers(0, n, size=count)
         rows = rng.integers(0, n, size=count)
         reads.extend(
             UserRead(float(t), int(st), int(i), int(j), tenant=spec.name)
@@ -535,59 +520,53 @@ class TokenBucketThrottle:
     """Token bucket on rebuild I/O: at most ``ios_per_s`` sustained.
 
     Each stripe's phase reads spend ``n_ios`` tokens; the bucket refills
-    at ``ios_per_s`` up to ``burst`` (default: one second's worth).
-    Debt is carried (tokens go negative), so the returned delay is
-    exactly the time until the spend is covered — the classic
-    rate-limit shape, deterministic given the call sequence.
+    at ``ios_per_s`` up to one second's worth.  Debt is carried (tokens
+    go negative), so the returned delay is exactly the time until the
+    spend is covered — the classic rate-limit shape, deterministic
+    given the call sequence.
     """
 
-    def __init__(self, ios_per_s: float, burst: float | None = None) -> None:
+    def __init__(self, ios_per_s: float) -> None:
         if ios_per_s <= 0:
             raise ValueError(f"ios_per_s must be positive, got {ios_per_s}")
         self.ios_per_s = ios_per_s
-        self.burst = ios_per_s if burst is None else burst
-        if self.burst <= 0:
-            raise ValueError(f"burst must be positive, got {self.burst}")
-        self._tokens = self.burst
+        self._tokens = ios_per_s
         self._last = 0.0
 
     def delay_s(self, now: float, n_ios: int = 1) -> float:
         elapsed = max(0.0, now - self._last)
         self._last = now
-        self._tokens = min(self.burst, self._tokens + elapsed * self.ios_per_s)
+        self._tokens = min(self.ios_per_s, self._tokens + elapsed * self.ios_per_s)
         self._tokens -= n_ios
         if self._tokens >= 0.0:
             return 0.0
         return -self._tokens / self.ios_per_s
 
 
+#: user-read latencies a :class:`LatencyTargetThrottle` takes its p99 over
+LATENCY_WINDOW = 128
+#: its first pause on overshoot, and the cap its doubling stops at
+BASE_DELAY_S = 0.01
+MAX_DELAY_S = 1.0
+
+
 class LatencyTargetThrottle:
     """Latency-target feedback: back off the rebuild when p99 overshoots.
 
-    Keeps a window of recent user-read latencies (fed via
-    :meth:`observe`); each stripe consults the window's p99 and adapts
-    the pre-stripe delay multiplicatively — double on overshoot (capped
-    at ``max_delay_s``), halve on undershoot (floored back to zero) —
-    the AIMD-flavoured controller md users approximate by hand with
-    ``speed_limit_max``.  Deterministic given the observe/delay call
-    sequence.
+    Keeps the last :data:`LATENCY_WINDOW` user-read latencies (fed via
+    :meth:`observe`); each stripe consults their p99 and adapts the
+    pre-stripe delay multiplicatively — double on overshoot (from
+    :data:`BASE_DELAY_S`, capped at :data:`MAX_DELAY_S`), halve on
+    undershoot (floored back to zero) — the AIMD-flavoured controller
+    md users approximate by hand with ``speed_limit_max``.
+    Deterministic given the observe/delay call sequence.
     """
 
-    def __init__(
-        self,
-        target_p99_s: float,
-        window: int = 128,
-        base_delay_s: float = 0.01,
-        max_delay_s: float = 1.0,
-    ) -> None:
+    def __init__(self, target_p99_s: float) -> None:
         if target_p99_s <= 0:
             raise ValueError(f"target must be positive, got {target_p99_s}")
-        if not 0 < base_delay_s <= max_delay_s:
-            raise ValueError("need 0 < base_delay_s <= max_delay_s")
         self.target_p99_s = target_p99_s
-        self.base_delay_s = base_delay_s
-        self.max_delay_s = max_delay_s
-        self._recent: deque[float] = deque(maxlen=window)
+        self._recent: deque[float] = deque(maxlen=LATENCY_WINDOW)
         self._delay = 0.0
 
     def observe(self, latency_s: float) -> None:
@@ -597,19 +576,17 @@ class LatencyTargetThrottle:
         if self._recent:
             p99 = percentile(self._recent, 99)
             if p99 > self.target_p99_s:
-                self._delay = min(
-                    self.max_delay_s, max(self.base_delay_s, self._delay * 2.0)
-                )
+                self._delay = min(MAX_DELAY_S, max(BASE_DELAY_S, self._delay * 2.0))
             else:
                 half = self._delay / 2.0
-                self._delay = half if half >= self.base_delay_s else 0.0
+                self._delay = half if half >= BASE_DELAY_S else 0.0
         return self._delay
 
 
-def make_throttle(spec: str):
+def make_throttle(spec: str) -> RebuildThrottle | None:
     """Build a fresh throttle from its CLI spec string.
 
-    ``none`` — no throttling (returns ``0.0``, the rebuild default);
+    ``none`` — no throttling (returns ``None``, the rebuild default);
     ``fixed:SECONDS`` — :class:`FixedThrottle`;
     ``token:IOS_PER_S`` — :class:`TokenBucketThrottle`;
     ``latency:TARGET_P99_MS`` — :class:`LatencyTargetThrottle`.
@@ -618,7 +595,7 @@ def make_throttle(spec: str):
     instance across arrangements would leak state between them.
     """
     if spec == "none":
-        return 0.0
+        return None
     kind, sep, arg = spec.partition(":")
     if not sep:
         raise ValueError(

@@ -60,55 +60,6 @@ def _unrecoverable(layout, failed) -> bool:
     return False
 
 
-def test_invalidate_clears_everything():
-    cache = PlanCache(shifted_mirror(3))
-    cache.plan((0,))
-    cache.phases((0,))
-    cache.read_rounds((0,))
-    cache.invalidate()
-    assert len(cache) == 0
-    misses = cache.misses
-    cache.plan((0,))
-    assert cache.misses == misses + 1  # truly recomputed
-
-
-def test_incremental_invalidate_drops_only_intersecting_sets():
-    """Keys fully encode their failure sets, so growing the failure set
-    only needs to drop entries the new logical disks touch."""
-    cache = PlanCache(shifted_mirror_parity(3))
-    for key in ((0,), (1,), (0, 2)):
-        cache.plan(key)
-        cache.phases(key)
-        cache.read_rounds(key)
-    dropped = cache.invalidate({2})
-    assert dropped == 1  # only (0, 2) intersects
-    assert len(cache) == 2
-    misses = cache.misses
-    cache.plan((0,))
-    cache.plan((1,))
-    assert cache.misses == misses  # survivors still serve hits
-    cache.plan((0, 2))
-    assert cache.misses == misses + 1  # the intersecting entry was dropped
-    assert cache.phases((0,)) is cache.phases((0,))
-
-
-def test_incremental_invalidate_drops_negative_results_too():
-    layout = MirrorLayout(3)
-    bad = next(
-        failed
-        for failed in layout.all_failure_sets(2)
-        if _unrecoverable(layout, failed)
-    )
-    cache = PlanCache(layout)
-    with pytest.raises(UnrecoverableFailureError):
-        cache.plan(tuple(bad))
-    cache.invalidate({bad[0]})
-    misses = cache.misses
-    with pytest.raises(UnrecoverableFailureError):
-        cache.plan(tuple(bad))
-    assert cache.misses == misses + 1  # negative entry gone, re-derived
-
-
 def test_disabled_cache_recomputes_every_call():
     cache = PlanCache(shifted_mirror(3), enabled=False)
     a = cache.plan((0,))
@@ -175,7 +126,6 @@ def test_repeated_element_takes_its_last_payload():
 def test_write_plans_flushed_and_recomputed_when_disabled():
     cache = PlanCache(shifted_mirror(3))
     entry = cache.write_plan(((0, 0),))
-    cache.invalidate()
-    assert cache.write_plan(((0, 0),)) is not entry
+    assert cache.write_plan(((0, 0),)) is entry
     off = PlanCache(shifted_mirror(3), enabled=False)
     assert off.write_plan(((0, 0),)) is not off.write_plan(((0, 0),))

@@ -2,12 +2,9 @@
 
 from __future__ import annotations
 
-import sys
-
 import numpy as np
 import pytest
 
-from repro.disksim import array as array_mod
 from repro.disksim.array import (
     DEFAULT_ELEMENT_SIZE,
     BatchSubmission,
@@ -94,6 +91,8 @@ def test_submit_batch_accepts_numpy_arrays_and_sizes():
     )
     spans = sorted((r.disk, r.offset // (4 * _MB), r.size // (4 * _MB)) for r in reqs)
     assert spans == [(0, 0, 4), (1, 4, 1)]
+    # Python ints, not numpy scalars: a trace sink JSON-encodes them
+    assert all(type(v) is int for r in reqs for v in (r.disk, r.offset, r.size))
 
 
 def test_submit_batch_rejects_mismatched_arrays():
@@ -104,10 +103,10 @@ def test_submit_batch_rejects_mismatched_arrays():
         arr.submit_batch([0], [-1], IOKind.READ)
 
 
-def test_numpy_and_scalar_coalescers_agree_on_random_batches():
-    """The vectorized path must be a pure speedup: identical runs and
-    identical op→request mapping as the scalar loop, duplicates and
-    variable sizes included."""
+def test_coalescer_merges_random_batches_into_maximal_runs():
+    """Runs are the maximal blocks of covered slots per disk, in (disk,
+    start) order, and every op maps to the run containing it —
+    duplicates and variable sizes included."""
     arr = _ideal(4)
     rng = np.random.default_rng(7)
     for _ in range(5):
@@ -116,10 +115,20 @@ def test_numpy_and_scalar_coalescers_agree_on_random_batches():
         slots = rng.integers(0, 30, m).tolist()
         sizes = rng.integers(1, 4, m).tolist()
         for n_elements in (None, sizes):
-            scalar = arr._coalesce_scalar(disks, slots, n_elements)
-            vector = arr._coalesce_numpy(disks, slots, n_elements)
-            assert [tuple(r) for r in vector[0]] == [tuple(r) for r in scalar[0]]
-            assert list(vector[1]) == list(scalar[1])
+            lengths = n_elements or [1] * m
+            runs, op_req = arr._coalesce(disks, slots, n_elements)
+            covered = {
+                (d, t) for d, s, n in zip(disks, slots, lengths) for t in range(s, s + n)
+            }
+            expected = []
+            for d, t in sorted(covered):
+                if expected and expected[-1][0] == d and expected[-1][2] == t:
+                    expected[-1][2] = t + 1
+                else:
+                    expected.append([d, t, t + 1])
+            assert runs == [tuple(r) for r in expected]
+            for d, s, n, k in zip(disks, slots, lengths, op_req):
+                assert runs[k][0] == d and runs[k][1] <= s and s + n <= runs[k][2]
 
 
 def test_submit_many_matches_submit_loop():
@@ -165,10 +174,9 @@ def test_submit_many_matches_submit_loop():
     assert run(True) == run(False)
 
 
-def _force_scalar_path(monkeypatch):
-    """Route every batch through the scalar coalescer and per-request
-    ``submit`` — the plain loop the vectorized path must reproduce."""
-    monkeypatch.setattr(array_mod, "_NUMPY_MIN_OPS", sys.maxsize)
+def _force_submit_loop(monkeypatch):
+    """Hand every batch to the engine by per-request ``submit`` — the
+    plain loop the one ``submit_many`` call must reproduce."""
 
     def submit_loop(sim, requests, callback=None):
         for r in requests:
@@ -178,9 +186,9 @@ def _force_scalar_path(monkeypatch):
 
 
 def test_batch_toggle_preserves_requests_and_timings(monkeypatch):
-    """The vectorized path (numpy coalescer + ``submit_many``) and the
-    per-element path (scalar coalescer + ``submit`` loop) produce
-    byte-identical request streams and completion times."""
+    """A batch handed over in one ``submit_many`` call and the same
+    batch submitted request by request produce byte-identical request
+    streams and completion times."""
     rng = np.random.default_rng(11)
     ops = [
         (int(d), int(s))
@@ -193,10 +201,9 @@ def test_batch_toggle_preserves_requests_and_timings(monkeypatch):
         arr.run()
         return [(r.disk, r.offset, r.size, r.start_time, r.finish_time) for r in reqs]
 
-    assert len(ops) >= array_mod._NUMPY_MIN_OPS  # exercises the numpy coalescer
     batched = run()
     with monkeypatch.context() as m:
-        _force_scalar_path(m)
+        _force_submit_loop(m)
         unbatched = run()
     assert batched == unbatched
 

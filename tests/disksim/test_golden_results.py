@@ -65,11 +65,11 @@ def result_digest(obj) -> str:
 # ----------------------------------------------------------------------
 
 
-def _serve_throttled():
-    return compare_serve(
+def _serve(throttle):
+    return lambda: compare_serve(
         ServeConfig(
             n=4, n_stripes=4, rate_per_s=20.0, seed=13,
-            throttle="token:5", deadline_s=0.05,
+            throttle=throttle, deadline_s=0.05,
         )
     )
 
@@ -108,7 +108,9 @@ def _nemesis():
 
 
 WORKLOADS = {
-    "serve-throttled": _serve_throttled,
+    "serve-throttled": _serve("token:5"),
+    "serve-fixed-throttle": _serve("fixed:0.01"),
+    "serve-latency-throttle": _serve("latency:50"),
     "leaderboard": _leaderboard,
     "sweep-mirror-parity": _sweep,
     "campaign-second-failure": _second_failure,
@@ -117,7 +119,9 @@ WORKLOADS = {
 
 GOLDEN = {
     'serve-throttled': '80c854e4263fb52f2d1bda9e2ad57e9f5bf31b6d85091e0f3b73c43cddc12ffa',
-    'leaderboard': '47e07e77053c98288040a738772e8a4639ad1d20881aa7a19544e993c098bd49',
+    'serve-fixed-throttle': 'cfc3745da3ccb5ddda61a2396b609a93cdb7e70ac1c02231264dbe65953552e9',
+    'serve-latency-throttle': 'a7b85a048acff13371e68a961e3b97f4b7e93bca32e3eb50627a72782ca57a81',
+    'leaderboard': '5f1228115e51663115c946c04427c30ffc99ba9ab864c972cb6f5614becaca62',
     'sweep-mirror-parity': '06b3d8c2f5502ef2bf1c99c817cdd9d4ed7d5b2352962411e9bdc2bae6ca3d95',
     'campaign-second-failure': '7f3583dc024f2ba2dd3afb9e6884690fd87797f91154b0d1107ad627ff515a23',
     'nemesis-seed7-3d': 'f219fe5ac07129c3c34b2e6d636cc665ea652c84a4707f7ec0709eb7626cdc40',

@@ -190,7 +190,7 @@ def test_unknown_disk_raises_and_leaves_pending_unchanged():
             # only the one good op counts: the refused batch is absent
             assert state["counters"]["array.batch_ops"]["values"][0]["value"] == 1.0
             paths = state["counters"]["array.batch_path"]["values"]
-            assert [(e["labels"]["path"], e["value"]) for e in paths] == [("scalar", 1.0)]
+            assert [e["value"] for e in paths] == [1.0]
             assert state["histograms"]["array.coalesce_ratio"]["values"][0]["count"] == 1
 
 
@@ -230,17 +230,15 @@ class _Reference:
             "submitted ops per coalesced request, per batch",
             buckets=array_mod._ArrayObs._RATIO_BUCKETS,
         ).labels()
-        path = reg.counter(
-            "array.batch_path", "batches coalesced by the scalar vs numpy path"
-        )
-        self.scalar = path.labels(path="scalar")
-        self.numpy = path.labels(path="numpy")
+        self.batches = reg.counter(
+            "array.batch_path", "batches submitted through the coalescer"
+        ).labels()
         self.ops = reg.counter(
             "array.batch_ops", "element operations submitted through batches"
         ).labels()
 
     def on_submission(self, n_ops: int, n_requests: int) -> None:
-        (self.numpy if n_ops >= array_mod._NUMPY_MIN_OPS else self.scalar).inc()
+        self.batches.inc()
         self.ops.inc(n_ops)
         if n_requests:
             self.ratio.observe(n_ops / n_requests)
@@ -337,11 +335,8 @@ def test_every_batch_size_class_folds(mode):
     sizes = [0, 1, 2, 47, 48, 1, 0, 64, 3, 1]
     checks = _fold_check(sizes, 7, mode)
     folded = checks[-1][0]
-    paths = {
-        e["labels"]["path"]: e["value"]
-        for e in folded["counters"]["array.batch_path"]["values"]
-    }
-    assert paths == {"scalar": 8.0, "numpy": 2.0}
+    paths = folded["counters"]["array.batch_path"]["values"]
+    assert [e["value"] for e in paths] == [len(sizes)]
     assert folded["counters"]["array.batch_ops"]["values"][0]["value"] == sum(sizes)
     ratio = folded["histograms"]["array.coalesce_ratio"]["values"][0]
     assert ratio["count"] == sum(1 for m in sizes if m)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.nemesis import FAULT_KINDS, HazardRates, build_schedule
+from repro.nemesis.schedule import BURST_RATE, FAIL_SLOW_MULTIPLIER, LSE_STORM_SIZE
 
 WEEK_S = 7 * 86_400.0
 
@@ -26,16 +27,8 @@ def test_build_schedule_validates_arguments():
 def test_hazard_rates_validation():
     with pytest.raises(ValueError, match="disk_death_per_day"):
         HazardRates(disk_death_per_day=-0.1)
-    with pytest.raises(ValueError, match="fail_slow_duration_s"):
-        HazardRates(fail_slow_duration_s=(100.0, 50.0))
-    with pytest.raises(ValueError, match="multipliers must be >= 1"):
-        HazardRates(fail_slow_multiplier=(0.5, 2.0))
-    with pytest.raises(ValueError, match="probabilities"):
-        HazardRates(burst_rate=(0.2, 1.5))
-    with pytest.raises(ValueError, match="lse_storm_size"):
-        HazardRates(lse_storm_size=(0, 3))
-    with pytest.raises(ValueError, match="positive"):
-        HazardRates(repair_s=0.0)
+    with pytest.raises(ValueError, match="lse_storm_per_day"):
+        HazardRates(lse_storm_per_day=-1.0)
 
 
 def test_of_kind_rejects_unknown_kind():
@@ -102,13 +95,13 @@ def test_magnitudes_stay_inside_their_configured_ranges():
     )
     sched = build_schedule(8, WEEK_S, seed=11, rates=rates)
     for f in sched.of_kind("fail-slow"):
-        assert rates.fail_slow_multiplier[0] <= f.magnitude <= rates.fail_slow_multiplier[1]
+        assert FAIL_SLOW_MULTIPLIER[0] <= f.magnitude <= FAIL_SLOW_MULTIPLIER[1]
         assert 0 <= f.disk < 8
     for f in sched.of_kind("transient-burst"):
-        assert rates.burst_rate[0] <= f.magnitude <= rates.burst_rate[1]
+        assert BURST_RATE[0] <= f.magnitude <= BURST_RATE[1]
         assert f.disk == -1
     for f in sched.of_kind("lse-storm"):
-        assert rates.lse_storm_size[0] <= f.magnitude <= rates.lse_storm_size[1]
+        assert LSE_STORM_SIZE[0] <= f.magnitude <= LSE_STORM_SIZE[1]
         assert float(f.magnitude).is_integer()
 
 

@@ -17,6 +17,7 @@ import urllib.request
 import pytest
 
 from repro.obs import (
+    DEFAULT_BUFFER_WATERMARK,
     JsonlTraceSink,
     MetricsRegistry,
     MetricsServer,
@@ -106,8 +107,7 @@ def test_close_flushes_the_tail_and_is_idempotent(tmp_path):
     tr.complete("io", 0.0, 1.0)
     tr.phase_boundary()
     # events recorded after the final phase flush must still land
-    token = tr.begin("late", 2.0)
-    tr.end(token, 3.0)
+    tr.complete("late", 2.0, 1.0)
     tr.close()
     tr.close()  # repeated close is a no-op, not an error
     assert sink.closed
@@ -168,7 +168,7 @@ def test_sample_zero_keeps_controller_and_phase_spans(tmp_path):
     for i in range(20):
         tr.complete("read", float(i), 0.5, cat="io")
     tr.complete("rebuild.phase", 0.0, 10.0, cat="rebuild")
-    tr.instant("second-failure", 5.0)
+    tr.complete("second-failure", 5.0, 0.0)
     tr.close()
     loaded = load_streaming_trace(sink.path)
     assert [ev.name for ev in loaded.events] == ["rebuild.phase", "second-failure"]
@@ -198,17 +198,21 @@ def test_chrome_trace_header_stays_honest_about_sampling():
 
 
 def test_resolve_sample_rate_env_and_validation(monkeypatch):
+    # the rate comes from the caller alone: the environment is not read
     monkeypatch.setenv("REPRO_OBS_SAMPLE", "0.125")
-    assert resolve_sample_rate() == 0.125
-    assert resolve_sample_rate(1.0) == 1.0  # explicit beats env
+    assert resolve_sample_rate() == 1.0
+    assert Tracer().sample == 1.0
+    assert resolve_sample_rate(0.125) == 0.125
     with pytest.raises(ValueError, match="sample rate"):
         resolve_sample_rate(1.5)
 
 
 def test_buffer_watermark_env(monkeypatch, tmp_path):
+    # the watermark comes from the caller alone: the environment is not read
     monkeypatch.setenv("REPRO_OBS_BUFFER", "2")
-    tr, sink = _streaming_tracer(tmp_path, watermark=None)
-    assert tr.buffer_watermark == 2
+    tr = Tracer(sink=JsonlTraceSink(tmp_path / "trace.jsonl"))
+    assert tr.buffer_watermark == DEFAULT_BUFFER_WATERMARK
+    tr.close()
 
 
 # ----------------------------------------------------------------------

@@ -19,34 +19,15 @@ from repro.obs import (
 from repro.obs.tracing import GROUP_PID_STRIDE
 
 
-def test_complete_and_instant_record_events():
+def test_complete_records_events():
     tr = Tracer()
     tr.complete("serve", 1.0, 0.5, pid=3, cat="io", bytes=4096)
-    tr.instant("failure", 2.0, pid=1)
+    tr.complete("failure", 2.0, 0.0, pid=1)
     assert len(tr) == 2
     ev = tr.events[0]
     assert (ev.name, ev.ph, ev.ts, ev.dur, ev.pid) == ("serve", "X", 1.0, 0.5, 3)
     assert ev.args == {"bytes": 4096}
-    assert tr.events[1].ph == "i"
-
-
-def test_begin_end_pairs_and_double_end_rejected():
-    tr = Tracer()
-    token = tr.begin("phase", 10.0, pid=2, idx=0)
-    tr.end(token, 12.5)
-    assert tr.events[0].dur == pytest.approx(2.5)
-    assert tr.events[0].args == {"idx": 0}
-    with pytest.raises(ValueError, match="already ended"):
-        tr.end(token, 13.0)
-
-
-def test_span_context_manager_uses_the_clock():
-    ticks = iter([5.0, 8.0])
-    tr = Tracer(clock=lambda: next(ticks))
-    with tr.span("work", pid=1):
-        pass
-    ev = tr.events[0]
-    assert (ev.ts, ev.dur) == (5.0, 3.0)
+    assert tr.events[1].dur == 0.0
 
 
 def test_groups_reserve_disjoint_pid_ranges():
@@ -67,7 +48,6 @@ def test_chrome_trace_shape_and_microsecond_conversion():
     g = tr.group("mirror(3)")
     g.name_track(0, "disk 0")
     g.complete("read", 0.001, 0.002, pid=0, cat="io", tag="rebuild")
-    g.instant("marker", 0.004, pid=0)
     doc = chrome_trace(tr)
     events = doc["traceEvents"]
     meta = [e for e in events if e["ph"] == "M"]
@@ -77,8 +57,6 @@ def test_chrome_trace_shape_and_microsecond_conversion():
     assert x["ts"] == pytest.approx(1000.0)  # seconds -> microseconds
     assert x["dur"] == pytest.approx(2000.0)
     assert x["args"]["tag"] == "rebuild"
-    inst = next(e for e in events if e["ph"] == "i")
-    assert inst["s"] == "t" and "dur" not in inst
 
 
 def test_write_chrome_trace_is_loadable_json(tmp_path):

@@ -9,7 +9,7 @@ window, spare writes on and off, and with no faults, an LSE burst or a
 whole fault plan (transients, LSEs, a mid-rebuild disk death):
 
 * each stripe's rebuild reads are the requests a reference builds from
-  :meth:`RotatedStack.place` and the scalar coalescer — disk, offset,
+  :meth:`RotatedStack.place` and the coalescer — disk, offset,
   size, kind, priority and tag, in submission order;
 * a reference run that submits every stripe's reads cell by cell and
   applies every recovery step cell by cell leaves the same request log
@@ -37,6 +37,7 @@ from repro.disksim.faults import LatentSectorErrors
 from repro.disksim.request import IOKind
 from repro.raidsim import controller as controller_mod
 from repro.raidsim.controller import RaidController
+from repro.workloads.openloop import FixedThrottle
 
 ELEM = 4 * 1024 * 1024
 
@@ -54,7 +55,7 @@ def _reference_runs(ctrl: RaidController, stripe: int, phase) -> list[tuple]:
         for disk, rows in phase.reads.items()
         for row in rows
     ]
-    runs, _ = ctrl.array._coalesce_scalar([d for d, _ in cells], [s for _, s in cells], None)
+    runs, _ = ctrl.array._coalesce([d for d, _ in cells], [s for _, s in cells], None)
     return [
         (d, lo * ELEM, (hi - lo) * ELEM, IOKind.READ, 10, "rebuild") for d, lo, hi in runs
     ]
@@ -152,7 +153,7 @@ def _rebuild(case, reference: bool):
                 case["failed"],
                 window=case["window"],
                 write_spare=case["write_spare"],
-                throttle_delay_s=case["throttle"],
+                throttle=FixedThrottle(case["throttle"]),
             )
         except UnrecoverableFailureError as exc:
             result = ("raised", str(exc))
@@ -286,7 +287,7 @@ def test_rebuilt_controller_is_freed_without_the_collector(faults):
     gc.disable()
     try:
         ctrl = _controller(case)
-        ctrl.rebuild(case["failed"], window=2, write_spare=True, throttle_delay_s=0.001)
+        ctrl.rebuild(case["failed"], window=2, write_spare=True, throttle=FixedThrottle(0.001))
         ref = weakref.ref(ctrl)
         del ctrl
         assert ref() is None

@@ -150,11 +150,7 @@ def test_timeout_retry_backoff_appears_in_makespan():
 
 def test_timeout_rebuild_deterministic_with_batch_path_off(monkeypatch):
     """The retry/timeout pipeline must not depend on the batch fast
-    path: the scalar coalescer with per-request submission replays the
-    identical rebuild."""
-    import sys
-
-    from repro.disksim import array as array_mod
+    path: per-request submission replays the identical rebuild."""
     from repro.disksim.events import Simulation
 
     def run():
@@ -179,7 +175,6 @@ def test_timeout_rebuild_deterministic_with_batch_path_off(monkeypatch):
 
     batched = run()
     with monkeypatch.context() as m:
-        m.setattr(array_mod, "_NUMPY_MIN_OPS", sys.maxsize)
         m.setattr(Simulation, "submit_many", submit_loop)
         unbatched = run()
     assert batched == unbatched

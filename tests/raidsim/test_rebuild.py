@@ -16,6 +16,7 @@ from repro.core.layouts import (
 )
 from repro.disksim.disk import DiskParameters
 from repro.raidsim.controller import RaidController
+from repro.workloads.openloop import FixedThrottle
 
 
 def _ctrl(layout, **kw):
@@ -158,12 +159,12 @@ def test_ideal_disks_follow_access_counting():
 def test_throttle_slows_rebuild_proportionally():
     quiet = _ctrl(shifted_mirror(3), n_stripes=10).rebuild([0]).makespan_s
     throttled = _ctrl(shifted_mirror(3), n_stripes=10).rebuild(
-        [0], throttle_delay_s=0.1, window=1
+        [0], throttle=FixedThrottle(0.1), window=1
     ).makespan_s
     # with window=1 each of the 10 stripes pays the 0.1 s pause
     assert throttled >= quiet + 0.9 * 10 * 0.1
 
 
 def test_throttled_rebuild_still_verifies():
-    res = _ctrl(shifted_mirror_parity(3)).rebuild([0, 4], throttle_delay_s=0.02)
+    res = _ctrl(shifted_mirror_parity(3)).rebuild([0, 4], throttle=FixedThrottle(0.02))
     assert res.verified

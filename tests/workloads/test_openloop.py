@@ -9,6 +9,9 @@ import pytest
 
 from repro.obs import MetricsRegistry
 from repro.workloads.openloop import (
+    BASE_DELAY_S,
+    LATENCY_WINDOW,
+    MAX_DELAY_S,
     DiurnalCurve,
     FixedThrottle,
     LatencyTargetThrottle,
@@ -115,21 +118,14 @@ def test_bursty_process_is_burstier_than_poisson():
 
 
 def test_diurnal_curve_modulates_arrival_density():
-    curve = DiurnalCurve(amplitude=0.9, period_s=100.0, phase=np.pi / 2)
+    curve = DiurnalCurve(amplitude=0.9, period_s=100.0)
     reads = open_arrivals(5, 12, 100.0, [TenantSpec("t", 50.0)], diurnal=curve, seed=4)
     times = np.array([r.time for r in reads])
-    # phase π/2: peak (×1.9) in the first quarter, trough (×0.1) in the third
-    peak = np.sum(times < 25.0)
-    trough = np.sum((times >= 50.0) & (times < 75.0))
-    # expected densities ~39 vs ~11 arrivals per unit rate: ratio ≈ 3.7
+    # the rate peaks (×1.9) in the first half and bottoms out (×0.1) in
+    # the second: mean factors 1 ± 0.9·2/π, a density ratio ≈ 3.7
+    peak = np.sum(times < 50.0)
+    trough = np.sum(times >= 50.0)
     assert peak > 2.5 * trough
-
-
-def test_target_disk_pins_reads_and_is_bounds_checked():
-    reads = open_arrivals(5, 12, 4.0, [TenantSpec("t", 30.0, target_disk=2)], seed=1)
-    assert all(r.i == 2 for r in reads)
-    with pytest.raises(ValueError, match=r"target_disk must be in \[0, 5\)"):
-        open_arrivals(5, 12, 4.0, [TenantSpec("t", 30.0, target_disk=5)], seed=1)
 
 
 def test_open_arrivals_validates_mix():
@@ -226,8 +222,8 @@ def test_fixed_throttle():
 
 
 def test_token_bucket_charges_debt_at_the_configured_rate():
-    tb = TokenBucketThrottle(ios_per_s=10.0, burst=10.0)
-    assert tb.delay_s(0.0, n_ios=5) == 0.0  # within burst
+    tb = TokenBucketThrottle(ios_per_s=10.0)
+    assert tb.delay_s(0.0, n_ios=5) == 0.0  # within one second's burst
     # 5 tokens left, spend 25: debt 20 -> 2 s to refill
     assert tb.delay_s(0.0, n_ios=25) == pytest.approx(2.0)
     # 3 s later the debt is repaid and 10 more accrued (capped at burst)
@@ -237,15 +233,15 @@ def test_token_bucket_charges_debt_at_the_configured_rate():
 
 
 def test_latency_target_throttle_ramps_and_decays():
-    p = LatencyTargetThrottle(0.05, window=8, base_delay_s=0.01, max_delay_s=0.5)
+    p = LatencyTargetThrottle(0.05)
     assert p.delay_s(0.0) == 0.0  # no observations yet
-    for _ in range(8):
+    for _ in range(LATENCY_WINDOW):
         p.observe(0.2)  # 4x over target
     ramp = [p.delay_s(float(t)) for t in range(8)]
-    assert ramp[0] == pytest.approx(0.01)
-    assert ramp[-1] == pytest.approx(0.5)  # capped
+    assert ramp[0] == pytest.approx(BASE_DELAY_S)
+    assert ramp[-1] == pytest.approx(MAX_DELAY_S)  # 0.01 doubled 7 times, capped
     assert all(b >= a for a, b in zip(ramp, ramp[1:]))
-    for _ in range(8):
+    for _ in range(LATENCY_WINDOW):
         p.observe(0.001)  # well under target
     decay = [p.delay_s(float(t)) for t in range(8)]
     assert all(b <= a for a, b in zip(decay, decay[1:]))
@@ -253,7 +249,7 @@ def test_latency_target_throttle_ramps_and_decays():
 
 
 def test_make_throttle_specs():
-    assert make_throttle("none") == 0.0
+    assert make_throttle("none") is None
     assert isinstance(make_throttle("fixed:0.05"), FixedThrottle)
     assert isinstance(make_throttle("token:25"), TokenBucketThrottle)
     lt = make_throttle("latency:100")
