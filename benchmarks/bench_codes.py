@@ -1,8 +1,8 @@
 """Microbenchmarks of the XOR-only RAID 6 codes.
 
 These are true repeated-measurement benchmarks (pytest-benchmark does
-the rounds): EVENODD, RDP and X-Code encode and double-erasure decode
-on 64 KiB-per-element stripes.
+the rounds): EVENODD, RDP and X-Code encode, and the double-erasure
+decode of their layouts, on 64 KiB-per-element stripes.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ import pytest
 from repro.codes.evenodd import EvenOdd
 from repro.codes.rdp import RDP
 from repro.codes.xcode import XCode
+from repro.core.layouts import RAID6Layout, XCodeLayout
 
 RNG = np.random.default_rng(99)
 
@@ -25,18 +26,6 @@ def test_bench_raid6_encode(benchmark, cls, p, n):
     assert P.shape == Q.shape == (p - 1, 64 * 1024)
 
 
-@pytest.mark.parametrize("cls,p,n", [(EvenOdd, 7, 7), (RDP, 7, 6)])
-def test_bench_raid6_double_decode(benchmark, cls, p, n):
-    code = cls(p, n)
-    data = RNG.integers(0, 256, (p - 1, n, 64 * 1024), dtype=np.uint8)
-    P, Q = code.encode(data)
-    cols = [data[:, j].copy() for j in range(n)]
-    cols[0] = None
-    cols[2] = None
-    d2, _, _ = benchmark(code.decode, cols, P, Q)
-    assert np.array_equal(d2, data)
-
-
 def test_bench_xcode_encode(benchmark):
     code = XCode(7)
     data = RNG.integers(0, 256, (5, 7, 64 * 1024), dtype=np.uint8)
@@ -44,10 +33,15 @@ def test_bench_xcode_encode(benchmark):
     assert diag.shape == anti.shape == (7, 64 * 1024)
 
 
-def test_bench_xcode_double_decode(benchmark):
-    code = XCode(7)
-    data = RNG.integers(0, 256, (5, 7, 64 * 1024), dtype=np.uint8)
-    cols = code.full_columns(data)
-    survivors = [None, cols[1], None, *cols[3:]]
-    grid = benchmark(code.decode, survivors)
-    assert np.array_equal(grid[:5], data)
+@pytest.mark.parametrize(
+    "layout",
+    [RAID6Layout(7, "evenodd"), RAID6Layout(6, "rdp"), XCodeLayout(7)],
+    ids=lambda lay: lay.name,
+)
+def test_bench_double_decode(benchmark, layout):
+    """The one decoder, :meth:`Layout.decode`, over two lost columns."""
+    data = RNG.integers(0, 256, (layout.data_rows, layout.n, 64 * 1024), dtype=np.uint8)
+    block = layout.encode(data)
+    block[[0, 2]] = 0
+    got = benchmark(layout.decode, block, (0, 2))
+    assert np.array_equal(got, data)

@@ -167,6 +167,8 @@ def default_fault_plan(
     ``second_failure_disk`` to the second-to-last; pass explicit ids
     (or ``second_failure_time_s=None`` to skip the second failure).
     """
+    if lse_burst < 0:
+        raise ValueError(f"LSE burst must be at least 0, got {lse_burst}")
     plan = FaultPlan(seed=seed)
     if transient_rate > 0:
         plan = plan.with_transients(rate=transient_rate)

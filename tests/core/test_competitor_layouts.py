@@ -9,6 +9,8 @@ must sit between traditional and shifted on replica spread.
 
 from __future__ import annotations
 
+from itertools import product
+
 import pytest
 
 from repro.core.arrangement import GroupRotatedArrangement
@@ -127,27 +129,17 @@ def test_rebuild_optimal_never_worse_than_row_only(n):
 
 
 def test_rebuild_optimal_minimum_confirmed_by_independent_search():
-    """Brute-force every row/diagonal assignment independently of the
-    implementation and confirm nothing reads fewer elements."""
+    """Brute-force every choice among each lost cell's parity equations
+    independently of the planner and confirm nothing reads fewer
+    elements."""
     lay = RebuildOptimalRDPLayout(4)
     failed = 0
-    rows = lay.rows
-    best = None
-    for mask in range(1 << rows):
-        sources: set[tuple[int, int]] = set()
-        ok = True
-        for t in range(rows):
-            if (mask >> t) & 1:
-                diag = lay._diagonal_sources(failed, t)
-                if diag is None:
-                    ok = False
-                    break
-                sources.update(diag)
-            else:
-                sources.update(lay._row_sources(failed, t))
-        if ok:
-            if best is None or len(sources) < best:
-                best = len(sources)
+    options = [
+        [set(eq) - {(failed, t)} for eq in lay.parity_equations() if (failed, t) in eq]
+        for t in range(lay.rows)
+    ]
+    assert [len(o) for o in options] == [2] * lay.rows  # its row and its diagonal
+    best = min(len(set().union(*pick)) for pick in product(*options))
     assert best == lay.rebuild_elements_read(failed)
 
 

@@ -18,7 +18,6 @@ from repro.core.arrangement import (
 )
 from repro.core.layouts import (
     DeclusteredMirrorLayout,
-    Layout,
     MirrorLayout,
     RAID5Layout,
     RAID6Layout,
@@ -177,8 +176,8 @@ def test_contract_encode_places_data_and_data_of_reads_it_back(layout):
 def test_contract_decode_recovers_data_under_every_tolerated_failure(layout):
     data = _random_data(layout)
     block = layout.encode(data)
-    if type(layout).decode is Layout.decode:
-        with pytest.raises(NotImplementedError):
+    if not layout.parity_equations():
+        with pytest.raises(NotImplementedError, match="no parity equations"):
             layout.decode(block, ())
         return
     for k in range(layout.fault_tolerance + 1):

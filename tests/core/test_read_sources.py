@@ -4,7 +4,7 @@
 of a cell.  Whatever is unavailable — whole disks, single cells or both
 — every answer must avoid the unavailable cells and must really give
 the bytes: the sources of a COPY, XOR or RECOMPUTE step XOR to them, and
-a CODE step decodes them from the columns it reads.  Within the
+a CODE step's sources determine them through the parity equations.  Within the
 layout's tolerance every cell has an answer.
 """
 
@@ -16,7 +16,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.errors import LayoutError
-from repro.core.layouts import RAID5Layout, shifted_mirror_parity, traditional_mirror
+from repro.core.layouts import (
+    RAID5Layout,
+    XCodeLayout,
+    shifted_mirror_parity,
+    solve,
+    traditional_mirror,
+)
 from repro.core.reconstruction import RecoveryMethod
 from repro.core.registry import REGISTRY, build_layout
 
@@ -71,15 +77,13 @@ def test_sources_are_readable_and_give_the_bytes(case):
             assert step.target == (disk, row)
             assert not set(step.sources) & unavailable
             if step.method is RecoveryMethod.CODE:
-                read = {d for d, _ in step.sources}
-                assert set(step.sources) == {
-                    (d, r) for d in read for r in range(layout.rows)
-                }
-                lost = [d for d in range(layout.n_disks) if d not in read]
-                assert len(lost) <= layout.fault_tolerance
+                unknown = {
+                    (d, r) for d in range(layout.n_disks) for r in range(layout.rows)
+                } - set(step.sources)
                 damaged = block.copy()
-                damaged[lost] = 0xEE
-                got = layout.encode(layout.decode(damaged, lost))
+                for cell in unknown:
+                    damaged[cell] = 0xEE
+                got = solve(layout.parity_equations(), damaged, unknown)
                 assert np.array_equal(got[disk, row], block[disk, row])
             else:
                 acc = np.zeros(SIZE, dtype=np.uint8)
@@ -120,3 +124,18 @@ def test_a_readable_cell_is_its_own_source(layout):
     cell = layout.data_cell(1, 1)
     step = layout.read_sources(cell, set())
     assert (step.method, step.sources) == (RecoveryMethod.COPY, (cell,))
+
+
+def test_code_reaches_past_whole_columns():
+    """Cells lost on more columns than the code tolerates are still
+    decoded when the equations determine them: each X-Code chain holds
+    one cell of data row 0, so a lost row 0 peels chain by chain."""
+    lay = XCodeLayout(5)
+    lost = {(d, 0) for d in range(4)}
+    step = lay.read_sources((2, 0), lost)
+    assert step.method is RecoveryMethod.CODE
+    assert step.sources == tuple(
+        (d, r) for d in range(5) for r in range(5) if (d, r) not in lost
+    )
+    # three whole columns are beyond the code
+    assert lay.read_sources((2, 0), {(d, r) for d in range(3) for r in range(5)}) is None

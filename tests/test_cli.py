@@ -231,6 +231,16 @@ def test_scrub_command(capsys):
     assert "fully repaired" in out
 
 
+def test_scrub_repairs_xcode_errors_on_many_columns(capsys):
+    # the six errors sit on more columns than X-Code tolerates, yet its
+    # chains determine every one of them
+    rc, out = run_cli(capsys, "scrub", "--layout", "xcode", "--n", "5",
+                      "--stripes", "4", "--errors", "6")
+    assert rc == 0
+    assert "repaired from redundancy:      6" in out
+    assert "array is fully repaired" in out
+
+
 def test_svg_command(capsys, tmp_path):
     rc, out = run_cli(capsys, "svg", "--outdir", str(tmp_path), "--quick")
     assert rc == 0
@@ -447,6 +457,19 @@ def test_faultcampaign_rejects_bad_rate_gracefully(capsys):
     assert rc == 2
     assert captured.err.startswith("error: ")
     assert "transient rate" in captured.err
+
+
+@pytest.mark.parametrize("command", [
+    ["faultcampaign", "--family", "mirror", "--n", "3", "--stripes", "4"],
+    ["leaderboard", "--n", "3", "--stripes", "3"],
+])
+def test_negative_lse_burst_is_rejected(capsys, command):
+    rc = main([*command, "--lse-burst", "-1"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.startswith("error: ")
+    assert "LSE burst" in captured.err
+    assert captured.out == ""
 
 
 def test_serve_command(capsys):
