@@ -7,8 +7,10 @@ Contents
   shortened to ``n`` data disks;
 * :mod:`~repro.codes.xcode` — the vertical X-Code.
 
-The layouts encode and decode through these codes
-(:meth:`repro.core.layouts.Layout.encode` / ``decode``); the paper's own
+Each code has an encoder and declares its parity equations: cell sets
+whose bytes XOR to zero.  The layouts encode through the codes
+(:meth:`repro.core.layouts.Layout.encode`) and decode by solving their
+equations (:meth:`~repro.core.layouts.Layout.decode`); the paper's own
 methods need only replica copies and row XOR parity, which the layouts
 compute directly.
 """

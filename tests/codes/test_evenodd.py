@@ -1,4 +1,5 @@
-"""EVENODD: geometry, adjuster algebra, exhaustive double-erasure decode."""
+"""EVENODD: geometry, adjuster algebra, exhaustive double-erasure decode
+through its parity equations."""
 
 from __future__ import annotations
 
@@ -10,17 +11,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.codes.evenodd import EvenOdd, is_prime, smallest_prime_at_least
+from repro.core.errors import UnrecoverableFailureError
+from repro.core.layouts import RAID6Layout
+from tests.codes.conftest import decode_columns, horizontal_block
 
 GEOMETRIES = [(3, 3), (5, 5), (5, 3), (7, 7), (7, 4), (11, 8)]
 
 
 def _stripe(rng, p, n, size=8):
     return rng.integers(0, 256, (p - 1, n, size)).astype(np.uint8)
-
-
-def _devices(code, data):
-    P, Q = code.encode(data)
-    return [data[:, j].copy() for j in range(code.n)], P, Q
 
 
 # ----------------------------------------------------------------------
@@ -131,55 +130,43 @@ def test_all_zero_data_gives_all_zero_parity():
 
 
 # ----------------------------------------------------------------------
-# decoding — exhaustive over erasure patterns
+# decoding — exhaustive over erasure patterns, through the equations
 # ----------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("p,n", GEOMETRIES)
 def test_decode_every_single_and_double_erasure(p, n, rng):
     code = EvenOdd(p, n)
-    data = _stripe(rng, p, n)
-    devs, P, Q = _devices(code, data)
+    block = horizontal_block(code, _stripe(rng, p, n))
     patterns = list(combinations(range(n + 2), 1)) + list(combinations(range(n + 2), 2))
     for lost in patterns:
-        cols = [None if j in lost else devs[j] for j in range(n)]
-        rp = None if n in lost else P
-        dq = None if n + 1 in lost else Q
-        d2, p2, q2 = code.decode(cols, rp, dq)
-        assert np.array_equal(d2, data), lost
-        assert np.array_equal(p2, P), lost
-        assert np.array_equal(q2, Q), lost
+        assert np.array_equal(decode_columns(code, block, lost), block), lost
 
 
 def test_decode_nothing_lost_roundtrips(rng):
     code = EvenOdd(5, 5)
-    data = _stripe(rng, 5, 5)
-    devs, P, Q = _devices(code, data)
-    d2, p2, q2 = code.decode(devs, P, Q)
-    assert np.array_equal(d2, data)
+    block = horizontal_block(code, _stripe(rng, 5, 5))
+    assert np.array_equal(decode_columns(code, block, ()), block)
 
 
 def test_decode_rejects_triple_erasure(rng):
     code = EvenOdd(5, 5)
-    data = _stripe(rng, 5, 5)
-    devs, P, Q = _devices(code, data)
-    with pytest.raises(ValueError, match="exceed"):
-        code.decode([None, None, *devs[2:]], None, Q)
+    block = horizontal_block(code, _stripe(rng, 5, 5))
+    with pytest.raises(UnrecoverableFailureError, match="do not determine"):
+        decode_columns(code, block, (0, 1, 5))
 
 
 def test_decode_rejects_wrong_column_count():
-    code = EvenOdd(5, 5)
-    with pytest.raises(ValueError, match="data columns"):
-        code.decode([None] * 4, None, None)
+    layout = RAID6Layout(5, "evenodd")
+    with pytest.raises(ValueError, match="stripe block"):
+        layout.decode(np.zeros((layout.n_disks - 1, layout.rows, 8), np.uint8), ())
 
 
 def test_element_size_inferred_from_parity_survivor(rng):
-    """n=1 with data and P lost: size must come from the Q column."""
+    """n=1 with data and P lost: the Q column alone gives the stripe back."""
     code = EvenOdd(3, 1)
-    data = _stripe(rng, 3, 1)
-    _, Q = code.encode(data)
-    d2, _, _ = code.decode([None], None, Q)
-    assert np.array_equal(d2, data)
+    block = horizontal_block(code, _stripe(rng, 3, 1))
+    assert np.array_equal(decode_columns(code, block, (0, 1)), block)
 
 
 @given(seed=st.integers(0, 2**31))
@@ -188,11 +175,6 @@ def test_random_content_random_double_erasure(seed):
     rng = np.random.default_rng(seed)
     p, n = 7, 6
     code = EvenOdd(p, n)
-    data = _stripe(rng, p, n, size=4)
-    devs, P, Q = _devices(code, data)
+    block = horizontal_block(code, _stripe(rng, p, n, size=4))
     lost = sorted(rng.choice(n + 2, size=2, replace=False).tolist())
-    cols = [None if j in lost else devs[j] for j in range(n)]
-    rp = None if n in lost else P
-    dq = None if n + 1 in lost else Q
-    d2, _, _ = code.decode(cols, rp, dq)
-    assert np.array_equal(d2, data)
+    assert np.array_equal(decode_columns(code, block, lost), block)

@@ -1,4 +1,5 @@
-"""Property-based geometry sweeps: random (p, n) through every code."""
+"""Property-based geometry sweeps: random (p, n) and element sizes through
+every code, decoded through its parity equations."""
 
 from __future__ import annotations
 
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from repro.codes.evenodd import EvenOdd
 from repro.codes.rdp import RDP
 from repro.codes.xcode import XCode
+from tests.codes.conftest import decode_columns, horizontal_block, xcode_block
 
 PRIMES_EO = [3, 5, 7, 11, 13]
 PRIMES_X = [5, 7, 11, 13]
@@ -30,57 +32,41 @@ def rdp_case(draw):
     return p, n, seed
 
 
-def _erase_two(rng, count):
-    if count < 2:
-        return [0]
-    return sorted(rng.choice(count, size=2, replace=False).tolist())
+def _erase_up_to_two(rng, count):
+    k = int(rng.integers(0, min(count, 2) + 1))
+    return sorted(rng.choice(count, size=k, replace=False).tolist())
 
 
-@given(case=evenodd_case())
+@given(case=evenodd_case(), size=st.integers(1, 64))
 @settings(max_examples=40, deadline=None)
-def test_evenodd_random_geometry_roundtrip(case):
+def test_evenodd_random_geometry_roundtrip(case, size):
     p, n, seed = case
     rng = np.random.default_rng(seed)
     code = EvenOdd(p, n)
-    data = rng.integers(0, 256, (p - 1, n, 4), dtype=np.uint8)
-    P, Q = code.encode(data)
-    devs = [data[:, j].copy() for j in range(n)]
-    lost = _erase_two(rng, n + 2)
-    cols = [None if j in lost else devs[j] for j in range(n)]
-    rp = None if n in lost else P
-    dq = None if n + 1 in lost else Q
-    d2, p2, q2 = code.decode(cols, rp, dq)
-    assert np.array_equal(d2, data)
-    assert np.array_equal(p2, P) and np.array_equal(q2, Q)
+    block = horizontal_block(code, rng.integers(0, 256, (p - 1, n, size), dtype=np.uint8))
+    lost = _erase_up_to_two(rng, n + 2)
+    assert np.array_equal(decode_columns(code, block, lost), block)
 
 
-@given(case=rdp_case())
+@given(case=rdp_case(), size=st.integers(1, 64))
 @settings(max_examples=40, deadline=None)
-def test_rdp_random_geometry_roundtrip(case):
+def test_rdp_random_geometry_roundtrip(case, size):
     p, n, seed = case
     rng = np.random.default_rng(seed)
     code = RDP(p, n)
-    data = rng.integers(0, 256, (p - 1, n, 4), dtype=np.uint8)
-    P, Q = code.encode(data)
-    devs = [data[:, j].copy() for j in range(n)]
-    lost = _erase_two(rng, n + 2)
-    cols = [None if j in lost else devs[j] for j in range(n)]
-    rp = None if n in lost else P
-    dq = None if n + 1 in lost else Q
-    d2, _, _ = code.decode(cols, rp, dq)
-    assert np.array_equal(d2, data)
+    block = horizontal_block(code, rng.integers(0, 256, (p - 1, n, size), dtype=np.uint8))
+    lost = _erase_up_to_two(rng, n + 2)
+    assert np.array_equal(decode_columns(code, block, lost), block)
 
 
-@given(p=st.sampled_from(PRIMES_X), seed=st.integers(0, 2**31))
+@given(p=st.sampled_from(PRIMES_X), seed=st.integers(0, 2**31), size=st.integers(1, 64))
 @settings(max_examples=30, deadline=None)
-def test_xcode_random_geometry_roundtrip(p, seed):
+def test_xcode_random_geometry_roundtrip(p, seed, size):
     rng = np.random.default_rng(seed)
     code = XCode(p)
-    data = rng.integers(0, 256, (p - 2, p, 4), dtype=np.uint8)
-    cols = code.full_columns(data)
-    lost = _erase_two(rng, p)
-    got = code.decode_data([None if j in lost else cols[j] for j in range(p)])
-    assert np.array_equal(got, data)
+    block = xcode_block(code, rng.integers(0, 256, (p - 2, p, size), dtype=np.uint8))
+    lost = _erase_up_to_two(rng, p)
+    assert np.array_equal(decode_columns(code, block, lost), block)
 
 
 @given(case=evenodd_case())

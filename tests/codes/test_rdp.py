@@ -1,4 +1,5 @@
-"""RDP: geometry, diagonal algebra, exhaustive double-erasure decode."""
+"""RDP: geometry, diagonal algebra, exhaustive double-erasure decode
+through its parity equations."""
 
 from __future__ import annotations
 
@@ -10,6 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.codes.rdp import RDP
+from repro.core.errors import UnrecoverableFailureError
+from repro.core.layouts import RAID6Layout
+from tests.codes.conftest import decode_columns, horizontal_block
 
 GEOMETRIES = [(3, 2), (5, 4), (5, 2), (7, 6), (7, 3), (11, 9)]
 
@@ -96,39 +100,30 @@ def test_shortened_matches_zero_padded(rng):
 
 
 # ----------------------------------------------------------------------
-# decoding
+# decoding — through the equations
 # ----------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("p,n", GEOMETRIES)
 def test_decode_every_single_and_double_erasure(p, n, rng):
     code = RDP(p, n)
-    data = _stripe(rng, p, n)
-    P, Q = code.encode(data)
-    devs = [data[:, j].copy() for j in range(n)]
+    block = horizontal_block(code, _stripe(rng, p, n))
     patterns = list(combinations(range(n + 2), 1)) + list(combinations(range(n + 2), 2))
     for lost in patterns:
-        cols = [None if j in lost else devs[j] for j in range(n)]
-        rp = None if n in lost else P
-        dq = None if n + 1 in lost else Q
-        d2, p2, q2 = code.decode(cols, rp, dq)
-        assert np.array_equal(d2, data), lost
-        assert np.array_equal(p2, P), lost
-        assert np.array_equal(q2, Q), lost
+        assert np.array_equal(decode_columns(code, block, lost), block), lost
 
 
 def test_decode_rejects_triple_erasure(rng):
     code = RDP(5, 4)
-    data = _stripe(rng, 5, 4)
-    P, Q = code.encode(data)
-    devs = [data[:, j] for j in range(4)]
-    with pytest.raises(ValueError, match="exceed"):
-        code.decode([None, None, devs[2], devs[3]], None, Q)
+    block = horizontal_block(code, _stripe(rng, 5, 4))
+    with pytest.raises(UnrecoverableFailureError, match="do not determine"):
+        decode_columns(code, block, (0, 1, 4))
 
 
 def test_decode_rejects_wrong_column_count():
-    with pytest.raises(ValueError, match="data columns"):
-        RDP(5, 4).decode([None] * 3, None, None)
+    layout = RAID6Layout(4, "rdp")
+    with pytest.raises(ValueError, match="stripe block"):
+        layout.decode(np.zeros((layout.n_disks - 1, layout.rows, 8), np.uint8), ())
 
 
 @given(seed=st.integers(0, 2**31))
@@ -137,12 +132,6 @@ def test_random_content_random_double_erasure(seed):
     rng = np.random.default_rng(seed)
     p, n = 11, 10
     code = RDP(p, n)
-    data = _stripe(rng, p, n, size=4)
-    P, Q = code.encode(data)
-    devs = [data[:, j].copy() for j in range(n)]
+    block = horizontal_block(code, _stripe(rng, p, n, size=4))
     lost = sorted(rng.choice(n + 2, size=2, replace=False).tolist())
-    cols = [None if j in lost else devs[j] for j in range(n)]
-    rp = None if n in lost else P
-    dq = None if n + 1 in lost else Q
-    d2, _, _ = code.decode(cols, rp, dq)
-    assert np.array_equal(d2, data)
+    assert np.array_equal(decode_columns(code, block, lost), block)

@@ -1,4 +1,5 @@
-"""X-Code: vertical RAID 6 — geometry, update optimality, exhaustive decode."""
+"""X-Code: vertical RAID 6 — geometry, update optimality, exhaustive decode
+through its parity chains."""
 
 from __future__ import annotations
 
@@ -10,6 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.codes.xcode import XCode
+from repro.core.errors import UnrecoverableFailureError
+from repro.core.layouts import XCodeLayout
+from tests.codes.conftest import decode_columns, xcode_block
 
 PRIMES = [5, 7, 11, 13]
 
@@ -39,9 +43,8 @@ def test_shapes():
     data = _stripe(rng, 7)
     diag, anti = code.encode(data)
     assert diag.shape == anti.shape == (7, 8)
-    cols = code.full_columns(data)
-    assert len(cols) == 7
-    assert cols[0].shape == (7, 8)
+    assert xcode_block(code, data).shape == (7, 7, 8)
+    assert len(code.equations) == 2 * 7
 
 
 def test_bad_stripe_shape_rejected(rng):
@@ -85,49 +88,43 @@ def test_update_optimality_two_parity_cells_per_element(rng):
 
 
 # ----------------------------------------------------------------------
-# decoding — exhaustive over column-erasure pairs
+# decoding — exhaustive over column-erasure pairs, through the equations
 # ----------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("p", PRIMES)
 def test_decode_every_single_and_double_column_erasure(p, rng):
     code = XCode(p)
-    data = _stripe(rng, p)
-    cols = code.full_columns(data)
-    full = np.stack(cols, axis=1)  # (p rows, p cols, size)
+    block = xcode_block(code, _stripe(rng, p))
     patterns = [(j,) for j in range(p)] + list(combinations(range(p), 2))
     for lost in patterns:
-        survivors = [None if j in lost else cols[j] for j in range(p)]
-        grid = code.decode(survivors)
-        assert np.array_equal(grid, full), lost
+        assert np.array_equal(decode_columns(code, block, lost), block), lost
 
 
 def test_decode_data_view(rng):
-    p = 5
-    code = XCode(p)
-    data = _stripe(rng, p)
-    cols = code.full_columns(data)
-    got = code.decode_data([None, cols[1], None, cols[3], cols[4]])
-    assert np.array_equal(got, data)
+    """The layout's decode returns just the data block."""
+    layout = XCodeLayout(5)
+    data = _stripe(rng, 5)
+    damaged = layout.encode(data)
+    damaged[[0, 2]] = 0
+    assert np.array_equal(layout.decode(damaged, (0, 2)), data)
 
 
 def test_triple_erasure_rejected(rng):
     code = XCode(5)
-    cols = code.full_columns(_stripe(rng, 5))
-    with pytest.raises(ValueError, match="exceed"):
-        code.decode([None, None, None, cols[3], cols[4]])
+    block = xcode_block(code, _stripe(rng, 5))
+    with pytest.raises(UnrecoverableFailureError, match="do not determine"):
+        decode_columns(code, block, (0, 1, 2))
 
 
 def test_wrong_slot_count_rejected():
-    with pytest.raises(ValueError, match="column slots"):
-        XCode(5).decode([None] * 4)
+    with pytest.raises(ValueError, match="stripe block"):
+        XCodeLayout(5).decode(np.zeros((4, 5, 8), np.uint8), ())
 
 
-def test_wrong_column_shape_rejected(rng):
-    code = XCode(5)
-    bad = rng.integers(0, 256, (4, 8)).astype(np.uint8)
-    with pytest.raises(ValueError, match="rows"):
-        code.decode([bad, None, None, bad, bad])
+def test_wrong_column_shape_rejected():
+    with pytest.raises(ValueError, match="stripe block"):
+        XCodeLayout(5).decode(np.zeros((5, 4, 8), np.uint8), ())
 
 
 @given(seed=st.integers(0, 2**31))
@@ -136,8 +133,6 @@ def test_random_content_random_pair(seed):
     rng = np.random.default_rng(seed)
     p = 11
     code = XCode(p)
-    data = _stripe(rng, p, size=4)
-    cols = code.full_columns(data)
+    block = xcode_block(code, _stripe(rng, p, size=4))
     lost = sorted(rng.choice(p, size=2, replace=False).tolist())
-    got = code.decode_data([None if j in lost else cols[j] for j in range(p)])
-    assert np.array_equal(got, data)
+    assert np.array_equal(decode_columns(code, block, lost), block)
