@@ -226,7 +226,7 @@ def kernel_user_read_submit(n_reads: int) -> float:
     rng = np.random.default_rng(0)
     n_disks = ctrl.array.n_disks
     disks = rng.integers(0, n_disks, n_reads).tolist()
-    slots = rng.integers(0, ctrl.stack.elements_per_disk(), n_reads).tolist()
+    slots = rng.integers(0, ctrl.stack.n_stripes * ctrl.stack.rows, n_reads).tolist()
     gaps = rng.exponential(1.0 / (10.0 * n_disks), n_reads).tolist()
     settled: list = []
 

@@ -268,6 +268,11 @@ def cmd_faultcampaign(args: argparse.Namespace) -> int:
 
     if args.seeds < 1:
         raise ValueError(f"--seeds must be at least 1, got {args.seeds}")
+    if args.second_failure_at is not None and args.second_failure_at > 1:
+        raise ValueError(
+            "--second-failure-at is a fraction of the clean rebuild, at most 1; "
+            f"got {args.second_failure_at}"
+        )
     if args.seeds > 1:
         return _faultcampaign_sweep(args)
     family = args.family
@@ -727,6 +732,16 @@ def _add_obs_args(p: argparse.ArgumentParser) -> None:
     )
 
 
+def _jobs(text: str) -> int:
+    """``--jobs``: a process count, or 0 for every core."""
+    jobs = int(text)
+    if jobs < 0:
+        raise argparse.ArgumentTypeError(
+            f"must be 0 (all cores) or a process count, got {jobs}"
+        )
+    return jobs
+
+
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -785,7 +800,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--only", nargs="+", metavar="ID", choices=EXPERIMENT_IDS,
                    help="run only these experiments, from: "
                         + " ".join(EXPERIMENT_IDS))
-    p.add_argument("--jobs", type=int, default=None,
+    p.add_argument("--jobs", type=_jobs, default=None,
                    help="fan experiments across this many processes (0 = all cores)")
     _add_obs_args(p)
     p.set_defaults(func=cmd_experiments)
@@ -830,7 +845,7 @@ def _parser() -> argparse.ArgumentParser:
                    help="run a sweep of this many independent seeded storms "
                         "(derived from --seed via SeedSequence.spawn); "
                         "the second-failure knobs apply to single runs only")
-    p.add_argument("--jobs", type=int, default=None,
+    p.add_argument("--jobs", type=_jobs, default=None,
                    help="processes for --seeds sweeps (0 = all cores)")
     p.add_argument("--json", metavar="FILE", default=None,
                    help="also write the full machine-readable result "
@@ -931,7 +946,7 @@ def _parser() -> argparse.ArgumentParser:
                    choices=sorted(LAYOUTS),
                    help="restrict the roster to these registry names "
                         "(default: every leaderboard-eligible layout)")
-    p.add_argument("--jobs", type=int, default=None,
+    p.add_argument("--jobs", type=_jobs, default=None,
                    help="fan layouts across this many processes (0 = all cores)")
     p.add_argument("--json", metavar="FILE", default=None,
                    help="also write the ranked machine-readable result to FILE")
@@ -977,9 +992,22 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: flags naming a file a command writes, checked before it runs
+_OUTPUT_FILES = ("json", "html", "out", "checkpoint", "profile_out",
+                 "trace_out", "metrics_out")
+
+
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
+        # an unwritable output path fails now, not after the whole
+        # command ran and printed its results
+        for flag in _OUTPUT_FILES:
+            path = getattr(args, flag, None)
+            if path is not None:
+                _check_writable(path)
+        if getattr(args, "outdir", None) is not None:
+            _check_creatable_dir(args.outdir)
         return _run_with_obs(args)
     except (
         ValueError,
@@ -988,6 +1016,7 @@ def main(argv=None) -> int:
         UnrecoverableFailureError,
         FileNotFoundError,
         IsADirectoryError,
+        NotADirectoryError,
         PermissionError,
     ) as exc:
         # domain errors (including a missing input artifact) become a
@@ -1026,12 +1055,6 @@ def _run_with_obs(args: argparse.Namespace) -> int:
     metrics_port = getattr(args, "metrics_port", None)
     if trace_out is None and metrics_out is None and metrics_port is None:
         return _dispatch(args)
-    # an unwritable export path fails now, not after the whole command
-    # ran and printed its results
-    for out in (trace_out, metrics_out):
-        if out is not None:
-            _check_writable(out)
-
     from contextlib import ExitStack
 
     from . import obs
@@ -1095,11 +1118,27 @@ def _check_writable(path) -> None:
     """
     path = Path(path)
     directory = path.parent
+    if directory.exists() and not directory.is_dir():
+        raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), str(path))
     if not directory.is_dir():
         raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), str(path))
     if path.is_dir():
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
     if not os.access(path if path.exists() else directory, os.W_OK):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(path))
+
+
+def _check_creatable_dir(path) -> None:
+    """Raise the error ``os.makedirs(path, exist_ok=True)`` would raise.
+
+    The nearest existing ancestor must be a writable directory; nothing
+    is created.
+    """
+    path = Path(path)
+    existing = next(p for p in (path, *path.parents) if p.exists())
+    if not existing.is_dir():
+        raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), str(path))
+    if existing != path and not os.access(existing, os.W_OK):
         raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(path))
 
 

@@ -88,13 +88,5 @@ class XCode:
             chains.append(((i, p - 1), *(((i - k - 2) % p, k) for k in rows)))
         return tuple(chains)
 
-    def elements_updated_per_write(self) -> int:
-        """A single data-element write updates itself + 2 parity cells.
-
-        This is the update-optimal count for two-fault tolerance —
-        the property the horizontal codes lack (§II-C2).
-        """
-        return 3
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"XCode(p={self.p})"

@@ -29,9 +29,7 @@ from .layouts import (
     traditional_mirror_parity,
 )
 from .plancache import PlanCache
-from .planner import schedule_read_rounds, schedule_rounds, schedule_write_rounds
 from .properties import (
-    is_equally_powerful,
     property_report,
     satisfies_property1,
     satisfies_property2,
@@ -39,7 +37,7 @@ from .properties import (
 )
 from .reconstruction import ReconstructionPlan, RecoveryMethod, RecoveryStep
 from .stack import RotatedStack
-from .stripe import ArrayKind, ElementAddr, StripeGeometry
+from .stripe import ArrayKind, StripeGeometry
 from .writes import WritePlan
 
 from . import analysis, reliability
@@ -55,9 +53,7 @@ __all__ = [
     "satisfies_property2",
     "satisfies_property3",
     "property_report",
-    "is_equally_powerful",
     "ArrayKind",
-    "ElementAddr",
     "StripeGeometry",
     "Content",
     "Layout",
@@ -77,9 +73,6 @@ __all__ = [
     "WritePlan",
     "PlanCache",
     "RotatedStack",
-    "schedule_rounds",
-    "schedule_read_rounds",
-    "schedule_write_rounds",
     "ReproError",
     "UnrecoverableFailureError",
     "LayoutError",

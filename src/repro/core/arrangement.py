@@ -92,16 +92,6 @@ class Arrangement:
         self._inverse = inv
 
     # ------------------------------------------------------------------
-    def as_matrices(self) -> tuple[np.ndarray, np.ndarray]:
-        """Dense ``(n, n)`` arrays ``(mirror_disk, mirror_row)`` indexed ``[i, j]``."""
-        n = self.n
-        disk = np.empty((n, n), dtype=np.int64)
-        row = np.empty((n, n), dtype=np.int64)
-        for i in range(n):
-            for j in range(n):
-                disk[i, j], row[i, j] = self.mirror_location(i, j)
-        return disk, row
-
     def mirror_layout_labels(self) -> np.ndarray:
         """``(n, n, 2)`` array: ``labels[mi, mj] = (data_disk, data_row)``.
 

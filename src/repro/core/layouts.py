@@ -741,14 +741,6 @@ class DeclusteredMirrorLayout(Layout):
             plan.add_write(*self.replica_cells(i, j)[0])
         return plan
 
-    def rebuild_read_loads(self, failed_disk: int) -> dict[int, int]:
-        """Elements read per survivor when rebuilding ``failed_disk``.
-
-        The declustering invariant (pinned by a property test): every
-        survivor appears with load exactly 1.
-        """
-        return self.reconstruction_plan([failed_disk]).reads_per_disk()
-
 
 # ======================================================================
 # Parity baselines
@@ -1041,10 +1033,6 @@ class RebuildOptimalRDPLayout(RAID6Layout):
             plan.add_step((f, t), RecoveryMethod.XOR, sources)
         plan.validate(self.n_disks, self.rows)
         return plan
-
-    def rebuild_elements_read(self, failed_disk: int = 0) -> int:
-        """Distinct elements the single-disk rebuild plan reads."""
-        return self.reconstruction_plan([failed_disk]).total_elements_read
 
 
 class XCodeLayout(Layout):

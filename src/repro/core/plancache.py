@@ -36,7 +36,6 @@ from __future__ import annotations
 from ..obs import default_registry
 from .errors import UnrecoverableFailureError
 from .layouts import Layout
-from .planner import schedule_read_rounds
 from .reconstruction import (
     CompiledPhase,
     RebuildPhase,
@@ -158,15 +157,23 @@ class PlanCache:
         return compiled
 
     def read_rounds(self, failed_logical: tuple[int, ...]) -> list[list[tuple[int, int]]]:
-        """The plan's parallel read rounds (shared, treat-as-immutable)."""
+        """The plan's parallel read rounds (shared, treat-as-immutable).
+
+        Round ``r`` reads the ``r``-th row of every disk that has one, so
+        each round touches a disk at most once and there are
+        ``num_read_accesses`` rounds (§III).
+        """
         failed_logical = tuple(failed_logical)
-        if not self.enabled:
-            return schedule_read_rounds(self.plan(failed_logical))
-        cached = self._rounds.get(failed_logical)
-        if cached is not None:
-            return cached
-        rounds = schedule_read_rounds(self.plan(failed_logical))
-        self._rounds[failed_logical] = rounds
+        rounds = self._rounds.get(failed_logical)
+        if rounds is None:
+            reads = sorted(self.plan(failed_logical).reads.items())
+            depth = max((len(rows) for _, rows in reads), default=0)
+            rounds = [
+                [(disk, rows[r]) for disk, rows in reads if r < len(rows)]
+                for r in range(depth)
+            ]
+            if self.enabled:
+                self._rounds[failed_logical] = rounds
         return rounds
 
     def write_plan(self, elements, strategy: str = "rmw") -> CompiledWrite:

@@ -23,7 +23,6 @@ __all__ = [
     "satisfies_property2",
     "satisfies_property3",
     "property_report",
-    "is_equally_powerful",
 ]
 
 
@@ -60,11 +59,3 @@ def property_report(arrangement: Arrangement) -> dict[str, bool]:
         "P3": satisfies_property3(arrangement),
     }
 
-
-def is_equally_powerful(arrangement: Arrangement) -> bool:
-    """Whether the arrangement has every feature of the shifted one.
-
-    "Other arrangements that satisfy the three properties could also be
-    used in mirror disk arrays to provide the same features" (§VI-E).
-    """
-    return all(property_report(arrangement).values())

@@ -35,7 +35,6 @@ __all__ = [
     "CompiledPhase",
     "split_into_phases",
     "compile_phases",
-    "num_read_accesses",
 ]
 
 
@@ -136,10 +135,6 @@ class ReconstructionPlan:
     def total_elements_read(self) -> int:
         return sum(len(rows) for rows in self.reads.values())
 
-    @property
-    def recovered_targets(self) -> list[tuple[int, int]]:
-        return [s.target for s in self.steps]
-
     def reads_per_disk(self) -> dict[int, int]:
         return {disk: len(rows) for disk, rows in self.reads.items()}
 
@@ -175,11 +170,6 @@ class ReconstructionPlan:
             produced.add(step.target)
 
 
-def num_read_accesses(plan: ReconstructionPlan) -> int:
-    """Module-level alias for :attr:`ReconstructionPlan.num_read_accesses`."""
-    return plan.num_read_accesses
-
-
 @dataclass
 class RebuildPhase:
     """One failed disk's share of a reconstruction plan.
@@ -195,12 +185,6 @@ class RebuildPhase:
     failed_disk: int
     reads: dict[int, list[int]] = field(default_factory=dict)
     steps: list[RecoveryStep] = field(default_factory=list)
-
-    @property
-    def num_read_accesses(self) -> int:
-        if not self.reads:
-            return 0
-        return max(len(rows) for rows in self.reads.values())
 
 
 def split_into_phases(plan: ReconstructionPlan) -> list[RebuildPhase]:

@@ -69,13 +69,6 @@ class RotatedStack:
         )
 
     # ------------------------------------------------------------------
-    def physical_disk(self, stripe: int, logical: int) -> int:
-        """Physical disk playing ``logical`` in ``stripe``."""
-        self._check(stripe, logical)
-        if not self.rotate:
-            return logical
-        return (logical + stripe) % self.n_disks
-
     def shift(self, stripe: int) -> int:
         """Rotation of ``stripe``: logical ``l`` sits on ``(l + shift) % n_disks``.
 
@@ -104,15 +97,12 @@ class RotatedStack:
             raise IndexError(f"row {row} outside stripe of {self.rows} rows")
         return stripe * self.rows + row
 
-    def elements_per_disk(self) -> int:
-        return self.n_stripes * self.rows
-
     def place(self, stripe: int, logical_disk: int, row: int) -> tuple[int, int]:
         """Physical ``(disk, element offset)`` of a logical stripe cell.
 
         This is the innermost call of every rebuild/write sweep, so the
-        checks and arithmetic of :meth:`physical_disk` /
-        :meth:`element_offset` are inlined rather than delegated.
+        checks and arithmetic of :meth:`element_offset` are inlined
+        rather than delegated.
         """
         if not 0 <= stripe < self.n_stripes:
             raise IndexError(f"stripe {stripe} outside stack of {self.n_stripes}")
@@ -145,24 +135,3 @@ class RotatedStack:
             raise IndexError(f"stripe {stripe} outside stack of {self.n_stripes}")
         disks, slots = self._cells
         return disks[:, stripe], slots[:, stripe]
-
-    # ------------------------------------------------------------------
-    def logical_failures(self, physical_failed) -> list[tuple[int, ...]]:
-        """Per-stripe logical failure sets for a physical failure set."""
-        failed = sorted(set(physical_failed))
-        return [
-            tuple(sorted(self.logical_disk(s, f) for f in failed))
-            for s in range(self.n_stripes)
-        ]
-
-    def covers_all_single_failures(self) -> bool:
-        """Whether each physical failure hits every logical role once.
-
-        True for a full rotated stack: physical disk ``f`` plays every
-        logical role exactly once across the ``D`` stripes, which is
-        what lets [14]-style counting average over a single stripe.
-        """
-        if not self.rotate or self.n_stripes < self.n_disks:
-            return False
-        roles = {self.logical_disk(s, 0) for s in range(self.n_disks)}
-        return roles == set(range(self.n_disks))

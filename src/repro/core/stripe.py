@@ -18,7 +18,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-__all__ = ["ArrayKind", "ElementAddr", "StripeGeometry"]
+__all__ = ["ArrayKind", "StripeGeometry"]
 
 
 class ArrayKind(str, enum.Enum):
@@ -31,22 +31,6 @@ class ArrayKind(str, enum.Enum):
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.value
-
-
-@dataclass(frozen=True, order=True)
-class ElementAddr:
-    """Address of one element: ``(array, disk-within-array, row)``.
-
-    For the parity disk, ``disk`` is always 0 and ``row`` indexes the
-    parity elements ``c_0 .. c_{n-1}``.
-    """
-
-    array: ArrayKind
-    disk: int
-    row: int
-
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return f"{self.array.value}[{self.disk},{self.row}]"
 
 
 @dataclass(frozen=True)
@@ -76,43 +60,15 @@ class StripeGeometry:
 
     # ------------------------------------------------------------------
     @property
-    def rows(self) -> int:
-        return self.n
-
-    @property
     def n_disks(self) -> int:
         """Total disks in the architecture."""
         return self.n * (1 + self.n_mirror_arrays) + (1 if self.has_parity else 0)
 
-    @property
-    def data_elements_per_stripe(self) -> int:
-        return self.n * self.n
-
     # ------------------------------------------------------------------
     # global disk ids: data, mirror, (mirror2,) parity
     # ------------------------------------------------------------------
-    def global_disk(self, array: ArrayKind, disk: int) -> int:
-        """Global id of ``disk`` within ``array``."""
-        if array is ArrayKind.PARITY:
-            if not self.has_parity:
-                raise ValueError("this geometry has no parity disk")
-            if disk != 0:
-                raise IndexError("the parity disk id within its array is 0")
-            return self.n * (1 + self.n_mirror_arrays)
-        if not 0 <= disk < self.n:
-            raise IndexError(f"disk {disk} outside array of {self.n} disks")
-        if array is ArrayKind.DATA:
-            return disk
-        if array is ArrayKind.MIRROR:
-            return self.n + disk
-        if array is ArrayKind.MIRROR2:
-            if self.n_mirror_arrays < 2:
-                raise ValueError("this geometry has a single mirror array")
-            return 2 * self.n + disk
-        raise ValueError(f"unknown array kind {array!r}")
-
     def locate_disk(self, global_disk: int) -> tuple[ArrayKind, int]:
-        """Inverse of :meth:`global_disk`."""
+        """The array and local disk id of a global disk id."""
         if not 0 <= global_disk < self.n_disks:
             raise IndexError(f"global disk {global_disk} outside {self.n_disks} disks")
         if global_disk < self.n:
@@ -122,12 +78,3 @@ class StripeGeometry:
         if self.n_mirror_arrays == 2 and global_disk < 3 * self.n:
             return ArrayKind.MIRROR2, global_disk - 2 * self.n
         return ArrayKind.PARITY, 0
-
-    def all_disks(self) -> list[int]:
-        """Every global disk id of the architecture."""
-        return list(range(self.n_disks))
-
-    def elements_on_disk(self, global_disk: int) -> list[ElementAddr]:
-        """All element addresses stored on one physical column."""
-        array, disk = self.locate_disk(global_disk)
-        return [ElementAddr(array, disk, row) for row in range(self.rows)]

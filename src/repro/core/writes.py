@@ -87,18 +87,6 @@ class WritePlan:
     def total_elements_read(self) -> int:
         return sum(len(rows) for rows in self.reads.values())
 
-    def merge(self, other: "WritePlan") -> "WritePlan":
-        """Union of two plans (e.g. a multi-row logical write)."""
-        out = WritePlan()
-        for plan in (self, other):
-            for disk, rows in plan.writes.items():
-                for r in rows:
-                    out.add_write(disk, r)
-            for disk, rows in plan.reads.items():
-                for r in rows:
-                    out.add_read(disk, r)
-        return out
-
 
 def _cell_index(table: dict[int, list[int]]) -> tuple[np.ndarray, np.ndarray]:
     """``(disks, rows)`` index arrays of a plan's ``disk -> rows`` table."""

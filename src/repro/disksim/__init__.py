@@ -21,7 +21,6 @@ from .faultplan import (
 from .faults import LatentSectorErrors
 from .request import IOKind, IORequest
 from .scheduler import ElevatorScheduler, FIFOScheduler, PriorityScheduler, Scheduler
-from .trace import TraceStats, read_throughput_mbps, summarize, write_throughput_mbps
 
 __all__ = [
     "DiskParameters",
@@ -45,8 +44,4 @@ __all__ = [
     "InjectionCounters",
     "ElementArray",
     "DEFAULT_ELEMENT_SIZE",
-    "TraceStats",
-    "summarize",
-    "read_throughput_mbps",
-    "write_throughput_mbps",
 ]

@@ -2,9 +2,8 @@
 
 :class:`ElementArray` is the substrate the RAID layer drives: an array
 of identical disks addressed in fixed-size *elements* (the paper uses
-4 MB).  It provides batch submission, dependency-free barriers and the
-strict parallel-round execution mode that realises the paper's
-"one element per disk per access" model.
+4 MB).  It provides coalescing batch submission and completion
+callbacks per request and per batch.
 
 Batch submission contract
 -------------------------
@@ -61,7 +60,6 @@ from .disk import DiskParameters
 from .events import Simulation
 from .request import IOKind, IORequest
 from .scheduler import ElevatorScheduler, Scheduler
-from .trace import TraceStats, summarize
 
 __all__ = [
     "ElementArray",
@@ -222,10 +220,6 @@ class ElementArray:
             self._obs = sim_obs.batches = _ArrayObs()
 
     # ------------------------------------------------------------------
-    @property
-    def n_disks(self) -> int:
-        return self.sim.n_disks
-
     @property
     def now(self) -> float:
         return self.sim.now
@@ -436,35 +430,5 @@ class ElementArray:
         """Advance the simulation; returns the clock."""
         return self.sim.run(until)
 
-    def run_rounds(self, rounds, kind: IOKind, tag: str = "") -> float:
-        """Strict parallel-round execution (the paper's access model).
-
-        Each round is a list of ``(disk, slot)``; every operation of a
-        round is submitted together and the next round starts only when
-        all of them completed — one "access" per round.  Returns the
-        total elapsed time.
-        """
-        start = self.sim.now
-        for batch in rounds:
-            if batch:
-                self.submit_batch(
-                    [d for d, _ in batch], [s for _, s in batch], kind, tag=tag
-                )
-            self.sim.run()
-        return self.sim.now - start
-
     # ------------------------------------------------------------------
-    def stats(self, tag: str | None = None) -> TraceStats:
-        return summarize(self.sim, tag)
 
-    def park_heads(self) -> None:
-        """Reset every disk's head state (between experiment repetitions)."""
-        for server in self.sim.disks:
-            server.model.reset_position(0)
-
-    @classmethod
-    def for_paper_testbed(
-        cls, n_disks: int, element_size: int = DEFAULT_ELEMENT_SIZE
-    ) -> "ElementArray":
-        """Array of Savvio 10K.3 disks, the paper's configuration."""
-        return cls(n_disks, element_size, DiskParameters.savvio_10k3())

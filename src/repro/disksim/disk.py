@@ -93,19 +93,6 @@ class DiskParameters:
         """Expected half revolution."""
         return self.rotation_time_s / 2.0
 
-    def seek_time_s(self, distance_bytes: int) -> float:
-        """Square-root seek profile from track-to-track to full stroke."""
-        if distance_bytes <= 0:
-            return 0.0
-        t2t = self.track_to_track_seek_ms / 1e3
-        full = self.full_stroke_seek_ms / 1e3
-        frac = min(1.0, distance_bytes / self.capacity_bytes)
-        return t2t + (full - t2t) * math.sqrt(frac)
-
-    def transfer_time_s(self, size_bytes: int, kind: IOKind) -> float:
-        rate = self.seq_read_mbps if kind is IOKind.READ else self.seq_write_mbps
-        return size_bytes / (rate * _MB)
-
     def scattered_overhead_s(self, kind: IOKind) -> float:
         ms = (
             self.scattered_read_overhead_ms
@@ -128,8 +115,7 @@ class DiskModel:
         self.disk_id = disk_id
         self.params = p = params if params is not None else DiskParameters.savvio_10k3()
         # every per-request quantity of the service-time model, computed
-        # once (the parameters are frozen) with the same expressions as
-        # the DiskParameters helpers, so each float is bit-identical
+        # once (the parameters are frozen)
         self.capacity = p.capacity_bytes
         self.t2t_seek_s = p.track_to_track_seek_ms / 1e3
         self.seek_span_s = p.full_stroke_seek_ms / 1e3 - self.t2t_seek_s
@@ -149,18 +135,6 @@ class DiskModel:
         self.n_scattered: int = 0
 
     # ------------------------------------------------------------------
-    def is_sequential(self, request: IORequest) -> bool:
-        """Whether the request continues the previous transfer."""
-        return (
-            self._last_end is not None
-            and request.offset == self._last_end
-            and request.kind == self._last_kind
-        )
-
-    def service_time(self, request: IORequest) -> float:
-        """Seconds the disk needs for ``request`` from its current state."""
-        return self._service_time(request, self.is_sequential(request))
-
     def _service_time(self, request: IORequest, sequential: bool) -> float:
         end = request.offset + request.size
         if end > self.capacity:
@@ -186,7 +160,7 @@ class DiskModel:
 
     def serve(self, request: IORequest) -> float:
         """Account for serving ``request``; returns its service time."""
-        # is_sequential, inlined: this runs once per simulated request
+        # sequential: continues the previous transfer (same kind)
         sequential = (
             request.offset == self._last_end and request.kind is self._last_kind
         )
@@ -209,12 +183,6 @@ class DiskModel:
     @property
     def head_position(self) -> int:
         return self._head
-
-    def reset_position(self, offset: int = 0) -> None:
-        """Park the head (e.g. between independent experiments)."""
-        self._head = offset
-        self._last_end = None
-        self._last_kind = None
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"DiskModel(id={self.disk_id})"

@@ -499,13 +499,6 @@ class Simulation:
 
     # ------------------------------------------------------------------
     @property
-    def n_disks(self) -> int:
-        return len(self.disks)
-
-    def disk(self, disk_id: int) -> DiskModel:
-        return self.disks[disk_id].model
-
-    @property
     def total_bytes_read(self) -> int:
         return sum(s.model.bytes_read for s in self.disks)
 

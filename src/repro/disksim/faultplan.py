@@ -176,9 +176,6 @@ class FaultPlan:
             self, disk_failures=self.disk_failures + (DiskFailure(disk, time_s),)
         )
 
-    def with_lse(self, *cells: tuple[int, int]) -> "FaultPlan":
-        return replace(self, lse_cells=self.lse_cells + tuple(cells))
-
     def with_lse_burst(self, n: int) -> "FaultPlan":
         return replace(self, n_random_lses=self.n_random_lses + n)
 
@@ -269,9 +266,6 @@ class ActiveFaults:
         if factor != 1.0:
             self.counters.slowed_requests += 1
         return factor
-
-    def failed_disks(self, now: float) -> list[int]:
-        return sorted(d for d, t in self._failed_at.items() if now >= t)
 
     # ------------------------------------------------------------------
     def on_completion(self, request: IORequest) -> None:

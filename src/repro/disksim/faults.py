@@ -90,9 +90,6 @@ class LatentSectorErrors:
             self._bad.discard((disk, slot))
             self.healed_count += 1
 
-    def clear(self) -> None:
-        self._bad.clear()
-
     # ------------------------------------------------------------------
     def is_bad(self, disk: int, slot: int) -> bool:
         return (disk, slot) in self._bad
@@ -107,7 +104,7 @@ class LatentSectorErrors:
     def slots_hit(self, request: IORequest) -> list[int]:
         """Bad slots a request's byte range touches."""
         first = request.offset // self.element_size
-        last = (request.end - 1) // self.element_size
+        last = (request.offset + request.size - 1) // self.element_size
         return [s for s in range(first, last + 1) if (request.disk, s) in self._bad]
 
     def on_completion(self, request: IORequest) -> None:

@@ -152,16 +152,7 @@ class IORequest:
         return self.req_id if self.root_id < 0 else self.root_id
 
     @property
-    def end(self) -> int:
-        """One past the last byte touched."""
-        return self.offset + self.size
-
-    @property
     def latency(self) -> float:
         """Submit-to-finish time (valid after completion)."""
         return self.finish_time - self.submit_time
 
-    @property
-    def service_duration(self) -> float:
-        """Start-to-finish service time (valid after completion)."""
-        return self.finish_time - self.start_time

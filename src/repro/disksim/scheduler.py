@@ -26,7 +26,6 @@ from __future__ import annotations
 
 from bisect import bisect_left, insort
 from collections import deque
-from typing import Iterable
 
 from .request import IORequest
 
@@ -53,19 +52,6 @@ class Scheduler:
 
     def __bool__(self) -> bool:
         return bool(self._pending)
-
-    def peek_all(self) -> Iterable[IORequest]:
-        """View of pending requests in queue order (diagnostics).
-
-        May be a live view or an assembled list depending on the
-        scheduler's internal layout; it must not be mutated.  Call
-        :meth:`snapshot` for an independent copy.
-        """
-        return self._pending
-
-    def snapshot(self) -> list[IORequest]:
-        """Explicit point-in-time copy of the pending requests."""
-        return list(self.peek_all())
 
 
 class FIFOScheduler(Scheduler):
@@ -138,10 +124,6 @@ class ElevatorScheduler(Scheduler):
     def __bool__(self) -> bool:
         return bool(self._q) or bool(self._staged)
 
-    def peek_all(self) -> list[IORequest]:
-        self._merge()
-        return [pair[1] for pair in self._q]
-
 
 class PriorityScheduler(Scheduler):
     """Strict priority classes, C-SCAN within a class.
@@ -189,7 +171,3 @@ class PriorityScheduler(Scheduler):
     def __bool__(self) -> bool:
         return self._count > 0
 
-    def peek_all(self) -> list[IORequest]:
-        # classes are separate queues, so this view is necessarily
-        # assembled — still only built when diagnostics ask for it
-        return [pair[1] for p in sorted(self._classes) for pair in self._classes[p]]

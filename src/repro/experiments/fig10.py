@@ -26,7 +26,7 @@ from ..core.layouts import (
 from ..raidsim.writes import measure_write_throughput
 from .reporting import ExperimentResult, format_series
 
-__all__ = ["run_a", "run_b", "run"]
+__all__ = ["run_a", "run_b"]
 
 
 def _series(builders, n_values, n_ops, strategy):
@@ -80,11 +80,6 @@ def run_b(n_values=(3, 4, 5, 6, 7), n_ops: int = 200) -> ExperimentResult:
         text=text,
         data={"n": list(n_values), **series, "intact": intact},
     )
-
-
-def run(n_values=(3, 4, 5, 6, 7), n_ops: int = 200) -> list[ExperimentResult]:
-    """Both Fig. 10 panels."""
-    return [run_a(n_values, n_ops), run_b(n_values, n_ops)]
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -25,7 +25,7 @@ from ..core.layouts import (
 from ..raidsim.availability import average_reconstruction_throughput
 from .reporting import ExperimentResult, format_series
 
-__all__ = ["run_a", "run_b", "run"]
+__all__ = ["run_a", "run_b"]
 
 
 def _series(builders, n_values, n_failed, n_stripes):
@@ -80,11 +80,6 @@ def run_b(n_values=(3, 4, 5, 6, 7), n_stripes: int = 12) -> ExperimentResult:
         text=text,
         data={"n": list(n_values), **series, "verified": verified},
     )
-
-
-def run(n_values=(3, 4, 5, 6, 7)) -> list[ExperimentResult]:
-    """Both Fig. 9 panels."""
-    return [run_a(n_values), run_b(n_values)]
 
 
 if __name__ == "__main__":  # pragma: no cover

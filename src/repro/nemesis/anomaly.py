@@ -198,13 +198,6 @@ class AnomalyDetector:
             "excursions overlapping no active fault (invariant violations)",
         )
 
-    def watch(self, spec: MetricSpec) -> None:
-        """Add a metric to the watchlist (before its first sample)."""
-        if spec.name in self._specs:
-            raise ValueError(f"metric {spec.name!r} already watched")
-        self._specs[spec.name] = spec
-        self._baselines[spec.name] = spec.make_baseline()
-
     def observe(
         self, t_s: float, metric: str, value: float, quiet: bool | None = None
     ) -> Excursion | None:

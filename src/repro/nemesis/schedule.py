@@ -112,10 +112,6 @@ class FaultInterval:
     def active_at(self, t: float, margin: float = 0.0) -> bool:
         return self.start_s - margin <= t < self.end_s + margin
 
-    def overlaps(self, t0: float, t1: float, margin: float = 0.0) -> bool:
-        """Whether the interval intersects ``[t0, t1)`` (padded)."""
-        return self.start_s - margin < t1 and t0 < self.end_s + margin
-
     def to_dict(self) -> dict:
         return {
             "fault_id": self.fault_id,

@@ -84,11 +84,6 @@ class FaultTimeline:
         """Intervals covering time ``t`` (padded by ``margin`` both ways)."""
         return tuple(iv for iv in self.intervals if iv.active_at(t, margin))
 
-    def overlapping(
-        self, t0: float, t1: float, margin: float = 0.0
-    ) -> tuple[FaultInterval, ...]:
-        return tuple(iv for iv in self.intervals if iv.overlaps(t0, t1, margin))
-
     def n_active_at(self, t: float, margin: float = 0.0) -> int:
         return len(self.active_at(t, margin))
 

@@ -33,9 +33,7 @@ from .export import (
     JsonlTraceSink,
     StreamedTrace,
     chrome_trace,
-    load_metrics,
     load_streaming_trace,
-    registry_from_file,
     write_chrome_trace,
     write_metrics,
 )
@@ -111,8 +109,6 @@ __all__ = [
     "StreamedTrace",
     "load_streaming_trace",
     "write_metrics",
-    "load_metrics",
-    "registry_from_file",
     # http
     "MetricsServer",
     "prometheus_text",

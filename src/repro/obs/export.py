@@ -27,9 +27,9 @@ buffered exporters read the rows through the same interface as a
 that knows which request fields an io span carries.
 
 Metrics snapshots (:meth:`repro.obs.metrics.MetricsRegistry.snapshot`)
-are already plain data; :func:`write_metrics` / :func:`load_metrics`
-just add the file framing, and the round-trip is exact — a snapshot
-written, loaded and merged into a fresh registry reproduces every
+are already plain data; :func:`write_metrics` just
+adds the file framing, and the round-trip is exact — a snapshot
+written, read back and merged into a fresh registry reproduces every
 counter (there is a test pinning that).
 """
 
@@ -39,7 +39,6 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .metrics import MetricsRegistry
 from .tracing import TraceEvent, Tracer
 
 __all__ = [
@@ -50,8 +49,6 @@ __all__ = [
     "StreamedTrace",
     "load_streaming_trace",
     "write_metrics",
-    "load_metrics",
-    "registry_from_file",
 ]
 
 _S_TO_US = 1e6
@@ -321,10 +318,6 @@ class StreamedTrace:
     process_names: dict[int, str] = field(default_factory=dict)
     events: list[TraceEvent] = field(default_factory=list)
 
-    @property
-    def sample_rate(self) -> float:
-        return float(self.header.get("sample_rate", 1.0))
-
     def to_chrome(self) -> dict:
         """Re-frame as a Trace Event Format object (for summaries/tools)."""
         records = _name_records(self.process_names)
@@ -384,14 +377,3 @@ def write_metrics(path, registry_or_snapshot) -> Path:
     path.write_text(json.dumps(snap, indent=2) + "\n", encoding="utf-8")
     return path
 
-
-def load_metrics(path) -> dict:
-    """Load a :func:`write_metrics` snapshot (mergeable via ``merge``)."""
-    return json.loads(Path(path).read_text(encoding="utf-8"))
-
-
-def registry_from_file(path) -> MetricsRegistry:
-    """Convenience: a fresh registry holding a file's snapshot."""
-    reg = MetricsRegistry()
-    reg.merge(load_metrics(path))
-    return reg

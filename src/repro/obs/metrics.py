@@ -148,11 +148,6 @@ class _BoundGauge:
     def set(self, value: float) -> None:
         self._values[self._key] = value
 
-    def add(self, amount: float) -> None:
-        values = self._values
-        key = self._key
-        values[key] = values.get(key, 0.0) + amount
-
 
 class Gauge(_Instrument):
     """A point-in-time value (queue depth, worker count, high-water)."""
@@ -165,10 +160,6 @@ class Gauge(_Instrument):
 
     def set(self, value: float, **labels) -> None:
         self._values[_label_key(labels)] = value
-
-    def add(self, amount: float, **labels) -> None:
-        key = _label_key(labels)
-        self._values[key] = self._values.get(key, 0.0) + amount
 
     def value(self, **labels) -> float:
         return self._values.get(_label_key(labels), 0.0)
@@ -332,13 +323,6 @@ class Histogram(_Instrument):
             dist = self._values[key] = Distribution(self.buckets)
         return dist
 
-    def observe(self, value: float, **labels) -> None:
-        self.labels(**labels).observe(value)
-
-    def observe_many(self, values, **labels) -> None:
-        """Batch :meth:`observe` — see :meth:`Distribution.observe_many`."""
-        self.labels(**labels).observe_many(values)
-
     def state(self, **labels) -> Distribution | None:
         return self._values.get(_label_key(labels))
 
@@ -355,9 +339,6 @@ class _NullInstrument:
         pass
 
     def set(self, value: float, **labels) -> None:
-        pass
-
-    def add(self, amount: float, **labels) -> None:
         pass
 
     def observe(self, value: float, **labels) -> None:
@@ -527,9 +508,6 @@ class MetricsRegistry:
             for entry in data["values"]:
                 hist._make_child(_label_key(entry["labels"])).merge(entry)
 
-    def reset(self) -> None:
-        self._instruments.clear()
-
 
 class NullRegistry:
     """The zero-overhead sink: every instrument is :data:`NULL_INSTRUMENT`."""
@@ -550,17 +528,8 @@ class NullRegistry:
     def add_flush_hook(self, flush) -> None:
         pass
 
-    def flush(self) -> None:
-        pass
-
     def snapshot(self) -> dict:
         return {}
-
-    def merge(self, snapshot: dict) -> None:
-        pass
-
-    def reset(self) -> None:
-        pass
 
     def __contains__(self, name: str) -> bool:
         return False

@@ -16,7 +16,7 @@ Samples are columnar: ``observe`` appends ``(t, value)`` to the series'
 pending column, and the column is folded into its windows at the flush
 points the code already has — :meth:`TimelineRecorder.advance_to`
 (once per engine ``run()``), any read (:meth:`TimeSeries.windows`,
-:attr:`TimeSeries.closed`, :meth:`TimelineRecorder.snapshot`, a merge),
+:meth:`TimelineRecorder.snapshot`, a merge),
 a snapshot of the registry the window gauges publish to, and whenever
 :data:`COLUMN_BOUND` samples are pending.  Folding replays the samples
 in arrival order through the same window rules, one window-run at a
@@ -184,12 +184,6 @@ class TimeSeries:
         if last is not None:
             self._rec._publish(self, last)
 
-    @property
-    def closed(self) -> list[dict]:
-        """Closed windows sorted by index, oldest first (folds pending samples)."""
-        self._fold()
-        return self._closed
-
     def advance_to(self, t: float) -> None:
         """Close the open window if ``t`` has moved past its right edge."""
         self._fold()
@@ -248,15 +242,6 @@ class TimeSeries:
             out.insert(idx, record)
         return out
 
-    def fold(self, win: dict) -> None:
-        """Merge one window dict into this series (same window width)."""
-        self._fold()
-        open_win = self._open
-        if open_win is not None and open_win[0] == win["w"]:
-            open_win[1].merge(win)
-            return
-        self._insert_closed(dict(win, counts=list(win["counts"])))
-
 
 class TimelineRecorder:
     """Windowed simulated-time timeseries over many named series.
@@ -295,7 +280,6 @@ class TimelineRecorder:
             self._registry = registry if registry is not None else default_registry()
         self._series: dict[str, TimeSeries] = {}
         self._gauges: dict[str, object] = {}
-        self._samplers: list[tuple[TimeSeries, object]] = []
         if self._registry is not None:
             # a registry read folds pending samples first, so the
             # ``*_window`` gauges never show the deferral
@@ -311,17 +295,6 @@ class TimelineRecorder:
             s = self._series[key] = TimeSeries(self, name, help, dict(labels))
         return s
 
-    def sample(self, name: str, fn, help: str = "", **labels) -> TimeSeries:
-        """Register ``fn()`` to be sampled at every :meth:`advance_to`.
-
-        The callable runs on the simulated clock (once per advance, at
-        the advance time) — the pull-style complement of the push-style
-        :meth:`TimeSeries.observe` feed.
-        """
-        s = self.series(name, help, **labels)
-        self._samplers.append((s, fn))
-        return s
-
     def flush(self) -> None:
         """Fold every series' pending column into its windows."""
         # a copy: a scrape thread may flush while the simulation thread
@@ -330,11 +303,7 @@ class TimelineRecorder:
             s._fold()
 
     def advance_to(self, t: float) -> None:
-        """Move the recorder clock: run samplers, close elapsed windows."""
-        for s, fn in self._samplers:
-            value = fn()
-            if value is not None:
-                s.observe(t, value)
+        """Move the recorder clock: close elapsed windows."""
         for s in self._series.values():
             s.advance_to(t)
 
@@ -409,8 +378,13 @@ class TimelineRecorder:
         for key in sorted(snapshot["series"]):
             entry = snapshot["series"][key]
             s = self.series(entry["name"], entry.get("help", ""), **entry["labels"])
+            s._fold()
             for win in entry["windows"]:
-                s.fold(win)
+                open_win = s._open
+                if open_win is not None and open_win[0] == win["w"]:
+                    open_win[1].merge(win)
+                else:
+                    s._insert_closed(dict(win, counts=list(win["counts"])))
 
 
 # -- process default (mirrors default_tracer) ------------------------------

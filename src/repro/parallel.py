@@ -6,7 +6,7 @@ points — campaign seeds, experiment sweep points, failure cases — out
 across processes.  This module is the one place that owns that policy:
 
 * :func:`resolve_jobs` — turn a CLI ``--jobs`` value into a worker
-  count (``None``/1 = serial, 0 or negative = all cores);
+  count (``None``/1 = serial, 0 = all cores);
 * :func:`parallel_map` — order-preserving map over a process pool that
   degrades to a plain loop when one worker (or one item) makes a pool
   pointless;
@@ -44,13 +44,14 @@ R = TypeVar("R")
 def resolve_jobs(jobs: int | None) -> int:
     """Worker count for a ``--jobs`` value.
 
-    ``None`` or ``1`` mean serial; ``0`` and negative values mean "use
-    every core" (the ``make -j`` convention); anything else is taken
-    literally.
+    ``None`` or ``1`` mean serial; ``0`` means "use every core";
+    anything else is taken literally.  Negative counts are rejected.
     """
     if jobs is None:
         return 1
-    if jobs <= 0:
+    if jobs < 0:
+        raise ValueError(f"jobs must be 0 (all cores) or a process count, got {jobs}")
+    if jobs == 0:
         return os.cpu_count() or 1
     return jobs
 

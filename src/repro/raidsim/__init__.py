@@ -4,7 +4,6 @@ from .availability import (
     AvailabilityPoint,
     average_reconstruction_throughput,
     measure_case,
-    reconstruction_series,
 )
 from .campaign import (
     CampaignComparison,
@@ -46,7 +45,7 @@ from .serve import (
     run_serve,
     serve_arrivals,
 )
-from .writes import WritePoint, measure_write_throughput, write_series
+from .writes import WritePoint, measure_write_throughput
 
 __all__ = [
     "RaidController",
@@ -70,7 +69,6 @@ __all__ = [
     "AvailabilityPoint",
     "measure_case",
     "average_reconstruction_throughput",
-    "reconstruction_series",
     "OnlineReconstruction",
     "OnlineResult",
     "degraded_read_sources",
@@ -91,5 +89,4 @@ __all__ = [
     "DegradedStats",
     "WritePoint",
     "measure_write_throughput",
-    "write_series",
 ]

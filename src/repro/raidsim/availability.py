@@ -23,7 +23,6 @@ __all__ = [
     "AvailabilityPoint",
     "measure_case",
     "average_reconstruction_throughput",
-    "reconstruction_series",
 ]
 
 
@@ -104,17 +103,3 @@ def average_reconstruction_throughput(
         all_verified=all(r.verified for r in results),
     )
 
-
-def reconstruction_series(
-    layout_builder: Callable[[int], Layout],
-    n_values,
-    n_failed: int = 1,
-    **kwargs,
-) -> list[AvailabilityPoint]:
-    """One Fig. 9 curve: a point per data-disk count."""
-    return [
-        average_reconstruction_throughput(
-            (lambda n=n: layout_builder(n)), n_failed=n_failed, **kwargs
-        )
-        for n in n_values
-    ]

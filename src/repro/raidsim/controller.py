@@ -50,7 +50,6 @@ from ..disksim.faultplan import ActiveFaults, FaultPlan
 from ..disksim.faults import LatentSectorErrors
 from ..disksim.request import IOKind, IORequest
 from ..disksim.scheduler import ElevatorScheduler, Scheduler
-from ..disksim.trace import TraceStats
 from ..workloads.film import DEFAULT_PAYLOAD_BYTES, FilmSource
 from ..workloads.generator import WriteOp
 
@@ -153,15 +152,6 @@ class RebuildCheckpoint:
     n_stripes: int
     completed: dict[int, frozenset[int]]
     lost: tuple[tuple[int, int], ...] = ()
-
-    def remaining(self, disk: int) -> list[int]:
-        done = self.completed.get(disk, frozenset())
-        gone = {s for d, s in self.lost if d == disk}
-        return [s for s in range(self.n_stripes) if s not in done and s not in gone]
-
-    @property
-    def is_complete(self) -> bool:
-        return all(not self.remaining(d) for d in self.failed_disks)
 
 
 @dataclass(frozen=True)
@@ -1398,50 +1388,6 @@ class RaidController:
             bytes_read=self.array.sim.total_bytes_read - read_before,
             bytes_written=self.array.sim.total_bytes_written - written_before,
         )
-
-    def run_read_workload(
-        self,
-        reads: list[tuple[int, int, int]],
-        window: int = 8,
-        from_replica: bool = False,
-    ) -> TraceStats:
-        """Serve a batch of healthy single-element data reads.
-
-        ``reads`` are ``(stripe, i, j)`` data coordinates.  By default
-        the primary copy (data array) is read; ``from_replica`` reads
-        the mirror copy instead.  Either way the arrangement leaves
-        healthy-path performance untouched — the shifted method only
-        rearranges the *mirror* array, so primary reads are identical
-        and replica reads merely land on a different (equally loaded)
-        disk.  The test suite pins that non-regression.
-        """
-        start = self.array.now
-        pending = list(reads)
-
-        def start_read(item: tuple[int, int, int]) -> None:
-            stripe, i, j = item
-            cell = (
-                self.layout.replica_cells(i, j)[0]
-                if from_replica
-                else self.layout.data_cell(i, j)
-            )
-            pd, slot = self.place(stripe, cell)
-
-            def done() -> None:
-                if pending:
-                    start_read(pending.pop(0))
-
-            self.array.submit_elements(
-                [(pd, slot)], IOKind.READ, tag="user-read", on_complete=done
-            )
-
-        seeded = 0
-        while pending and seeded < window:
-            start_read(pending.pop(0))
-            seeded += 1
-        self.array.run()
-        stats = self.array.stats(tag="user-read")
-        return stats
 
     def _apply_write_content(
         self, stripe: int, entry: CompiledWrite, rng: np.random.Generator

@@ -53,19 +53,6 @@ class DegradedStats:
     elements_skipped: int = 0  # writes destined for failed disks
     read_latencies_s: list[float] = field(default_factory=list)
 
-    @property
-    def mean_read_latency_s(self) -> float:
-        """Mean service latency; ``NaN`` when no reads were served.
-
-        Zero would be indistinguishable from a genuine zero-latency
-        collapse, so an empty sample set answers "no measurement", not
-        "instant" — JSON emitters coerce it to ``null`` and the anomaly
-        detector abstains on it.
-        """
-        if not self.read_latencies_s:
-            return float("nan")
-        return float(np.mean(self.read_latencies_s))
-
 
 class DegradedArray:
     """A controller operating with one or more failed disks.

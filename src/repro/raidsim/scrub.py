@@ -46,10 +46,6 @@ class ScrubReport:
     scan_throughput_mbps: float
 
     @property
-    def clean(self) -> bool:
-        return self.errors_found == 0
-
-    @property
     def fully_repaired(self) -> bool:
         return not self.unrepairable
 

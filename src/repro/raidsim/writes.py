@@ -10,7 +10,6 @@ reports user-data write throughput.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -20,7 +19,7 @@ from ..disksim.disk import DiskParameters
 from ..workloads.generator import random_large_writes
 from .controller import RaidController, WriteResult
 
-__all__ = ["WritePoint", "measure_write_throughput", "write_series"]
+__all__ = ["WritePoint", "measure_write_throughput"]
 
 
 @dataclass(frozen=True)
@@ -74,11 +73,3 @@ def measure_write_throughput(
         redundancy_intact=intact,
     )
 
-
-def write_series(
-    layout_builder: Callable[[int], Layout],
-    n_values,
-    **kwargs,
-) -> list[WritePoint]:
-    """One Fig. 10 curve: a point per data-disk count."""
-    return [measure_write_throughput(layout_builder(n), **kwargs) for n in n_values]

@@ -84,7 +84,6 @@ def test_update_optimality_two_parity_cells_per_element(rng):
         assert len(d_dirty) == 1 and len(a_dirty) == 1
         assert d_dirty[0] == (j - k - 2) % p
         assert a_dirty[0] == (j + k + 2) % p
-    assert code.elements_updated_per_write() == 3
 
 
 # ----------------------------------------------------------------------

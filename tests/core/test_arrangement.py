@@ -137,14 +137,6 @@ def test_different_sizes_never_equal():
 # ----------------------------------------------------------------------
 
 
-def test_as_matrices_consistent_with_mirror_location():
-    arr = ShiftedArrangement(5)
-    disk, row = arr.as_matrices()
-    for i in range(5):
-        for j in range(5):
-            assert (disk[i, j], row[i, j]) == arr.mirror_location(i, j)
-
-
 def test_mirror_layout_labels_inverse_view():
     arr = ShiftedArrangement(4)
     labels = arr.mirror_layout_labels()

@@ -33,7 +33,7 @@ from repro.raidsim.controller import RaidController
 def test_declustered_every_survivor_contributes_equally(n):
     lay = DeclusteredMirrorLayout(n)
     for failed in range(lay.n_disks):
-        loads = lay.rebuild_read_loads(failed)
+        loads = lay.reconstruction_plan([failed]).reads_per_disk()
         assert failed not in loads
         survivors = set(range(lay.n_disks)) - {failed}
         assert set(loads) == survivors
@@ -109,7 +109,7 @@ def test_rebuild_optimal_matches_analytic_minimum(n):
     row_only = (lay.p - 1) ** 2
     optimum = 3 * row_only // 4
     for failed in range(lay.n):
-        assert lay.rebuild_elements_read(failed) == optimum
+        assert lay.reconstruction_plan([failed]).total_elements_read == optimum
 
 
 @pytest.mark.parametrize("n", [3, 4, 6])
@@ -140,7 +140,7 @@ def test_rebuild_optimal_minimum_confirmed_by_independent_search():
     ]
     assert [len(o) for o in options] == [2] * lay.rows  # its row and its diagonal
     best = min(len(set().union(*pick)) for pick in product(*options))
-    assert best == lay.rebuild_elements_read(failed)
+    assert best == lay.reconstruction_plan([failed]).total_elements_read
 
 
 @pytest.mark.parametrize("n", [3, 4, 6])

@@ -9,37 +9,34 @@ from repro.core.layouts import (
     shifted_mirror_parity,
     traditional_mirror,
 )
-from repro.core.planner import (
-    schedule_read_rounds,
-    schedule_rounds,
-    schedule_write_rounds,
-)
+from repro.core.plancache import PlanCache
 
 
 def test_empty_schedule():
-    assert schedule_rounds({}) == []
-    assert schedule_rounds({0: []}) == []
+    assert PlanCache(shifted_mirror(3)).read_rounds(()) == []
 
 
 def test_each_round_touches_each_disk_at_most_once():
-    per_disk = {0: [0, 1, 2], 1: [4], 2: [5, 6]}
-    rounds = schedule_rounds(per_disk)
-    for batch in rounds:
-        disks = [d for d, _ in batch]
-        assert len(disks) == len(set(disks))
+    lay = shifted_mirror_parity(4)
+    cache = PlanCache(lay)
+    for failed in combinations(range(lay.n_disks), 2):
+        for batch in cache.read_rounds(failed):
+            disks = [d for d, _ in batch]
+            assert len(disks) == len(set(disks))
 
 
 def test_round_count_equals_max_queue():
-    per_disk = {0: [0, 1, 2], 1: [4], 2: [5, 6]}
-    rounds = schedule_rounds(per_disk)
-    assert len(rounds) == 3
+    cache = PlanCache(traditional_mirror(3))
+    assert len(cache.read_rounds((0,))) == 3
 
 
 def test_all_operations_scheduled_exactly_once():
-    per_disk = {0: [0, 1], 3: [2, 5, 7]}
-    rounds = schedule_rounds(per_disk)
-    flat = [op for batch in rounds for op in batch]
-    assert sorted(flat) == [(0, 0), (0, 1), (3, 2), (3, 5), (3, 7)]
+    lay = shifted_mirror_parity(4)
+    cache = PlanCache(lay)
+    for failed in combinations(range(lay.n_disks), 2):
+        flat = [op for batch in cache.read_rounds(failed) for op in batch]
+        reads = cache.plan(failed).reads
+        assert sorted(flat) == sorted((d, r) for d, rows in reads.items() for r in rows)
 
 
 def test_rounds_equal_num_read_accesses_for_all_mirror_plans():
@@ -47,21 +44,22 @@ def test_rounds_equal_num_read_accesses_for_all_mirror_plans():
     for n in (2, 3, 5):
         for builder in (traditional_mirror, shifted_mirror):
             lay = builder(n)
+            cache = PlanCache(lay)
             for f in range(lay.n_disks):
                 plan = lay.reconstruction_plan([f])
-                assert len(schedule_read_rounds(plan)) == plan.num_read_accesses
+                assert len(cache.read_rounds((f,))) == plan.num_read_accesses
 
 
 def test_rounds_equal_accesses_for_parity_double_failures():
     lay = shifted_mirror_parity(4)
+    cache = PlanCache(lay)
     for failed in combinations(range(lay.n_disks), 2):
         plan = lay.reconstruction_plan(failed)
-        assert len(schedule_read_rounds(plan)) == plan.num_read_accesses
+        assert len(cache.read_rounds(failed)) == plan.num_read_accesses
 
 
 def test_write_rounds_from_write_plan():
     lay = shifted_mirror_parity(4)
     plan = lay.large_write_plan(1)
-    rounds = schedule_write_rounds(plan)
-    assert len(rounds) == plan.num_write_accesses == 1
-    assert len(rounds[0]) == 9  # 4 data + 4 replicas + parity
+    assert plan.num_write_accesses == 1
+    assert len(plan.writes) == 9  # 4 data + 4 replicas + parity

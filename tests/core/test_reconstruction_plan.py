@@ -112,7 +112,8 @@ def test_phase_read_dedup_across_phases():
     lay = traditional_mirror_parity(n)
     plan = lay.reconstruction_plan([1, n + 1])
     phases = split_into_phases(plan)
-    assert phases[0].num_read_accesses == n  # parity path reads columns
+    # parity path reads columns
+    assert max(len(rows) for rows in phases[0].reads.values()) == n
     assert phases[1].reads == {}  # pure copy from recovered content
 
 

@@ -4,14 +4,16 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.stripe import ArrayKind, ElementAddr, StripeGeometry
+from repro.core.stripe import ArrayKind, StripeGeometry
+
+
+def _arrays(g: StripeGeometry) -> set[ArrayKind]:
+    return {g.locate_disk(gd)[0] for gd in range(g.n_disks)}
 
 
 def test_mirror_geometry_counts():
     g = StripeGeometry(5)
     assert g.n_disks == 10
-    assert g.rows == 5
-    assert g.data_elements_per_stripe == 25
 
 
 def test_mirror_parity_geometry_counts():
@@ -36,59 +38,40 @@ def test_invalid_geometry_rejected():
 )
 def test_global_disk_roundtrip(n, has_parity, mirrors):
     g = StripeGeometry(n, n_mirror_arrays=mirrors, has_parity=has_parity)
-    seen = set()
-    for gd in g.all_disks():
-        array, local = g.locate_disk(gd)
-        assert g.global_disk(array, local) == gd
-        seen.add(gd)
-    assert seen == set(range(g.n_disks))
+    located = [g.locate_disk(gd) for gd in range(g.n_disks)]
+    # every global id names a distinct disk, each array numbered 0..n-1
+    assert len(set(located)) == g.n_disks
+    for array in (ArrayKind.DATA, ArrayKind.MIRROR):
+        assert [d for a, d in located if a is array] == list(range(n))
+    assert sum(a is ArrayKind.MIRROR2 for a, _ in located) == (n if mirrors == 2 else 0)
+    assert [d for a, d in located if a is ArrayKind.PARITY] == ([0] if has_parity else [])
 
 
 def test_global_disk_ordering_data_then_mirror_then_parity():
     g = StripeGeometry(3, has_parity=True)
-    assert g.global_disk(ArrayKind.DATA, 0) == 0
-    assert g.global_disk(ArrayKind.MIRROR, 0) == 3
-    assert g.global_disk(ArrayKind.PARITY, 0) == 6
+    assert g.locate_disk(0) == (ArrayKind.DATA, 0)
+    assert g.locate_disk(3) == (ArrayKind.MIRROR, 0)
+    assert g.locate_disk(6) == (ArrayKind.PARITY, 0)
 
 
 def test_parity_access_without_parity_rejected():
     g = StripeGeometry(3)
-    with pytest.raises(ValueError, match="no parity disk"):
-        g.global_disk(ArrayKind.PARITY, 0)
+    assert ArrayKind.PARITY not in _arrays(g)
 
 
 def test_parity_disk_index_must_be_zero():
     g = StripeGeometry(3, has_parity=True)
-    with pytest.raises(IndexError):
-        g.global_disk(ArrayKind.PARITY, 1)
+    assert g.locate_disk(g.n_disks - 1) == (ArrayKind.PARITY, 0)
 
 
 def test_second_mirror_requires_two_arrays():
-    g = StripeGeometry(3)
-    with pytest.raises(ValueError, match="single mirror array"):
-        g.global_disk(ArrayKind.MIRROR2, 0)
+    assert _arrays(StripeGeometry(3)) == {ArrayKind.DATA, ArrayKind.MIRROR}
+    assert ArrayKind.MIRROR2 in _arrays(StripeGeometry(3, n_mirror_arrays=2))
 
 
 def test_disk_index_bounds():
     g = StripeGeometry(3)
     with pytest.raises(IndexError):
-        g.global_disk(ArrayKind.DATA, 3)
-    with pytest.raises(IndexError):
         g.locate_disk(6)
     with pytest.raises(IndexError):
         g.locate_disk(-1)
-
-
-def test_elements_on_disk():
-    g = StripeGeometry(3, has_parity=True)
-    elems = g.elements_on_disk(4)  # mirror disk 1
-    assert elems == [ElementAddr(ArrayKind.MIRROR, 1, r) for r in range(3)]
-    parity_elems = g.elements_on_disk(6)
-    assert all(e.array is ArrayKind.PARITY for e in parity_elems)
-
-
-def test_element_addr_ordering_and_str():
-    a = ElementAddr(ArrayKind.DATA, 0, 1)
-    b = ElementAddr(ArrayKind.DATA, 0, 2)
-    assert a < b
-    assert str(a) == "data[0,1]"

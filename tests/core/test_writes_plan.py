@@ -31,21 +31,6 @@ def test_accesses_are_max_per_disk():
     assert plan.num_read_accesses == 1
 
 
-def test_merge_unions_reads_and_writes():
-    a = WritePlan()
-    a.add_write(0, 0)
-    a.add_read(1, 1)
-    b = WritePlan()
-    b.add_write(0, 1)
-    b.add_write(2, 0)
-    b.add_read(1, 1)  # duplicate read collapses
-    merged = a.merge(b)
-    assert merged.writes == {0: [0, 1], 2: [0]}
-    assert merged.reads == {1: [1]}
-    # originals untouched
-    assert a.writes == {0: [0]}
-
-
 def test_totals_count_elements_not_disks():
     plan = WritePlan()
     for disk in range(3):

@@ -247,38 +247,7 @@ def test_per_request_and_group_callbacks_compose():
     assert group == [True]
 
 
-def test_run_rounds_barrier_semantics():
-    """Each round completes before the next starts: with ideal disks,
-    k rounds of one element each cost exactly k transfer times."""
-    arr = _ideal(3)
-    rounds = [[(0, 0), (1, 0), (2, 0)], [(0, 1), (1, 1), (2, 1)]]
-    elapsed = arr.run_rounds(rounds, IOKind.READ)
-    transfer = 4 * _MB / (54.8 * _MB)
-    rotation = DiskParameters.ideal().avg_rotational_latency_s  # first access only
-    assert elapsed == pytest.approx(2 * transfer + rotation, rel=0.01)
-
-
-def test_stats_and_tag_filtering():
-    arr = _ideal(2)
-    arr.submit_elements([(0, 0)], IOKind.READ, tag="a")
-    arr.submit_elements([(1, 0)], IOKind.WRITE, tag="b")
-    arr.run()
-    all_stats = arr.stats()
-    assert all_stats.n_reads == 1 and all_stats.n_writes == 1
-    only_a = arr.stats(tag="a")
-    assert only_a.n_reads == 1 and only_a.n_writes == 0
-
-
-def test_park_heads_resets_stream_state():
-    params = DiskParameters.savvio_10k3()
-    arr = ElementArray(1, 4 * _MB, params)
-    arr.submit_elements([(0, 0)], IOKind.READ)
-    arr.run()
-    arr.park_heads()
-    assert arr.sim.disk(0).head_position == 0
-
-
 def test_for_paper_testbed_uses_savvio():
-    arr = ElementArray.for_paper_testbed(4)
-    assert arr.sim.disk(0).params.seq_read_mbps == pytest.approx(54.8)
-    assert arr.n_disks == 4
+    arr = ElementArray(4)
+    assert arr.sim.disks[0].model.params.seq_read_mbps == pytest.approx(54.8)
+    assert len(arr.sim.disks) == 4

@@ -32,25 +32,40 @@ def test_rotational_latency(savvio):
     assert savvio.avg_rotational_latency_s == pytest.approx(0.003)
 
 
+def _first_service(params, offset: int, size: int = _MB, kind=IOKind.READ) -> float:
+    """Service time of one request on a fresh disk (head at offset 0)."""
+    return DiskModel(0, params).serve(IORequest(0, offset, size, kind))
+
+
+def _seek(params, distance: int) -> float:
+    """The seek share of a scattered access ``distance`` bytes away."""
+    return _first_service(params, distance) - _first_service(params, 0)
+
+
+def _transfer(params, size: int, kind: IOKind) -> float:
+    """Service time of a sequential continuation: transfer only."""
+    disk = DiskModel(0, params)
+    disk.serve(IORequest(0, 0, size, kind))
+    return disk.serve(IORequest(0, size, size, kind))
+
+
 def test_seek_profile_monotone(savvio):
-    assert savvio.seek_time_s(0) == 0.0
-    short = savvio.seek_time_s(4 * _MB)
-    mid = savvio.seek_time_s(savvio.capacity_bytes // 4)
-    full = savvio.seek_time_s(savvio.capacity_bytes)
+    assert _seek(savvio, 0) == 0.0
+    short = _seek(savvio, 4 * _MB)
+    mid = _seek(savvio, savvio.capacity_bytes // 4)
+    full = _seek(savvio, savvio.capacity_bytes - _MB)
     assert 0 < short < mid < full
-    assert full == pytest.approx(savvio.full_stroke_seek_ms / 1e3)
-    # beyond-capacity distances are clamped to full stroke
-    assert savvio.seek_time_s(10 * savvio.capacity_bytes) == pytest.approx(full)
+    assert full == pytest.approx(savvio.full_stroke_seek_ms / 1e3, rel=1e-3)
 
 
 def test_transfer_rates(savvio):
-    assert savvio.transfer_time_s(54_8 * _MB // 10, IOKind.READ) == pytest.approx(1.0, rel=0.01)
-    assert savvio.transfer_time_s(130 * _MB, IOKind.WRITE) == pytest.approx(1.0)
+    assert _transfer(savvio, 54_8 * _MB // 10, IOKind.READ) == pytest.approx(1.0, rel=0.01)
+    assert _transfer(savvio, 130 * _MB, IOKind.WRITE) == pytest.approx(1.0)
 
 
 def test_ideal_parameters_strip_all_overheads():
     ideal = DiskParameters.ideal()
-    assert ideal.seek_time_s(ideal.capacity_bytes) == 0.0
+    assert _seek(ideal, ideal.capacity_bytes - _MB) == 0.0
     assert ideal.scattered_overhead_s(IOKind.READ) == 0.0
 
 
@@ -67,8 +82,8 @@ def test_with_overrides():
 
 def test_first_access_is_scattered(disk, savvio):
     req = IORequest(0, 0, 4 * _MB, IOKind.READ)
-    t = disk.service_time(req)
-    transfer = savvio.transfer_time_s(4 * _MB, IOKind.READ)
+    t = disk.serve(req)
+    transfer = _transfer(savvio, 4 * _MB, IOKind.READ)
     assert t > transfer  # rotation + scattered overhead at least
 
 
@@ -76,22 +91,20 @@ def test_sequential_continuation_is_pure_transfer(disk, savvio):
     first = IORequest(0, 0, 4 * _MB, IOKind.READ)
     disk.serve(first)
     second = IORequest(0, 4 * _MB, 4 * _MB, IOKind.READ)
-    assert disk.is_sequential(second)
-    assert disk.service_time(second) == pytest.approx(
-        savvio.transfer_time_s(4 * _MB, IOKind.READ)
-    )
+    assert disk.serve(second) == pytest.approx(4 / savvio.seq_read_mbps)
+    assert disk.n_sequential == 1
 
 
 def test_kind_switch_breaks_sequentiality(disk):
     disk.serve(IORequest(0, 0, _MB, IOKind.READ))
-    w = IORequest(0, _MB, _MB, IOKind.WRITE)
-    assert not disk.is_sequential(w)
+    disk.serve(IORequest(0, _MB, _MB, IOKind.WRITE))
+    assert disk.n_sequential == 0
 
 
 def test_gap_breaks_sequentiality(disk):
     disk.serve(IORequest(0, 0, _MB, IOKind.READ))
-    r = IORequest(0, 3 * _MB, _MB, IOKind.READ)
-    assert not disk.is_sequential(r)
+    disk.serve(IORequest(0, 3 * _MB, _MB, IOKind.READ))
+    assert disk.n_sequential == 0
 
 
 def test_writes_skip_scattered_overhead(savvio):
@@ -99,11 +112,11 @@ def test_writes_skip_scattered_overhead(savvio):
     disk = DiskModel(0, savvio)
     disk.serve(IORequest(0, 0, _MB, IOKind.WRITE))
     far = IORequest(0, 100 * _MB, _MB, IOKind.WRITE)
-    t = disk.service_time(far)
+    t = disk.serve(far)
     expected = (
-        savvio.seek_time_s(99 * _MB)
+        _seek(savvio, 99 * _MB)
         + savvio.avg_rotational_latency_s
-        + savvio.transfer_time_s(_MB, IOKind.WRITE)
+        + _MB / (savvio.seq_write_mbps * _MB)
     )
     assert t == pytest.approx(expected)
 
@@ -111,7 +124,7 @@ def test_writes_skip_scattered_overhead(savvio):
 def test_request_beyond_capacity_rejected(disk, savvio):
     req = IORequest(0, savvio.capacity_bytes - 10, 100, IOKind.READ)
     with pytest.raises(ValueError, match="capacity"):
-        disk.service_time(req)
+        disk.serve(req)
 
 
 # ----------------------------------------------------------------------
@@ -129,13 +142,6 @@ def test_serve_updates_counters(disk):
     assert disk.n_scattered == 2
     assert disk.busy_time > 0
     assert disk.head_position == 101 * _MB
-
-
-def test_reset_position_clears_stream_state(disk):
-    disk.serve(IORequest(0, 0, _MB, IOKind.READ))
-    disk.reset_position(0)
-    nxt = IORequest(0, _MB, _MB, IOKind.READ)
-    assert not disk.is_sequential(nxt)
 
 
 def test_effective_rates_match_calibration(savvio):

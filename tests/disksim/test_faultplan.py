@@ -66,7 +66,7 @@ def test_spec_validation():
 
 def test_activation_range_checks():
     with pytest.raises(ValueError, match="outside"):
-        _activate(FaultPlan().with_lse((9, 0)))
+        _activate(FaultPlan(lse_cells=((9, 0),)))
     with pytest.raises(ValueError, match="outside"):
         _activate(FaultPlan().with_fail_slow(9, 2.0))
     with pytest.raises(ValueError, match="outside"):
@@ -79,14 +79,12 @@ def test_builders_compose_and_leave_original_untouched():
         base.with_transients(rate=0.1)
         .with_fail_slow(1, 2.0)
         .with_disk_failure(2, 5.0)
-        .with_lse((0, 1))
         .with_lse_burst(2)
     )
     assert base.transient is None and base.lse_cells == ()
     assert full.transient.rate == 0.1
     assert full.fail_slow[0].disk == 1
     assert full.disk_failures[0].time_s == 5.0
-    assert full.lse_cells == ((0, 1),)
     assert full.n_random_lses == 2
     assert full.seed == 3
 
@@ -238,12 +236,10 @@ def test_scheduled_failure_flags_reads_after_the_hour():
     late = _read(1, 0, t=2.5)
     active.on_completion(late)
     assert late.error and late.error_kind == "disk-failed"
-    assert active.failed_disks(2.5) == [1]
-    assert active.failed_disks(1.0) == []
 
 
 def test_lse_cells_and_burst_are_injected():
-    plan = FaultPlan(seed=5).with_lse((1, 2)).with_lse_burst(3)
+    plan = FaultPlan(seed=5, lse_cells=((1, 2),)).with_lse_burst(3)
     active = _activate(plan)
     assert active.lse.is_bad(1, 2)
     assert len(active.lse) == 4

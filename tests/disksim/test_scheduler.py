@@ -70,11 +70,3 @@ def test_priority_elevator_within_class():
     for o in (50, 10, 30):
         s.add(_req(o, priority=0))
     assert [s.pop(20).offset, s.pop(30).offset, s.pop(50).offset] == [30, 50, 10]
-
-
-def test_peek_all_is_nondestructive():
-    s = ElevatorScheduler()
-    s.add(_req(1))
-    s.add(_req(2))
-    assert len(s.peek_all()) == 2
-    assert len(s) == 2

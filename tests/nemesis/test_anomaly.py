@@ -35,13 +35,11 @@ def test_metric_spec_validation():
         MetricSpec("x", rel_threshold=0.0)
 
 
-def test_unknown_metric_and_duplicate_watch_are_rejected():
+def test_unknown_metric_is_rejected():
     det, _ = _detector()
     with pytest.raises(ValueError, match="not on the watchlist"):
         det.observe(0.0, "nope", 1.0)
-    with pytest.raises(ValueError, match="already watched"):
-        det.watch(MetricSpec("lat"))
-    det.watch(MetricSpec("extra"))
+    det = AnomalyDetector(FaultTimeline(), metrics=(MetricSpec("extra"),))
     assert det.observe(0.0, "extra", 1.0) is None
 
 

@@ -139,7 +139,8 @@ def test_allow_excess_lifts_the_budget_but_never_rekills_a_dead_disk():
         overlapping_same_disk = [
             d
             for d in deaths
-            if d is not f and d.disk == f.disk and d.overlaps(f.start_s, f.end_s)
+            if d is not f and d.disk == f.disk
+            and d.start_s < f.end_s and f.start_s < d.end_s
         ]
         assert overlapping_same_disk == []
 

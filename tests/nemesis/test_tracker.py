@@ -36,7 +36,6 @@ def test_open_interval_extends_to_infinity():
     iv = tl.record(FaultInterval(0, "fail-slow", 2, 10.0, math.inf, 4.0))
     assert tl.active_at(1e12) == (iv,)
     assert tl.active_at(5.0) == ()
-    assert tl.overlapping(1e9, 1e9 + 1.0) == (iv,)
 
 
 def test_duplicate_fault_id_is_rejected():
@@ -52,8 +51,6 @@ def test_margin_pads_the_attribution_window_both_ways():
     assert tl.active_at(90.0) == ()
     assert len(tl.active_at(90.0, margin=15.0)) == 1
     assert len(tl.active_at(210.0, margin=15.0)) == 1
-    assert tl.overlapping(0.0, 50.0) == ()
-    assert len(tl.overlapping(0.0, 150.0)) == 1
 
 
 def test_intervals_are_sorted_by_start_time():

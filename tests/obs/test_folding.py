@@ -176,7 +176,7 @@ def _replay(rec, reg, ops) -> list:
             reads.append((rec.snapshot(), reg.snapshot()))
         else:
             rec.merge(_window_snapshot(op[1]))
-    reads.append((rec.snapshot(), reg.snapshot(), s.closed, s.windows()))
+    reads.append((rec.snapshot(), reg.snapshot(), s._closed, s.windows()))
     return reads
 
 

@@ -33,7 +33,7 @@ def test_non_finite_values_use_exposition_tokens():
 def test_histogram_sum_of_inf_observations_renders_tokenized():
     reg = MetricsRegistry()
     h = reg.histogram("lat", buckets=(1.0,))
-    h.observe(float("inf"))
+    h.labels().observe(float("inf"))
     text = prometheus_text(reg.snapshot())
     assert "lat_sum +Inf" in text
     assert 'lat_bucket{le="+Inf"} 1' in text

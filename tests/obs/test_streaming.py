@@ -224,8 +224,8 @@ def test_prometheus_text_renders_all_three_kinds():
     reg = MetricsRegistry()
     reg.counter("sim.requests", "completed I/O requests").inc(3, kind="read")
     reg.gauge("pool.n_workers").set(4)
-    reg.histogram("sim.request_latency_s", buckets=(0.1, 1.0)).observe(0.5)
-    reg.histogram("sim.request_latency_s", buckets=(0.1, 1.0)).observe(5.0)
+    reg.histogram("sim.request_latency_s", buckets=(0.1, 1.0)).labels().observe(0.5)
+    reg.histogram("sim.request_latency_s", buckets=(0.1, 1.0)).labels().observe(5.0)
     text = prometheus_text(reg.snapshot())
     assert "# TYPE sim_requests counter" in text
     assert 'sim_requests{kind="read"} 3.0' in text

@@ -68,11 +68,12 @@ def test_non_finite_samples_are_skipped():
     assert s.windows()[0]["count"] == 1
 
 
-def test_advance_to_closes_elapsed_windows_and_runs_samplers():
+def test_advance_to_closes_elapsed_windows():
     rec = _recorder(window_s=1.0)
-    depth = iter([3.0, 7.0])
-    rec.sample("qd", lambda: next(depth, None))
+    qd = rec.series("qd")
+    qd.observe(0.5, 3.0)
     rec.advance_to(0.5)
+    qd.observe(1.5, 7.0)
     rec.advance_to(1.5)  # closes window 0
     snap = rec.snapshot()
     wins = snap["series"]["qd"]["windows"]

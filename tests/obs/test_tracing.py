@@ -104,7 +104,7 @@ def test_metrics_summary_lists_each_instrument():
     reg = MetricsRegistry()
     reg.counter("c").inc(3, kind="read")
     reg.gauge("g").set(2)
-    reg.histogram("h", buckets=(1.0,)).observe(0.5)
+    reg.histogram("h", buckets=(1.0,)).labels().observe(0.5)
     text = metrics_summary(reg.snapshot())
     assert "c{kind=read} = 3" in text
     assert "g = 2" in text

@@ -104,8 +104,8 @@ def _controller(case) -> RaidController:
             lse.inject(disk, slot)
         kwargs["lse"] = lse
     elif faults == "plan":
-        plan = FaultPlan(seed=case["seed"]).with_transients(rate=0.2)
-        plan = plan.with_lse(*case["lse_cells"])
+        plan = FaultPlan(seed=case["seed"], lse_cells=tuple(case["lse_cells"]))
+        plan = plan.with_transients(rate=0.2)
         if case["death"] is not None:
             plan = plan.with_disk_failure(*case["death"])
         kwargs["fault_plan"] = plan

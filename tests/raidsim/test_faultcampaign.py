@@ -341,18 +341,6 @@ def test_resume_from_checkpoint_redoes_only_the_remainder():
     assert sum(r.size for r in redone) == full_reads * ELEM // 2
 
 
-def test_checkpoint_remaining_accounting():
-    ckpt = RebuildCheckpoint(
-        failed_disks=(0, 5),
-        n_stripes=4,
-        completed={0: frozenset({0, 1}), 5: frozenset()},
-        lost=((5, 3),),
-    )
-    assert ckpt.remaining(0) == [2, 3]
-    assert ckpt.remaining(5) == [0, 1, 2]
-    assert not ckpt.is_complete
-
-
 # ----------------------------------------------------------------------
 # campaigns over both arrangements
 # ----------------------------------------------------------------------
@@ -429,7 +417,7 @@ def test_rebuild_heals_lses_on_the_rebuilt_column():
     # the rebuilt disk's sectors are all rewritten, so latent errors
     # recorded there are healed; a surviving source disk's LSE is the
     # scrubber's job and must stay
-    plan = FaultPlan(seed=8).with_lse((0, 3)).with_lse((N + 2, 5))
+    plan = FaultPlan(seed=8, lse_cells=((0, 3), (N + 2, 5)))
     ctrl = _controller(shifted_mirror_parity(N), plan)
     result = ctrl.rebuild([0])
     assert result.verified

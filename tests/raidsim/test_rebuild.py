@@ -108,7 +108,7 @@ def test_traditional_rebuild_streams_one_disk():
     ctrl = _ctrl(traditional_mirror(5), n_stripes=12)
     res = ctrl.rebuild([2])
     # all reads landed on the single replica disk, mostly sequential
-    disk = ctrl.array.sim.disk(5 + 2)
+    disk = ctrl.array.sim.disks[5 + 2].model
     assert disk.bytes_read == res.bytes_read
     assert res.read_throughput_mbps == pytest.approx(54.8, rel=0.08)
 
@@ -117,7 +117,7 @@ def test_shifted_rebuild_spreads_over_all_disks():
     ctrl = _ctrl(shifted_mirror(5), n_stripes=12)
     res = ctrl.rebuild([2])
     readers = [
-        d for d in range(ctrl.layout.n_disks) if ctrl.array.sim.disk(d).bytes_read > 0
+        d for d in range(ctrl.layout.n_disks) if ctrl.array.sim.disks[d].model.bytes_read > 0
     ]
     assert len(readers) == 5
     assert res.read_throughput_mbps > 2.5 * 54.8

@@ -337,6 +337,57 @@ def test_unwritable_export_path_fails_before_the_command_runs(
     assert not target.parent.exists()
 
 
+@pytest.mark.parametrize("command", [
+    ["faultcampaign", "--family", "mirror", "--n", "3", "--stripes", "4",
+     "--json", "{blocked}/x.json"],
+    ["leaderboard", "--n", "3", "--stripes", "3", "--html", "{blocked}/x.html"],
+    ["obs", "report", "{serve}", "--out", "{blocked}/x.html"],
+    ["nemesis", "--n", "3", "--stripes", "3", "--horizon-days", "0.5",
+     "--checkpoint", "{blocked}/ck.json"],
+    ["svg", "--quick", "--outdir", "{blocked}/figures"],
+    ["--profile", "--profile-out", "{blocked}/p.pstats", "table1", "--n", "3"],
+])
+def test_output_path_under_a_file_fails_before_the_command_runs(
+    capsys, tmp_path, command
+):
+    blocked = tmp_path / "blocker"
+    blocked.write_text("")
+    serve = tmp_path / "serve.json"
+    serve.write_text('{"series": {"lat": {}}, "window_s": 1.0}')
+    argv = [a.format(blocked=blocked, serve=serve) for a in command]
+    rc = main(argv)
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.startswith("error: ")
+    assert "Not a directory" in captured.err
+    assert captured.out == ""  # the command never ran
+
+
+def test_second_failure_past_the_rebuild_is_rejected(capsys):
+    rc = main(["faultcampaign", "--family", "mirror", "--n", "3", "--stripes",
+               "4", "--second-failure-disk", "4", "--second-failure-at", "3"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.startswith("error: ")
+    assert "at most 1" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", [
+    ["experiments", "--quick", "--only", "table1"],
+    ["faultcampaign", "--family", "mirror", "--n", "3", "--stripes", "4",
+     "--seeds", "2"],
+    ["leaderboard", "--n", "3", "--stripes", "3"],
+])
+def test_negative_jobs_is_rejected(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--jobs", "-3"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "error: argument --jobs" in captured.err
+    assert captured.out == ""
+
+
 def test_obs_summary_reads_streaming_traces(capsys, tmp_path):
     trace_path = tmp_path / "trace.jsonl"
     rc, _ = run_cli(capsys, "simulate", "rebuild", "--layout", "mirror",

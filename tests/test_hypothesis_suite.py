@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from repro.core.arrangement import PermutationArrangement
 from repro.core.layouts import MirrorLayout, shifted_mirror_parity
-from repro.core.planner import schedule_rounds
+from repro.core.plancache import PlanCache
 from repro.core.reconstruction import split_into_phases
 from repro.core.registry import REGISTRY, build_layout
 from repro.disksim.array import ElementArray
@@ -106,15 +106,16 @@ def test_parity_double_failure_phase_split_conserves_reads(n, seed):
 
 
 @given(
-    queues=st.dictionaries(
-        st.integers(0, 8),
-        st.lists(st.integers(0, 30), min_size=0, max_size=6, unique=True),
-        max_size=6,
-    )
+    n=st.integers(2, 6),
+    failed=st.lists(st.integers(0, 12), min_size=1, max_size=2, unique=True),
 )
 @settings(max_examples=60)
-def test_round_packing_properties(queues):
-    rounds = schedule_rounds(queues)
+def test_round_packing_properties(n, failed):
+    layout = shifted_mirror_parity(n)
+    failed = tuple(sorted(f % layout.n_disks for f in set(failed)))
+    cache = PlanCache(layout)
+    queues = cache.plan(failed).reads
+    rounds = cache.read_rounds(failed)
     expected = max((len(v) for v in queues.values()), default=0)
     assert len(rounds) == expected
     flat = [op for batch in rounds for op in batch]
@@ -147,16 +148,18 @@ def test_simulator_conservation(seed, n_disks, n_ops):
     for (d, s), kind in zip(ops, kinds):
         arr.submit(arr.element_request(d, s, kind))
     arr.run()
-    stats = arr.stats()
+    done = arr.sim.completed
+    makespan = max(r.finish_time for r in done)
+    busy = [server.model.busy_time for server in arr.sim.disks]
     # every submitted byte is accounted exactly once
-    assert stats.bytes_read + stats.bytes_written == n_ops * arr.element_size
+    assert sum(r.size for r in done) == n_ops * arr.element_size
     # no disk is busy longer than the run; total busy <= disks * makespan
-    assert all(b <= stats.makespan_s + 1e-9 for b in stats.per_disk_busy_s.values())
-    assert sum(stats.per_disk_busy_s.values()) <= n_disks * stats.makespan_s + 1e-9
+    assert all(b <= makespan + 1e-9 for b in busy)
+    assert sum(busy) <= n_disks * makespan + 1e-9
     # the makespan is at least the busiest disk
-    assert stats.makespan_s >= max(stats.per_disk_busy_s.values()) - 1e-9
+    assert makespan >= max(busy) - 1e-9
     # latencies are bounded by the makespan
-    assert stats.max_latency_s <= stats.makespan_s + 1e-9
+    assert max(r.finish_time - r.submit_time for r in done) <= makespan + 1e-9
 
 
 def _registry_sizes() -> list[tuple[str, int]]:

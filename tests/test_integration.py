@@ -119,5 +119,8 @@ def test_stack_definition_from_paper_terms():
     physical pair sweeps through n_disks distinct logical pairs."""
     lay = traditional_mirror_parity(3)
     stack = RotatedStack(lay)
-    cases = set(stack.logical_failures([1, 4]))
+    cases = {
+        tuple(sorted(stack.logical_disk(s, f) for f in (1, 4)))
+        for s in range(stack.n_stripes)
+    }
     assert len(cases) == stack.n_stripes

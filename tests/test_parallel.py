@@ -33,6 +33,8 @@ def test_resolve_jobs_conventions():
     assert resolve_jobs(1) == 1
     assert resolve_jobs(3) == 3
     assert resolve_jobs(0) >= 1
+    with pytest.raises(ValueError, match="process count"):
+        resolve_jobs(-3)
 
 
 def test_pool_of_one_runs_inline():
