@@ -734,10 +734,13 @@ def _add_obs_args(p: argparse.ArgumentParser) -> None:
 
 def _jobs(text: str) -> int:
     """``--jobs``: a process count, or 0 for every core."""
-    jobs = int(text)
+    try:
+        jobs = int(text)
+    except ValueError:
+        jobs = -1
     if jobs < 0:
         raise argparse.ArgumentTypeError(
-            f"must be 0 (all cores) or a process count, got {jobs}"
+            f"must be 0 (all cores) or a process count, got {text}"
         )
     return jobs
 
