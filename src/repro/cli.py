@@ -33,6 +33,7 @@ from .core.registry import (
     comparison_pair,
 )
 from .experiments.runner import EXPERIMENT_IDS, run_all
+from .parallel import resolve_jobs
 
 __all__ = ["main", "build_layout", "LAYOUTS"]
 
@@ -736,12 +737,11 @@ def _jobs(text: str) -> int:
     """``--jobs``: a process count, or 0 for every core."""
     try:
         jobs = int(text)
+        resolve_jobs(jobs)
     except ValueError:
-        jobs = -1
-    if jobs < 0:
         raise argparse.ArgumentTypeError(
             f"must be 0 (all cores) or a process count, got {text}"
-        )
+        ) from None
     return jobs
 
 
@@ -1007,7 +1007,7 @@ def main(argv=None) -> int:
         # command ran and printed its results
         for flag in _OUTPUT_FILES:
             path = getattr(args, flag, None)
-            if path is not None:
+            if path is not None and (flag != "profile_out" or args.profile):
                 _check_writable(path)
         if getattr(args, "outdir", None) is not None:
             _check_creatable_dir(args.outdir)

@@ -429,6 +429,3 @@ class ElementArray:
     def run(self, until: float | None = None) -> float:
         """Advance the simulation; returns the clock."""
         return self.sim.run(until)
-
-    # ------------------------------------------------------------------
-

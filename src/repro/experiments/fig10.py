@@ -83,6 +83,6 @@ def run_b(n_values=(3, 4, 5, 6, 7), n_ops: int = 200) -> ExperimentResult:
 
 
 if __name__ == "__main__":  # pragma: no cover
-    for result in run():
+    for result in (run_a(), run_b()):
         print(result)
         print()

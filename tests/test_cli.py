@@ -363,6 +363,14 @@ def test_output_path_under_a_file_fails_before_the_command_runs(
     assert captured.out == ""  # the command never ran
 
 
+def test_profile_out_without_profile_is_not_checked(capsys, tmp_path):
+    blocked = tmp_path / "blocker"
+    blocked.write_text("")
+    rc = main(["--profile-out", str(blocked / "p.pstats"), "table1", "--n", "3"])
+    assert rc == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_second_failure_past_the_rebuild_is_rejected(capsys):
     rc = main(["faultcampaign", "--family", "mirror", "--n", "3", "--stripes",
                "4", "--second-failure-disk", "4", "--second-failure-at", "3"])
