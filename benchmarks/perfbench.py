@@ -17,6 +17,10 @@ Kernels:
 * ``controller_init``     — building a 160-stripe shifted mirror-parity
                             controller over a film seed no earlier
                             repeat used, so every repeat pays a cold film
+* ``controller_init_warm`` — the same construction on a warm template:
+                            one layout object and film seed for every
+                            build, as Fig. 9 builds its failure cases
+                            (informational: not in the CI baseline)
 * ``write_workload``      — one Fig. 10 point: 120 random large writes
                             (read-modify-write parity) on a fresh n = 5
                             shifted mirror-parity array, one op in flight
@@ -117,6 +121,20 @@ def kernel_controller_init(n_stripes: int) -> float:
             film_seed=seed,
         )
     )
+
+
+def kernel_controller_init_warm(n_stripes: int) -> float:
+    """Controller construction from the layout's template.
+
+    One untimed build fills the template; the timed one copies it.
+    """
+    layout = shifted_mirror_parity(7)
+
+    def build():
+        RaidController(layout, n_stripes=n_stripes, payload_bytes=64)
+
+    build()
+    return _time(build)
 
 
 def kernel_write_workload(n_ops: int) -> float:
@@ -505,6 +523,10 @@ def run_suite(tiny: bool, repeats: int) -> dict:
         lambda: kernel_controller_init(scale["init_stripes"])
     )
     print(f"  controller_init   {kernels['controller_init']:.3f} s")
+    kernels["controller_init_warm"] = best(
+        lambda: kernel_controller_init_warm(scale["init_stripes"])
+    )
+    print(f"  controller_init_warm {kernels['controller_init_warm']:.6f} s")
     kernels["write_workload"] = best(lambda: kernel_write_workload(scale["write_ops"]))
     print(f"  write_workload    {kernels['write_workload']:.3f} s")
     kernels["engine_elevator"] = best(

@@ -28,6 +28,7 @@ from .core.errors import LayoutError, UnrecoverableFailureError
 from .core.properties import property_report
 from .core.registry import (
     LAYOUTS,
+    REGISTRY,
     build_layout,
     comparison_families,
     comparison_pair,
@@ -259,6 +260,19 @@ def _ratio_text(x: float) -> str:
     return f"{x:.2f}x" if math.isfinite(x) else str(x)
 
 
+def _check_comparison_n(family: str, n: int) -> None:
+    """Reject an ``--n`` below the registry floor of either side of a pair.
+
+    At n = 1 the shifted arrangement is the traditional one, so a
+    comparison there would set an arrangement against itself.
+    """
+    floor = max(REGISTRY[name].min_n for name in comparison_pair(family))
+    if n < floor:
+        raise ValueError(
+            f"--n must be at least {floor} for the {family} comparison, got {n}"
+        )
+
+
 def cmd_faultcampaign(args: argparse.Namespace) -> int:
     from .obs import default_registry
     from .raidsim.campaign import (
@@ -269,6 +283,7 @@ def cmd_faultcampaign(args: argparse.Namespace) -> int:
 
     if args.seeds < 1:
         raise ValueError(f"--seeds must be at least 1, got {args.seeds}")
+    _check_comparison_n(args.family, args.n)
     if args.second_failure_at is not None and args.second_failure_at > 1:
         raise ValueError(
             "--second-failure-at is a fraction of the clean rebuild, at most 1; "
@@ -396,6 +411,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     from .obs import default_registry
     from .raidsim.serve import ServeConfig, compare_serve
 
+    _check_comparison_n(args.family, args.n)
     tenants = (
         tuple(_parse_tenant(s) for s in args.tenant) if args.tenant else None
     )
@@ -461,6 +477,7 @@ def cmd_nemesis(args: argparse.Namespace) -> int:
     from .nemesis import FAULT_KINDS, HazardRates, NemesisConfig, run_nemesis_campaign
     from .obs import default_registry
 
+    _check_comparison_n(args.family, args.n)
     rates = HazardRates(
         disk_death_per_day=args.deaths_per_day,
         fail_slow_per_day=args.fail_slow_per_day,
@@ -763,7 +780,10 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("arrange", help="show an arrangement and its properties")
     p.add_argument("--n", type=int, default=3)
-    p.add_argument("--iterate", type=int, default=1, help="T-iterations (1 = shifted)")
+    p.add_argument(
+        "--iterate", type=int, default=1,
+        help="T-iterations: 1 is the shifted arrangement, 0 is T^0, the identity",
+    )
     p.add_argument("--identity", action="store_true", help="traditional arrangement")
     p.set_defaults(func=cmd_arrange)
 

@@ -124,22 +124,23 @@ def _recovery_steps(equations: Equations, unknown: frozenset) -> tuple | None:
 
 
 def solve(equations: Equations, block: np.ndarray, unknown) -> np.ndarray:
-    """``block`` with its ``unknown`` cells recovered from XOR ``equations``.
+    """Recover ``block``'s ``unknown`` cells from XOR ``equations``, in place.
 
     ``block`` is ``(columns, rows, size)``; the bytes of the ``unknown``
-    ``(column, row)`` cells are ignored.  Raises
-    :class:`UnrecoverableFailureError` when the equations do not
-    determine every unknown cell.
+    ``(column, row)`` cells are ignored and overwritten with the
+    recovered ones, every other cell is left as it is.  Returns
+    ``block``.  Raises :class:`UnrecoverableFailureError`, with
+    ``block`` untouched, when the equations do not determine every
+    unknown cell.
     """
     steps = _recovery_steps(equations, frozenset(unknown))
     if steps is None:
         raise UnrecoverableFailureError(
             f"the parity equations do not determine cells {sorted(unknown)}"
         )
-    out = block.copy()
     for cell, sources in steps:
-        out[cell] = np.bitwise_xor.reduce(out[sources], axis=0)
-    return out
+        block[cell] = np.bitwise_xor.reduce(block[sources], axis=0)
+    return block
 
 
 class Layout:
@@ -204,6 +205,13 @@ class Layout:
         return index
 
     @cached_property
+    def _controller_templates(self) -> dict:
+        """Start states of :class:`~repro.raidsim.controller.RaidController`
+        over this layout (placement and encoded content), by their
+        settings; kept here so they are freed with the layout."""
+        return {}
+
+    @cached_property
     def _data_index(self) -> tuple[np.ndarray, np.ndarray]:
         """``(disks, rows)`` arrays, each ``(data_rows, n)``, of the data cells."""
         cells = np.array(
@@ -239,8 +247,11 @@ class Layout:
         """The data block of a stripe block whose ``failed`` columns are lost.
 
         Every cell of the failed columns is solved from
-        :meth:`parity_equations` (:func:`solve`); this is what a
-        ``CODE`` recovery step runs.
+        :meth:`parity_equations` (:func:`solve`), in place: ``block``'s
+        failed columns are overwritten with their recovered bytes, so a
+        caller that wants the damaged block kept passes a copy.  This is
+        what a ``CODE`` recovery step runs, on a block the controller
+        gathered for it.
         """
         equations = self.parity_equations()
         if not equations:

@@ -48,6 +48,14 @@ from .writes import CompiledWrite
 __all__ = ["PlanCache"]
 
 
+def _plancache_instruments(reg) -> tuple:
+    """The hit and miss counters, for :meth:`MetricsRegistry.bound`."""
+    return (
+        reg.counter("plancache.hits", "plan lookups served from cache").labels(),
+        reg.counter("plancache.misses", "plan lookups that derived a plan").labels(),
+    )
+
+
 class PlanCache:
     """Per-layout memo of reconstruction plans keyed by logical failures.
 
@@ -87,9 +95,7 @@ class PlanCache:
         self.misses = 0
         # null instruments when observability is off — no extra branch
         # needed on the lookup path
-        reg = default_registry()
-        self._c_hits = reg.counter("plancache.hits", "plan lookups served from cache").labels()
-        self._c_misses = reg.counter("plancache.misses", "plan lookups that derived a plan").labels()
+        self._c_hits, self._c_misses = default_registry().bound(_plancache_instruments)
         self._plans: dict[tuple[int, ...], ReconstructionPlan] = {}
         self._phases: dict[tuple[int, ...], list[RebuildPhase]] = {}
         self._compiled: dict[tuple[int, ...], tuple[CompiledPhase, ...]] = {}

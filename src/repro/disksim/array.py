@@ -139,18 +139,9 @@ class _ArrayObs:
 
     def __init__(self) -> None:
         self.log: list[tuple[int, int]] = []
-        reg = default_registry()
-        self.coalesce_ratio = reg.histogram(
-            "array.coalesce_ratio",
-            "submitted ops per coalesced request, per batch",
-            buckets=self._RATIO_BUCKETS,
-        ).labels()
-        self.batch_path = reg.counter(
-            "array.batch_path", "batches submitted through the coalescer"
-        ).labels()
-        self.batch_ops = reg.counter(
-            "array.batch_ops", "element operations submitted through batches"
-        ).labels()
+        self.coalesce_ratio, self.batch_path, self.batch_ops = default_registry().bound(
+            _array_instruments
+        )
 
     def fold(self) -> None:
         """Fold the logged submissions into the instruments and clear the log.
@@ -175,6 +166,19 @@ class _ArrayObs:
         log.clear()
         self.batch_ops.inc(n_ops)
         self.coalesce_ratio.observe_many(ratios)
+
+
+def _array_instruments(reg) -> tuple:
+    """:class:`_ArrayObs`' instruments, for :meth:`MetricsRegistry.bound`."""
+    return (
+        reg.histogram(
+            "array.coalesce_ratio",
+            "submitted ops per coalesced request, per batch",
+            buckets=_ArrayObs._RATIO_BUCKETS,
+        ).labels(),
+        reg.counter("array.batch_path", "batches submitted through the coalescer").labels(),
+        reg.counter("array.batch_ops", "element operations submitted through batches").labels(),
+    )
 
 
 #: the log entry of a single-op submission: one op, one request

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 from .request import IOKind, IORequest
 
@@ -101,6 +102,28 @@ class DiskParameters:
         )
         return ms / 1e3
 
+    @cached_property
+    def _service_constants(self) -> tuple[float, ...]:
+        """Every per-request quantity of the service-time model, in
+        :class:`DiskModel`'s attribute order: computed once per
+        parameter set (the fields are frozen), shared by its disks."""
+        t2t_seek_s = self.track_to_track_seek_ms / 1e3
+        return (
+            self.capacity_bytes,
+            t2t_seek_s,
+            self.full_stroke_seek_ms / 1e3 - t2t_seek_s,
+            self.avg_rotational_latency_s,
+            self.seq_read_mbps * _MB,
+            self.seq_write_mbps * _MB,
+            self.scattered_overhead_s(IOKind.READ),
+            self.scattered_overhead_s(IOKind.WRITE),
+        )
+
+
+#: the paper's drive, shared by every disk built without explicit
+#: parameters
+DEFAULT_PARAMS = DiskParameters.savvio_10k3()
+
 
 class DiskModel:
     """One disk's head/cache state and service-time computation.
@@ -113,17 +136,17 @@ class DiskModel:
 
     def __init__(self, disk_id: int, params: DiskParameters | None = None) -> None:
         self.disk_id = disk_id
-        self.params = p = params if params is not None else DiskParameters.savvio_10k3()
-        # every per-request quantity of the service-time model, computed
-        # once (the parameters are frozen)
-        self.capacity = p.capacity_bytes
-        self.t2t_seek_s = p.track_to_track_seek_ms / 1e3
-        self.seek_span_s = p.full_stroke_seek_ms / 1e3 - self.t2t_seek_s
-        self.half_rotation_s = p.avg_rotational_latency_s
-        self.read_rate = p.seq_read_mbps * _MB
-        self.write_rate = p.seq_write_mbps * _MB
-        self.read_overhead_s = p.scattered_overhead_s(IOKind.READ)
-        self.write_overhead_s = p.scattered_overhead_s(IOKind.WRITE)
+        self.params = p = params if params is not None else DEFAULT_PARAMS
+        (
+            self.capacity,
+            self.t2t_seek_s,
+            self.seek_span_s,
+            self.half_rotation_s,
+            self.read_rate,
+            self.write_rate,
+            self.read_overhead_s,
+            self.write_overhead_s,
+        ) = p._service_constants
         self._head: int = 0
         self._last_end: int | None = None
         self._last_kind: IOKind | None = None

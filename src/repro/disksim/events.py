@@ -49,13 +49,42 @@ from ..obs.export import IoSpan
 from ..obs.timeseries import COLUMN_BOUND
 from ..obs.tracing import Tracer
 from .calendar import OP_COMPLETE, TypedCalendar
-from .disk import DiskModel, DiskParameters
+from .disk import DEFAULT_PARAMS, DiskModel, DiskParameters
 from .request import IOKind, IORequest
 from .scheduler import ElevatorScheduler, Scheduler
 
 __all__ = ["Simulation"]
 
 Callback = Callable[[IORequest], None]
+
+
+def _sim_instruments(reg, n_disks: int) -> tuple:
+    """The engine's bound instruments, for :meth:`MetricsRegistry.bound`:
+    request and byte counters by kind, errors, retries, the latency
+    histogram, events dispatched and one ``sim.queue_depth`` gauge per
+    disk."""
+    requests = reg.counter("sim.requests", "completed I/O requests by kind")
+    moved = reg.counter("sim.bytes", "bytes moved by completed requests")
+    errors = reg.counter("sim.request_errors", "requests completed carrying an error flag")
+    retries = reg.counter(
+        "sim.request_retries", "completed requests that were retries (attempt > 0)"
+    )
+    latency = reg.histogram(
+        "sim.request_latency_s", "submit-to-finish latency of completed requests"
+    )
+    dispatched = reg.counter("sim.events_dispatched", "calendar events popped by the run loop")
+    qd = reg.gauge("sim.queue_depth", "per-disk scheduler queue depth at last completion")
+    return (
+        requests.labels(kind="read"),
+        requests.labels(kind="write"),
+        moved.labels(kind="read"),
+        moved.labels(kind="write"),
+        errors.labels(),
+        retries.labels(),
+        latency.labels(),
+        dispatched.labels(),
+        tuple(qd.labels(disk=str(d)) for d in range(n_disks)),
+    )
 
 
 class _SimObs:
@@ -87,29 +116,17 @@ class _SimObs:
     )
 
     def __init__(self, sim: "Simulation", trace) -> None:
-        reg = default_registry()
-        requests = reg.counter("sim.requests", "completed I/O requests by kind")
-        self.reads = requests.labels(kind="read")
-        self.writes = requests.labels(kind="write")
-        moved = reg.counter("sim.bytes", "bytes moved by completed requests")
-        self.bytes_read = moved.labels(kind="read")
-        self.bytes_written = moved.labels(kind="write")
-        self.errors = reg.counter(
-            "sim.request_errors", "requests completed carrying an error flag"
-        ).labels()
-        self.retries = reg.counter(
-            "sim.request_retries", "completed requests that were retries (attempt > 0)"
-        ).labels()
-        self.latency = reg.histogram(
-            "sim.request_latency_s", "submit-to-finish latency of completed requests"
-        ).labels()
-        self.dispatched = reg.counter(
-            "sim.events_dispatched", "calendar events popped by the run loop"
-        ).labels()
-        qd = reg.gauge(
-            "sim.queue_depth", "per-disk scheduler queue depth at last completion"
-        )
-        self.qd = [qd.labels(disk=str(d)) for d in range(len(sim.disks))]
+        (
+            self.reads,
+            self.writes,
+            self.bytes_read,
+            self.bytes_written,
+            self.errors,
+            self.retries,
+            self.latency,
+            self.dispatched,
+            self.qd,
+        ) = default_registry().bound(_sim_instruments, len(sim.disks))
         #: each disk's scheduler queue depth at its last completion; the
         #: fold copies it into ``qd``
         self.depth = [0] * len(sim.disks)
@@ -247,7 +264,7 @@ class Simulation:
     ) -> None:
         if n_disks < 1:
             raise ValueError(f"need at least one disk, got {n_disks}")
-        self.params = params if params is not None else DiskParameters.savvio_10k3()
+        self.params = params if params is not None else DEFAULT_PARAMS
         #: optional fault model: a
         #: :class:`repro.disksim.faults.LatentSectorErrors` or the
         #: richer :class:`repro.disksim.faultplan.ActiveFaults` (duck

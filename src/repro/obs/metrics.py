@@ -23,7 +23,11 @@ with an explicit cost model:
   serve tier's SLO accounting) register a flush hook
   (:meth:`~MetricsRegistry.add_flush_hook`): every snapshot and every
   instrument lookup by name folds the pending columns first, so no
-  reader outside the hot path can see the deferral.
+  reader outside the hot path can see the deferral;
+* a component that binds the same instruments at every construction
+  asks :meth:`~MetricsRegistry.bound` for them: the binding runs once
+  per registry and argument set, and later constructions reuse its
+  result.
 
 Nothing here imports the rest of ``repro``; the observability layer
 sits below every other subsystem.
@@ -376,6 +380,8 @@ class MetricsRegistry:
         #: producers, in registration order
         self._flush_hooks: list[weakref.WeakMethod] = []
         self._flushing = False
+        #: ``(bind, *args) -> bind(self, *args)``, see :meth:`bound`
+        self._bound: dict[tuple, object] = {}
 
     def add_flush_hook(self, flush) -> None:
         """Call ``flush()`` before every read of this registry.
@@ -425,6 +431,23 @@ class MetricsRegistry:
             return inst
         inst = self._instruments[name] = cls(name, help, **kwargs)
         return inst
+
+    def bound(self, bind, *args):
+        """``bind(self, *args)``, computed once per ``(bind, *args)``.
+
+        ``bind`` looks up instruments and binds their children, and
+        returns them (a tuple, typically).  The first call runs it;
+        every later call with the same function and arguments returns
+        that same result, with no instrument lookup, no ``labels()``
+        call and no flush.  Instruments are never replaced once
+        registered, so the bound children stay live.  A fresh or scoped
+        registry binds anew.
+        """
+        key = (bind, *args)
+        found = self._bound.get(key)
+        if found is None:
+            found = self._bound[key] = bind(self, *args)
+        return found
 
     def counter(self, name: str, help: str = "") -> Counter:
         return self._get(Counter, name, help)
@@ -513,6 +536,10 @@ class NullRegistry:
     """The zero-overhead sink: every instrument is :data:`NULL_INSTRUMENT`."""
 
     enabled = False
+
+    def bound(self, bind, *args):
+        """``bind(self, *args)``: null instruments, nothing to memoise."""
+        return bind(self, *args)
 
     def counter(self, name: str, help: str = "") -> _NullInstrument:
         return NULL_INSTRUMENT

@@ -310,6 +310,30 @@ def leaderboard_report_html(doc: dict, title: str | None = None) -> str:
     return _html_page(title, meta, table)
 
 
+def _check_snapshot(snapshot: dict) -> None:
+    """Raise :class:`ValueError` unless every series can be plotted.
+
+    A flight-recorder snapshot has a ``window_s`` and a ``series`` dict
+    whose entries carry a ``name``, a ``labels`` dict and a list of
+    ``windows``, each a dict with ``w``, ``sum`` and ``count``.
+    """
+    if not isinstance(snapshot.get("window_s"), (int, float)):
+        raise ValueError("snapshot has no numeric window_s")
+    if not isinstance(snapshot["series"], dict):
+        raise ValueError("snapshot series must be an object")
+    for key, entry in snapshot["series"].items():
+        if not isinstance(entry, dict):
+            raise ValueError(f"series {key!r} is not an object")
+        missing = [k for k in ("name", "labels", "windows") if k not in entry]
+        if missing:
+            raise ValueError(f"series {key!r} lacks {', '.join(missing)}")
+        if not isinstance(entry["labels"], dict) or not isinstance(entry["windows"], list):
+            raise ValueError(f"series {key!r}: labels must be an object, windows a list")
+        for win in entry["windows"]:
+            if not isinstance(win, dict) or not all(k in win for k in ("w", "sum", "count")):
+                raise ValueError(f"series {key!r}: a window lacks w, sum or count")
+
+
 def timeseries_report_html(
     snapshot: dict, overlays=(), title: str = "Timeseries report"
 ) -> str:
@@ -324,6 +348,7 @@ def timeseries_report_html(
         raise ValueError(
             "snapshot has no series — was the run made with REPRO_OBS=0?"
         )
+    _check_snapshot(snapshot)
     window_s = snapshot["window_s"]
     names = sorted({series[k]["name"] for k in series})
     charts = []
@@ -356,6 +381,8 @@ def render_report(path, title: str | None = None) -> str:
     path = Path(path)
     with path.open("r", encoding="utf-8") as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: not a JSON object")
     if doc.get("kind") == "leaderboard":
         return leaderboard_report_html(doc, title=title)
     if doc.get("kind") == "serve" or "traditional" in doc:

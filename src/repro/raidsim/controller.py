@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
@@ -188,6 +189,32 @@ class WriteResult:
     bytes_written: int
 
 
+def _ctrl_instruments(reg) -> tuple:
+    """:class:`_CtrlObs`' instruments, for :meth:`MetricsRegistry.bound`."""
+    return (
+        reg.counter("rebuild.retries", "reads resubmitted under the retry policy").labels(),
+        reg.counter("rebuild.timeouts", "reads exceeding the retry policy's timeout").labels(),
+        reg.counter("rebuild.backoff_s", "simulated seconds spent in retry backoff").labels(),
+        reg.counter(
+            "rebuild.rerouted_reads", "source reads re-routed around unreadable elements"
+        ).labels(),
+        reg.counter(
+            "rebuild.slow_reads_accepted", "late reads accepted after timeout retries ran out"
+        ).labels(),
+        reg.counter(
+            "rebuild.abandoned_requests", "retryable reads abandoned after max attempts"
+        ).labels(),
+        reg.counter("rebuild.decodes", "stripe decodes executed by CODE recovery steps").labels(),
+        reg.counter(
+            "rebuild.spare_writes", "recovered columns written out to hot spares"
+        ).labels(),
+        reg.counter("rebuild.phases", "rebuild phase barriers executed").labels(),
+        reg.histogram(
+            "rebuild.phase_wall_s", "simulated wall time of each rebuild phase"
+        ).labels(),
+    )
+
+
 class _CtrlObs:
     """Controller-level instruments and the rebuild-phase span track.
 
@@ -215,7 +242,6 @@ class _CtrlObs:
     )
 
     def __init__(self, group, ctrl_track: int, layout_name: str = "") -> None:
-        reg = default_registry()
         # flight-recorder series (None when no recorder is installed):
         # rebuild progress and per-phase recovery throughput over the
         # simulated clock, labelled by layout so a two-arrangement
@@ -239,36 +265,18 @@ class _CtrlObs:
         #: pid of the controller's own track — one past the disks, so
         #: phase spans render above the per-disk I/O Gantt rows
         self.ctrl_track = ctrl_track
-        self.retries = reg.counter(
-            "rebuild.retries", "reads resubmitted under the retry policy"
-        ).labels()
-        self.timeouts = reg.counter(
-            "rebuild.timeouts", "reads exceeding the retry policy's timeout"
-        ).labels()
-        self.backoff_s = reg.counter(
-            "rebuild.backoff_s", "simulated seconds spent in retry backoff"
-        ).labels()
-        self.rerouted = reg.counter(
-            "rebuild.rerouted_reads", "source reads re-routed around unreadable elements"
-        ).labels()
-        self.slow_accepted = reg.counter(
-            "rebuild.slow_reads_accepted", "late reads accepted after timeout retries ran out"
-        ).labels()
-        self.abandoned = reg.counter(
-            "rebuild.abandoned_requests", "retryable reads abandoned after max attempts"
-        ).labels()
-        self.decodes = reg.counter(
-            "rebuild.decodes", "stripe decodes executed by CODE recovery steps"
-        ).labels()
-        self.spare_writes = reg.counter(
-            "rebuild.spare_writes", "recovered columns written out to hot spares"
-        ).labels()
-        self.phases = reg.counter(
-            "rebuild.phases", "rebuild phase barriers executed"
-        ).labels()
-        self.plan_spans = reg.histogram(
-            "rebuild.phase_wall_s", "simulated wall time of each rebuild phase"
-        ).labels()
+        (
+            self.retries,
+            self.timeouts,
+            self.backoff_s,
+            self.rerouted,
+            self.slow_accepted,
+            self.abandoned,
+            self.decodes,
+            self.spare_writes,
+            self.phases,
+            self.plan_spans,
+        ) = default_registry().bound(_ctrl_instruments)
 
     def phase_span(
         self,
@@ -687,6 +695,41 @@ class _StripeTask:
         run.next_stripe()
 
 
+def _template(
+    layout: Layout, n_stripes: int, rotate: bool, payload_bytes: int, film_seed: int
+) -> tuple[RotatedStack, np.ndarray]:
+    """The placement and initial content every such controller starts from.
+
+    Both are a pure function of the layout and these four settings, so
+    they are built once and kept on the layout (freed with it): the
+    :class:`~repro.core.stack.RotatedStack`, and the ``(n_disks, slots,
+    payload)`` store of the encoded film scattered through it, read-only.
+    A controller copies the content into its own store and never writes
+    the template.
+    """
+    key = (n_stripes, rotate, payload_bytes, film_seed)
+    templates = layout._controller_templates
+    found = templates.get(key)
+    if found is not None:
+        return found
+    stack = RotatedStack(layout, n_stripes, rotate=rotate)
+    # XOR codes act on each byte position alone, so the stripes ride
+    # along the byte axis: one encode of the whole film, then one
+    # scatter through the stack's placement
+    d, rows, n_j = layout.n_disks, layout.rows, layout.data_rows
+    film = FilmSource(payload_bytes, film_seed).block(n_stripes, layout.n, n_j)
+    encoded = layout.encode(
+        film.transpose(2, 1, 0, 3).reshape(n_j, layout.n, n_stripes * payload_bytes)
+    ).reshape(d, rows, n_stripes, payload_bytes)
+    content = np.zeros((d, n_stripes * rows, payload_bytes), dtype=np.uint8)
+    content.reshape(d, n_stripes, rows, payload_bytes)[stack.placement] = encoded.transpose(
+        0, 2, 1, 3
+    )
+    content.setflags(write=False)
+    found = templates[key] = (stack, content)
+    return found
+
+
 class RaidController:
     """Drive one RAID architecture over a simulated disk array.
 
@@ -749,7 +792,7 @@ class RaidController:
     ) -> None:
         self.layout = layout
         self.plan_cache = PlanCache(layout, enabled=plan_cache)
-        self.stack = RotatedStack(layout, n_stripes, rotate=rotate)
+        self.stack, initial = _template(layout, n_stripes, rotate, payload_bytes, film_seed)
         self.n_stripes = n_stripes
         self.spares = spares
         slots = n_stripes * layout.rows
@@ -795,19 +838,17 @@ class RaidController:
         if retry_policy is None and fault_plan is not None:
             retry_policy = RetryPolicy()
         self.retry_policy = retry_policy
-        # backoff jitter draws from a dedicated stream derived from the
-        # campaign seed (spawn key keeps it independent of the fault
-        # injection stream), never from ambient randomness
-        retry_seed = fault_plan.seed if fault_plan is not None else film_seed
-        self._retry_rng = np.random.default_rng(
-            np.random.SeedSequence(retry_seed, spawn_key=(0xB0FF,))
-        )
+        #: seeds the backoff-jitter stream, :attr:`_retry_rng`
+        self._retry_seed = fault_plan.seed if fault_plan is not None else film_seed
         self.fault_stats = FaultStats()
         self.film = FilmSource(payload_bytes, film_seed)
         self.payload_bytes = payload_bytes
+        # the template's encoded film in the architecture's disks; hot
+        # spares start zeroed
         self.content = np.zeros(
             (layout.n_disks + spares, slots, payload_bytes), dtype=np.uint8
         )
+        self.content[: layout.n_disks] = initial
         #: the same store, one row per element: compiled recovery
         #: groups index it with flat cell numbers
         self._cell_rows = self.content.reshape(-1, payload_bytes)
@@ -818,22 +859,23 @@ class RaidController:
         self._death_snapshots: dict[int, np.ndarray] = {}
         self._death_times: dict[int, float] = {}
         self._rebuilding: tuple[int, ...] = ()
-        # XOR codes act on each byte position alone, so the stripes ride
-        # along the byte axis: one encode of the whole film, then one
-        # scatter through the stack's placement
-        d, rows, n_j = layout.n_disks, layout.rows, layout.data_rows
-        film = self.film.block(n_stripes, layout.n, n_j)
-        encoded = layout.encode(
-            film.transpose(2, 1, 0, 3).reshape(n_j, layout.n, n_stripes * payload_bytes)
-        ).reshape(d, rows, n_stripes, payload_bytes)
-        self.content[:d].reshape(d, n_stripes, rows, payload_bytes)[
-            self.stack.placement
-        ] = encoded.transpose(0, 2, 1, 3)
         if fault_plan is not None:
             for df in fault_plan.disk_failures:
                 self.array.sim.schedule(
                     df.time_s, lambda d=df.disk: self._on_disk_death(d)
                 )
+
+    @cached_property
+    def _retry_rng(self) -> np.random.Generator:
+        """The backoff-jitter stream, built at the first retry.
+
+        Derived from the campaign seed (the fault plan's, else the
+        film's); the spawn key keeps it independent of the fault
+        injection stream.  Never ambient randomness.
+        """
+        return np.random.default_rng(
+            np.random.SeedSequence(self._retry_seed, spawn_key=(0xB0FF,))
+        )
 
     def _on_disk_death(self, disk: int) -> None:
         """A scheduled whole-disk failure fires: the bytes are gone."""

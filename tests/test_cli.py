@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.cli import LAYOUTS, build_layout, main
@@ -36,6 +38,35 @@ def test_arrange_identity(capsys):
     rc, out = run_cli(capsys, "arrange", "--n", "3", "--identity")
     assert rc == 0
     assert "P1=False" in out
+
+
+def test_arrange_iterate_zero_is_the_identity(capsys):
+    """T^0 is the identity arrangement, by design."""
+    rc, out = run_cli(capsys, "arrange", "--n", "3", "--iterate", "0")
+    assert rc == 0
+    _, identity = run_cli(capsys, "arrange", "--n", "3", "--identity")
+    assert out.splitlines()[1:] == identity.splitlines()[1:]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["serve", "--n", "1"],
+        ["faultcampaign", "--n", "1"],
+        ["faultcampaign", "--n", "1", "--seeds", "2"],
+        ["nemesis", "--n", "1"],
+        ["serve", "--family", "rebuild-optimal", "--n", "0"],
+    ],
+    ids=" ".join,
+)
+def test_comparisons_reject_n_below_the_pair_floor(capsys, argv):
+    """At n = 1 the shifted arrangement is the traditional one: a
+    comparison there would set an arrangement against itself."""
+    rc = main(argv)
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.startswith("error: --n must be at least 2")
+    assert captured.out == ""
 
 
 def test_arrange_iterate3_loses_p3(capsys):
@@ -482,6 +513,28 @@ def test_obs_report_renders_a_serve_dashboard(capsys, tmp_path):
     assert "<svg" in html and "smoke" in html
     assert "<h2>mirror</h2>" in html and "<h2>shifted-mirror</h2>" in html
     assert "disk-death" in html  # the fault overlay band made it in
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"series": {"lat": {}}, "window_s": 1.0},
+        {"series": {"lat": {"name": "x", "labels": {}, "windows": [{}]}}, "window_s": 1.0},
+        {"series": {"lat": {"name": "x", "labels": [], "windows": []}}, "window_s": 1.0},
+        {"series": {"lat": {"name": "x", "labels": {}, "windows": []}}},
+        {"series": [{"name": "x"}], "window_s": 1.0},
+        [{"series": {}}],
+    ],
+    ids=["no-name", "bare-window", "list-labels", "no-window-width", "list-series", "list"],
+)
+def test_obs_report_rejects_a_malformed_timeseries_snapshot(capsys, tmp_path, doc):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    rc = main(["obs", "report", str(bad), "--out", str(tmp_path / "x.html")])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.startswith("error: ")
+    assert not (tmp_path / "x.html").exists()
 
 
 def test_obs_report_rejects_a_non_report_document(capsys, tmp_path):
