@@ -21,6 +21,10 @@ Kernels:
                             one layout object and film seed for every
                             build, as Fig. 9 builds its failure cases
                             (informational: not in the CI baseline)
+* ``cli_import``          — ``import repro.cli`` in a fresh interpreter,
+                            timed inside it, median of 5: the start-up
+                            every command pays before its first line
+                            (informational: not in the CI baseline)
 * ``write_workload``      — one Fig. 10 point: 120 random large writes
                             (read-modify-write parity) on a fresh n = 5
                             shifted mirror-parity array, one op in flight
@@ -66,11 +70,14 @@ import itertools
 import json
 import os
 import platform
+import statistics
+import subprocess
 import sys
 import time
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+SRC = Path(__file__).resolve().parent.parent / "src"
+sys.path.insert(0, str(SRC))
 
 from repro.core.layouts import shifted_mirror_parity  # noqa: E402
 from repro.disksim.array import ElementArray  # noqa: E402
@@ -83,7 +90,7 @@ from repro.raidsim.campaign import compare_sweep  # noqa: E402
 from repro.raidsim.controller import RaidController  # noqa: E402
 from repro.raidsim.writes import measure_write_throughput  # noqa: E402
 
-DEFAULT_OUT = Path(__file__).resolve().parent.parent / "BENCH_simperf.json"
+DEFAULT_OUT = SRC.parent / "BENCH_simperf.json"
 
 
 # ----------------------------------------------------------------------
@@ -135,6 +142,32 @@ def kernel_controller_init_warm(n_stripes: int) -> float:
 
     build()
     return _time(build)
+
+
+_TIMED_IMPORT = (
+    "import time; t0 = time.perf_counter(); import repro.cli; "
+    "print(time.perf_counter() - t0)"
+)
+
+
+def kernel_cli_import(runs: int = 5) -> float:
+    """Median seconds of ``import repro.cli`` over fresh interpreters.
+
+    Timed inside each interpreter, so the interpreter's own start-up is
+    left out; numpy's import is in.  Whether Python may cache bytecode
+    (``PYTHONDONTWRITEBYTECODE``) is inherited from this process.
+    """
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    samples = [
+        float(
+            subprocess.run(
+                [sys.executable, "-c", _TIMED_IMPORT],
+                env=env, capture_output=True, text=True, check=True,
+            ).stdout
+        )
+        for _ in range(runs)
+    ]
+    return statistics.median(samples)
 
 
 def kernel_write_workload(n_ops: int) -> float:
@@ -527,6 +560,8 @@ def run_suite(tiny: bool, repeats: int) -> dict:
         lambda: kernel_controller_init_warm(scale["init_stripes"])
     )
     print(f"  controller_init_warm {kernels['controller_init_warm']:.6f} s")
+    kernels["cli_import"] = kernel_cli_import()
+    print(f"  cli_import        {kernels['cli_import']:.3f} s")
     kernels["write_workload"] = best(lambda: kernel_write_workload(scale["write_ops"]))
     print(f"  write_workload    {kernels['write_workload']:.3f} s")
     kernels["engine_elevator"] = best(

@@ -28,9 +28,26 @@ Quick start
 1
 """
 
+from ._lazy import lazy_exports
+
 __version__ = "1.0.0"
 
-from . import codes, core, disksim, experiments, obs, raidsim, workloads
+# subpackages load on first access: ``import repro.cli`` loads only what
+# the command it runs imports
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "codes": (),
+        "core": (),
+        "disksim": (),
+        "experiments": (),
+        "nemesis": (),
+        "obs": (),
+        "parallel": (),
+        "raidsim": (),
+        "workloads": (),
+    },
+)
 
 __all__ = [
     "codes",

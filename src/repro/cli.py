@@ -33,8 +33,6 @@ from .core.registry import (
     comparison_families,
     comparison_pair,
 )
-from .experiments.runner import EXPERIMENT_IDS, run_all
-from .parallel import resolve_jobs
 
 __all__ = ["main", "build_layout", "LAYOUTS"]
 
@@ -156,6 +154,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_experiments(args: argparse.Namespace) -> int:
+    from .experiments.runner import run_all
     from .parallel import WorkerPool
 
     # one persistent pool for the whole invocation: --jobs sizes it
@@ -752,6 +751,8 @@ def _add_obs_args(p: argparse.ArgumentParser) -> None:
 
 def _jobs(text: str) -> int:
     """``--jobs``: a process count, or 0 for every core."""
+    from .parallel import resolve_jobs
+
     try:
         jobs = int(text)
         resolve_jobs(jobs)
@@ -763,6 +764,8 @@ def _jobs(text: str) -> int:
 
 
 def _parser() -> argparse.ArgumentParser:
+    from .experiments.runner import EXPERIMENT_IDS
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Shifted mirror disk arrays (ICPP 2012) — reproduction toolkit",

@@ -15,9 +15,16 @@ methods need only replica copies and row XOR parity, which the layouts
 compute directly.
 """
 
-from .evenodd import EvenOdd, is_prime, smallest_prime_at_least
-from .rdp import RDP
-from .xcode import XCode
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "evenodd": ("EvenOdd", "is_prime", "smallest_prime_at_least"),
+        "rdp": ("RDP",),
+        "xcode": ("XCode",),
+    },
+)
 
 __all__ = [
     "EvenOdd",

@@ -5,42 +5,50 @@ checkers, layout/architecture classes, plans, stacks and closed-form
 analysis used throughout the reproduction.
 """
 
-from .arrangement import (
-    Arrangement,
-    IdentityArrangement,
-    IteratedArrangement,
-    PermutationArrangement,
-    ShiftedArrangement,
-    transform_once,
-)
-from .errors import LayoutError, ReproError, UnrecoverableFailureError
-from .layouts import (
-    Content,
-    Layout,
-    MirrorLayout,
-    MirrorParityLayout,
-    RAID5Layout,
-    RAID6Layout,
-    ThreeMirrorLayout,
-    XCodeLayout,
-    shifted_mirror,
-    shifted_mirror_parity,
-    traditional_mirror,
-    traditional_mirror_parity,
-)
-from .plancache import PlanCache
-from .properties import (
-    property_report,
-    satisfies_property1,
-    satisfies_property2,
-    satisfies_property3,
-)
-from .reconstruction import ReconstructionPlan, RecoveryMethod, RecoveryStep
-from .stack import RotatedStack
-from .stripe import ArrayKind, StripeGeometry
-from .writes import WritePlan
+from .._lazy import lazy_exports
 
-from . import analysis, reliability
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "analysis": (),
+        "arrangement": (
+            "Arrangement",
+            "IdentityArrangement",
+            "IteratedArrangement",
+            "PermutationArrangement",
+            "ShiftedArrangement",
+            "transform_once",
+        ),
+        "errors": ("LayoutError", "ReproError", "UnrecoverableFailureError"),
+        "layouts": (
+            "Content",
+            "Layout",
+            "MirrorLayout",
+            "MirrorParityLayout",
+            "RAID5Layout",
+            "RAID6Layout",
+            "ThreeMirrorLayout",
+            "XCodeLayout",
+            "shifted_mirror",
+            "shifted_mirror_parity",
+            "traditional_mirror",
+            "traditional_mirror_parity",
+        ),
+        "plancache": ("PlanCache",),
+        "properties": (
+            "property_report",
+            "satisfies_property1",
+            "satisfies_property2",
+            "satisfies_property3",
+        ),
+        "reconstruction": ("ReconstructionPlan", "RecoveryMethod", "RecoveryStep"),
+        "registry": (),
+        "reliability": (),
+        "stack": ("RotatedStack",),
+        "stripe": ("ArrayKind", "StripeGeometry"),
+        "writes": ("WritePlan",),
+    },
+)
 
 __all__ = [
     "Arrangement",

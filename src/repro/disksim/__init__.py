@@ -6,21 +6,34 @@ printed in §VII (54.8 MB/s peak read, 130 MB/s peak write, 10 krpm,
 16 MB cache).  See DESIGN.md §2 for the substitution argument.
 """
 
-from .array import DEFAULT_ELEMENT_SIZE, ElementArray
-from .calendar import OP_CALL, OP_COMPLETE, TypedCalendar
-from .disk import DiskModel, DiskParameters
-from .events import Simulation
-from .faultplan import (
-    ActiveFaults,
-    DiskFailure,
-    FailSlow,
-    FaultPlan,
-    InjectionCounters,
-    TransientFaults,
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "array": ("DEFAULT_ELEMENT_SIZE", "ElementArray"),
+        "autotune": (),
+        "calendar": ("OP_CALL", "OP_COMPLETE", "TypedCalendar"),
+        "disk": ("DiskModel", "DiskParameters"),
+        "events": ("Simulation",),
+        "faultplan": (
+            "ActiveFaults",
+            "DiskFailure",
+            "FailSlow",
+            "FaultPlan",
+            "InjectionCounters",
+            "TransientFaults",
+        ),
+        "faults": ("LatentSectorErrors",),
+        "request": ("IOKind", "IORequest"),
+        "scheduler": (
+            "ElevatorScheduler",
+            "FIFOScheduler",
+            "PriorityScheduler",
+            "Scheduler",
+        ),
+    },
 )
-from .faults import LatentSectorErrors
-from .request import IOKind, IORequest
-from .scheduler import ElevatorScheduler, FIFOScheduler, PriorityScheduler, Scheduler
 
 __all__ = [
     "DiskParameters",

@@ -24,7 +24,8 @@ layers perform.  Consequences callers must honour:
   (immediately for an empty batch) and is the right completion hook;
 * :meth:`BatchSubmission.op_requests` maps every submitted operation
   (in input order) to the request that covers it, for callers that do
-  need per-operation attribution.
+  need per-operation attribution.  The mapping is derived when asked
+  for, not while the batch is coalesced.
 
 Coalescing is one sort-and-merge loop over the ops.  The runs then go
 through :meth:`ElementArray.submit_runs`, the one submission tail: it
@@ -53,6 +54,7 @@ would have left.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import Callable
 
 from ..obs import default_registry, obs_enabled
@@ -81,13 +83,13 @@ class BatchSubmission(list):
     contract) plus the operation→request mapping.
     """
 
-    __slots__ = ("_op_req_index",)
+    __slots__ = ("_ops",)
 
-    def __init__(self, requests=(), op_req_index=None) -> None:
+    def __init__(self, requests=(), ops=None) -> None:
         super().__init__(requests)
-        #: request index (into ``self``) covering each input op, in
+        #: ``(disks, slots, element_size)`` of the submitted ops, in
         #: input order; ``None`` when the submission had no op list
-        self._op_req_index = op_req_index
+        self._ops = ops
 
     def op_requests(self) -> list[IORequest]:
         """The request covering each submitted op, in input order.
@@ -96,10 +98,19 @@ class BatchSubmission(list):
         ``len(op_requests()) >= len(self)`` in general — this is the
         mapping callers should use to attribute a completion back to
         the operations that asked for it.
+
+        The requests ascend by ``(disk, offset)`` and cover disjoint
+        ranges, so an op's request is the last one starting at or
+        before the op's first byte.
         """
-        if self._op_req_index is None:
+        if self._ops is None:
             raise ValueError("this submission did not record an op mapping")
-        return [self[k] for k in self._op_req_index]
+        disks, slots, element_size = self._ops
+        starts = [(r.disk, r.offset) for r in self]
+        return [
+            self[bisect_right(starts, (d, s * element_size)) - 1]
+            for d, s in zip(disks, slots)
+        ]
 
 
 class _BatchGroup:
@@ -271,7 +282,7 @@ class ElementArray:
         ``callback`` fires per coalesced request; ``on_complete`` fires
         once after the whole batch finished (immediately if the batch is
         empty).  The returned :class:`BatchSubmission` is the
-        authoritative request list and carries the op→request mapping.
+        authoritative request list and derives the op→request mapping.
         """
         if not isinstance(ops, list):
             ops = list(ops)
@@ -290,7 +301,7 @@ class ElementArray:
             if on_complete is not None:
                 callback = _BatchGroup(1, callback, on_complete)
             self.sim.submit(req, callback)
-            return BatchSubmission((req,), [0])
+            return BatchSubmission((req,), ((disk,), (slot,), esize))
         disks = [op[0] for op in ops]
         slots = [op[1] for op in ops]
         return self.submit_batch(
@@ -332,7 +343,7 @@ class ElementArray:
         disks, slots, n_elements = (
             x.tolist() if hasattr(x, "tolist") else x for x in (disks, slots, n_elements)
         )
-        runs, op_req = self._coalesce(disks, slots, n_elements)
+        runs = self._coalesce(disks, slots, n_elements)
         return self.submit_runs(
             runs,
             kind,
@@ -341,7 +352,7 @@ class ElementArray:
             tag=tag,
             callback=callback,
             on_complete=on_complete,
-            op_req=op_req,
+            op_req=(disks, slots, self.element_size),
         )
 
     def submit_runs(
@@ -363,8 +374,9 @@ class ElementArray:
         by disk, then start — the order the coalescer emits — and each
         becomes one request covering slots ``start .. end - 1``.
         ``n_ops`` is the element operations the runs cover; it only
-        feeds the ``array.*`` instruments.  ``op_req`` is the
-        op→request mapping :class:`BatchSubmission` carries.
+        feeds the ``array.*`` instruments.  ``op_req`` is the ops'
+        ``(disks, slots, element_size)``, from which
+        :class:`BatchSubmission` derives the op→request mapping.
 
         The whole batch is checked before anything is logged or
         submitted (the runs ascend by disk, so the first and the last
@@ -406,7 +418,6 @@ class ElementArray:
         else:
             order = sorted(range(m), key=lambda k: (disks[k], slots[k], n_elements[k]))
         runs: list[tuple[int, int, int]] = []
-        op_req = [0] * m
         # no run open yet: a sentinel no disk id equals (an id of -1
         # must reach submit_runs' check, not merge into "no run")
         cur_disk = None
@@ -424,10 +435,9 @@ class ElementArray:
                 if cur_disk is not None:
                     runs.append((cur_disk, cur_start, cur_end))
                 cur_disk, cur_start, cur_end = d, s, e
-            op_req[k] = len(runs)
         if cur_disk is not None:
             runs.append((cur_disk, cur_start, cur_end))
-        return runs, op_req
+        return runs
 
     # ------------------------------------------------------------------
     def run(self, until: float | None = None) -> float:

@@ -1,9 +1,23 @@
 """Per-table / per-figure reproduction drivers (see DESIGN.md §4)."""
 
-from . import ext_lse, ext_raid6, ext_three_mirror, fig7, fig8, fig9, fig10, table1
-from .reporting import ExperimentResult, Table, format_series
-from .runner import run_all
-from .svgplot import LineChart, render_all
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "ext_lse": (),
+        "ext_raid6": (),
+        "ext_three_mirror": (),
+        "fig7": (),
+        "fig8": (),
+        "fig9": (),
+        "fig10": (),
+        "reporting": ("ExperimentResult", "Table", "format_series"),
+        "runner": ("run_all",),
+        "svgplot": ("LineChart", "render_all"),
+        "table1": (),
+    },
+)
 
 __all__ = [
     "table1",

@@ -6,37 +6,39 @@ Fig. 10(a)/(b), then the §VIII extensions.
 
 from __future__ import annotations
 
-from ..parallel import parallel_map
-from . import ext_lse, ext_raid6, ext_three_mirror, fig7, fig8, fig9, fig10, table1
+from importlib import import_module
+
 from .reporting import ExperimentResult
 
 __all__ = ["EXPERIMENT_IDS", "run_all"]
 
 
 def _experiment_specs(quick: bool) -> dict[str, tuple]:
-    """(callable, args, kwargs) per experiment id, in paper order.
+    """(``"module.function"``, args, kwargs) per experiment id, in paper order.
 
     Every experiment is independent and deterministic (each owns its
     seeds), so the battery is an embarrassingly parallel unit of work.
-    Each key is the ``experiment_id`` its callable's result carries.
+    Each key is the ``experiment_id`` its function's result carries.
+    The functions are named, not imported, so reading the ids loads no
+    experiment module.
     """
     n_values = (3, 4, 5) if quick else (3, 4, 5, 6, 7)
     n_ops = 60 if quick else 200
     return {
-        "table1": (table1.run, (n_values,), {}),
-        "fig7": (fig7.run, (2, 20 if quick else 50), {}),
-        "fig8": (fig8.run, (), {}),
-        "fig9a": (fig9.run_a, (n_values,), {"n_stripes": 8 if quick else 16}),
-        "fig9b": (fig9.run_b, (n_values,), {"n_stripes": 6 if quick else 12}),
-        "fig10a": (fig10.run_a, (n_values,), {"n_ops": n_ops}),
-        "fig10b": (fig10.run_b, (n_values,), {"n_ops": n_ops}),
+        "table1": ("table1.run", (n_values,), {}),
+        "fig7": ("fig7.run", (2, 20 if quick else 50), {}),
+        "fig8": ("fig8.run", (), {}),
+        "fig9a": ("fig9.run_a", (n_values,), {"n_stripes": 8 if quick else 16}),
+        "fig9b": ("fig9.run_b", (n_values,), {"n_stripes": 6 if quick else 12}),
+        "fig10a": ("fig10.run_a", (n_values,), {"n_ops": n_ops}),
+        "fig10b": ("fig10.run_b", (n_values,), {"n_ops": n_ops}),
         "ext-three-mirror": (
-            ext_three_mirror.run,
+            "ext_three_mirror.run",
             (n_values,),
             {"n_stripes": 8 if quick else 12},
         ),
         "ext-lse": (
-            ext_lse.run,
+            "ext_lse.run",
             (),
             {
                 "n": 5,
@@ -45,7 +47,7 @@ def _experiment_specs(quick: bool) -> dict[str, tuple]:
             },
         ),
         "ext-raid6": (
-            ext_raid6.run,
+            "ext_raid6.run",
             (),
             {
                 "n_values": (4, 5) if quick else (4, 5, 6, 7),
@@ -60,8 +62,9 @@ EXPERIMENT_IDS = tuple(_experiment_specs(quick=False))
 
 
 def _run_spec(spec: tuple) -> ExperimentResult:
-    fn, args, kwargs = spec
-    return fn(*args, **kwargs)
+    target, args, kwargs = spec
+    module, fn = target.split(".")
+    return getattr(import_module(f"{__package__}.{module}"), fn)(*args, **kwargs)
 
 
 def run_all(
@@ -72,6 +75,8 @@ def run_all(
     ``pool`` (a :class:`repro.parallel.WorkerPool`) fans the battery
     across its workers; results always come back in paper order.
     """
+    from ..parallel import parallel_map
+
     specs = _experiment_specs(quick)
     if only is not None:
         unknown = sorted(set(only) - set(specs))

@@ -27,28 +27,35 @@ daemon.  The CLI front-end is ``repro nemesis``; see
 
 from __future__ import annotations
 
-from .anomaly import (
-    DEFAULT_METRICS,
-    AnomalyDetector,
-    AttributionReport,
-    Excursion,
-    MetricSpec,
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "anomaly": (
+            "DEFAULT_METRICS",
+            "AnomalyDetector",
+            "AttributionReport",
+            "Excursion",
+            "MetricSpec",
+        ),
+        "campaign": (
+            "ArrangementReport",
+            "NemesisConfig",
+            "NemesisReport",
+            "TickSample",
+            "run_nemesis_campaign",
+        ),
+        "schedule": (
+            "FAULT_KINDS",
+            "FaultInterval",
+            "HazardRates",
+            "NemesisSchedule",
+            "build_schedule",
+        ),
+        "tracker": ("FaultTimeline", "timeline_from_plan"),
+    },
 )
-from .campaign import (
-    ArrangementReport,
-    NemesisConfig,
-    NemesisReport,
-    TickSample,
-    run_nemesis_campaign,
-)
-from .schedule import (
-    FAULT_KINDS,
-    FaultInterval,
-    HazardRates,
-    NemesisSchedule,
-    build_schedule,
-)
-from .tracker import FaultTimeline, timeline_from_plan
 
 __all__ = [
     # schedule

@@ -117,36 +117,6 @@ class FaultTimeline:
             emitted += 1
         return emitted
 
-    def overlay_bands(self, horizon_s: float | None = None) -> tuple[dict, ...]:
-        """Intervals as plain-data overlay bands for dashboard charts.
-
-        Each band is ``{"t0", "t1", "kind", "disk", "label"}`` in
-        simulated seconds; open intervals clamp to ``horizon_s``
-        (required if any are open).  This is the shape
-        ``repro.obs.report`` draws as translucent rectangles behind
-        the latency/progress curves.
-        """
-        bands = []
-        for iv in self.intervals:
-            end = iv.end_s
-            if math.isinf(end):
-                if horizon_s is None:
-                    raise ValueError(
-                        "open interval needs horizon_s to clamp its band"
-                    )
-                end = horizon_s
-            label = iv.kind if iv.disk < 0 else f"{iv.kind} (disk {iv.disk})"
-            bands.append(
-                {
-                    "t0": iv.start_s,
-                    "t1": max(iv.start_s, end),
-                    "kind": iv.kind,
-                    "disk": iv.disk,
-                    "label": label,
-                }
-            )
-        return tuple(bands)
-
     def export_metrics(self, registry=None) -> None:
         """Publish per-kind recorded-fault counters on ``registry``."""
         reg = registry if registry is not None else default_registry()

@@ -27,52 +27,65 @@ trace.json`` needs no plumbing through intermediate layers.  See
 
 from __future__ import annotations
 
-from .baseline import EWMABaseline, RollingBaseline, SeasonalBaseline, make_baseline
-from .export import (
-    IoSpan,
-    JsonlTraceSink,
-    StreamedTrace,
-    chrome_trace,
-    load_streaming_trace,
-    write_chrome_trace,
-    write_metrics,
-)
-from .http import MetricsServer, prometheus_text
-from .metrics import (
-    DEFAULT_BUCKETS,
-    NULL_INSTRUMENT,
-    NULL_REGISTRY,
-    Counter,
-    Distribution,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    NullRegistry,
-    bucket_quantile,
-    default_registry,
-    obs_enabled,
-    percentile,
-    scoped_registry,
-    set_obs_enabled,
-)
-from .summary import metrics_summary, summarize_files, trace_summary
-from .timeseries import (
-    DEFAULT_HORIZON,
-    DEFAULT_WINDOW_S,
-    TimelineRecorder,
-    TimeSeries,
-    default_recorder,
-    scoped_recorder,
-    set_default_recorder,
-    window_mean,
-)
-from .tracing import (
-    DEFAULT_BUFFER_WATERMARK,
-    SAMPLED_CATS,
-    TraceEvent,
-    TraceGroup,
-    Tracer,
-    resolve_sample_rate,
+from typing import TYPE_CHECKING
+
+from .._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from .tracing import Tracer
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "baseline": ("EWMABaseline", "RollingBaseline", "SeasonalBaseline", "make_baseline"),
+        "export": (
+            "IoSpan",
+            "JsonlTraceSink",
+            "StreamedTrace",
+            "chrome_trace",
+            "load_streaming_trace",
+            "write_chrome_trace",
+            "write_metrics",
+        ),
+        "http": ("MetricsServer", "prometheus_text"),
+        "metrics": (
+            "DEFAULT_BUCKETS",
+            "NULL_INSTRUMENT",
+            "NULL_REGISTRY",
+            "Counter",
+            "Distribution",
+            "Gauge",
+            "Histogram",
+            "MetricsRegistry",
+            "NullRegistry",
+            "bucket_quantile",
+            "default_registry",
+            "obs_enabled",
+            "percentile",
+            "scoped_registry",
+            "set_obs_enabled",
+        ),
+        "report": (),
+        "summary": ("metrics_summary", "summarize_files", "trace_summary"),
+        "timeseries": (
+            "DEFAULT_HORIZON",
+            "DEFAULT_WINDOW_S",
+            "TimelineRecorder",
+            "TimeSeries",
+            "default_recorder",
+            "scoped_recorder",
+            "set_default_recorder",
+            "window_mean",
+        ),
+        "tracing": (
+            "DEFAULT_BUFFER_WATERMARK",
+            "SAMPLED_CATS",
+            "TraceEvent",
+            "TraceGroup",
+            "Tracer",
+            "resolve_sample_rate",
+        ),
+    },
 )
 
 __all__ = [

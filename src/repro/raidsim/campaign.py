@@ -482,11 +482,9 @@ def _sweep_point(task) -> SweepPoint:
         ts_window_s,
     ) = task
     baseline_name, variant_name = comparison_pair(family)
-    traditional = LAYOUTS[baseline_name]
-    shifted = LAYOUTS[variant_name]
-    plan = default_fault_plan(
-        traditional(n).n_disks, seed=fault_seed, **plan_kwargs
-    )
+    traditional = LAYOUTS[baseline_name](n)
+    shifted = LAYOUTS[variant_name](n)
+    plan = default_fault_plan(traditional.n_disks, seed=fault_seed, **plan_kwargs)
     # each point runs under its own metrics scope (and, when the parent
     # has a flight recorder, its own recorder scope) so its snapshots
     # can be shipped back (pickled, across the process boundary) and
@@ -497,8 +495,8 @@ def _sweep_point(task) -> SweepPoint:
         scoped_recorder(enabled=record_ts, window_s=ts_window_s) as rec,
     ):
         comparison = compare_arrangements(
-            lambda: traditional(n),
-            lambda: shifted(n),
+            lambda: traditional,
+            lambda: shifted,
             plan,
             user_read_seed=user_seed,
             **campaign_kwargs,

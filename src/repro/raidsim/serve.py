@@ -167,6 +167,22 @@ def serve_arrivals(
     )
 
 
+def _disk_death_band(disk: int, makespan_s: float) -> dict:
+    """The failed disk's overlay band, from 0 until the rebuild ends.
+
+    Plain data in simulated seconds, the shape ``repro.obs.report``
+    draws as a translucent rectangle behind the latency and progress
+    curves.
+    """
+    return {
+        "t0": 0.0,
+        "t1": max(0.0, makespan_s),
+        "kind": "disk-death",
+        "disk": disk,
+        "label": f"disk-death (disk {disk})",
+    }
+
+
 def run_serve(
     layout_name: str,
     arrivals: list[UserRead],
@@ -186,10 +202,6 @@ def run_serve(
     and rebuild-progress trajectories plus the fault-interval overlay
     bands the dashboard report draws.
     """
-    # function-local: repro.nemesis imports raidsim, so a module-level
-    # import here would be circular
-    from ..nemesis import FaultInterval, FaultTimeline
-
     with scoped_recorder(window_s=duration_s / TS_WINDOWS) as rec:
         slo = SLOAccountant(deadline_s=config.deadline_s)
         run = run_scenario(
@@ -201,12 +213,6 @@ def run_serve(
         )
         timeseries = rec.snapshot() if rec is not None else {}
     online = run.online
-    timeline = FaultTimeline()
-    timeline.record(
-        FaultInterval(
-            0, "disk-death", config.failed_disk, 0.0, online.rebuild.makespan_s
-        )
-    )
     return ServeResult(
         layout_name=layout_name,
         slo=slo.summary(duration_s),
@@ -218,7 +224,7 @@ def run_serve(
         availability=run.availability,
         throttle=config.throttle,
         timeseries=timeseries,
-        overlays=timeline.overlay_bands(horizon_s=duration_s),
+        overlays=(_disk_death_band(config.failed_disk, online.rebuild.makespan_s),),
     )
 
 

@@ -1,18 +1,25 @@
 """Workload generation: write mixes, user read streams, synthetic content."""
 
-from .film import DEFAULT_PAYLOAD_BYTES, FilmSource
-from .generator import UserRead, WriteOp, random_large_writes, user_read_stream
-from .openloop import (
-    DiurnalCurve,
-    FixedThrottle,
-    LatencyTargetThrottle,
-    RebuildThrottle,
-    SLOAccountant,
-    SLOSummary,
-    TenantSpec,
-    TokenBucketThrottle,
-    make_throttle,
-    open_arrivals,
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "film": ("DEFAULT_PAYLOAD_BYTES", "FilmSource"),
+        "generator": ("UserRead", "WriteOp", "random_large_writes", "user_read_stream"),
+        "openloop": (
+            "DiurnalCurve",
+            "FixedThrottle",
+            "LatencyTargetThrottle",
+            "RebuildThrottle",
+            "SLOAccountant",
+            "SLOSummary",
+            "TenantSpec",
+            "TokenBucketThrottle",
+            "make_throttle",
+            "open_arrivals",
+        ),
+    },
 )
 
 __all__ = [

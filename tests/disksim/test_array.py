@@ -105,8 +105,8 @@ def test_submit_batch_rejects_mismatched_arrays():
 
 def test_coalescer_merges_random_batches_into_maximal_runs():
     """Runs are the maximal blocks of covered slots per disk, in (disk,
-    start) order, and every op maps to the run containing it —
-    duplicates and variable sizes included."""
+    start) order, and every op maps to the request of the run containing
+    it — duplicates and variable sizes included."""
     arr = _ideal(4)
     rng = np.random.default_rng(7)
     for _ in range(5):
@@ -116,7 +116,7 @@ def test_coalescer_merges_random_batches_into_maximal_runs():
         sizes = rng.integers(1, 4, m).tolist()
         for n_elements in (None, sizes):
             lengths = n_elements or [1] * m
-            runs, op_req = arr._coalesce(disks, slots, n_elements)
+            runs = arr._coalesce(disks, slots, n_elements)
             covered = {
                 (d, t) for d, s, n in zip(disks, slots, lengths) for t in range(s, s + n)
             }
@@ -127,8 +127,10 @@ def test_coalescer_merges_random_batches_into_maximal_runs():
                 else:
                     expected.append([d, t, t + 1])
             assert runs == [tuple(r) for r in expected]
-            for d, s, n, k in zip(disks, slots, lengths, op_req):
-                assert runs[k][0] == d and runs[k][1] <= s and s + n <= runs[k][2]
+            sub = arr.submit_batch(disks, slots, IOKind.READ, n_elements=n_elements)
+            for d, s, n, req in zip(disks, slots, lengths, sub.op_requests()):
+                lo, hi = req.offset // (4 * _MB), (req.offset + req.size) // (4 * _MB)
+                assert req.disk == d and lo <= s and s + n <= hi
 
 
 def test_submit_many_matches_submit_loop():

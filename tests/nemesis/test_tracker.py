@@ -151,21 +151,3 @@ def test_to_dict_maps_open_end_to_none():
     assert d["n_faults"] == 1
     assert d["faults"][0]["end_s"] is None
 
-
-def test_overlay_bands_clamp_open_intervals_and_label_disks():
-    tl = FaultTimeline()
-    tl.record(FaultInterval(0, "fail-slow", 2, 1.0, 4.0, 3.0))
-    tl.record(FaultInterval(1, "disk-death", 0, 2.0, math.inf))
-    tl.record(FaultInterval(2, "transient-burst", -1, 0.0, 5.0, 0.5))
-    with pytest.raises(ValueError, match="horizon"):
-        tl.overlay_bands()  # open interval needs a clamp
-    bands = tl.overlay_bands(horizon_s=10.0)
-    assert [b["kind"] for b in bands] == [
-        "transient-burst", "fail-slow", "disk-death",
-    ]
-    death = bands[2]
-    assert death["t0"] == 2.0 and death["t1"] == 10.0
-    assert death["label"] == "disk-death (disk 0)"
-    # a whole-array fault (disk -1) gets no per-disk suffix
-    assert bands[0]["label"] == "transient-burst"
-    assert all(b["t1"] >= b["t0"] for b in bands)

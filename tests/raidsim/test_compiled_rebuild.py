@@ -55,7 +55,7 @@ def _reference_runs(ctrl: RaidController, stripe: int, phase) -> list[tuple]:
         for disk, rows in phase.reads.items()
         for row in rows
     ]
-    runs, _ = ctrl.array._coalesce([d for d, _ in cells], [s for _, s in cells], None)
+    runs = ctrl.array._coalesce([d for d, _ in cells], [s for _, s in cells], None)
     return [
         (d, lo * ELEM, (hi - lo) * ELEM, IOKind.READ, 10, "rebuild") for d, lo, hi in runs
     ]

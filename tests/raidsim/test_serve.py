@@ -143,6 +143,19 @@ def test_result_carries_timeseries_and_fault_overlays(baseline):
         assert band["label"] == "disk-death (disk 0)"
 
 
+def test_overlay_band_spans_the_rebuild_of_the_failed_disk(baseline):
+    """The band, key order included, is what `repro serve --json` writes."""
+    for r in (baseline.traditional, baseline.shifted):
+        (band,) = r.overlays
+        assert list(band.items()) == [
+            ("t0", 0.0),
+            ("t1", r.rebuild_makespan_s),
+            ("kind", "disk-death"),
+            ("disk", CFG.failed_disk),
+            ("label", f"disk-death (disk {CFG.failed_disk})"),
+        ]
+
+
 def test_timeseries_is_empty_with_observability_off():
     from repro.obs import set_obs_enabled
 
