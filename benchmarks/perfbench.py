@@ -25,6 +25,11 @@ Kernels:
                             timed inside it, median of 5: the start-up
                             every command pays before its first line
                             (informational: not in the CI baseline)
+* ``read_stream``         — drawing a Poisson user-read stream of
+                            about 20,000 reads (2,000 with ``--tiny``)
+                            over 5 disks and 24 stripes, the probe
+                            stream of every campaign and nemesis tick
+                            (informational: not in the CI baseline)
 * ``write_workload``      — one Fig. 10 point: 120 random large writes
                             (read-modify-write parity) on a fresh n = 5
                             shifted mirror-parity array, one op in flight
@@ -168,6 +173,13 @@ def kernel_cli_import(runs: int = 5) -> float:
         for _ in range(runs)
     ]
     return statistics.median(samples)
+
+
+def kernel_read_stream(n_reads: int) -> float:
+    """``user_read_stream`` drawing about ``n_reads`` reads, unpinned."""
+    from repro.workloads.generator import user_read_stream
+
+    return _time(lambda: user_read_stream(5, 24, n_reads / 1000.0, 1000.0, seed=7))
 
 
 def kernel_write_workload(n_ops: int) -> float:
@@ -562,6 +574,8 @@ def run_suite(tiny: bool, repeats: int) -> dict:
     print(f"  controller_init_warm {kernels['controller_init_warm']:.6f} s")
     kernels["cli_import"] = kernel_cli_import()
     print(f"  cli_import        {kernels['cli_import']:.3f} s")
+    kernels["read_stream"] = best(lambda: kernel_read_stream(scale["engine_requests"]))
+    print(f"  read_stream       {kernels['read_stream']:.3f} s")
     kernels["write_workload"] = best(lambda: kernel_write_workload(scale["write_ops"]))
     print(f"  write_workload    {kernels['write_workload']:.3f} s")
     kernels["engine_elevator"] = best(

@@ -36,9 +36,8 @@ from repro.raidsim import (
 
 def main(n: int = 4) -> int:
     n_stripes = 8
-    traditional = lambda: traditional_mirror_parity(n)  # noqa: E731
-    shifted = lambda: shifted_mirror_parity(n)  # noqa: E731
-    layout = traditional()
+    layout = traditional_mirror_parity(n)
+    shifted = shifted_mirror_parity(n)
 
     # 1. size the storm off a clean rebuild of disk 0
     clean_s = clean_rebuild_makespan(layout, (0,), n_stripes=n_stripes)
@@ -60,7 +59,7 @@ def main(n: int = 4) -> int:
 
     # 3. run the campaign: online rebuild + user reads, same storm twice
     cmp_ = compare_arrangements(
-        traditional,
+        layout,
         shifted,
         plan,
         failed_disks=(0,),

@@ -292,13 +292,11 @@ def cmd_faultcampaign(args: argparse.Namespace) -> int:
         return _faultcampaign_sweep(args)
     family = args.family
     baseline_name, variant_name = comparison_pair(family)
-    trad_builder = LAYOUTS[baseline_name]
-    shift_builder = LAYOUTS[variant_name]
-    layout = trad_builder(args.n)
+    layout, shifted = LAYOUTS[baseline_name](args.n), LAYOUTS[variant_name](args.n)
     # one yardstick for both the second failure and the read window:
     # the slower side's clean rebuild
     clean_s = scenario_window_s(
-        (layout, shift_builder(args.n)), 1.0,
+        (layout, shifted), 1.0,
         failed_disks=(args.failed,), n_stripes=args.stripes,
     )
     second_time = None
@@ -315,8 +313,8 @@ def cmd_faultcampaign(args: argparse.Namespace) -> int:
         transient_rate=args.transient_rate,
     )
     cmp_ = compare_arrangements(
-        lambda: trad_builder(args.n),
-        lambda: shift_builder(args.n),
+        layout,
+        shifted,
         plan,
         failed_disks=(args.failed,),
         n_stripes=args.stripes,

@@ -164,9 +164,18 @@ class TickSample:
     active_fault_ids: tuple[int, ...]
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        d["active_fault_ids"] = list(self.active_fault_ids)
-        return d
+        return {
+            "tick": self.tick,
+            "t_s": self.t_s,
+            "served": self.served,
+            "failed": self.failed,
+            "user_latency_s": self.user_latency_s,
+            "read_throughput_rps": self.read_throughput_rps,
+            "unavailability": self.unavailability,
+            "rebuild_mbps": self.rebuild_mbps,
+            "degraded": self.degraded,
+            "active_fault_ids": list(self.active_fault_ids),
+        }
 
     @classmethod
     def from_dict(cls, d: dict) -> "TickSample":
@@ -308,7 +317,7 @@ def _probe_tick(
         config.n_stripes,
         duration_s=PROBE_READS_PER_TICK / PROBE_READ_RATE_PER_S,
         rate_per_s=PROBE_READ_RATE_PER_S,
-        rng=np.random.default_rng(read_seed),
+        seed=read_seed,
     )
     online = run_scenario(
         layout,

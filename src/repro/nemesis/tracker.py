@@ -47,21 +47,18 @@ class FaultTimeline:
 
     def __init__(self) -> None:
         self._intervals: dict[int, FaultInterval] = {}
+        self._sorted: tuple[FaultInterval, ...] = ()
 
     def __len__(self) -> int:
         return len(self._intervals)
 
     def __iter__(self):
-        return iter(self.intervals)
+        return iter(self._sorted)
 
     @property
     def intervals(self) -> tuple[FaultInterval, ...]:
-        return tuple(
-            sorted(
-                self._intervals.values(),
-                key=lambda iv: (iv.start_s, iv.fault_id),
-            )
-        )
+        """The intervals by ``(start_s, fault_id)``, sorted once per record."""
+        return self._sorted
 
     # ------------------------------------------------------------------
     def record(self, interval: FaultInterval) -> FaultInterval:
@@ -69,6 +66,12 @@ class FaultTimeline:
         if interval.fault_id in self._intervals:
             raise ValueError(f"fault_id {interval.fault_id} already recorded")
         self._intervals[interval.fault_id] = interval
+        self._sorted = tuple(
+            sorted(
+                self._intervals.values(),
+                key=lambda iv: (iv.start_s, iv.fault_id),
+            )
+        )
         return interval
 
     @classmethod

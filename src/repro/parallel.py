@@ -30,10 +30,12 @@ from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence, TypeVar
 
 from .obs import default_registry
+
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
 
 __all__ = ["resolve_jobs", "parallel_map", "WorkerPool"]
 
@@ -94,6 +96,10 @@ def parallel_map(
         return _observed_map(
             lambda: _collect(map(fn, work), on_result), "serial", len(work)
         )
+    # imported here, not at the top: it loads multiprocessing, which
+    # only a real fan-out needs (docs/performance.md, "Start-up")
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=n_workers) as pool_:
         return _observed_map(
             lambda: _collect(
@@ -234,6 +240,8 @@ class WorkerPool:
                 lambda: _collect(map(fn, work), on_result), "pooled", len(work)
             )
         if self._executor is None:
+            from concurrent.futures import ProcessPoolExecutor
+
             self._executor = ProcessPoolExecutor(
                 max_workers=self.n_workers,
                 initializer=_attach_films if self._films else None,

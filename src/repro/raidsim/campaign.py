@@ -21,7 +21,7 @@ import math
 import pickle
 import time
 from dataclasses import dataclass, field
-from typing import Callable
+from functools import lru_cache
 
 import numpy as np
 
@@ -303,13 +303,16 @@ def run_campaign(
     user_read_rate_per_s: float = 30.0,
     user_read_duration_s: float | None = None,
     user_read_seed: int = 99,
+    reads: list[UserRead] | None = None,
 ) -> CampaignRun:
     """One arrangement through one campaign: rebuild under fire.
 
     Runs an on-line reconstruction of ``failed_disks`` with the fault
     plan active and a Poisson user-read stream on top.  Reconstruction
     is byte-verified where recoverable; unrecoverable columns are
-    counted, not raised.
+    counted, not raised.  ``reads``, when given, is that stream, and
+    the ``user_read_*`` keywords are not used; otherwise it is drawn
+    from them.
     """
     sizing = dict(
         failed_disks=failed_disks,
@@ -318,15 +321,16 @@ def run_campaign(
         payload_bytes=payload_bytes,
         window=window,
     )
-    if user_read_duration_s is None:
-        user_read_duration_s = scenario_window_s([layout], 1.5, **sizing)
-    reads = user_read_stream(
-        layout.n,
-        n_stripes,
-        duration_s=user_read_duration_s,
-        rate_per_s=user_read_rate_per_s,
-        rng=np.random.default_rng(user_read_seed),
-    )
+    if reads is None:
+        if user_read_duration_s is None:
+            user_read_duration_s = scenario_window_s([layout], 1.5, **sizing)
+        reads = user_read_stream(
+            layout.n,
+            n_stripes,
+            duration_s=user_read_duration_s,
+            rate_per_s=user_read_rate_per_s,
+            seed=user_read_seed,
+        )
     return run_scenario(
         layout, reads, fault_plan=fault_plan, retry_policy=retry_policy, **sizing
     )
@@ -345,28 +349,47 @@ def _read_window_s(layouts, campaign_kwargs: dict) -> float:
 
 
 def compare_arrangements(
-    traditional_factory: Callable[[], Layout],
-    shifted_factory: Callable[[], Layout],
+    traditional: Layout,
+    shifted: Layout,
     fault_plan: FaultPlan,
+    *,
+    n_stripes: int = 12,
+    user_read_rate_per_s: float = 30.0,
+    user_read_duration_s: float | None = None,
+    user_read_seed: int = 99,
     **campaign_kwargs,
 ) -> CampaignComparison:
     """Both arrangements through the identical seeded campaign.
 
     The frozen plan is *activated* independently per run, so both
     arrays replay the same fault schedule from the same seed — the
-    arrangements differ, the storm does not.  Unless overridden, the
-    user-read window is sized once (off the slower arrangement's clean
-    rebuild) so both runs face the identical read stream.
+    arrangements differ, the storm does not.  The read stream is drawn
+    once, with :func:`run_campaign`'s defaults, and served to both
+    runs; unless ``user_read_duration_s`` is given, its window is sized
+    off the slower arrangement's clean rebuild.  Both layouts must have
+    the same ``n``, as every declared comparison pair does.
     """
-    if campaign_kwargs.get("user_read_duration_s") is None:
-        campaign_kwargs["user_read_duration_s"] = _read_window_s(
-            (traditional_factory(), shifted_factory()), campaign_kwargs
+    if traditional.n != shifted.n:
+        raise ValueError(
+            f"a comparison needs layouts of one n, got {traditional.n} and {shifted.n}"
         )
+    campaign_kwargs["n_stripes"] = n_stripes
+    if user_read_duration_s is None:
+        user_read_duration_s = _read_window_s(
+            (traditional, shifted), campaign_kwargs
+        )
+    reads = user_read_stream(
+        traditional.n,
+        n_stripes,
+        duration_s=user_read_duration_s,
+        rate_per_s=user_read_rate_per_s,
+        seed=user_read_seed,
+    )
     return CampaignComparison(
         traditional=run_campaign(
-            traditional_factory(), fault_plan, **campaign_kwargs
+            traditional, fault_plan, reads=reads, **campaign_kwargs
         ),
-        shifted=run_campaign(shifted_factory(), fault_plan, **campaign_kwargs),
+        shifted=run_campaign(shifted, fault_plan, reads=reads, **campaign_kwargs),
     )
 
 
@@ -463,8 +486,23 @@ class SweepResult:
         )
 
 
+@lru_cache(maxsize=1)
+def _sweep_layouts(family: str, n: int) -> tuple[Layout, Layout]:
+    """A family's (baseline, variant) pair at ``n``, one per process.
+
+    Every sweep point of a process runs on this one pair (the latest
+    ``(family, n)`` asked for: a sweep asks for one), so its
+    controllers start from the templates its first point left on the
+    layouts (see :func:`~repro.raidsim.controller._template`) instead
+    of building cold ones.  A template is a pure function of its key,
+    so reuse changes no result.
+    """
+    baseline_name, variant_name = comparison_pair(family)
+    return LAYOUTS[baseline_name](n), LAYOUTS[variant_name](n)
+
+
 def _sweep_point(task) -> SweepPoint:
-    """Pool worker: rebuild layouts from registry names and run one point.
+    """Pool worker: run one point from plain data.
 
     Module-level (picklable) and handed only plain data; the layouts and
     the fault plan are constructed inside the worker so nothing
@@ -481,9 +519,7 @@ def _sweep_point(task) -> SweepPoint:
         record_ts,
         ts_window_s,
     ) = task
-    baseline_name, variant_name = comparison_pair(family)
-    traditional = LAYOUTS[baseline_name](n)
-    shifted = LAYOUTS[variant_name](n)
+    traditional, shifted = _sweep_layouts(family, n)
     plan = default_fault_plan(traditional.n_disks, seed=fault_seed, **plan_kwargs)
     # each point runs under its own metrics scope (and, when the parent
     # has a flight recorder, its own recorder scope) so its snapshots
@@ -495,8 +531,8 @@ def _sweep_point(task) -> SweepPoint:
         scoped_recorder(enabled=record_ts, window_s=ts_window_s) as rec,
     ):
         comparison = compare_arrangements(
-            lambda: traditional,
-            lambda: shifted,
+            traditional,
+            shifted,
             plan,
             user_read_seed=user_seed,
             **campaign_kwargs,
@@ -546,10 +582,10 @@ def compare_sweep(
     point: the storms differ from seed to seed, the clean rebuilds the
     window is sized off do not.
     """
-    names = comparison_pair(family)  # validate up front, before forking
+    layouts = _sweep_layouts(family, n)  # validate up front, before forking
     if campaign_kwargs.get("user_read_duration_s") is None:
         campaign_kwargs["user_read_duration_s"] = _read_window_s(
-            [LAYOUTS[name](n) for name in names], campaign_kwargs
+            layouts, campaign_kwargs
         )
     seeds = derive_sweep_seeds(root_seed, n_seeds)
     # workers record timeseries exactly when the parent has a flight

@@ -8,7 +8,10 @@
 * :func:`user_read_stream` — Poisson single-element reads for the
   on-line reconstruction scenario (§III): the reads target the failed
   disk's data, forcing recover-and-respond with priority over rebuild
-  I/O.
+  I/O.  It draws from raw PCG64 words by numpy's own rules, so its
+  reads are bit-identical to the scalar ``exponential``/``integers``
+  loop at half the cost (see ``docs/performance.md``, "Workload
+  generation").
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ class WriteOp:
         return len(self.elements)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UserRead:
     """One user read arriving at ``time`` for data element ``(i, j)``.
 
@@ -79,35 +82,84 @@ def random_large_writes(
     return ops
 
 
+_MASK32 = 0xFFFF_FFFF
+
+
+def _bounded_draws(bit_generator):
+    """``draw(r)``: what ``Generator.integers(0, r)`` on ``bit_generator``
+    returns, for ``1 <= r <= 2**32``, read from raw 64-bit words.
+
+    numpy's rule: no draw when ``r == 1``; otherwise take 32-bit halves
+    of PCG64 words, low half first, keeping the high half for the next
+    draw; multiply by ``r`` and reject while the low 32 bits of the
+    product fall below ``(2**32 - r) % r`` (Lemire's method).  The kept
+    half lives in the closure, so the bit generator's own buffer is
+    never used: mix these draws only with 64-bit ones on the same
+    generator.
+    """
+    raw = bit_generator.random_raw
+    spare = -1  # the kept high half, or -1 when there is none
+
+    def draw(r: int) -> int:
+        nonlocal spare
+        if r == 1:
+            return 0
+        while True:
+            if spare < 0:
+                word = raw()
+                m, spare = (word & _MASK32) * r, word >> 32
+            else:
+                m, spare = spare * r, -1
+            low = m & _MASK32
+            # the threshold is below r, so most draws skip the modulo
+            if low >= r or low >= (_MASK32 + 1 - r) % r:
+                return m >> 32
+
+    return draw
+
+
 def user_read_stream(
     n: int,
     n_stripes: int,
     duration_s: float,
     rate_per_s: float,
     target_disk: int | None = None,
-    rng: np.random.Generator | None = None,
+    seed: int = 1,
 ) -> list[UserRead]:
     """Poisson arrivals of single-element user reads.
 
     ``target_disk`` restricts reads to one data disk (typically the
     failed one, the §III scenario); ``None`` spreads them uniformly.
+    The reads are those of the scalar loop over
+    ``numpy.random.default_rng(seed)`` that draws, per read,
+    ``exponential(1 / rate_per_s)``, then ``integers(0, n_stripes)``,
+    ``integers(0, n)`` (unless pinned) and ``integers(0, n)``, bit for
+    bit: each gap is ``(1 / rate_per_s) * standard_exponential()``,
+    which is how numpy computes ``exponential``, and each index comes
+    from :func:`_bounded_draws`.
     """
-    if rng is None:
-        rng = np.random.default_rng(1)
     if rate_per_s <= 0:
         raise ValueError(f"rate must be positive, got {rate_per_s}")
     if target_disk is not None and not 0 <= target_disk < n:
         raise ValueError(
             f"target_disk must be in [0, {n}), got {target_disk}"
         )
+    if not (0 < n <= _MASK32 + 1 and 0 < n_stripes <= _MASK32 + 1):
+        raise ValueError(
+            f"n and n_stripes must be in [1, 2**32], got {n} and {n_stripes}"
+        )
+    rng = np.random.default_rng(seed)
+    gap = rng.standard_exponential
+    below = _bounded_draws(rng.bit_generator)
+    scale = 1.0 / rate_per_s
     reads: list[UserRead] = []
     t = 0.0
     while True:
-        t += float(rng.exponential(1.0 / rate_per_s))
+        t += scale * gap()
         if t >= duration_s:
             break
-        stripe = int(rng.integers(0, n_stripes))
-        i = int(rng.integers(0, n)) if target_disk is None else target_disk
-        j = int(rng.integers(0, n))
+        stripe = below(n_stripes)
+        i = below(n) if target_disk is None else target_disk
+        j = below(n)
         reads.append(UserRead(t, stripe, i, j))
     return reads

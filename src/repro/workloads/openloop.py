@@ -248,8 +248,10 @@ def open_arrivals(
         disks = rng.integers(0, n, size=count)
         rows = rng.integers(0, n, size=count)
         reads.extend(
-            UserRead(float(t), int(st), int(i), int(j), tenant=spec.name)
-            for t, st, i, j in zip(times, stripes, disks, rows)
+            UserRead(t, st, i, j, spec.name)
+            for t, st, i, j in zip(
+                times.tolist(), stripes.tolist(), disks.tolist(), rows.tolist()
+            )
         )
     reads.sort(key=lambda r: r.time)
     return reads

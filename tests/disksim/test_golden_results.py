@@ -91,8 +91,8 @@ def _second_failure():
     t = 0.5 * clean_rebuild_makespan(layout, (0,), n_stripes=6)
     plan = default_fault_plan(layout.n_disks, seed=2012, second_failure_time_s=t)
     return compare_arrangements(
-        lambda: build_layout(baseline, 3),
-        lambda: build_layout(variant, 3),
+        build_layout(baseline, 3),
+        build_layout(variant, 3),
         plan,
         failed_disks=(0,),
         n_stripes=6,

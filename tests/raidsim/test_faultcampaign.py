@@ -368,14 +368,14 @@ def test_campaign_runs_both_arrangements_deterministically():
         user_read_rate_per_s=20.0,
     )
     cmp_a = compare_arrangements(
-        lambda: traditional_mirror_parity(N),
-        lambda: shifted_mirror_parity(N),
+        traditional_mirror_parity(N),
+        shifted_mirror_parity(N),
         plan,
         **kwargs,
     )
     cmp_b = compare_arrangements(
-        lambda: traditional_mirror_parity(N),
-        lambda: shifted_mirror_parity(N),
+        traditional_mirror_parity(N),
+        shifted_mirror_parity(N),
         plan,
         **kwargs,
     )

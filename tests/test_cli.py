@@ -288,6 +288,29 @@ def test_faultcampaign_command(capsys):
     assert "mid-rebuild failures:" in out
 
 
+def test_faultcampaign_runs_on_the_layouts_it_sized_with(capsys, monkeypatch):
+    """The campaign's controllers start from the templates the window
+    sizing left: one cold build per layout, not two."""
+    from repro.raidsim import controller
+
+    real = controller._template
+    misses = []
+
+    def counting(layout, n_stripes, rotate, payload_bytes, film_seed):
+        key = (n_stripes, rotate, payload_bytes, film_seed)
+        if key not in layout._controller_templates:
+            misses.append((layout.name, key))
+        return real(layout, n_stripes, rotate, payload_bytes, film_seed)
+
+    monkeypatch.setattr(controller, "_template", counting)
+    rc, _ = run_cli(capsys, "faultcampaign", "--family", "mirror-parity",
+                    "--n", "3", "--stripes", "4")
+    assert rc == 0
+    assert sorted(name for name, _ in misses) == [
+        "mirror-parity", "shifted-mirror-parity"
+    ]
+
+
 def test_faultcampaign_without_second_failure(capsys):
     rc, out = run_cli(capsys, "faultcampaign", "--family", "mirror",
                       "--n", "3", "--stripes", "4", "--second-failure-at", "0")

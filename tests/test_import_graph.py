@@ -118,3 +118,14 @@ def test_entry_call_imports_no_repro_module(entry, tmp_path):
         tmp_path,
     )
     assert json.loads(out) == []
+
+
+@pytest.mark.parametrize(
+    "setup",
+    ["import repro.raidsim.serve", "from repro.nemesis import run_nemesis_campaign"],
+)
+def test_serve_and_nemesis_setup_load_no_process_pool(setup, tmp_path):
+    """Only a real fan-out imports the pool machinery (``repro.parallel``)."""
+    out = _python(f"import json, sys\n{setup}\nprint(json.dumps(sorted(sys.modules)))", tmp_path)
+    loaded = set(json.loads(out))
+    assert sorted(loaded & {"concurrent.futures", "multiprocessing"}) == []
