@@ -287,7 +287,7 @@ def kernel_user_read_submit(n_reads: int) -> float:
         fault_plan=FaultPlan(seed=7).with_transients(rate=0.02).with_lse_burst(8),
     )
     rng = np.random.default_rng(0)
-    n_disks = ctrl.array.n_disks
+    n_disks = len(ctrl.array.sim.disks)
     disks = rng.integers(0, n_disks, n_reads).tolist()
     slots = rng.integers(0, ctrl.stack.n_stripes * ctrl.stack.rows, n_reads).tolist()
     gaps = rng.exponential(1.0 / (10.0 * n_disks), n_reads).tolist()
