@@ -207,6 +207,8 @@ def _campaign_run_record(run) -> dict:
     """Machine-readable form of one arrangement's campaign outcome."""
     import dataclasses
 
+    from .obs import finite
+
     r = run.rebuild
     return {
         "layout": run.layout_name,
@@ -222,9 +224,9 @@ def _campaign_run_record(run) -> dict:
         "user_reads": {
             "served": run.online.n_user_reads,
             "failed": run.online.failed_user_reads,
-            # zero-sample aggregates are NaN -> null (the _finite contract)
-            "mean_latency_s": _finite(run.online.mean_user_latency_s),
-            "p95_latency_s": _finite(run.online.p95_user_latency_s),
+            # zero-sample aggregates are NaN -> null
+            "mean_latency_s": finite(run.online.mean_user_latency_s),
+            "p95_latency_s": finite(run.online.p95_user_latency_s),
         },
         "fault_stats": dataclasses.asdict(run.fault_stats),
     }
@@ -237,19 +239,6 @@ def _write_json(path: str, payload: dict) -> None:
         json.dump(payload, fh, indent=2, default=str)
         fh.write("\n")
     print(f"json written to {path}", file=sys.stderr)
-
-
-def _finite(x: float) -> float | None:
-    """Non-finite floats become ``null`` so the JSON stays strictly parseable.
-
-    One contract, two renderings: ``inf`` (undefined ratio denominator)
-    and ``NaN`` (zero-sample aggregate) print as bare ``inf``/``nan``
-    in text output (see :func:`_ratio_text`) and as ``null`` in every
-    ``--json`` payload.  Documented in docs/workloads.md.
-    """
-    import math
-
-    return x if math.isfinite(x) else None
 
 
 def _ratio_text(x: float) -> str:
@@ -273,7 +262,7 @@ def _check_comparison_n(family: str, n: int) -> None:
 
 
 def cmd_faultcampaign(args: argparse.Namespace) -> int:
-    from .obs import default_registry
+    from .obs import default_registry, finite
     from .raidsim.campaign import (
         compare_arrangements,
         default_fault_plan,
@@ -361,8 +350,8 @@ def cmd_faultcampaign(args: argparse.Namespace) -> int:
             "traditional": _campaign_run_record(cmp_.traditional),
             "shifted": _campaign_run_record(cmp_.shifted),
             "availability_delta": cmp_.availability_delta,
-            "latency_speedup": _finite(cmp_.latency_speedup),
-            "makespan_speedup": _finite(cmp_.makespan_speedup),
+            "latency_speedup": finite(cmp_.latency_speedup),
+            "makespan_speedup": finite(cmp_.makespan_speedup),
             "active_fault_timeline": timeline_from_plan(plan, horizon).to_dict(),
             "metrics": default_registry().snapshot(),
         })
@@ -394,8 +383,7 @@ def _serve_result_record(r) -> dict:
         "failed_reads": r.failed_reads,
         "availability": r.availability,
         "throttle": r.throttle,
-        # SLOSummary.to_dict applies the same non-finite -> null
-        # coercion as _finite
+        # SLOSummary.to_dict applies the non-finite -> null rule
         "slo": r.slo.to_dict(),
         # flight-recorder snapshot + fault overlay bands ({} / [] when
         # observability is off) — what `repro obs report` renders
@@ -405,7 +393,7 @@ def _serve_result_record(r) -> dict:
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
-    from .obs import default_registry
+    from .obs import default_registry, finite
     from .raidsim.serve import ServeConfig, compare_serve
 
     _check_comparison_n(args.family, args.n)
@@ -439,8 +427,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
               f"(verified: {r.rebuild_verified})")
         print(f"  served:             {s.served}/{r.n_arrivals} "
               f"({r.degraded_reads} degraded, {r.failed_reads} failed)")
-        # NaN aggregates (nothing served) print as bare nan — the
-        # text half of the _finite contract
+        # NaN aggregates (nothing served) print as bare nan
         print(f"  latency p50/p99/p999: {s.p50_s * 1e3:.1f} / "
               f"{s.p99_s * 1e3:.1f} / {s.p999_s * 1e3:.1f} ms")
         print(f"  goodput:            {s.goodput_rps:.1f} reads/s")
@@ -463,8 +450,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
             "duration_s": trad.slo.duration_s,
             "traditional": _serve_result_record(trad),
             "shifted": _serve_result_record(shift),
-            "p99_ratio": _finite(cmp_.p99_ratio),
-            "makespan_speedup": _finite(cmp_.makespan_speedup),
+            "p99_ratio": finite(cmp_.p99_ratio),
+            "makespan_speedup": finite(cmp_.makespan_speedup),
             "metrics": default_registry().snapshot(),
         })
     return 0
@@ -591,7 +578,7 @@ def _faultcampaign_sweep(args: argparse.Namespace) -> int:
     print(f"worst data survival:     traditional {worst_t:.4f}, "
           f"shifted {worst_s:.4f}")
     if args.json:
-        from .obs import default_registry
+        from .obs import default_registry, finite
 
         _write_json(args.json, {
             "kind": "faultcampaign-sweep",
@@ -601,7 +588,7 @@ def _faultcampaign_sweep(args: argparse.Namespace) -> int:
             "n_seeds": len(sweep),
             "shifted_wins": sweep.shifted_wins,
             "mean_availability_delta": sweep.mean_availability_delta,
-            "mean_latency_speedup": _finite(sweep.mean_latency_speedup),
+            "mean_latency_speedup": finite(sweep.mean_latency_speedup),
             "worst_data_survival": {"traditional": worst_t, "shifted": worst_s},
             "points": [
                 {
@@ -609,7 +596,7 @@ def _faultcampaign_sweep(args: argparse.Namespace) -> int:
                     "fault_seed": p.fault_seed,
                     "user_read_seed": p.user_read_seed,
                     "availability_delta": p.comparison.availability_delta,
-                    "latency_speedup": _finite(p.comparison.latency_speedup),
+                    "latency_speedup": finite(p.comparison.latency_speedup),
                     "traditional": _campaign_run_record(p.comparison.traditional),
                     "shifted": _campaign_run_record(p.comparison.shifted),
                 }
@@ -621,7 +608,7 @@ def _faultcampaign_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_leaderboard(args: argparse.Namespace) -> int:
-    from .obs import default_registry
+    from .obs import default_registry, finite
     from .parallel import WorkerPool
     from .raidsim.leaderboard import LeaderboardConfig, run_leaderboard
 
@@ -646,7 +633,7 @@ def cmd_leaderboard(args: argparse.Namespace) -> int:
     print(f"{'#':>2} {'layout':24} {'avail':>7} {'rebuild s':>10} "
           f"{'p99 ms':>8} {'survival':>9} {'eff':>5} {'ft':>3}")
     for rank, e in enumerate(ranked, start=1):
-        # NaN p99 (nothing served) prints bare nan — the _finite contract
+        # NaN p99 (nothing served) prints bare nan
         p99 = f"{e.degraded_p99_ms:8.1f}" if e.degraded_p99_ms == e.degraded_p99_ms \
             else f"{'nan':>8}"
         print(f"{rank:>2} {e.layout:24} {e.availability:7.4f} "
@@ -660,7 +647,7 @@ def cmd_leaderboard(args: argparse.Namespace) -> int:
             "kind": "leaderboard",
             **result.to_dict(),
             "entries": [
-                {**e.to_dict(), "degraded_p99_ms": _finite(e.degraded_p99_ms)}
+                {**e.to_dict(), "degraded_p99_ms": finite(e.degraded_p99_ms)}
                 for e in ranked
             ],
         }

@@ -331,17 +331,17 @@ def _probe_tick(
         retry_policy=RetryPolicy(jitter=PROBE_BACKOFF_JITTER),
         tracer=False,
     ).online
-    served, n_failed = online.n_user_reads, online.failed_user_reads
+    served = online.n_user_reads
     return TickSample(
         tick=tick,
         t_s=tick * config.tick_s,
         served=served,
-        failed=n_failed,
+        failed=online.failed_user_reads,
         # NaN when the probe served nothing; _feed_detector gates on
         # sample.served so the detector never eats it
         user_latency_s=online.mean_user_latency_s,
         read_throughput_rps=served / online.end_s if online.end_s > 0 else 0.0,
-        unavailability=n_failed / served if served else 0.0,
+        unavailability=online.unavailability,
         rebuild_mbps=(
             online.rebuild.recovered_throughput_mbps if failed_disks else None
         ),

@@ -60,6 +60,7 @@ __getattr__, __dir__ = lazy_exports(
             "NullRegistry",
             "bucket_quantile",
             "default_registry",
+            "finite",
             "obs_enabled",
             "percentile",
             "scoped_registry",
@@ -101,6 +102,7 @@ __all__ = [
     "Distribution",
     "bucket_quantile",
     "percentile",
+    "finite",
     "default_registry",
     "scoped_registry",
     "obs_enabled",

@@ -59,6 +59,7 @@ __all__ = [
     "Distribution",
     "bucket_quantile",
     "percentile",
+    "finite",
 ]
 
 #: the latency layout (seconds) shared by every histogram, recorder
@@ -300,6 +301,12 @@ def percentile(values, q: float) -> float:
     a, b = ordered[lo], ordered[lo + 1]
     diff = b - a
     return b - diff * (1 - gamma) if gamma >= 0.5 else a + diff * gamma
+
+
+def finite(x: float) -> float | None:
+    """``x``, or ``None`` when it is ``NaN`` or infinite: the rule that
+    keeps every ``--json`` payload strictly parseable (``null``)."""
+    return x if math.isfinite(x) else None
 
 
 class Histogram(_Instrument):

@@ -100,7 +100,7 @@ class CampaignComparison:
         free); ``NaN`` when either side served no reads at all, since
         zero-sample latency means are ``NaN`` and no ratio is defined.
         Text output renders these as bare ``inf``/``nan``; ``--json``
-        coerces them to ``null`` (the ``_finite`` contract).
+        coerces them to ``null`` (:func:`repro.obs.finite`).
         """
         return _ratio(
             self.traditional.online.mean_user_latency_s,
@@ -241,10 +241,11 @@ def run_scenario(
     while ``arrivals`` fire on the simulated clock; ``failed_disks=()``
     serves them on a healthy array.  ``throttle`` is ``None`` or a
     rebuild-rate policy (see :meth:`RaidController.rebuild`).
-    Every settled read feeds ``slo`` and the throttle's ``observe``
-    hook, when present; ``slo`` is flushed into its registry before
-    this returns.  Availability and data survival are scored here and
-    nowhere else.
+    ``slo`` is the run's per-read ledger, flushed into its registry
+    before this returns; ``None`` keeps a silent one.  Availability
+    derives from that ledger (through
+    :attr:`OnlineResult.unavailability`), data survival from the
+    rebuild's lost columns.
     """
     ctrl = RaidController(
         layout,
@@ -256,37 +257,16 @@ def run_scenario(
         retry_policy=retry_policy,
         tracer=tracer,
     )
-    observe = getattr(throttle, "observe", None)
-    on_latency = None  # nothing to feed: no per-read call at all
-    if slo is not None or observe is not None:
-        sim = ctrl.array.sim
-
-        def on_latency(read: UserRead, latency_s: float) -> None:
-            if slo is not None:
-                slo.record(latency_s, tenant=read.tenant, t_s=sim.now)
-                slo.observe_queue_depth(sim.pending_count(), t_s=sim.now)
-            if observe is not None:
-                observe(latency_s)
-
     online = OnlineReconstruction(
-        ctrl,
-        failed_disks,
-        arrivals,
-        window=window,
-        throttle=throttle,
-        on_latency=on_latency,
+        ctrl, failed_disks, arrivals, window=window, throttle=throttle, ledger=slo
     ).run()
     if slo is not None:
-        slo.record_failure(online.failed_user_reads)
         slo.flush()
-    served = online.n_user_reads
     lost = len(online.fault_stats.lost_columns)
     return CampaignRun(
         layout_name=layout.name,
         online=online,
-        availability=(
-            1.0 - online.failed_user_reads / served if served > 0 else 1.0
-        ),
+        availability=1.0 - online.unavailability,
         data_survival=1.0 - lost / (layout.n_disks * n_stripes),
     )
 

@@ -174,7 +174,7 @@ def run_leaderboard_entry(
         rebuild_makespan_s=online.rebuild.makespan_s,
         degraded_p99_ms=summary.p99_s * 1e3,
         data_survival=run.data_survival,
-        served=summary.served,
+        served=online.n_user_reads,
         failed_reads=online.failed_user_reads,
         degraded_reads=online.degraded_reads,
         rebuild_verified=online.rebuild.verified,

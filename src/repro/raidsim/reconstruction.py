@@ -23,12 +23,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from ..core.errors import UnrecoverableFailureError
 from ..disksim.scheduler import PriorityScheduler
-from ..obs.metrics import percentile
+from ..obs.metrics import NULL_REGISTRY
 from ..workloads.generator import UserRead
+from ..workloads.openloop import SLOAccountant
 from .controller import FaultStats, RaidController, RebuildResult
 
 __all__ = ["OnlineResult", "OnlineReconstruction", "degraded_read_sources"]
@@ -50,11 +49,19 @@ class OnlineResult:
     #: the rebuild's retry/reroute/loss counters (user reads run under
     #: the same policy, so their retries land here too)
     fault_stats: FaultStats | None = None
-    #: user reads that still failed after all retries and re-routing
+    #: failed element requests of the user reads, after all retries
+    #: and re-routing (see :meth:`SLOAccountant.record`)
     failed_user_reads: int = 0
     #: simulated clock when the last read or rebuild I/O settled; left
     #: out of equality, so result digests pinned before it existed hold
     end_s: float = field(default=0.0, compare=False)
+
+    @property
+    def unavailability(self) -> float:
+        """Failed over served user reads (0.0 when none was served);
+        campaign availability is one minus this."""
+        n = self.n_user_reads
+        return self.failed_user_reads / n if n else 0.0
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -106,11 +113,14 @@ class OnlineReconstruction:
     throttle:
         ``None`` or a rebuild-rate policy with a ``delay_s(now, n_ios)``
         method — see :class:`~repro.workloads.openloop.FixedThrottle`
-        and friends; forwarded to :meth:`RaidController.rebuild`.
-    on_latency:
-        Optional hook called as ``on_latency(read, latency_s)`` after
-        each user read settles — the serve tier feeds its SLO
-        accounting and latency-feedback throttles through this.
+        and friends; forwarded to :meth:`RaidController.rebuild`.  A
+        policy with an ``observe(latency_s)`` method is also fed every
+        settled user read's latency.
+    ledger:
+        The :class:`~repro.workloads.openloop.SLOAccountant` each
+        settled user read is recorded into, once; ``None`` keeps a
+        silent one (no instrument, no recorder series).  The run's
+        user-read figures all derive from it.
     """
 
     def __init__(
@@ -120,7 +130,7 @@ class OnlineReconstruction:
         user_reads: list[UserRead],
         window: int = 4,
         throttle=None,
-        on_latency=None,
+        ledger: SLOAccountant | None = None,
     ) -> None:
         for server in controller.array.sim.disks:
             if not isinstance(server.scheduler, PriorityScheduler):
@@ -133,14 +143,16 @@ class OnlineReconstruction:
         self.user_reads = sorted(user_reads, key=lambda r: r.time)
         self.window = window
         self.throttle = throttle
-        self.on_latency = on_latency
-        self._latencies: list[float] = []
-        self._degraded = 0
-        self._failed_reads = 0
+        if ledger is None:
+            ledger = SLOAccountant(registry=NULL_REGISTRY, recorder=False)
+        self.ledger = ledger
 
     # ------------------------------------------------------------------
     def run(self) -> OnlineResult:
         ctrl = self.controller
+        sim = ctrl.array.sim
+        ledger = self.ledger
+        observe = getattr(self.throttle, "observe", None)
         failed_set = set(self.failed)
         # degraded-source resolution is a pure function of the logical
         # failure set and the (i, j) address — memoise it across the
@@ -168,8 +180,6 @@ class OnlineReconstruction:
                     )
                     hit = source_memo[memo_key] = (found, degraded)
                 sources, degraded = hit
-                if degraded:
-                    self._degraded += 1
                 cells = [ctrl.place(read.stripe, c) for c in sources]
                 t0 = ctrl.array.now
 
@@ -199,11 +209,12 @@ class OnlineReconstruction:
                                 priority=0,
                             )
                             return
-                    lat = ctrl.array.now - t0
-                    self._latencies.append(lat)
-                    self._failed_reads += len(failed_reqs)
-                    if self.on_latency is not None:
-                        self.on_latency(read, lat)
+                    now = sim.now
+                    lat = now - t0
+                    ledger.record(lat, read.tenant, now, len(failed_reqs), degraded)
+                    ledger.observe_queue_depth(sim.pending_count(), now)
+                    if observe is not None:
+                        observe(lat)
 
                 ctrl._submit_reads_with_retry(cells, "user", settled, priority=0)
 
@@ -215,23 +226,15 @@ class OnlineReconstruction:
         # settle user reads arriving after the rebuild's last event
         ctrl.array.run()
 
-        if self._latencies:
-            lat = np.array(self._latencies)
-            mean_s = float(lat.mean())
-            p95_s = percentile(self._latencies, 95)
-            max_s = float(lat.max())
-        else:
-            # no completed reads: the aggregates are NaN, not 0.0 — see
-            # the OnlineResult field comment
-            mean_s = p95_s = max_s = float("nan")
+        mean_s, max_s, p95_s = ledger.latency_stats(95)
         return OnlineResult(
             rebuild=rebuild,
-            n_user_reads=len(self._latencies),
+            n_user_reads=len(ledger),
             mean_user_latency_s=mean_s,
             p95_user_latency_s=p95_s,
             max_user_latency_s=max_s,
-            degraded_reads=self._degraded,
+            degraded_reads=ledger.degraded,
             fault_stats=rebuild.fault_stats,
-            failed_user_reads=self._failed_reads,
+            failed_user_reads=ledger.failed,
             end_s=ctrl.array.now,
         )

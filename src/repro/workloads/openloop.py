@@ -27,9 +27,10 @@ to the mix without perturbing any other tenant's stream — and the whole
 arrival list is a pure function of ``(spec, seed)``, bit-identical
 across processes (the WorkerPool bit-identity suite pins this).
 
-The module also owns the serve tier's **SLO accounting**
-(:class:`SLOAccountant`: streaming latency quantile gauges, goodput,
-queue depth — wired into :mod:`repro.obs` and thus the Prometheus
+The module also owns the **per-read ledger** every scenario run keeps
+(:class:`SLOAccountant`: the one record user-read figures derive from,
+and, for the serve tier, streaming latency quantile gauges, goodput and
+queue depth wired into :mod:`repro.obs` and thus the Prometheus
 endpoint) and the **rebuild throttling policies**
 (:class:`TokenBucketThrottle`, :class:`LatencyTargetThrottle`) that
 :meth:`repro.raidsim.controller.RaidController.rebuild` consults per
@@ -45,7 +46,7 @@ from typing import Protocol, runtime_checkable
 import numpy as np
 
 from ..obs import default_recorder, default_registry, percentile
-from ..obs.metrics import FOLD_LOCK
+from ..obs.metrics import FOLD_LOCK, finite
 from .generator import UserRead
 
 __all__ = [
@@ -288,40 +289,36 @@ class SLOSummary:
     per_tenant_served: tuple[tuple[str, int], ...] = ()
 
     def to_dict(self) -> dict:
-        import math
-
-        def fin(x: float):
-            return x if math.isfinite(x) else None
-
         return {
             "served": self.served,
             "failed": self.failed,
             "deadline_misses": self.deadline_misses,
             "duration_s": self.duration_s,
-            "p50_s": fin(self.p50_s),
-            "p99_s": fin(self.p99_s),
-            "p999_s": fin(self.p999_s),
-            "mean_s": fin(self.mean_s),
-            "max_s": fin(self.max_s),
+            "p50_s": finite(self.p50_s),
+            "p99_s": finite(self.p99_s),
+            "p999_s": finite(self.p999_s),
+            "mean_s": finite(self.mean_s),
+            "max_s": finite(self.max_s),
             "goodput_rps": self.goodput_rps,
             "per_tenant_served": dict(self.per_tenant_served),
         }
 
 
 class SLOAccountant:
-    """Streaming SLO accounting for one serve run.
+    """The per-read ledger of one scenario run.
 
-    Every completed read lands here: the ``serve.read_latency_s``
-    histogram and per-tenant counters go to :mod:`repro.obs` (hence the
-    Prometheus endpoint), and every ``gauge_every`` completions the live
-    ``serve.latency_quantile_s`` gauges are refreshed from that
-    histogram's :func:`~repro.obs.metrics.bucket_quantile` (covering
-    bucket's upper bound clamped to the max — deterministic, O(1)
-    memory).  :meth:`summary` computes the final exact percentiles from
-    the retained samples.
+    :class:`~repro.raidsim.reconstruction.OnlineReconstruction` records
+    every settled user read here once, and every tier's user-read
+    figures derive from it.  Wired to :mod:`repro.obs` (serve,
+    leaderboard), it feeds the ``serve.read_latency_s`` histogram and
+    per-tenant counters (hence the Prometheus endpoint), and every
+    ``gauge_every`` reads refreshes the live ``serve.latency_quantile_s``
+    gauges from that histogram's :func:`~repro.obs.metrics.bucket_quantile`.
+    Campaigns and nemesis probes keep a silent one
+    (``registry=NULL_REGISTRY, recorder=False``).
 
-    :meth:`record` only appends the latency and tenant; :meth:`flush`
-    folds what is pending into the registry in one pass.  It runs from
+    :meth:`record` only appends; :meth:`flush` folds what is pending
+    into the registry in one pass.  It runs from
     :func:`~repro.raidsim.campaign.run_scenario` before it returns, from
     :meth:`summary`, and from every read of the registry (a flush hook),
     and leaves each instrument — the quantile gauges included — exactly
@@ -340,8 +337,9 @@ class SLOAccountant:
         self.deadline_s = deadline_s
         # flight-recorder series: per-tenant latency + queue depth over
         # the simulated clock, fed when callers pass `t_s` to `record`
-        # (None when no recorder is installed — nothing is retained)
-        self._rec = recorder if recorder is not None else default_recorder()
+        # (None when no recorder is installed or `recorder=False` —
+        # nothing is retained)
+        self._rec = default_recorder() if recorder is None else recorder or None
         self._ts_lat: dict[str, object] = {}
         self._ts_depth = (
             self._rec.series(
@@ -356,7 +354,10 @@ class SLOAccountant:
         self._pending_tenants: list[str] = []
         self._folded = 0
         self._misses = 0
-        self._failed = 0
+        #: failed element requests over every settled read
+        self.failed = 0
+        #: settled reads that were served from a redundant source set
+        self.degraded = 0
         self._tenants: dict[str, int] = {}
         reg = registry if registry is not None else default_registry()
         self._obs_reads = reg.counter("serve.reads_total", "open-loop reads served")
@@ -381,12 +382,12 @@ class SLOAccountant:
         ).labels()
         reg.add_flush_hook(self.flush)
 
-    @property
-    def served(self) -> int:
-        return len(self._lat)
+    def __len__(self) -> int:
+        return len(self._lat)  # settled reads: one row each
 
-    def record(self, latency_s: float, tenant: str = "", t_s: float | None = None) -> None:
-        """Account one completed read.
+    def record(self, latency_s: float, tenant: str = "", t_s: float | None = None,
+               failed_requests: int = 0, degraded: bool = False) -> None:
+        """Account one settled read.
 
         ``t_s`` is the completion's simulated time; when given (and a
         flight recorder is installed) the latency also lands in the
@@ -403,6 +404,10 @@ class SLOAccountant:
                 )
                 self._ts_lat[tenant] = handle
             handle.observe(t_s, latency_s)
+        # the one counting rule: failed element requests, not failed reads
+        self.failed += failed_requests
+        if degraded:
+            self.degraded += 1
         # tenant before latency: a concurrent fold sizes itself by _lat
         self._pending_tenants.append(tenant)
         self._lat.append(latency_s)
@@ -450,30 +455,31 @@ class SLOAccountant:
             lat = lat[split:]
         hist.observe_many(lat)
 
-    def record_failure(self, n: int = 1) -> None:
-        """Account reads that errored out after all retries."""
-        self._failed += n
-
     def observe_queue_depth(self, depth: int, t_s: float | None = None) -> None:
         self._obs_depth.set(depth)
         if self._ts_depth is not None and t_s is not None:
             self._ts_depth.observe(t_s, depth)
 
+    def latency_stats(self, *percentiles: float) -> tuple[float, ...]:
+        """``(mean, max, *percentiles)`` of the settled reads' latencies:
+        the one summary of user-read latency, exact and bit-reproducible.
+        All ``NaN`` when no read settled ("no measurement", never 0.0)."""
+        lat = self._lat
+        if not lat:
+            return (float("nan"),) * (2 + len(percentiles))
+        values, ordered = np.array(lat), sorted(lat)
+        return (float(values.mean()), float(values.max()),
+                *(float(percentile(ordered, q)) for q in percentiles))
+
     def summary(self, duration_s: float) -> SLOSummary:
         """The run's exact, bit-reproducible SLO verdict."""
         self.flush()
         served = len(self._lat)
-        if served:
-            ordered = sorted(self._lat)
-            p50, p99, p999 = (float(percentile(ordered, q)) for q in (50, 99, 99.9))
-            lat = np.array(self._lat)
-            mean_s, max_s = float(lat.mean()), float(lat.max())
-        else:
-            p50 = p99 = p999 = mean_s = max_s = float("nan")
+        mean_s, max_s, p50, p99, p999 = self.latency_stats(50, 99, 99.9)
         good = served - self._misses
         return SLOSummary(
             served=served,
-            failed=self._failed,
+            failed=self.failed,
             deadline_misses=self._misses,
             duration_s=duration_s,
             p50_s=p50,
@@ -498,7 +504,9 @@ class RebuildThrottle(Protocol):
     ``delay_s(now, n_ios)`` returns the pre-submit pause in seconds for
     a stripe whose phase issues ``n_ios`` reads at simulated time
     ``now``.  Policies with an ``observe(latency_s)`` method are fed
-    every completed user read by the serve tier (latency feedback).
+    every settled user read's latency by
+    :class:`~repro.raidsim.reconstruction.OnlineReconstruction`
+    (latency feedback).
     """
 
     def delay_s(self, now: float, n_ios: int = 1) -> float: ...

@@ -733,7 +733,7 @@ def test_leaderboard_json_schema_and_determinism(capsys, tmp_path):
     for e in a["entries"]:
         assert 0.0 <= e["availability"] <= 1.0
         assert e["rebuild_makespan_s"] > 0
-        # the _finite contract: p99 is a float or null, never NaN
+        # the non-finite rule: p99 is a float or null, never NaN
         assert e["degraded_p99_ms"] is None or isinstance(
             e["degraded_p99_ms"], float
         )

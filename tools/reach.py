@@ -66,7 +66,6 @@ ALLOWLIST: dict[str, str] = {
     "repro.obs.timeseries:TimelineRecorder.merge": E2E,
     "repro.raidsim.controller:RaidController.stripe_plan": E2E,
     "repro.workloads.film:FilmSource.element": E2E,
-    "repro.workloads.openloop:SLOAccountant.served": E2E,
     # test fixtures and references
     "repro.disksim.disk:DiskParameters.ideal":
         "zero-overhead test disk that reduces timings to access counts",
