@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 from conftest import run_once
 
-from repro.core.analysis import raid6_avg_small_write_updates
+from repro.core.analysis import cost
 from repro.core.layouts import RAID6Layout, XCodeLayout
 from repro.raidsim.controller import RaidController
 from repro.workloads.generator import WriteOp
@@ -34,20 +34,10 @@ def _layouts():
 
 def test_bench_update_cost_ordering(benchmark):
     def sweep():
-        out = {}
-        for name, lay in _layouts().items():
-            if name == "xcode":
-                total = cells = 0
-                for i in range(lay.n):
-                    for j in range(lay.data_rows):
-                        total += lay.write_plan([(i, j)]).total_elements_written
-                        cells += 1
-                out[name] = total / cells
-            else:
-                out[name] = float(
-                    raid6_avg_small_write_updates(lay.n, lay.code_name)
-                )
-        return out
+        return {
+            name: float(cost(lay, ()).small_write_elements)
+            for name, lay in _layouts().items()
+        }
 
     res = run_once(benchmark, sweep)
     assert res["xcode"] == 3.0  # the optimum

@@ -203,35 +203,6 @@ def cmd_reliability(args: argparse.Namespace) -> int:
     return 0
 
 
-def _campaign_run_record(run) -> dict:
-    """Machine-readable form of one arrangement's campaign outcome."""
-    import dataclasses
-
-    from .obs import finite
-
-    r = run.rebuild
-    return {
-        "layout": run.layout_name,
-        "availability": run.availability,
-        "data_survival": run.data_survival,
-        "rebuild": {
-            "makespan_s": r.makespan_s,
-            "verified": r.verified,
-            "aborted": r.aborted,
-            "bytes_read": r.bytes_read,
-            "bytes_written": r.bytes_written,
-        },
-        "user_reads": {
-            "served": run.online.n_user_reads,
-            "failed": run.online.failed_user_reads,
-            # zero-sample aggregates are NaN -> null
-            "mean_latency_s": finite(run.online.mean_user_latency_s),
-            "p95_latency_s": finite(run.online.p95_user_latency_s),
-        },
-        "fault_stats": dataclasses.asdict(run.fault_stats),
-    }
-
-
 def _write_json(path: str, payload: dict) -> None:
     import json
 
@@ -272,10 +243,10 @@ def cmd_faultcampaign(args: argparse.Namespace) -> int:
     if args.seeds < 1:
         raise ValueError(f"--seeds must be at least 1, got {args.seeds}")
     _check_comparison_n(args.family, args.n)
-    if args.second_failure_at is not None and args.second_failure_at > 1:
+    if not 0 <= args.second_failure_at <= 1:
         raise ValueError(
-            "--second-failure-at is a fraction of the clean rebuild, at most 1; "
-            f"got {args.second_failure_at}"
+            "--second-failure-at is a fraction of the clean rebuild, at least 0 "
+            f"and at most 1; got {args.second_failure_at}"
         )
     if args.seeds > 1:
         return _faultcampaign_sweep(args)
@@ -289,7 +260,7 @@ def cmd_faultcampaign(args: argparse.Namespace) -> int:
         failed_disks=(args.failed,), n_stripes=args.stripes,
     )
     second_time = None
-    if args.second_failure_at is not None and args.second_failure_at > 0:
+    if args.second_failure_at > 0:
         second_time = args.second_failure_at * clean_s
     plan = default_fault_plan(
         layout.n_disks,
@@ -347,8 +318,8 @@ def cmd_faultcampaign(args: argparse.Namespace) -> int:
             "family": family,
             "n": args.n,
             "seed": args.seed,
-            "traditional": _campaign_run_record(cmp_.traditional),
-            "shifted": _campaign_run_record(cmp_.shifted),
+            "traditional": cmp_.traditional.to_dict(),
+            "shifted": cmp_.shifted.to_dict(),
             "availability_delta": cmp_.availability_delta,
             "latency_speedup": finite(cmp_.latency_speedup),
             "makespan_speedup": finite(cmp_.makespan_speedup),
@@ -371,25 +342,6 @@ def _parse_tenant(spec: str):
     process = parts[2] if len(parts) > 2 else "poisson"
     zipf_s = float(parts[3]) if len(parts) > 3 else 0.0
     return TenantSpec(name, rate_per_s=rate, process=process, zipf_s=zipf_s)
-
-
-def _serve_result_record(r) -> dict:
-    return {
-        "layout": r.layout_name,
-        "rebuild_makespan_s": r.rebuild_makespan_s,
-        "rebuild_verified": r.rebuild_verified,
-        "n_arrivals": r.n_arrivals,
-        "degraded_reads": r.degraded_reads,
-        "failed_reads": r.failed_reads,
-        "availability": r.availability,
-        "throttle": r.throttle,
-        # SLOSummary.to_dict applies the non-finite -> null rule
-        "slo": r.slo.to_dict(),
-        # flight-recorder snapshot + fault overlay bands ({} / [] when
-        # observability is off) — what `repro obs report` renders
-        "timeseries": r.timeseries,
-        "overlays": list(r.overlays),
-    }
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
@@ -448,8 +400,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
             "process": args.process,
             "throttle": args.throttle,
             "duration_s": trad.slo.duration_s,
-            "traditional": _serve_result_record(trad),
-            "shifted": _serve_result_record(shift),
+            "traditional": trad.to_dict(),
+            "shifted": shift.to_dict(),
             "p99_ratio": finite(cmp_.p99_ratio),
             "makespan_speedup": finite(cmp_.makespan_speedup),
             "metrics": default_registry().snapshot(),
@@ -597,8 +549,8 @@ def _faultcampaign_sweep(args: argparse.Namespace) -> int:
                     "user_read_seed": p.user_read_seed,
                     "availability_delta": p.comparison.availability_delta,
                     "latency_speedup": finite(p.comparison.latency_speedup),
-                    "traditional": _campaign_run_record(p.comparison.traditional),
-                    "shifted": _campaign_run_record(p.comparison.shifted),
+                    "traditional": p.comparison.traditional.to_dict(),
+                    "shifted": p.comparison.shifted.to_dict(),
                 }
                 for p in sweep.points
             ],
@@ -850,7 +802,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--second-failure-disk", type=int, default=None)
     p.add_argument("--second-failure-at", type=float, default=0.5, metavar="FRAC",
                    help="second failure as a fraction of the clean rebuild "
-                        "makespan (negative or omitted value disables)")
+                        "makespan (0 disables)")
     p.add_argument("--rate", type=float, default=30.0, help="user reads per second")
     p.add_argument("--seeds", type=int, default=1,
                    help="run a sweep of this many independent seeded storms "

@@ -1,10 +1,13 @@
-"""Closed-form performance analysis (paper §VI, Table I, Fig. 7).
+"""Performance analysis: the layout cost model and the paper's closed forms.
 
-Everything here is exact arithmetic from the paper's counting arguments
-— no simulation.  The test suite cross-checks these formulas against
-brute-force enumeration of :meth:`Layout.reconstruction_plan` over all
-failure combinations, which is precisely how the paper derives them
-("rigorous counting and averaging on a simple stripe" [14]).
+:func:`cost` derives every figure of one layout under one failure set
+(read accesses, survivor load, elements read, write cost, storage
+efficiency) from the layout's own plans, by counting, exactly as the
+paper does ("rigorous counting and averaging on a simple stripe"
+[14]).  The closed forms below are the paper's stated results: Table
+I, the 4n/(2n+1) average and the Fig. 7 curves, which run to n = 50
+where enumerating the plans would cost thousands of plans per point.
+The test suite checks each against :func:`cost`.
 """
 
 from __future__ import annotations
@@ -13,30 +16,94 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ..codes.evenodd import smallest_prime_at_least
-from .layouts import (
-    MirrorParityLayout,
-    shifted_mirror_parity,
-    traditional_mirror_parity,
-)
+from .reconstruction import ReconstructionPlan
 
 __all__ = [
+    "LayoutCost",
+    "cost",
     "Table1Row",
     "table1",
     "avg_read_accesses_shifted_parity",
     "avg_read_accesses_traditional_parity",
     "avg_read_accesses_raid6",
-    "avg_read_accesses_enumerated",
-    "mirror_reconstruction_gain",
-    "mirror_parity_reconstruction_gain",
     "fig7_ratio_vs_traditional",
     "fig7_ratio_vs_raid6",
     "fig7_series",
-    "storage_efficiency_mirror",
-    "storage_efficiency_mirror_parity",
-    "storage_efficiency_raid6",
-    "small_write_cost",
-    "large_write_accesses",
 ]
+
+
+# ======================================================================
+# The cost model
+# ======================================================================
+
+
+@dataclass(frozen=True)
+class LayoutCost:
+    """What one stripe of a layout costs under one failure set."""
+
+    #: parallel read accesses to rebuild the stripe: the most elements
+    #: read from one disk (§III), so also the largest ``reads_per_disk``
+    read_accesses: int
+    #: Table I's ``Num_Read``: the same count over the steps that
+    #: recover data and replica cells, leaving out those that rebuild
+    #: parity, which is bookkeeping rather than data availability
+    data_recovery_read_accesses: int
+    #: elements each disk gives the rebuild, by disk (0 on a failed disk)
+    reads_per_disk: tuple[int, ...]
+    #: mean of ``reads_per_disk`` over the surviving disks
+    mean_survivor_reads: Fraction
+    #: most minus fewest elements read from one surviving disk
+    survivor_read_spread: int
+    #: elements read in all
+    elements_read: int
+    #: elements written by a single-element write, averaged over every
+    #: data element (§VI-C)
+    small_write_elements: Fraction
+    #: write accesses of a full-row write, the worst over the data rows
+    large_write_accesses: int
+    #: data cells over all cells (§VI-D)
+    storage_efficiency: Fraction
+    #: simultaneous disk failures the layout survives
+    fault_tolerance: int
+
+
+def cost(layout, failed) -> LayoutCost:
+    """Every cost figure of ``layout`` with the disks ``failed``.
+
+    Derived only from the layout's ``reconstruction_plan(failed)``,
+    ``write_plan``, ``large_write_plan`` and ``content``; the write and
+    storage figures do not depend on ``failed``.
+    """
+    plan = layout.reconstruction_plan(failed)
+    data_plan = ReconstructionPlan(plan.failed_disks)
+    for step in plan.steps:
+        if layout.content(*step.target).kind not in ("parity", "q_parity"):
+            data_plan.add_step(step.target, step.method, step.sources)
+    reads = plan.reads_per_disk()
+    per_disk = tuple(reads.get(d, 0) for d in range(layout.n_disks))
+    survivors = [r for d, r in enumerate(per_disk) if d not in plan.failed_disks]
+    data = [(i, j) for j in range(layout.data_rows) for i in range(layout.n)]
+    written = sum(layout.write_plan([cell]).total_elements_written for cell in data)
+    kinds = [
+        layout.content(d, r).kind
+        for d in range(layout.n_disks)
+        for r in range(layout.rows)
+    ]
+    return LayoutCost(
+        read_accesses=plan.num_read_accesses,
+        data_recovery_read_accesses=data_plan.num_read_accesses,
+        reads_per_disk=per_disk,
+        mean_survivor_reads=Fraction(sum(survivors), len(survivors)),
+        survivor_read_spread=max(survivors) - min(survivors),
+        elements_read=plan.total_elements_read,
+        small_write_elements=Fraction(written, len(data)),
+        large_write_accesses=max(
+            layout.large_write_plan(j).num_write_accesses
+            for j in range(layout.data_rows)
+        ),
+        storage_efficiency=Fraction(kinds.count("data"), len(kinds)),
+        fault_tolerance=layout.fault_tolerance,
+    )
 
 
 # ======================================================================
@@ -124,63 +191,6 @@ def avg_read_accesses_raid6(n: int, code: str = "rdp") -> Fraction:
     return Fraction(p - 1)
 
 
-def avg_read_accesses_enumerated(layout: MirrorParityLayout, n_failed: int = 2) -> Fraction:
-    """Brute-force average of Table I's metric over all failure sets.
-
-    Enumerates every combination of ``n_failed`` disks and averages
-    :meth:`MirrorParityLayout.data_recovery_read_accesses` — the
-    ground truth the closed forms must match.
-    """
-    cases = layout.all_failure_sets(n_failed)
-    total = sum(layout.data_recovery_read_accesses(c) for c in cases)
-    return Fraction(total, len(cases))
-
-
-# ======================================================================
-# Reconstruction gains (§IV-B, §VI-A)
-# ======================================================================
-
-
-def mirror_reconstruction_gain(n: int) -> Fraction:
-    """Shifted over traditional mirror method: a factor of ``n``.
-
-    Traditional single-disk reconstruction reads ``n`` elements from
-    one disk (n accesses); shifted reads one element from each of the
-    ``n`` disks of the other array (1 access).
-    """
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    return Fraction(n)
-
-
-def mirror_parity_reconstruction_gain(n: int) -> Fraction:
-    """Shifted over traditional mirror-with-parity: ``(2n + 1) / 4``."""
-    gain = avg_read_accesses_traditional_parity(n) / avg_read_accesses_shifted_parity(n)
-    assert gain == Fraction(2 * n + 1, 4)
-    return gain
-
-
-def three_mirror_single_failure_accesses(n: int, shifted: bool) -> int:
-    """Read accesses to rebuild one disk of a three-mirror array (§VIII).
-
-    Traditional triple replication can split the failed column between
-    its *two* verbatim copy disks — ``ceil(n/2)`` accesses; the shifted
-    extension (paper future work) scatters both replica sets, reaching
-    the one-access optimum.
-    """
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    return 1 if shifted else (n + 1) // 2
-
-
-def three_mirror_reconstruction_gain(n: int) -> Fraction:
-    """Shifted over traditional three-mirror: ``ceil(n/2)``."""
-    return Fraction(
-        three_mirror_single_failure_accesses(n, shifted=False),
-        three_mirror_single_failure_accesses(n, shifted=True),
-    )
-
-
 # ======================================================================
 # Fig. 7 — relative read accesses during reconstruction
 # ======================================================================
@@ -208,77 +218,3 @@ def fig7_series(n_min: int = 2, n_max: int = 50, code: str = "rdp") -> dict[str,
     }
 
 
-# ======================================================================
-# Storage efficiency (§VI-D) and write cost (§VI-C)
-# ======================================================================
-
-
-def storage_efficiency_mirror(n: int) -> Fraction:
-    """``n / 2n`` — half, independent of n."""
-    return Fraction(n, 2 * n)
-
-
-def storage_efficiency_mirror_parity(n: int) -> Fraction:
-    """``n / (2n + 1)`` — approaches one half from below."""
-    return Fraction(n, 2 * n + 1)
-
-
-def storage_efficiency_raid6(n: int) -> Fraction:
-    """``n / (n + 2)`` — the MDS optimum for two-fault tolerance."""
-    return Fraction(n, n + 2)
-
-
-def raid6_avg_small_write_updates(n: int, code: str = "rdp") -> Fraction:
-    """Average elements written by a single-element update in RAID 6.
-
-    The mirror methods write exactly 2 (without parity) or 3 (with)
-    elements per small write — the theoretical optima.  RAID 6 cannot
-    match that (§II-C2, citing Blaum et al.): every update rewrites the
-    element, its row parity, and one *or more* diagonal parities
-    (EVENODD's adjuster diagonal rewrites them all; RDP's P cascade
-    dirties a second diagonal).  Enumerated exactly over the stripe.
-    """
-    from .layouts import RAID6Layout
-
-    lay = RAID6Layout(n, code)
-    total = 0
-    cells = 0
-    for i in range(n):
-        for j in range(lay.rows):
-            total += lay.write_plan([(i, j)]).total_elements_written
-            cells += 1
-    return Fraction(total, cells)
-
-
-def small_write_cost(layout_kind: str) -> int:
-    """Elements written by a single-element modification.
-
-    ``mirror`` -> 2 (data + replica), ``mirror-parity`` -> 3 (data +
-    replica + parity), both the theoretical optima for their fault
-    tolerance; the paper contrasts RAID 6 codes, which cannot reach 3
-    in general [19, 20].
-    """
-    table = {"mirror": 2, "mirror-parity": 3, "three-mirror": 3}
-    if layout_kind not in table:
-        raise ValueError(f"unknown layout kind {layout_kind!r}")
-    return table[layout_kind]
-
-
-def large_write_accesses(layout, j: int = 0) -> int:
-    """Write accesses for a full-row write under a layout.
-
-    1 for any arrangement satisfying Property 3 (identity, shifted);
-    more when Property 3 fails — the §VI-E iterate-3 arrangement is the
-    canonical counterexample.
-    """
-    return layout.large_write_plan(j).num_write_accesses
-
-
-# ======================================================================
-# Convenience: direct construction of the compared layouts
-# ======================================================================
-
-
-def compared_parity_layouts(n: int) -> tuple[MirrorParityLayout, MirrorParityLayout]:
-    """The (traditional, shifted) mirror-with-parity pair for size n."""
-    return traditional_mirror_parity(n), shifted_mirror_parity(n)

@@ -184,7 +184,7 @@ class Layout:
 
     def storage_efficiency(self) -> float:
         """Fraction of raw capacity that stores original data."""
-        raise NotImplementedError
+        return self.n * self.data_rows / (self.n_disks * self.rows)
 
     # -- content bytes ------------------------------------------------
     @cached_property
@@ -468,9 +468,6 @@ class MirrorLayout(Layout):
     def replica_cells(self, i: int, j: int) -> list[tuple[int, int]]:
         return [self.mirror_cell(i, j)]
 
-    def storage_efficiency(self) -> float:
-        return self.n / (2 * self.n)
-
     # -- writes --------------------------------------------------------
     def write_plan(self, elements, strategy: str = "rmw") -> WritePlan:
         plan = WritePlan()
@@ -533,9 +530,6 @@ class MirrorParityLayout(Layout):
     def replica_cells(self, i: int, j: int) -> list[tuple[int, int]]:
         return [self.mirror_cell(i, j)]
 
-    def storage_efficiency(self) -> float:
-        return self.n / (2 * self.n + 1)
-
     # -- writes --------------------------------------------------------
     def write_plan(self, elements, strategy: str = "rmw") -> WritePlan:
         if strategy not in ("rmw", "reconstruct"):
@@ -563,23 +557,6 @@ class MirrorParityLayout(Layout):
                     if i not in disks:
                         plan.add_read(*self.data_cell(i, j))
         return plan
-
-    def data_recovery_read_accesses(self, failed_disks) -> int:
-        """Read accesses counted the way Table I counts them.
-
-        Table I's ``Num_Read`` covers fetching what is needed to recover
-        the failed *array* elements (the user-visible data and replicas)
-        — the separate full-scan that recomputes a lost parity column is
-        bookkeeping, not data availability, and is excluded there.
-        """
-        failed = self._normalize_failed(failed_disks)
-        plan = ReconstructionPlan(failed)
-        full = self.reconstruction_plan(failed)
-        for step in full.steps:
-            if step.target[0] == self.parity_disk:
-                continue
-            plan.add_step(step.target, step.method, step.sources)
-        return plan.num_read_accesses
 
 
 class ThreeMirrorLayout(Layout):
@@ -633,9 +610,6 @@ class ThreeMirrorLayout(Layout):
 
     def replica_cells(self, i: int, j: int) -> list[tuple[int, int]]:
         return [self.mirror_cell(i, j, 0), self.mirror_cell(i, j, 1)]
-
-    def storage_efficiency(self) -> float:
-        return 1.0 / 3.0
 
     # -- writes --------------------------------------------------------
     def write_plan(self, elements, strategy: str = "rmw") -> WritePlan:
@@ -741,9 +715,6 @@ class DeclusteredMirrorLayout(Layout):
         _, replica = self._pairs[(i, j)]
         return [(replica, j)]
 
-    def storage_efficiency(self) -> float:
-        return 0.5
-
     # -- writes --------------------------------------------------------
     def write_plan(self, elements, strategy: str = "rmw") -> WritePlan:
         plan = WritePlan()
@@ -790,9 +761,6 @@ class RAID5Layout(Layout):
 
     def parity_cell(self, j: int) -> tuple[int, int]:
         return (self.parity_disk, j)
-
-    def storage_efficiency(self) -> float:
-        return self.n / (self.n + 1)
 
     def write_plan(self, elements, strategy: str = "rmw") -> WritePlan:
         plan = WritePlan()
@@ -868,9 +836,6 @@ class RAID6Layout(Layout):
 
     def data_cell(self, i: int, j: int) -> tuple[int, int]:
         return (i, j)
-
-    def storage_efficiency(self) -> float:
-        return self.n / (self.n + 2)
 
     def encode(self, data: np.ndarray) -> np.ndarray:
         row_par, diag_par = self.code.encode(data)
@@ -1099,9 +1064,6 @@ class XCodeLayout(Layout):
         diag_col = (i - j - 2) % self.p
         anti_col = (i + j + 2) % self.p
         return [(diag_col, self.p - 2), (anti_col, self.p - 1)]
-
-    def storage_efficiency(self) -> float:
-        return (self.p - 2) / self.p
 
     def encode(self, data: np.ndarray) -> np.ndarray:
         diag, anti = self.code.encode(data)

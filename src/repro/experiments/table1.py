@@ -5,9 +5,9 @@ method with parity, counts their cases combinatorially, and states the
 read accesses each needs.  We regenerate it two ways:
 
 * symbolically, from :func:`repro.core.analysis.table1`;
-* by brute force, classifying every pair of failed disks and measuring
-  its plan's access count with
-  :meth:`~repro.core.layouts.MirrorParityLayout.data_recovery_read_accesses`.
+* by brute force, classifying every pair of failed disks and counting
+  its plan's data-recovery read accesses with
+  :func:`repro.core.analysis.cost`.
 
 The driver asserts the two agree — the reproduction is the agreement.
 """
@@ -19,6 +19,7 @@ from itertools import combinations
 
 from ..core.analysis import (
     avg_read_accesses_shifted_parity,
+    cost,
     table1,
 )
 from ..core.layouts import shifted_mirror_parity
@@ -48,7 +49,7 @@ def enumerate_table1(n: int) -> dict[str, tuple[int, int]]:
     out: dict[str, tuple[int, set[int]]] = {}
     for failed in combinations(range(layout.n_disks), 2):
         situation = classify_failure(n, failed)
-        accesses = layout.data_recovery_read_accesses(failed)
+        accesses = cost(layout, failed).data_recovery_read_accesses
         count, access_set = out.get(situation, (0, set()))
         access_set.add(accesses)
         out[situation] = (count + 1, access_set)

@@ -79,6 +79,34 @@ class CampaignRun:
         assert self.online.fault_stats is not None
         return self.online.fault_stats
 
+    def to_dict(self) -> dict:
+        """The ``--json`` record; zero-sample latency aggregates (NaN)
+        become ``None``."""
+        import dataclasses
+
+        from ..obs import finite
+
+        r = self.rebuild
+        return {
+            "layout": self.layout_name,
+            "availability": self.availability,
+            "data_survival": self.data_survival,
+            "rebuild": {
+                "makespan_s": r.makespan_s,
+                "verified": r.verified,
+                "aborted": r.aborted,
+                "bytes_read": r.bytes_read,
+                "bytes_written": r.bytes_written,
+            },
+            "user_reads": {
+                "served": self.online.n_user_reads,
+                "failed": self.online.failed_user_reads,
+                "mean_latency_s": finite(self.online.mean_user_latency_s),
+                "p95_latency_s": finite(self.online.p95_user_latency_s),
+            },
+            "fault_stats": dataclasses.asdict(self.fault_stats),
+        }
+
 
 @dataclass(frozen=True)
 class CampaignComparison:
@@ -165,10 +193,18 @@ def default_fault_plan(
 
     ``fail_slow_disk`` defaults to the last disk of the array and
     ``second_failure_disk`` to the second-to-last; pass explicit ids
-    (or ``second_failure_time_s=None`` to skip the second failure).
+    (or ``second_failure_time_s=None`` to skip the second failure).  A
+    transient rate of 0, a burst of 0 and a fail-slow multiplier of 1
+    each leave that fault out.
     """
     if lse_burst < 0:
         raise ValueError(f"LSE burst must be at least 0, got {lse_burst}")
+    if not transient_rate >= 0:  # NaN included
+        raise ValueError(f"transient rate must be at least 0, got {transient_rate}")
+    if not fail_slow_multiplier >= 1.0:
+        raise ValueError(
+            f"fail-slow multiplier must be at least 1, got {fail_slow_multiplier}"
+        )
     plan = FaultPlan(seed=seed)
     if transient_rate > 0:
         plan = plan.with_transients(rate=transient_rate)

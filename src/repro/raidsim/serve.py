@@ -79,6 +79,10 @@ class ServeConfig:
             raise ValueError(
                 f"duration_factor must be positive, got {self.duration_factor}"
             )
+        if not 0.0 <= self.diurnal_amplitude < 1.0:
+            raise ValueError(
+                f"diurnal_amplitude must be in [0, 1), got {self.diurnal_amplitude}"
+            )
         # fail fast on a bad spec string — before any simulation runs
         make_throttle(self.throttle)
 
@@ -116,6 +120,25 @@ class ServeResult:
     timeseries: dict = field(default_factory=dict, compare=False)
     #: fault-interval overlay bands for dashboard rendering
     overlays: tuple = field(default=(), compare=False)
+
+    def to_dict(self) -> dict:
+        """The ``--json`` record; :meth:`SLOSummary.to_dict` turns
+        non-finite aggregates into ``None``."""
+        return {
+            "layout": self.layout_name,
+            "rebuild_makespan_s": self.rebuild_makespan_s,
+            "rebuild_verified": self.rebuild_verified,
+            "n_arrivals": self.n_arrivals,
+            "degraded_reads": self.degraded_reads,
+            "failed_reads": self.failed_reads,
+            "availability": self.availability,
+            "throttle": self.throttle,
+            "slo": self.slo.to_dict(),
+            # flight-recorder snapshot and fault overlay bands ({} / []
+            # when observability is off): what `repro obs report` renders
+            "timeseries": self.timeseries,
+            "overlays": list(self.overlays),
+        }
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,7 @@ from itertools import combinations
 
 import pytest
 
+from repro.core.analysis import cost
 from repro.core.errors import LayoutError, UnrecoverableFailureError
 from repro.core.layouts import (
     MirrorParityLayout,
@@ -95,11 +96,11 @@ def test_multi_row_write_parity_per_row():
 def test_single_failure_accesses(n):
     trad, shif = traditional_mirror_parity(n), shifted_mirror_parity(n)
     for f in range(2 * n):  # array disks
-        assert trad.data_recovery_read_accesses([f]) == n
-        assert shif.data_recovery_read_accesses([f]) == 1
+        assert cost(trad, [f]).data_recovery_read_accesses == n
+        assert cost(shif, [f]).data_recovery_read_accesses == 1
     # parity disk alone: no data lost
-    assert trad.data_recovery_read_accesses([2 * n]) == 0
-    assert shif.data_recovery_read_accesses([2 * n]) == 0
+    assert cost(trad, [2 * n]).data_recovery_read_accesses == 0
+    assert cost(shif, [2 * n]).data_recovery_read_accesses == 0
 
 
 def test_parity_failure_recomputes_from_all_data():
@@ -119,7 +120,7 @@ def test_table1_access_counts_by_situation(n):
     lay = shifted_mirror_parity(n)
     parity = 2 * n
     for failed in combinations(range(lay.n_disks), 2):
-        accesses = lay.data_recovery_read_accesses(failed)
+        accesses = cost(lay, failed).data_recovery_read_accesses
         if parity in failed:
             assert accesses == 1, failed  # F1
         else:
@@ -130,7 +131,7 @@ def test_table1_access_counts_by_situation(n):
 def test_traditional_always_n_accesses(n):
     lay = traditional_mirror_parity(n)
     for failed in combinations(range(lay.n_disks), 2):
-        assert lay.data_recovery_read_accesses(failed) == n, failed
+        assert cost(lay, failed).data_recovery_read_accesses == n, failed
 
 
 def test_f3_plan_detail_shifted():

@@ -607,6 +607,24 @@ def test_negative_lse_burst_is_rejected(capsys, command):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("command,message", [
+    (["faultcampaign", "--transient-rate", "-0.1"], "transient rate"),
+    (["faultcampaign", "--fail-slow-mult", "-1"], "fail-slow multiplier"),
+    (["faultcampaign", "--second-failure-at", "-0.5"], "--second-failure-at"),
+    (["leaderboard", "--transient-rate", "-0.1"], "transient rate"),
+    (["serve", "--diurnal-amplitude", "-1"], "diurnal_amplitude"),
+], ids=["transient-rate", "fail-slow-mult", "second-failure-at",
+        "leaderboard-transient-rate", "diurnal-amplitude"])
+def test_out_of_range_fault_and_load_knobs_are_rejected(capsys, command, message):
+    """A value that would silently mean "no such fault" is an error."""
+    rc = main([*command, "--n", "3", "--stripes", "3"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.startswith("error: ")
+    assert message in captured.err
+    assert captured.out == ""
+
+
 def test_serve_command(capsys):
     rc, out = run_cli(capsys, "serve", "--n", "4", "--stripes", "4",
                       "--rate", "25", "--seed", "11", "--deadline-ms", "200")

@@ -46,10 +46,6 @@ PACKAGE = SRC / "repro"
 #: makes the end-to-end benchmark fail.
 E2E = "benchmarks/e2e resolves it"
 
-_CLOSED_FORM = (
-    "closed form the layout cost model is checked against; deleted or "
-    "replaced with that model (ROADMAP item 6)"
-)
 _SPARE_BASELINE = (
     "spare anomaly baseline, deleted after availability is counted per "
     "user read (ROADMAP item 3)"
@@ -101,17 +97,6 @@ ALLOWLIST: dict[str, str] = {
     "repro.obs.http:_metric_name": _SCRAPE,
     "repro.obs.http:prometheus_text": _SCRAPE,
     # owned by other ROADMAP items
-    "repro.core.analysis:avg_read_accesses_enumerated": _CLOSED_FORM,
-    "repro.core.analysis:compared_parity_layouts": _CLOSED_FORM,
-    "repro.core.analysis:large_write_accesses": _CLOSED_FORM,
-    "repro.core.analysis:mirror_parity_reconstruction_gain": _CLOSED_FORM,
-    "repro.core.analysis:mirror_reconstruction_gain": _CLOSED_FORM,
-    "repro.core.analysis:small_write_cost": _CLOSED_FORM,
-    "repro.core.analysis:storage_efficiency_mirror": _CLOSED_FORM,
-    "repro.core.analysis:storage_efficiency_mirror_parity": _CLOSED_FORM,
-    "repro.core.analysis:storage_efficiency_raid6": _CLOSED_FORM,
-    "repro.core.analysis:three_mirror_reconstruction_gain": _CLOSED_FORM,
-    "repro.core.analysis:three_mirror_single_failure_accesses": _CLOSED_FORM,
     "repro.obs.baseline:EWMABaseline.is_excursion": _SPARE_BASELINE,
     "repro.obs.baseline:EWMABaseline.mean": _SPARE_BASELINE,
     "repro.obs.baseline:EWMABaseline.ready": _SPARE_BASELINE,
