@@ -31,6 +31,7 @@ from repro.core import (
     traditional_mirror,
     traditional_mirror_parity,
 )
+from repro.core.analysis import cost
 from repro.raidsim import RaidController
 
 
@@ -54,20 +55,11 @@ def architectures(n: int):
 
 
 def plan_metrics(layout):
-    # worst case over failures that actually lose data (a failed parity
-    # disk needs recomputation, but no user data is unavailable)
-    worst_rebuild = 0
-    for f in range(layout.n_disks):
-        plan = layout.reconstruction_plan([f])
-        loses_data = any(
-            layout.content(*step.target).kind in ("data", "replica")
-            for step in plan.steps
-        )
-        if loses_data:
-            worst_rebuild = max(worst_rebuild, plan.num_read_accesses)
-    small_write = layout.write_plan([(0, 0)]).total_elements_written
-    large_write = layout.large_write_plan(0).num_write_accesses
-    return worst_rebuild, small_write, large_write
+    # worst case over single failures, counting only the reads that
+    # recover data (a failed parity disk makes no user data unavailable)
+    costs = [cost(layout, [f]) for f in range(layout.n_disks)]
+    worst_rebuild = max(c.data_recovery_read_accesses for c in costs)
+    return worst_rebuild, costs[0].small_write_elements, costs[0].large_write_accesses
 
 
 def simulated_recovery_mbps(layout) -> float:
@@ -95,7 +87,7 @@ def main(n: int) -> None:
         print(
             f"{layout.name:<24}{layout.n_disks:>6}"
             f"{layout.storage_efficiency():>7.2f}{layout.fault_tolerance:>4}"
-            f"{rebuild_acc:>9}{small_write:>7}{large_write:>7}{mbps:>15.1f}"
+            f"{rebuild_acc:>9}{float(small_write):>7.1f}{large_write:>7}{mbps:>15.1f}"
         )
     print(
         "\nReading the table: the shifted variants keep their family's storage\n"

@@ -27,6 +27,7 @@ from repro.core import (
     PermutationArrangement,
     property_report,
 )
+from repro.core.analysis import cost
 from repro.experiments.fig8 import arrangement_grid
 
 
@@ -39,11 +40,9 @@ def explore_iterates(n: int, max_k: int = 6) -> None:
         arr = IteratedArrangement(n, k)
         rep = property_report(arr)
         layout = MirrorLayout(n, arr)
-        rebuild = max(
-            layout.reconstruction_plan([f]).num_read_accesses
-            for f in range(layout.n_disks)
-        )
-        write = max(layout.large_write_plan(j).num_write_accesses for j in range(n))
+        costs = [cost(layout, [f]) for f in range(layout.n_disks)]
+        rebuild = max(c.read_accesses for c in costs)
+        write = costs[0].large_write_accesses
         print(
             f"{k:>3}  {str(rep['P1']):<5}{str(rep['P2']):<5}{str(rep['P3']):<5}"
             f"{rebuild:<18}{write}"
