@@ -3,7 +3,8 @@
 ``test_golden_digests.py`` pins the engine's completion logs.  This file
 pins the results built on top of them: a serve comparison, the
 leaderboard, a seeded campaign sweep, a campaign with a mid-rebuild
-failure and a nemesis campaign.  Each digest is the sha256 of the
+failure and two nemesis campaigns, one of them seed 28's week with its
+one excursion that no fault explains.  Each digest is the sha256 of the
 result's canonical form: dataclass fields with ``compare=False``
 (wall times, metrics and timeseries snapshots) left out, floats in
 ``float.hex`` form.
@@ -107,6 +108,20 @@ def _nemesis():
     return report.to_dict()
 
 
+def _nemesis_false_positive():
+    report = run_nemesis_campaign(NemesisConfig(seed=28, horizon_s=8 * 86_400.0))
+    # the one excursion no fault explains: a fault-free probe tick with
+    # no fault within 3 h, mean latency 0.197 s against 0.127 +- 0.009 s
+    unexplained = [
+        (role, e.metric, e.t_s)
+        for role in ("traditional", "shifted")
+        for e in getattr(report, role).attribution.unexplained
+    ]
+    assert unexplained == [("shifted", "user_latency_s", 518_400.0)]
+    assert report.digest == "bc472a1a7a881354"
+    return report.to_dict()
+
+
 WORKLOADS = {
     "serve-throttled": _serve("token:5"),
     "serve-fixed-throttle": _serve("fixed:0.01"),
@@ -115,6 +130,7 @@ WORKLOADS = {
     "sweep-mirror-parity": _sweep,
     "campaign-second-failure": _second_failure,
     "nemesis-seed7-3d": _nemesis,
+    "nemesis-seed28-8d": _nemesis_false_positive,
 }
 
 GOLDEN = {
@@ -125,6 +141,7 @@ GOLDEN = {
     'sweep-mirror-parity': '06b3d8c2f5502ef2bf1c99c817cdd9d4ed7d5b2352962411e9bdc2bae6ca3d95',
     'campaign-second-failure': '7f3583dc024f2ba2dd3afb9e6884690fd87797f91154b0d1107ad627ff515a23',
     'nemesis-seed7-3d': 'f219fe5ac07129c3c34b2e6d636cc665ea652c84a4707f7ec0709eb7626cdc40',
+    'nemesis-seed28-8d': 'c39dc3931084123b29ac9e4df1cee08af7e3754dc52f50327e606d5756c55934',
 }
 
 
