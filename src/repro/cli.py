@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import errno
+import math
 import os
 import sys
 from pathlib import Path
@@ -214,8 +215,6 @@ def _write_json(path: str, payload: dict) -> None:
 
 def _ratio_text(x: float) -> str:
     """Text rendering of a speedup ratio: ``1.23x``, or bare ``inf``/``nan``."""
-    import math
-
     return f"{x:.2f}x" if math.isfinite(x) else str(x)
 
 
@@ -338,9 +337,9 @@ def _parse_tenant(spec: str):
         raise ValueError(
             f"malformed tenant spec {spec!r} (expected NAME:RATE[:PROCESS[:ZIPF]])"
         )
-    name, rate = parts[0], float(parts[1])
+    name, rate = parts[0], _finite(parts[1])
     process = parts[2] if len(parts) > 2 else "poisson"
-    zipf_s = float(parts[3]) if len(parts) > 3 else 0.0
+    zipf_s = _finite(parts[3]) if len(parts) > 3 else 0.0
     return TenantSpec(name, rate_per_s=rate, process=process, zipf_s=zipf_s)
 
 
@@ -667,7 +666,7 @@ def _add_obs_args(p: argparse.ArgumentParser) -> None:
              "memory, flushed per rebuild phase)",
     )
     p.add_argument(
-        "--trace-sample", metavar="RATE", type=float, default=None,
+        "--trace-sample", metavar="RATE", type=_finite, default=None,
         help="keep this fraction of per-request spans in the trace "
              "(controller/phase spans are always kept; the rate lands "
              "in the trace header); default 1.0",
@@ -684,6 +683,22 @@ def _add_obs_args(p: argparse.ArgumentParser) -> None:
              "duration of the command (0 picks a free port); "
              "implies observability on",
     )
+
+
+def _finite(text: str) -> float:
+    """Every float option's type: a finite number.
+
+    ``inf`` and ``nan`` parse as floats but mean nothing here: an
+    infinite rate draws arrivals forever, and a NaN compares false with
+    every bound, so it passes range checks and runs to a wrong answer.
+    """
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
 
 
 def _jobs(text: str) -> int:
@@ -780,7 +795,7 @@ def _parser() -> argparse.ArgumentParser:
                    choices=[name for name in LAYOUTS if name.startswith("shifted")])
     p.add_argument("--n", type=int, default=5)
     p.add_argument("--stripes", type=int, default=12)
-    p.add_argument("--mttf", type=float, default=1.0e6)
+    p.add_argument("--mttf", type=_finite, default=1.0e6)
     p.set_defaults(func=cmd_reliability)
 
     p = sub.add_parser(
@@ -795,15 +810,15 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--failed", type=int, default=0, help="first failed disk")
     p.add_argument("--stripes", type=int, default=12)
     p.add_argument("--seed", type=int, default=2012)
-    p.add_argument("--transient-rate", type=float, default=0.05)
+    p.add_argument("--transient-rate", type=_finite, default=0.05)
     p.add_argument("--lse-burst", type=int, default=4)
     p.add_argument("--fail-slow-disk", type=int, default=None)
-    p.add_argument("--fail-slow-mult", type=float, default=4.0)
+    p.add_argument("--fail-slow-mult", type=_finite, default=4.0)
     p.add_argument("--second-failure-disk", type=int, default=None)
-    p.add_argument("--second-failure-at", type=float, default=0.5, metavar="FRAC",
+    p.add_argument("--second-failure-at", type=_finite, default=0.5, metavar="FRAC",
                    help="second failure as a fraction of the clean rebuild "
                         "makespan (0 disables)")
-    p.add_argument("--rate", type=float, default=30.0, help="user reads per second")
+    p.add_argument("--rate", type=_finite, default=30.0, help="user reads per second")
     p.add_argument("--seeds", type=int, default=1,
                    help="run a sweep of this many independent seeded storms "
                         "(derived from --seed via SeedSequence.spawn); "
@@ -828,25 +843,25 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--failed", type=int, default=0, help="failed disk")
     p.add_argument("--stripes", type=int, default=12)
     p.add_argument("--seed", type=int, default=2012)
-    p.add_argument("--rate", type=float, default=40.0,
+    p.add_argument("--rate", type=_finite, default=40.0,
                    help="mean arrivals per second (single-tenant shorthand)")
     p.add_argument("--process", default="poisson", choices=["poisson", "bursty"],
                    help="arrival process (single-tenant shorthand)")
-    p.add_argument("--zipf", type=float, default=0.0,
+    p.add_argument("--zipf", type=_finite, default=0.0,
                    help="zipf exponent for stripe popularity (0 = uniform)")
-    p.add_argument("--diurnal-amplitude", type=float, default=0.0,
+    p.add_argument("--diurnal-amplitude", type=_finite, default=0.0,
                    help="sinusoidal load-curve amplitude in [0, 1); the "
                         "period defaults to the serve window")
     p.add_argument("--tenant", action="append", metavar="NAME:RATE[:PROCESS[:ZIPF]]",
                    help="add a tenant to the mix (repeatable; overrides the "
                         "single-tenant shorthand flags)")
-    p.add_argument("--deadline-ms", type=float, default=None,
+    p.add_argument("--deadline-ms", type=_finite, default=None,
                    help="SLO deadline; reads completing later count as "
                         "misses and leave the goodput")
     p.add_argument("--throttle", default="none",
                    metavar="none|fixed:S|token:IOPS|latency:P99_MS",
                    help="rebuild throttling policy (see docs/workloads.md)")
-    p.add_argument("--duration-factor", type=float, default=1.5,
+    p.add_argument("--duration-factor", type=_finite, default=1.5,
                    help="serve window as a multiple of the slower "
                         "arrangement's clean rebuild makespan")
     p.add_argument("--json", metavar="FILE", default=None,
@@ -865,15 +880,15 @@ def _parser() -> argparse.ArgumentParser:
                         "from the registry)")
     p.add_argument("--n", type=int, default=4)
     p.add_argument("--stripes", type=int, default=6)
-    p.add_argument("--horizon-days", type=float, default=7.0,
+    p.add_argument("--horizon-days", type=_finite, default=7.0,
                    help="simulated campaign length in days")
-    p.add_argument("--tick-s", type=float, default=3600.0,
+    p.add_argument("--tick-s", type=_finite, default=3600.0,
                    help="sampling tick length in simulated seconds")
     p.add_argument("--seed", type=int, default=2012)
-    p.add_argument("--deaths-per-day", type=float, default=0.5)
-    p.add_argument("--fail-slow-per-day", type=float, default=1.0)
-    p.add_argument("--bursts-per-day", type=float, default=2.0)
-    p.add_argument("--storms-per-day", type=float, default=1.0)
+    p.add_argument("--deaths-per-day", type=_finite, default=0.5)
+    p.add_argument("--fail-slow-per-day", type=_finite, default=1.0)
+    p.add_argument("--bursts-per-day", type=_finite, default=2.0)
+    p.add_argument("--storms-per-day", type=_finite, default=1.0)
     p.add_argument("--safety-budget", type=int, default=1,
                    help="max concurrent disk deaths the scheduler may inject")
     p.add_argument("--allow-excess", action="store_true",
@@ -898,13 +913,13 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--stripes", type=int, default=12)
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--failed", type=int, default=0, help="failed disk")
-    p.add_argument("--rate", type=float, default=40.0,
+    p.add_argument("--rate", type=_finite, default=40.0,
                    help="open-loop arrivals per second")
-    p.add_argument("--duration-factor", type=float, default=1.5,
+    p.add_argument("--duration-factor", type=_finite, default=1.5,
                    help="serve window as a multiple of the slowest "
                         "layout's clean rebuild makespan")
     p.add_argument("--lse-burst", type=int, default=2)
-    p.add_argument("--transient-rate", type=float, default=0.02)
+    p.add_argument("--transient-rate", type=_finite, default=0.02)
     p.add_argument("--layouts", nargs="+", metavar="NAME", default=None,
                    choices=sorted(LAYOUTS),
                    help="restrict the roster to these registry names "
@@ -974,6 +989,7 @@ def main(argv=None) -> int:
         return _run_with_obs(args)
     except (
         ValueError,
+        argparse.ArgumentTypeError,
         NotImplementedError,
         LayoutError,
         UnrecoverableFailureError,

@@ -67,6 +67,30 @@ class LayoutCost:
     fault_tolerance: int
 
 
+def _failure_free_figures(layout) -> tuple[Fraction, int, Fraction]:
+    """The small-write, large-write and storage figures, planned once per
+    layout: they do not depend on the failure set, and the writes are
+    most of the work."""
+    memo = layout._cost_memo
+    if "failure_free" not in memo:
+        data = [(i, j) for j in range(layout.data_rows) for i in range(layout.n)]
+        written = sum(layout.write_plan([cell]).total_elements_written for cell in data)
+        kinds = [
+            layout.content(d, r).kind
+            for d in range(layout.n_disks)
+            for r in range(layout.rows)
+        ]
+        memo["failure_free"] = (
+            Fraction(written, len(data)),
+            max(
+                layout.large_write_plan(j).num_write_accesses
+                for j in range(layout.data_rows)
+            ),
+            Fraction(kinds.count("data"), len(kinds)),
+        )
+    return memo["failure_free"]
+
+
 def cost(layout, failed) -> LayoutCost:
     """Every cost figure of ``layout`` with the disks ``failed``.
 
@@ -74,6 +98,7 @@ def cost(layout, failed) -> LayoutCost:
     ``write_plan``, ``large_write_plan`` and ``content``; the write and
     storage figures do not depend on ``failed``.
     """
+    small_write, large_write, efficiency = _failure_free_figures(layout)
     plan = layout.reconstruction_plan(failed)
     data_plan = ReconstructionPlan(plan.failed_disks)
     for step in plan.steps:
@@ -82,13 +107,6 @@ def cost(layout, failed) -> LayoutCost:
     reads = plan.reads_per_disk()
     per_disk = tuple(reads.get(d, 0) for d in range(layout.n_disks))
     survivors = [r for d, r in enumerate(per_disk) if d not in plan.failed_disks]
-    data = [(i, j) for j in range(layout.data_rows) for i in range(layout.n)]
-    written = sum(layout.write_plan([cell]).total_elements_written for cell in data)
-    kinds = [
-        layout.content(d, r).kind
-        for d in range(layout.n_disks)
-        for r in range(layout.rows)
-    ]
     return LayoutCost(
         read_accesses=plan.num_read_accesses,
         data_recovery_read_accesses=data_plan.num_read_accesses,
@@ -96,12 +114,9 @@ def cost(layout, failed) -> LayoutCost:
         mean_survivor_reads=Fraction(sum(survivors), len(survivors)),
         survivor_read_spread=max(survivors) - min(survivors),
         elements_read=plan.total_elements_read,
-        small_write_elements=Fraction(written, len(data)),
-        large_write_accesses=max(
-            layout.large_write_plan(j).num_write_accesses
-            for j in range(layout.data_rows)
-        ),
-        storage_efficiency=Fraction(kinds.count("data"), len(kinds)),
+        small_write_elements=small_write,
+        large_write_accesses=large_write,
+        storage_efficiency=efficiency,
         fault_tolerance=layout.fault_tolerance,
     )
 

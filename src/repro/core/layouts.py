@@ -212,6 +212,12 @@ class Layout:
         return {}
 
     @cached_property
+    def _cost_memo(self) -> dict:
+        """What :func:`~repro.core.analysis.cost` computes once per
+        layout; kept here so it is freed with the layout."""
+        return {}
+
+    @cached_property
     def _data_index(self) -> tuple[np.ndarray, np.ndarray]:
         """``(disks, rows)`` arrays, each ``(data_rows, n)``, of the data cells."""
         cells = np.array(

@@ -33,7 +33,6 @@ __getattr__, __dir__ = lazy_exports(
     __name__,
     {
         "anomaly": (
-            "DEFAULT_METRICS",
             "AnomalyDetector",
             "AttributionReport",
             "Excursion",
@@ -72,7 +71,6 @@ __all__ = [
     "Excursion",
     "AttributionReport",
     "AnomalyDetector",
-    "DEFAULT_METRICS",
     # campaign
     "NemesisConfig",
     "TickSample",

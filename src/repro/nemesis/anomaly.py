@@ -6,8 +6,9 @@ a quiet-period :class:`~repro.obs.baseline.RollingBaseline` per metric,
 and flags samples that excurse past the combined relative/z-score
 thresholds.  Every excursion is immediately **correlated against the
 active-fault timeline**: the fault intervals covering the sample time
-(padded by ``margin_s``, since a fault's queueing after-effects outlive
-the fault itself) become the excursion's attribution set.
+become the excursion's attribution set.  Each probe tick is an
+independent simulation, so no fault's queueing outlives its tick and
+the window needs no padding.
 
 The campaign-level invariant is one-directional: *every excursion must
 overlap at least one active fault*.  Faults are allowed to pass
@@ -22,8 +23,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ..obs import default_registry, make_baseline
-from ..obs.baseline import BASELINE_KINDS
+from ..obs import default_registry
+from ..obs.baseline import RollingBaseline
 from .tracker import FaultTimeline
 
 __all__ = [
@@ -31,7 +32,6 @@ __all__ = [
     "Excursion",
     "AttributionReport",
     "AnomalyDetector",
-    "DEFAULT_METRICS",
 ]
 
 
@@ -40,12 +40,9 @@ class MetricSpec:
     """How one metric is baselined and judged.
 
     ``direction`` names the bad side: ``"high"`` for latency-like
-    series, ``"low"`` for throughput-like ones.  ``baseline`` selects
-    the estimator (see :func:`repro.obs.baseline.make_baseline`):
-    ``"rolling"`` re-centres fast, ``"ewma"`` (knob: ``ewma_alpha``)
-    keeps long memory so slow drifts still flag, ``"seasonal"`` (knobs:
-    ``period_s``/``n_phases``) judges each phase of a periodic signal
-    against its own history.
+    series, ``"low"`` for throughput-like ones.  The baseline is a
+    :class:`~repro.obs.baseline.RollingBaseline` over the last
+    ``window`` quiet samples, judging once ``min_samples`` arrived.
     """
 
     name: str
@@ -54,39 +51,12 @@ class MetricSpec:
     z_threshold: float = 4.0
     window: int = 64
     min_samples: int = 6
-    baseline: str = "rolling"
-    ewma_alpha: float = 0.05
-    period_s: float = 86_400.0
-    n_phases: int = 24
 
     def __post_init__(self) -> None:
         if self.direction not in ("high", "low"):
             raise ValueError(f"direction must be 'high'/'low', got {self.direction!r}")
         if self.rel_threshold <= 0:
             raise ValueError("rel_threshold must be positive")
-        if self.baseline not in BASELINE_KINDS:
-            raise ValueError(
-                f"baseline must be one of {BASELINE_KINDS}, got {self.baseline!r}"
-            )
-
-    def make_baseline(self):
-        """Build this spec's baseline estimator."""
-        return make_baseline(
-            self.baseline,
-            window=self.window,
-            min_samples=self.min_samples,
-            alpha=self.ewma_alpha,
-            period_s=self.period_s,
-            n_phases=self.n_phases,
-        )
-
-
-#: the campaign's stock watchlist
-DEFAULT_METRICS = (
-    MetricSpec("user_latency_s", direction="high"),
-    MetricSpec("read_throughput_rps", direction="low"),
-    MetricSpec("unavailability", direction="high", min_samples=2),
-)
 
 
 @dataclass(frozen=True)
@@ -170,22 +140,21 @@ class AnomalyDetector:
 
     Feed it ``(t, metric, value)`` samples via :meth:`observe`; quiet
     samples (no fault active, no excursion flagged) grow the baselines,
-    so a fault can never normalise its own damage.  ``margin_s`` pads
-    the attribution window: queues drain *after* a fault deactivates,
-    so an excursion shortly past an interval's end still attributes.
+    so a fault can never normalise its own damage.  ``metrics`` is the
+    watchlist (the campaign's is :data:`~repro.nemesis.campaign.METRIC_SPECS`).
     """
 
     def __init__(
         self,
         timeline: FaultTimeline,
-        metrics: tuple[MetricSpec, ...] = DEFAULT_METRICS,
-        margin_s: float = 0.0,
+        metrics: tuple[MetricSpec, ...],
         registry=None,
     ) -> None:
         self.timeline = timeline
-        self.margin_s = margin_s
         self._specs = {m.name: m for m in metrics}
-        self._baselines = {m.name: m.make_baseline() for m in metrics}
+        self._baselines = {
+            m.name: RollingBaseline(m.window, m.min_samples) for m in metrics
+        }
         self._excursions: list[Excursion] = []
         self._n_samples = 0
         self._n_quiet = 0
@@ -218,18 +187,12 @@ class AnomalyDetector:
             # zero-sample aggregates are NaN by contract ("nothing was
             # measured"): abstain — not an excursion, never baseline food
             return None
-        active = self.timeline.active_at(t_s, self.margin_s)
+        active = self.timeline.active_at(t_s)
         if quiet is None:
             quiet = not active
-        if getattr(baseline, "time_aware", False):
-            flagged = baseline.is_excursion(
-                value, spec.rel_threshold, spec.z_threshold, spec.direction, t_s=t_s
-            )
-        else:
-            flagged = baseline.is_excursion(
-                value, spec.rel_threshold, spec.z_threshold, spec.direction
-            )
-        if flagged:
+        if baseline.is_excursion(
+            value, spec.rel_threshold, spec.z_threshold, spec.direction
+        ):
             exc = Excursion(
                 t_s=t_s,
                 metric=metric,
@@ -246,13 +209,10 @@ class AnomalyDetector:
             return exc
         if quiet:
             self._n_quiet += 1
-            if getattr(baseline, "time_aware", False):
-                baseline.update(value, t_s=t_s)
-            else:
-                baseline.update(value)
+            baseline.update(value)
         return None
 
-    def baseline(self, metric: str):
+    def baseline(self, metric: str) -> RollingBaseline:
         return self._baselines[metric]
 
     def report(self) -> AttributionReport:

@@ -114,8 +114,11 @@ class NemesisConfig:
     n_stripes: int = 6
 
     def __post_init__(self) -> None:
-        if self.horizon_s <= 0 or self.tick_s <= 0:
-            raise ValueError("horizon_s and tick_s must be positive")
+        if not (0 < self.horizon_s < math.inf and 0 < self.tick_s < math.inf):
+            raise ValueError(
+                "horizon_s and tick_s must be positive and finite, got "
+                f"{self.horizon_s} and {self.tick_s}"
+            )
         if self.tick_s > self.horizon_s:
             raise ValueError("tick_s must not exceed horizon_s")
         comparison_pair(self.family)  # validate the family up front

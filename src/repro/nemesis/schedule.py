@@ -74,8 +74,9 @@ class HazardRates:
 
     def __post_init__(self) -> None:
         for name, rate in asdict(self).items():
-            if rate < 0:
-                raise ValueError(f"{name} must be >= 0")
+            # an infinite rate draws arrivals forever, a NaN one none
+            if not 0 <= rate < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {rate}")
 
     def to_dict(self) -> dict:
         """The rates plus the constant ranges, under their own keys."""
@@ -109,8 +110,8 @@ class FaultInterval:
     end_s: float
     magnitude: float = 1.0
 
-    def active_at(self, t: float, margin: float = 0.0) -> bool:
-        return self.start_s - margin <= t < self.end_s + margin
+    def active_at(self, t: float) -> bool:
+        return self.start_s <= t < self.end_s
 
     def to_dict(self) -> dict:
         return {
@@ -139,8 +140,8 @@ class NemesisSchedule:
     def __len__(self) -> int:
         return len(self.faults)
 
-    def active_at(self, t: float, margin: float = 0.0) -> tuple[FaultInterval, ...]:
-        return tuple(f for f in self.faults if f.active_at(t, margin))
+    def active_at(self, t: float) -> tuple[FaultInterval, ...]:
+        return tuple(f for f in self.faults if f.active_at(t))
 
     def of_kind(self, kind: str) -> tuple[FaultInterval, ...]:
         if kind not in FAULT_KINDS:

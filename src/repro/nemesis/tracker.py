@@ -83,12 +83,12 @@ class FaultTimeline:
         return tl
 
     # ------------------------------------------------------------------
-    def active_at(self, t: float, margin: float = 0.0) -> tuple[FaultInterval, ...]:
-        """Intervals covering time ``t`` (padded by ``margin`` both ways)."""
-        return tuple(iv for iv in self.intervals if iv.active_at(t, margin))
+    def active_at(self, t: float) -> tuple[FaultInterval, ...]:
+        """Intervals covering time ``t``."""
+        return tuple(iv for iv in self.intervals if iv.active_at(t))
 
-    def n_active_at(self, t: float, margin: float = 0.0) -> int:
-        return len(self.active_at(t, margin))
+    def n_active_at(self, t: float) -> int:
+        return len(self.active_at(t))
 
     # ------------------------------------------------------------------
     # observability exports

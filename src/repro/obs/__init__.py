@@ -15,7 +15,7 @@ simulation:
 * :mod:`repro.obs.http` — live Prometheus text exposition
   (``--metrics-port``) over a stdlib HTTP server;
 * :mod:`repro.obs.summary` — the ``repro obs summary`` pretty-printer;
-* :mod:`repro.obs.baseline` — rolling quiet-period baselines backing
+* :mod:`repro.obs.baseline` — the rolling quiet-period baseline backing
   the :mod:`repro.nemesis` anomaly detector.
 
 The global hooks — :func:`default_registry` for metrics and
@@ -37,7 +37,7 @@ if TYPE_CHECKING:
 __getattr__, __dir__ = lazy_exports(
     __name__,
     {
-        "baseline": ("EWMABaseline", "RollingBaseline", "SeasonalBaseline", "make_baseline"),
+        "baseline": ("RollingBaseline",),
         "export": (
             "IoSpan",
             "JsonlTraceSink",
@@ -131,11 +131,8 @@ __all__ = [
     "metrics_summary",
     "trace_summary",
     "summarize_files",
-    # baselines
+    # baseline
     "RollingBaseline",
-    "EWMABaseline",
-    "SeasonalBaseline",
-    "make_baseline",
     # timeseries (the simulated-time flight recorder)
     "TimelineRecorder",
     "TimeSeries",

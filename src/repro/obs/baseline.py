@@ -25,32 +25,7 @@ from __future__ import annotations
 import math
 from collections import deque
 
-__all__ = [
-    "RollingBaseline",
-    "EWMABaseline",
-    "SeasonalBaseline",
-    "make_baseline",
-    "BASELINE_KINDS",
-]
-
-#: baseline kinds `make_baseline` (and `nemesis.anomaly.MetricSpec`) accept
-BASELINE_KINDS = ("rolling", "ewma", "seasonal")
-
-
-def _excursion(
-    value: float, mean: float, std: float, rel_threshold: float,
-    z_threshold: float, direction: str,
-) -> bool:
-    """The combined relative + z-score test shared by every baseline."""
-    if direction not in ("high", "low"):
-        raise ValueError(f"direction must be 'high' or 'low', got {direction!r}")
-    if direction == "high":
-        beyond_rel = value > mean + rel_threshold * abs(mean)
-        beyond_z = std == 0.0 or value > mean + z_threshold * std
-    else:
-        beyond_rel = value < mean - rel_threshold * abs(mean)
-        beyond_z = std == 0.0 or value < mean - z_threshold * std
-    return beyond_rel and beyond_z
+__all__ = ["RollingBaseline"]
 
 
 class RollingBaseline:
@@ -127,185 +102,11 @@ class RollingBaseline:
             raise ValueError(f"direction must be 'high' or 'low', got {direction!r}")
         if not self.ready:
             return False
-        return _excursion(
-            value, self.mean, self.std, rel_threshold, z_threshold, direction
-        )
-
-
-class EWMABaseline:
-    """Exponentially weighted baseline with a trend-robust noise estimate.
-
-    The mean is a classic EWMA (smoothing factor ``alpha``; small alpha
-    means long memory).  The *spread*, however, is an EW average of
-    squared **first differences** (halved, so it is unbiased for the
-    variance of stationary noise): successive-difference noise is blind
-    to a slow trend, which is exactly what lets this detector flag a
-    creeping drift.  A short rolling window re-centres on the drifting
-    level and never fires; the EWMA's mean lags the ramp by
-    ``rate / alpha`` while its std stays at the noise floor, so the
-    drifted value eventually clears both the relative and the z test.
-    """
-
-    __slots__ = ("alpha", "min_samples", "_n", "_mean", "_var", "_last")
-
-    def __init__(self, alpha: float = 0.05, min_samples: int = 8) -> None:
-        if not 0.0 < alpha <= 1.0:
-            raise ValueError(f"alpha must be in (0, 1], got {alpha}")
-        if min_samples < 2:
-            raise ValueError(f"min_samples must be >= 2, got {min_samples}")
-        self.alpha = alpha
-        self.min_samples = min_samples
-        self._n = 0
-        self._mean = 0.0
-        self._var = 0.0
-        self._last = 0.0
-
-    def __len__(self) -> int:
-        return self._n
-
-    @property
-    def ready(self) -> bool:
-        """Whether enough quiet samples arrived to judge excursions."""
-        return self._n >= self.min_samples
-
-    @property
-    def mean(self) -> float:
-        return self._mean
-
-    @property
-    def std(self) -> float:
-        return self._var**0.5 if self._var > 0.0 else 0.0
-
-    def update(self, value: float) -> None:
-        """Admit a quiet-period sample (rejects non-finite, like rolling)."""
-        value = float(value)
-        if not math.isfinite(value):
-            raise ValueError(f"baseline samples must be finite, got {value}")
-        if self._n == 0:
-            self._mean = value
+        mean, std = self.mean, self.std
+        if direction == "high":
+            beyond_rel = value > mean + rel_threshold * abs(mean)
+            beyond_z = std == 0.0 or value > mean + z_threshold * std
         else:
-            d = value - self._last
-            self._var = (1.0 - self.alpha) * self._var + self.alpha * 0.5 * d * d
-            self._mean += self.alpha * (value - self._mean)
-        self._last = value
-        self._n += 1
-
-    def is_excursion(
-        self,
-        value: float,
-        rel_threshold: float = 0.5,
-        z_threshold: float = 4.0,
-        direction: str = "high",
-    ) -> bool:
-        """Judge ``value`` against the baseline without admitting it."""
-        if direction not in ("high", "low"):
-            raise ValueError(f"direction must be 'high' or 'low', got {direction!r}")
-        if not self.ready:
-            return False
-        return _excursion(
-            value, self._mean, self.std, rel_threshold, z_threshold, direction
-        )
-
-
-class SeasonalBaseline:
-    """Per-phase-of-period baselines for periodic (e.g. diurnal) metrics.
-
-    The period ``period_s`` is split into ``n_phases`` equal phases,
-    each owning its own :class:`RollingBaseline`.  A value ordinary at
-    the daily peak can then still be an excursion at the nightly
-    trough — one pooled baseline would smear the two regimes into a
-    spread wide enough to hide either.
-
-    Time-aware: :meth:`update` and :meth:`is_excursion` take the
-    sample's simulated time ``t_s`` to select the phase (the anomaly
-    detector checks the ``time_aware`` class flag and passes it).
-    ``mean``/``std`` report the most recently addressed phase, so
-    excursion records attribute against the baseline that judged them.
-    """
-
-    time_aware = True
-
-    __slots__ = ("period_s", "n_phases", "_phases", "_current")
-
-    def __init__(
-        self,
-        period_s: float = 86_400.0,
-        n_phases: int = 24,
-        window: int = 64,
-        min_samples: int = 4,
-    ) -> None:
-        if period_s <= 0.0:
-            raise ValueError(f"period_s must be > 0, got {period_s}")
-        if n_phases < 2:
-            raise ValueError(f"n_phases must be >= 2, got {n_phases}")
-        self.period_s = float(period_s)
-        self.n_phases = n_phases
-        self._phases = [
-            RollingBaseline(window, max(2, min_samples)) for _ in range(n_phases)
-        ]
-        self._current = 0
-
-    def __len__(self) -> int:
-        return sum(len(p) for p in self._phases)
-
-    def phase_of(self, t_s: float) -> int:
-        """The phase index owning simulated time ``t_s``."""
-        frac = (t_s % self.period_s) / self.period_s
-        return min(int(frac * self.n_phases), self.n_phases - 1)
-
-    @property
-    def ready(self) -> bool:
-        """Whether the most recently addressed phase can judge."""
-        return self._phases[self._current].ready
-
-    @property
-    def mean(self) -> float:
-        return self._phases[self._current].mean
-
-    @property
-    def std(self) -> float:
-        return self._phases[self._current].std
-
-    def update(self, value: float, t_s: float = 0.0) -> None:
-        """Admit a quiet-period sample into its phase's window."""
-        self._current = self.phase_of(t_s)
-        self._phases[self._current].update(value)
-
-    def is_excursion(
-        self,
-        value: float,
-        rel_threshold: float = 0.5,
-        z_threshold: float = 4.0,
-        direction: str = "high",
-        t_s: float = 0.0,
-    ) -> bool:
-        """Judge ``value`` against its phase's baseline without admitting it."""
-        self._current = self.phase_of(t_s)
-        return self._phases[self._current].is_excursion(
-            value, rel_threshold, z_threshold, direction
-        )
-
-
-def make_baseline(
-    kind: str = "rolling",
-    *,
-    window: int = 64,
-    min_samples: int = 8,
-    alpha: float = 0.05,
-    period_s: float = 86_400.0,
-    n_phases: int = 24,
-):
-    """Build a baseline by kind — the config hook the anomaly detector uses.
-
-    ``"rolling"`` takes ``window``/``min_samples``, ``"ewma"`` takes
-    ``alpha``/``min_samples``, ``"seasonal"`` takes ``period_s``/
-    ``n_phases``/``window``/``min_samples``; unused knobs are ignored
-    so one config schema covers all three.
-    """
-    if kind == "rolling":
-        return RollingBaseline(window, min_samples)
-    if kind == "ewma":
-        return EWMABaseline(alpha, min_samples)
-    if kind == "seasonal":
-        return SeasonalBaseline(period_s, n_phases, window, min_samples)
-    raise ValueError(f"unknown baseline kind {kind!r} (expected one of {BASELINE_KINDS})")
+            beyond_rel = value < mean - rel_threshold * abs(mean)
+            beyond_z = std == 0.0 or value < mean - z_threshold * std
+        return beyond_rel and beyond_z

@@ -7,6 +7,7 @@ written out here, must agree with it for n = 2..11.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import cache
 
@@ -23,6 +24,7 @@ from repro.core.layouts import (
     traditional_mirror,
     traditional_mirror_parity,
 )
+from repro.core.registry import LAYOUTS, build_layout
 from repro.experiments.ext_three_mirror import (
     shifted_three_mirror,
     traditional_three_mirror,
@@ -228,6 +230,28 @@ def test_large_write_accesses_helper():
         assert cost(shifted_mirror_parity(n), ()).large_write_accesses == 1
     bad = MirrorLayout(3, IteratedArrangement(3, 3))
     assert cost(bad, ()).large_write_accesses == 3
+
+
+@pytest.mark.parametrize("name", sorted(LAYOUTS))
+def test_write_figures_are_planned_once_per_layout(monkeypatch, name):
+    """The write and storage figures do not depend on the failure set,
+    so ``cost`` plans each data element's write once per layout, however
+    many failure sets it is asked about."""
+    layout = build_layout(name, 5)
+    planned = Counter()
+    write_plan = layout.write_plan
+
+    def counting_write_plan(elements, *args, **kwargs):
+        if len(elements) == 1:
+            planned[elements[0]] += 1
+        return write_plan(elements, *args, **kwargs)
+
+    monkeypatch.setattr(layout, "write_plan", counting_write_plan)
+    for k in range(layout.fault_tolerance + 1):
+        for failed in layout.all_failure_sets(k):
+            cost(layout, failed)
+    data = [(i, j) for j in range(layout.data_rows) for i in range(layout.n)]
+    assert planned == Counter(data)
 
 
 @pytest.mark.parametrize("n,code", [(4, "rdp"), (6, "rdp"), (4, "evenodd"), (5, "evenodd")])

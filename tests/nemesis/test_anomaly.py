@@ -10,7 +10,7 @@ from repro.nemesis import (
     FaultTimeline,
     MetricSpec,
 )
-from repro.obs import MetricsRegistry
+from repro.obs import MetricsRegistry, RollingBaseline
 
 
 def _detector(timeline=None, registry=None, **spec_kw):
@@ -68,17 +68,6 @@ def test_excursion_with_no_active_fault_fails_the_invariant():
     assert rep.attribution_coverage == 0.0
     with pytest.raises(AssertionError, match="overlap no active fault"):
         rep.assert_invariant()
-
-
-def test_margin_attributes_excursions_trailing_a_fault():
-    tl = FaultTimeline()
-    tl.record(FaultInterval(0, "transient-burst", -1, 100.0, 200.0, 0.5))
-    reg = MetricsRegistry()
-    spec = MetricSpec("lat", window=16, min_samples=4)
-    det = AnomalyDetector(tl, metrics=(spec,), margin_s=30.0, registry=reg)
-    _warm(det)
-    exc = det.observe(220.0, "lat", 10.0)  # 20 s after deactivation
-    assert exc is not None and exc.explained
 
 
 def test_fault_time_samples_never_grow_the_baseline():
@@ -150,54 +139,9 @@ def test_nan_sample_abstains_without_feeding_the_baseline():
     rep.assert_invariant()
 
 
-def test_metric_spec_selects_its_baseline_estimator():
-    from repro.obs import EWMABaseline, RollingBaseline, SeasonalBaseline
-
-    assert isinstance(MetricSpec("m").make_baseline(), RollingBaseline)
-    e = MetricSpec("m", baseline="ewma", ewma_alpha=0.2).make_baseline()
-    assert isinstance(e, EWMABaseline) and e.alpha == 0.2
-    s = MetricSpec(
-        "m", baseline="seasonal", period_s=3600.0, n_phases=6
-    ).make_baseline()
-    assert isinstance(s, SeasonalBaseline)
-    assert s.period_s == 3600.0 and s.n_phases == 6
-    with pytest.raises(ValueError, match="baseline"):
-        MetricSpec("m", baseline="fourier")
-
-
-def _detector_for(spec) -> AnomalyDetector:
-    return AnomalyDetector(
-        FaultTimeline(), metrics=(spec,), registry=MetricsRegistry()
-    )
-
-
-def test_detector_routes_sample_time_to_a_seasonal_baseline():
-    """A time-aware baseline judges each sample in its phase: the same
-    value is quiet at the peak-hour phase, an excursion at the trough."""
-    det = _detector_for(MetricSpec(
-        "lat", baseline="seasonal", period_s=100.0, n_phases=2, min_samples=2
-    ))
-    for day in range(6):
-        t0 = day * 100.0
-        for k in range(4):
-            det.observe(t0 + 10 * k, "lat", 10.0 + 0.01 * k)
-            det.observe(t0 + 50 + 10 * k, "lat", 1.0 + 0.01 * k)
-    assert det.observe(625.0, "lat", 6.0) is None  # ordinary at the peak
-    exc = det.observe(675.0, "lat", 6.0)  # same value at the trough
-    assert exc is not None and not exc.explained
-
-
-def test_detector_with_ewma_flags_a_creeping_drift():
-    """The rolling default absorbs a slow ramp; an EWMA-configured
-    detector keeps long memory and reports it as an excursion."""
-    ewma_det = _detector_for(MetricSpec(
-        "lat", baseline="ewma", ewma_alpha=0.05, rel_threshold=0.02, window=16
-    ))
-    roll_det = _detector_for(MetricSpec("lat", rel_threshold=0.02, window=16))
-    ewma_flags = roll_flags = 0
-    for k in range(300):
-        value = 1.0 + 0.003 * k
-        ewma_flags += ewma_det.observe(float(k), "lat", value) is not None
-        roll_flags += roll_det.observe(float(k), "lat", value) is not None
-    assert roll_flags == 0
-    assert ewma_flags > 0
+def test_detector_baselines_each_metric_over_its_spec_window():
+    spec = MetricSpec("m", window=12, min_samples=3)
+    det = AnomalyDetector(FaultTimeline(), metrics=(spec,), registry=MetricsRegistry())
+    baseline = det.baseline("m")
+    assert isinstance(baseline, RollingBaseline)
+    assert (baseline.window, baseline.min_samples) == (12, 3)

@@ -45,12 +45,13 @@ def test_duplicate_fault_id_is_rejected():
         tl.record(FaultInterval(7, "disk-death", 1, 5.0, math.inf))
 
 
-def test_margin_pads_the_attribution_window_both_ways():
+def test_attribution_window_is_the_half_open_interval():
     tl = FaultTimeline()
-    tl.record(FaultInterval(0, "fail-slow", 1, 100.0, 200.0, 3.0))
-    assert tl.active_at(90.0) == ()
-    assert len(tl.active_at(90.0, margin=15.0)) == 1
-    assert len(tl.active_at(210.0, margin=15.0)) == 1
+    iv = tl.record(FaultInterval(0, "fail-slow", 1, 100.0, 200.0, 3.0))
+    assert tl.active_at(99.9) == ()
+    assert tl.active_at(100.0) == (iv,)
+    assert tl.active_at(199.9) == (iv,)
+    assert tl.active_at(200.0) == ()
 
 
 def test_intervals_are_sorted_by_start_time():

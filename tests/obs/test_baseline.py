@@ -1,12 +1,11 @@
-"""Baselines: rolling/EWMA/seasonal stats and excursion judgements."""
+"""The rolling baseline: windowed stats and excursion judgements."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.obs import EWMABaseline, RollingBaseline, SeasonalBaseline, make_baseline
-from repro.obs.baseline import BASELINE_KINDS
+from repro.obs import RollingBaseline
 
 
 def test_not_ready_below_min_samples():
@@ -78,114 +77,3 @@ def test_non_finite_samples_are_rejected():
             b.update(bad)
     b.update(3.0)
     assert b.mean == pytest.approx(2.0)
-
-
-# ----------------------------------------------------------------------
-# EWMA baseline: long memory catches what a short window re-centres on
-# ----------------------------------------------------------------------
-
-
-def test_ewma_tracks_mean_and_noise_spread():
-    b = EWMABaseline(alpha=0.2, min_samples=2)
-    rng = np.random.default_rng(1)
-    for _ in range(200):
-        b.update(10.0 + 0.1 * float(rng.standard_normal()))
-    assert b.ready
-    assert b.mean == pytest.approx(10.0, abs=0.2)
-    # first-difference spread recovers the per-sample noise sigma
-    assert b.std == pytest.approx(0.1, rel=0.5)
-
-
-def test_ewma_flags_slow_drift_that_a_rolling_window_absorbs():
-    """Regression for the drift blind spot: a rolling window re-centres
-    on a creeping ramp and never fires, while the EWMA's mean lags the
-    ramp by ``rate / alpha`` but its first-difference spread stays at
-    the noise floor — so the drifted value clears both tests."""
-    ewma = EWMABaseline(alpha=0.05, min_samples=8)
-    rolling = RollingBaseline(window=16, min_samples=8)
-    rng = np.random.default_rng(42)
-    ewma_flags = rolling_flags = 0
-    for k in range(300):
-        value = 1.0 + 0.003 * k + 0.01 * float(rng.standard_normal())
-        kwargs = dict(rel_threshold=0.02, z_threshold=4.0)
-        ewma_flags += ewma.is_excursion(value, **kwargs)
-        rolling_flags += rolling.is_excursion(value, **kwargs)
-        ewma.update(value)
-        rolling.update(value)
-    assert rolling_flags == 0  # the window re-centred on the drift
-    assert ewma_flags > 100  # the EWMA kept flagging it
-
-
-def test_ewma_validation_and_abstention():
-    with pytest.raises(ValueError):
-        EWMABaseline(alpha=0.0)
-    with pytest.raises(ValueError):
-        EWMABaseline(alpha=1.5)
-    with pytest.raises(ValueError):
-        EWMABaseline(min_samples=1)
-    b = EWMABaseline(min_samples=4)
-    b.update(1.0)
-    assert not b.ready and not b.is_excursion(1e9)
-    with pytest.raises(ValueError, match="finite"):
-        b.update(float("nan"))
-
-
-# ----------------------------------------------------------------------
-# seasonal baseline: per-phase judgement for periodic load
-# ----------------------------------------------------------------------
-
-
-def test_seasonal_judges_each_phase_against_its_own_regime():
-    b = SeasonalBaseline(period_s=100.0, n_phases=2, min_samples=2)
-    rng = np.random.default_rng(3)
-    for day in range(8):
-        t0 = day * 100.0
-        for k in range(4):
-            b.update(10.0 + 0.05 * float(rng.standard_normal()), t_s=t0 + 10 * k)
-            b.update(1.0 + 0.05 * float(rng.standard_normal()), t_s=t0 + 50 + 10 * k)
-    kwargs = dict(rel_threshold=0.5, z_threshold=4.0)
-    # 5.0 is ordinary at the daily peak but an excursion at the trough
-    assert not b.is_excursion(5.0, t_s=810.0, **kwargs)
-    assert b.is_excursion(5.0, t_s=860.0, **kwargs)
-    # a single pooled window smears the regimes and misses it
-    pooled = RollingBaseline(window=64, min_samples=2)
-    rng = np.random.default_rng(3)
-    for day in range(8):
-        for k in range(4):
-            pooled.update(10.0 + 0.05 * float(rng.standard_normal()))
-            pooled.update(1.0 + 0.05 * float(rng.standard_normal()))
-    assert not pooled.is_excursion(5.0, **kwargs)
-
-
-def test_seasonal_phase_of_wraps_the_period():
-    b = SeasonalBaseline(period_s=86_400.0, n_phases=24)
-    assert b.phase_of(0.0) == 0
-    assert b.phase_of(3_600.0) == 1
-    assert b.phase_of(86_400.0 + 3_600.0) == 1  # next day, same hour
-    assert b.phase_of(86_399.9) == 23
-    assert b.time_aware is True
-
-
-def test_seasonal_validation():
-    with pytest.raises(ValueError):
-        SeasonalBaseline(period_s=0.0)
-    with pytest.raises(ValueError):
-        SeasonalBaseline(n_phases=1)
-
-
-# ----------------------------------------------------------------------
-# the factory
-# ----------------------------------------------------------------------
-
-
-def test_make_baseline_builds_each_kind():
-    assert isinstance(make_baseline("rolling", window=8), RollingBaseline)
-    e = make_baseline("ewma", alpha=0.25, min_samples=3)
-    assert isinstance(e, EWMABaseline)
-    assert e.alpha == 0.25 and e.min_samples == 3
-    s = make_baseline("seasonal", period_s=10.0, n_phases=5)
-    assert isinstance(s, SeasonalBaseline)
-    assert s.period_s == 10.0 and s.n_phases == 5
-    with pytest.raises(ValueError, match="unknown baseline kind"):
-        make_baseline("fourier")
-    assert set(BASELINE_KINDS) == {"rolling", "ewma", "seasonal"}

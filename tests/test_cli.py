@@ -613,8 +613,11 @@ def test_negative_lse_burst_is_rejected(capsys, command):
     (["faultcampaign", "--second-failure-at", "-0.5"], "--second-failure-at"),
     (["leaderboard", "--transient-rate", "-0.1"], "transient rate"),
     (["serve", "--diurnal-amplitude", "-1"], "diurnal_amplitude"),
+    (["serve", "--tenant", "vod:inf"], "expected a finite number"),
+    (["serve", "--tenant", "vod:5:poisson:nan"], "expected a finite number"),
 ], ids=["transient-rate", "fail-slow-mult", "second-failure-at",
-        "leaderboard-transient-rate", "diurnal-amplitude"])
+        "leaderboard-transient-rate", "diurnal-amplitude", "tenant-rate-inf",
+        "tenant-zipf-nan"])
 def test_out_of_range_fault_and_load_knobs_are_rejected(capsys, command, message):
     """A value that would silently mean "no such fault" is an error."""
     rc = main([*command, "--n", "3", "--stripes", "3"])
@@ -623,6 +626,58 @@ def test_out_of_range_fault_and_load_knobs_are_rejected(capsys, command, message
     assert captured.err.startswith("error: ")
     assert message in captured.err
     assert captured.out == ""
+
+
+def _parse(*argv):
+    from repro.cli import _parser
+
+    return lambda: _parser().parse_args(list(argv))
+
+
+def _construct(cls_name, **kwargs):
+    import repro.nemesis
+
+    return lambda: getattr(repro.nemesis, cls_name)(**kwargs)
+
+
+INF, NAN = float("inf"), float("nan")
+
+
+@pytest.mark.parametrize("build", [
+    # an OverflowError traceback
+    _parse("serve", "--rate", "inf"),
+    # never finish: an infinite rate draws arrivals forever
+    _parse("faultcampaign", "--rate", "nan"),
+    _parse("nemesis", "--deaths-per-day", "inf"),
+    _parse("nemesis", "--horizon-days", "inf"),
+    _construct("HazardRates", disk_death_per_day=INF),
+    _construct("NemesisConfig", horizon_s=INF),
+    # run to a wrong answer
+    _parse("nemesis", "--deaths-per-day", "nan"),
+    _parse("serve", "--zipf", "nan"),
+    _parse("serve", "--deadline-ms", "nan"),
+    _parse("faultcampaign", "--fail-slow-mult", "inf"),
+    _parse("reliability", "--mttf", "nan"),
+    _construct("HazardRates", fail_slow_per_day=NAN),
+    _construct("NemesisConfig", horizon_s=NAN),
+    _construct("NemesisConfig", tick_s=NAN),
+], ids=[
+    "serve-rate-inf", "faultcampaign-rate-nan", "nemesis-deaths-inf",
+    "nemesis-horizon-inf", "HazardRates-inf", "NemesisConfig-horizon-inf",
+    "nemesis-deaths-nan", "serve-zipf-nan", "serve-deadline-nan",
+    "faultcampaign-fail-slow-inf", "reliability-mttf-nan", "HazardRates-nan",
+    "NemesisConfig-horizon-nan", "NemesisConfig-tick-nan",
+])
+def test_non_finite_numbers_are_rejected(capsys, build):
+    """``inf``/``nan`` fail before anything runs: an argparse error
+    (exit 2) on the command line, a ``ValueError`` from a constructor."""
+    with pytest.raises((SystemExit, ValueError)) as exc:
+        build()
+    if exc.type is SystemExit:
+        assert exc.value.code == 2
+        assert "expected a finite number" in capsys.readouterr().err
+    else:
+        assert "finite" in str(exc.value)
 
 
 def test_serve_command(capsys):

@@ -46,10 +46,6 @@ PACKAGE = SRC / "repro"
 #: makes the end-to-end benchmark fail.
 E2E = "benchmarks/e2e resolves it"
 
-_SPARE_BASELINE = (
-    "spare anomaly baseline, deleted after availability is counted per "
-    "user read (ROADMAP item 3)"
-)
 _SCRAPE = "serves `/metrics`, which CI scrapes during a live faultcampaign"
 _READER = "instrument reader the tests use"
 
@@ -96,18 +92,6 @@ ALLOWLIST: dict[str, str] = {
     "repro.obs.http:_label_str": _SCRAPE,
     "repro.obs.http:_metric_name": _SCRAPE,
     "repro.obs.http:prometheus_text": _SCRAPE,
-    # owned by other ROADMAP items
-    "repro.obs.baseline:EWMABaseline.is_excursion": _SPARE_BASELINE,
-    "repro.obs.baseline:EWMABaseline.mean": _SPARE_BASELINE,
-    "repro.obs.baseline:EWMABaseline.ready": _SPARE_BASELINE,
-    "repro.obs.baseline:EWMABaseline.std": _SPARE_BASELINE,
-    "repro.obs.baseline:EWMABaseline.update": _SPARE_BASELINE,
-    "repro.obs.baseline:SeasonalBaseline.is_excursion": _SPARE_BASELINE,
-    "repro.obs.baseline:SeasonalBaseline.mean": _SPARE_BASELINE,
-    "repro.obs.baseline:SeasonalBaseline.phase_of": _SPARE_BASELINE,
-    "repro.obs.baseline:SeasonalBaseline.ready": _SPARE_BASELINE,
-    "repro.obs.baseline:SeasonalBaseline.std": _SPARE_BASELINE,
-    "repro.obs.baseline:SeasonalBaseline.update": _SPARE_BASELINE,
 }
 
 # ----------------------------------------------------------------------
