@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import json
+from functools import partial
 
 import pytest
 
-from repro.cli import LAYOUTS, build_layout, main
+from repro.cli import LAYOUTS, _parser, build_layout, main
+from repro.nemesis import HazardRates, NemesisConfig
 
 
 def run_cli(capsys, *argv):
@@ -629,15 +631,7 @@ def test_out_of_range_fault_and_load_knobs_are_rejected(capsys, command, message
 
 
 def _parse(*argv):
-    from repro.cli import _parser
-
     return lambda: _parser().parse_args(list(argv))
-
-
-def _construct(cls_name, **kwargs):
-    import repro.nemesis
-
-    return lambda: getattr(repro.nemesis, cls_name)(**kwargs)
 
 
 INF, NAN = float("inf"), float("nan")
@@ -650,17 +644,17 @@ INF, NAN = float("inf"), float("nan")
     _parse("faultcampaign", "--rate", "nan"),
     _parse("nemesis", "--deaths-per-day", "inf"),
     _parse("nemesis", "--horizon-days", "inf"),
-    _construct("HazardRates", disk_death_per_day=INF),
-    _construct("NemesisConfig", horizon_s=INF),
+    partial(HazardRates, disk_death_per_day=INF),
+    partial(NemesisConfig, horizon_s=INF),
     # run to a wrong answer
     _parse("nemesis", "--deaths-per-day", "nan"),
     _parse("serve", "--zipf", "nan"),
     _parse("serve", "--deadline-ms", "nan"),
     _parse("faultcampaign", "--fail-slow-mult", "inf"),
     _parse("reliability", "--mttf", "nan"),
-    _construct("HazardRates", fail_slow_per_day=NAN),
-    _construct("NemesisConfig", horizon_s=NAN),
-    _construct("NemesisConfig", tick_s=NAN),
+    partial(HazardRates, fail_slow_per_day=NAN),
+    partial(NemesisConfig, horizon_s=NAN),
+    partial(NemesisConfig, tick_s=NAN),
 ], ids=[
     "serve-rate-inf", "faultcampaign-rate-nan", "nemesis-deaths-inf",
     "nemesis-horizon-inf", "HazardRates-inf", "NemesisConfig-horizon-inf",
