@@ -3,8 +3,9 @@
 The Fig. 10 result digests cover throughput and ``intact`` only, so
 these digests are what guard the bytes a write installs: the fresh
 payloads, the cells its plan stores and the generator state it leaves
-behind (each digest also takes the next draw).  Run the file as a
-script to print the current digests.
+behind (each digest also takes the next draw), and what a disk that
+dies mid-run held at its death.  Run the file as a script to print the
+current digests.
 """
 
 from __future__ import annotations
@@ -15,7 +16,9 @@ import numpy as np
 import pytest
 
 from repro.core.errors import LayoutError
+from repro.core.layouts import shifted_mirror_parity
 from repro.core.registry import REGISTRY, build_layout
+from repro.disksim.faultplan import FaultPlan
 from repro.raidsim.controller import RaidController
 from repro.raidsim.degraded import DegradedArray
 from repro.workloads.generator import WriteOp, random_large_writes
@@ -89,6 +92,30 @@ def degraded_digest(payload_bytes: int) -> str:
     return h.hexdigest()
 
 
+def disk_death_digest() -> str:
+    """sha256 over the content store, the dead disk's snapshot and the
+    generator's next draw after a write run during which disk 2 dies.
+
+    The snapshot holds what the disk stored at its death, so it pins
+    which writes had landed by then: every op that completed before
+    the death and none after it.
+    """
+    layout = shifted_mirror_parity(4)
+    plan = FaultPlan(seed=1).with_disk_failure(disk=2, time_s=0.5)
+    ctrl = RaidController(
+        layout, n_stripes=4, payload_bytes=8, fault_plan=plan, tracer=False
+    )
+    rng = np.random.default_rng(3)
+    ops = random_large_writes(layout.n, 4, n_ops=30, rng=rng, rows=layout.data_rows)
+    ctrl.run_write_workload(ops, window=1, rng=rng)
+    assert ctrl._dead_disks == [2]
+    h = hashlib.sha256()
+    h.update(ctrl.content.tobytes())
+    h.update(ctrl._death_snapshots[2].tobytes())
+    h.update(rng.bytes(8))
+    return h.hexdigest()
+
+
 #: (payload bytes, strategy, window) -> digest; with one op in flight
 #: the strategy changes only which cells are read, never the bytes
 GOLDEN_POST_WRITE = {
@@ -112,6 +139,8 @@ GOLDEN_DEGRADED = {
     16: "923374a322b42aa14b6dff420a5d900e4f88626acc9163cb85f51910a43c9fde",
 }
 
+GOLDEN_DISK_DEATH = "adea533e529f3063622cb095eab32c4d8fdea21bd08a2d973b44c42d92813bba"
+
 
 @pytest.mark.parametrize(
     "case", sorted(GOLDEN_POST_WRITE), ids=lambda c: f"{c[0]}B-{c[1]}-w{c[2]}"
@@ -123,6 +152,10 @@ def test_post_write_content_golden_digest(case):
 @pytest.mark.parametrize("payload_bytes", sorted(GOLDEN_DEGRADED), ids=lambda p: f"{p}B")
 def test_degraded_write_then_resync_golden_digest(payload_bytes):
     assert degraded_digest(payload_bytes) == GOLDEN_DEGRADED[payload_bytes]
+
+
+def test_write_run_with_a_disk_death_golden_digest():
+    assert disk_death_digest() == GOLDEN_DISK_DEATH
 
 
 if __name__ == "__main__":
@@ -137,3 +170,4 @@ if __name__ == "__main__":
     for payload in (1, 7, 16):
         print(f"    {payload}: {degraded_digest(payload)!r},")
     print("}")
+    print(f"GOLDEN_DISK_DEATH = {disk_death_digest()!r}")
