@@ -79,6 +79,8 @@ import statistics
 import subprocess
 import sys
 import time
+from heapq import heappop
+from math import inf
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -380,38 +382,36 @@ class _BareSimulation(Simulation):
         self._obs = None
 
     def _run_events(self, until):
-        cal = self._cal
-        heap = cal._heap
-        take_call = cal.take_call
-        pop_batch = cal.pop_batch
+        heap = self._heap
+        take_call = self._cal.take_call
+        limit = inf if until is None else until
         disks = self.disks
         faults = self.faults
         pop_callback = self._callbacks.pop
         log = self.completed.append
         start_next = self._start_next
         while heap:
-            t = heap[0][0]
-            if until is not None and t > until:
+            if heap[0][0] > limit:
                 self.now = until
                 return until
+            t, seq, opcode, arg0 = heappop(heap)
             self.now = t
-            for _t, seq, opcode, arg0 in pop_batch():
-                if opcode == OP_COMPLETE:
-                    server = disks[arg0]
-                    request = server.current
-                    server.busy = False
-                    server.current = None
-                    self._pending -= 1
-                    if faults is not None:
-                        faults.on_completion(request)
-                    log(request)
-                    cb = pop_callback(request.req_id, None)
-                    if cb is not None:
-                        cb(request)
-                    start_next(server)
-                else:
-                    action, args = take_call(seq)
-                    action(*args)
+            if opcode == OP_COMPLETE:
+                server = disks[arg0]
+                request = server.current
+                server.busy = False
+                server.current = None
+                self._pending -= 1
+                if faults is not None:
+                    faults.on_completion(request)
+                log(request)
+                cb = pop_callback(request.req_id, None)
+                if cb is not None:
+                    cb(request)
+                start_next(server)
+            else:
+                action, args = take_call(seq)
+                action(*args)
         if until is not None and until > self.now:
             self.now = until
         return self.now

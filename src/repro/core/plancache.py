@@ -196,7 +196,9 @@ class PlanCache:
         if cached is not None:
             return cached
         compiled = CompiledWrite.compile(
-            self.layout.write_plan(list(elements), strategy=strategy), elements
+            self.layout.write_plan(list(elements), strategy=strategy),
+            elements,
+            self.layout.n_disks,
         )
         if self.enabled:
             self._writes[key] = compiled

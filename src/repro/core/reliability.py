@@ -18,6 +18,7 @@ All times are in hours, matching datasheet MTTF conventions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 __all__ = [
@@ -27,6 +28,26 @@ __all__ = [
     "ReliabilityComparison",
     "compare_architectures",
 ]
+
+
+def _solve(chain, mttf_hours: float, repair_hours: float) -> float:
+    """``chain(failure rate, repair rate)``, checked to be a usable MTTDL.
+
+    An MTTF so small or so large that the chain over- or underflows
+    has no finite positive MTTDL, and is refused.
+    """
+    if mttf_hours <= 0 or repair_hours <= 0:
+        raise ValueError("MTTF and repair time must be positive")
+    try:
+        mttdl = chain(1.0 / mttf_hours, 1.0 / repair_hours)
+    except (OverflowError, ZeroDivisionError):
+        mttdl = math.nan
+    if not (math.isfinite(mttdl) and mttdl > 0):
+        raise ValueError(
+            f"MTTF {mttf_hours:g} h with a {repair_hours:g} h repair gives no "
+            "finite positive MTTDL"
+        )
+    return mttdl
 
 
 def mttdl_single_fault(n_disks: int, mttf_hours: float, repair_hours: float) -> float:
@@ -44,12 +65,12 @@ def mttdl_single_fault(n_disks: int, mttf_hours: float, repair_hours: float) -> 
     """
     if n_disks < 2:
         raise ValueError(f"a redundant array needs >= 2 disks, got {n_disks}")
-    if mttf_hours <= 0 or repair_hours <= 0:
-        raise ValueError("MTTF and repair time must be positive")
-    lam = 1.0 / mttf_hours
-    mu = 1.0 / repair_hours
     n = n_disks
-    return ((2 * n - 1) * lam + mu) / (n * (n - 1) * lam**2)
+    return _solve(
+        lambda lam, mu: ((2 * n - 1) * lam + mu) / (n * (n - 1) * lam**2),
+        mttf_hours,
+        repair_hours,
+    )
 
 
 def mttdl_double_fault(n_disks: int, mttf_hours: float, repair_hours: float) -> float:
@@ -64,11 +85,11 @@ def mttdl_double_fault(n_disks: int, mttf_hours: float, repair_hours: float) -> 
     """
     if n_disks < 3:
         raise ValueError(f"a two-fault-tolerant array needs >= 3 disks, got {n_disks}")
-    if mttf_hours <= 0 or repair_hours <= 0:
-        raise ValueError("MTTF and repair time must be positive")
-    lam = 1.0 / mttf_hours
-    mu = 1.0 / repair_hours
     n = n_disks
+    return _solve(lambda lam, mu: _double_fault_chain(n, lam, mu), mttf_hours, repair_hours)
+
+
+def _double_fault_chain(n: int, lam: float, mu: float) -> float:
     # Exact expected absorption time from state 0 of the chain
     #   0 --n*lam--> 1 --(n-1)lam--> 2 --(n-2)lam--> loss
     # with repairs 1 --mu--> 0 and 2 --mu--> 1.

@@ -23,8 +23,9 @@ strategies (§VII-B):
 Full-row writes never read: parity is computed from the new data.
 
 A :class:`CompiledWrite` is the form the controller executes: the
-plan's cells and the op's data elements as index arrays, so one write
-op costs a fixed handful of array operations whatever its size.
+plan's cells and the op's data elements as index arrays, and its reads
+and writes coalesced into runs of consecutive rows on one disk, so one
+write op costs a fixed handful of operations whatever its size.
 """
 
 from __future__ import annotations
@@ -95,6 +96,28 @@ def _cell_index(table: dict[int, list[int]]) -> tuple[np.ndarray, np.ndarray]:
     return np.array(disks, dtype=np.intp), np.array(rows, dtype=np.intp)
 
 
+def _runs(table: dict[int, list[int]]) -> tuple[tuple[int, int, int], ...]:
+    """A ``disk -> rows`` table as ``(disk, first row, end row)`` runs.
+
+    Repeated rows merge and consecutive rows on one disk join into one
+    run; the runs ascend by disk, then first row, and ``end`` is
+    exclusive — what the array's coalescer makes of the cells.
+    """
+    runs = []
+    for disk in sorted(table):
+        rows = sorted(set(table[disk]))
+        if not rows:
+            continue
+        start = prev = rows[0]
+        for row in rows[1:]:
+            if row != prev + 1:
+                runs.append((disk, start, prev + 1))
+                start = row
+            prev = row
+        runs.append((disk, start, prev + 1))
+    return tuple(runs)
+
+
 @dataclass(frozen=True, slots=True)
 class CompiledWrite:
     """One logical write as index arrays over a stripe's logical cells.
@@ -114,6 +137,11 @@ class CompiledWrite:
         element more than once — the last payload drawn for each.
     n_payloads:
         Payloads the op draws, one per element it names.
+    write_runs, read_runs:
+        :attr:`writes` and :attr:`reads` coalesced into logical
+        ``(disk, first row, end row)`` runs; :meth:`runs_at` places them.
+    n_disks:
+        The layout's disk count, which a rotation shift wraps around.
     """
 
     writes: tuple[np.ndarray, np.ndarray]
@@ -121,10 +149,15 @@ class CompiledWrite:
     data: tuple[np.ndarray, np.ndarray]
     pick: slice | np.ndarray
     n_payloads: int
+    write_runs: tuple[tuple[int, int, int], ...]
+    read_runs: tuple[tuple[int, int, int], ...]
+    n_disks: int
+    _runs_at: dict = field(default_factory=dict, compare=False, repr=False)
 
     @classmethod
-    def compile(cls, plan: WritePlan, elements) -> "CompiledWrite":
-        """Compile ``plan``, the plan of writing data ``elements`` ``(i, j)``."""
+    def compile(cls, plan: WritePlan, elements, n_disks: int) -> "CompiledWrite":
+        """Compile ``plan``, the plan of writing data ``elements`` ``(i, j)``
+        on a layout of ``n_disks`` disks."""
         last = {element: k for k, element in enumerate(elements)}
         pick = slice(None) if len(last) == len(elements) else np.array(list(last.values()))
         return cls(
@@ -136,4 +169,26 @@ class CompiledWrite:
             ),
             pick=pick,
             n_payloads=len(elements),
+            write_runs=_runs(plan.writes),
+            read_runs=_runs(plan.reads),
+            n_disks=n_disks,
         )
+
+    def runs_at(self, shift: int) -> tuple[tuple, tuple]:
+        """``(read runs, write runs)`` placed at a rotation shift.
+
+        Logical disk ``d`` moves to physical ``(d + shift) % n_disks``;
+        rows stay relative to the stripe's first slot.  The runs ascend
+        by physical disk, then first row — the order the array's
+        coalescer submits them in.  Memoised per shift.
+        """
+        if shift == 0:
+            return self.read_runs, self.write_runs
+        placed = self._runs_at.get(shift)
+        if placed is None:
+            n_disks = self.n_disks
+            placed = self._runs_at[shift] = tuple(
+                tuple(sorted(((d + shift) % n_disks, lo, hi) for d, lo, hi in runs))
+                for runs in (self.read_runs, self.write_runs)
+            )
+        return placed

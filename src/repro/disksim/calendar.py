@@ -24,7 +24,9 @@ Pending events are kept in a binary heap of ``(time, seq, opcode,
 arg0)`` scalar tuples.  The calendar is shallow (one ``OP_COMPLETE``
 per busy disk plus a handful of deferred calls), so a scalar heap beats
 per-event numpy element ops by a wide margin (see
-``docs/performance.md``).
+``docs/performance.md``).  The engine works the heap itself on its hot
+path: it pushes each ``OP_COMPLETE`` with ``heapq.heappush`` and pops
+every event with ``heapq.heappop``.
 
 Determinism: ``seq`` is globally unique and monotone, so heap
 comparisons never reach the opcode and ties break in scheduling order.
@@ -32,7 +34,7 @@ comparisons never reach the opcode and ties break in scheduling order.
 
 from __future__ import annotations
 
-from heapq import heappop, heappush
+from heapq import heappush
 from typing import Callable
 
 __all__ = ["OP_CALL", "OP_COMPLETE", "TypedCalendar"]
@@ -44,13 +46,13 @@ OP_COMPLETE = 1
 
 
 class TypedCalendar:
-    """Pending-event set with opcode dispatch and batch extraction.
+    """Pending-event heap with an ``OP_CALL`` side table.
 
     The surface the engine relies on:
 
-    * :meth:`push` / :meth:`push_call` — schedule one event;
-    * :meth:`pop_batch` — remove and return *every* event sharing the
-      earliest timestamp, in ``seq`` order;
+    * ``_heap`` — the ``(time, seq, opcode, arg0)`` heap, which the
+      engine pushes completions onto and pops every event from;
+    * :meth:`push_call` — schedule an arbitrary callable;
     * :meth:`take_call` — claim the callable behind an ``OP_CALL``;
     * ``n_taken`` — how many ``OP_CALL`` events have been claimed, ever
       (the engine's dispatch counter is completions plus this).
@@ -64,10 +66,6 @@ class TypedCalendar:
         self.n_taken = 0
 
     # ------------------------------------------------------------------
-    def push(self, time: float, seq: int, opcode: int, arg0: int = 0) -> None:
-        """Schedule one typed event (hot path — no object payload)."""
-        heappush(self._heap, (time, seq, opcode, arg0))
-
     def push_call(
         self, time: float, seq: int, action: Callable[..., None], args: tuple
     ) -> None:
@@ -83,19 +81,3 @@ class TypedCalendar:
     # ------------------------------------------------------------------
     def __len__(self) -> int:
         return len(self._heap)
-
-    def pop_batch(self) -> list[tuple[float, int, int, int]]:
-        """Remove and return the whole earliest-timestamp batch.
-
-        Events sharing the minimum time come back in ``seq`` order —
-        exactly the order one-at-a-time pops would produce.
-        """
-        heap = self._heap
-        if not heap:
-            return []
-        first = heappop(heap)
-        t = first[0]
-        batch = [first]
-        while heap and heap[0][0] == t:
-            batch.append(heappop(heap))
-        return batch

@@ -158,54 +158,46 @@ class DiskModel:
         self.n_scattered: int = 0
 
     # ------------------------------------------------------------------
-    def _service_time(self, request: IORequest, sequential: bool) -> float:
-        end = request.offset + request.size
+    def serve(self, request: IORequest) -> float:
+        """Account for serving ``request``; returns its service time.
+
+        A request continuing the previous transfer (same kind, starting
+        where it ended) costs its transfer alone; any other pays the
+        seek over its distance from the head, half a revolution and the
+        kind's scattered-access overhead on top.
+        """
+        offset = request.offset
+        size = request.size
+        end = offset + size
         if end > self.capacity:
             raise ValueError(
-                f"request [{request.offset}, {end}) beyond disk capacity {self.capacity}"
+                f"request [{offset}, {end}) beyond disk capacity {self.capacity}"
             )
-        if request.kind is IOKind.READ:
-            transfer = request.size / self.read_rate
-            overhead = self.read_overhead_s
+        kind = request.kind
+        if kind is IOKind.READ:
+            duration = size / self.read_rate
+            self.bytes_read += size
         else:
-            transfer = request.size / self.write_rate
-            overhead = self.write_overhead_s
-        if sequential:
-            return transfer
-        distance = abs(request.offset - self._head)
-        if distance <= 0:
-            seek = 0.0
-        else:
-            seek = self.t2t_seek_s + self.seek_span_s * math.sqrt(
-                min(1.0, distance / self.capacity)
-            )
-        return seek + self.half_rotation_s + transfer + overhead
-
-    def serve(self, request: IORequest) -> float:
-        """Account for serving ``request``; returns its service time."""
-        # sequential: continues the previous transfer (same kind)
-        sequential = (
-            request.offset == self._last_end and request.kind is self._last_kind
-        )
-        duration = self._service_time(request, sequential)
-        if sequential:
+            duration = size / self.write_rate
+            self.bytes_written += size
+        if offset == self._last_end and kind is self._last_kind:
             self.n_sequential += 1
         else:
             self.n_scattered += 1
-        end = request.offset + request.size
+            distance = abs(offset - self._head)
+            if distance <= 0:
+                seek = 0.0
+            else:
+                seek = self.t2t_seek_s + self.seek_span_s * math.sqrt(
+                    min(1.0, distance / self.capacity)
+                )
+            overhead = self.read_overhead_s if kind is IOKind.READ else self.write_overhead_s
+            duration = seek + self.half_rotation_s + duration + overhead
         self._head = end
         self._last_end = end
-        self._last_kind = request.kind
+        self._last_kind = kind
         self.busy_time += duration
-        if request.kind is IOKind.READ:
-            self.bytes_read += request.size
-        else:
-            self.bytes_written += request.size
         return duration
-
-    @property
-    def head_position(self) -> int:
-        return self._head
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"DiskModel(id={self.disk_id})"

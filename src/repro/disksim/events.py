@@ -34,14 +34,17 @@ Calendar
 --------
 Pending events live in the opcode calendar of
 :mod:`repro.disksim.calendar`: completions are integer-payload events
-dispatched through a two-entry opcode table, and the run loop pops
-whole same-timestamp batches.  There is one run loop: every
-completion, with or without a callback, fault hook or tracer, takes
-the same per-event step in :meth:`Simulation._run_events`.
+dispatched through a two-entry opcode table, pushed onto the
+calendar's heap as the disk starts the request, and the run loop pops
+one event at a time in ``(time, seq)`` order.  There is one run loop:
+every completion, with or without a callback, fault hook or tracer,
+takes the same per-event step in :meth:`Simulation._run_events`.
 """
 
 from __future__ import annotations
 
+from heapq import heappop, heappush
+from math import inf
 from typing import Callable
 
 from ..obs import default_recorder, default_registry, default_tracer, obs_enabled
@@ -280,6 +283,8 @@ class Simulation:
         ]
         self.now: float = 0.0
         self._cal = TypedCalendar()
+        #: the calendar's heap, which completions are pushed onto directly
+        self._heap = self._cal._heap
         self._seq = 0
         #: requests accepted and not yet completed (queued or in service)
         self._pending = 0
@@ -401,23 +406,31 @@ class Simulation:
 
     # ------------------------------------------------------------------
     def _start_next(self, server: _DiskServer) -> None:
+        """Start the disk's next request, if it is idle and has one.
+
+        The scheduler picks by the head's position, the model prices
+        the request in one call, and the completion goes straight onto
+        the calendar's heap as an ``OP_COMPLETE`` event.
+        """
         if server.busy or not server.scheduler:
             return
-        request = server.scheduler.pop(server.model.head_position)
-        duration = server.model.serve(request)
+        model = server.model
+        request = server.scheduler.pop(model._head)
+        duration = model.serve(request)
+        now = self.now
         if self._service_factor is not None:
-            factor = self._service_factor(request.disk, self.now)
+            factor = self._service_factor(request.disk, now)
             if factor != 1.0:
                 # fail-slow inflation counts as busy time too
-                server.model.busy_time += duration * (factor - 1.0)
+                model.busy_time += duration * (factor - 1.0)
                 duration *= factor
-        request.start_time = self.now
-        finish = self.now + duration
+        request.start_time = now
+        finish = now + duration
         request.finish_time = finish
         server.busy = True
         server.current = request
         self._seq += 1
-        self._cal.push(finish, self._seq, OP_COMPLETE, request.disk)
+        heappush(self._heap, (finish, self._seq, OP_COMPLETE, request.disk))
 
     # ------------------------------------------------------------------
     def run(self, until: float | None = None) -> float:
@@ -428,8 +441,8 @@ class Simulation:
         to ``until`` — ``run(until=t)`` on an empty calendar models
         waiting out wall-clock time with no I/O in flight.
 
-        Events are popped in same-timestamp batches and dispatched by
-        opcode (:meth:`_run_events`).  On the way out — normal return
+        Events are popped one at a time in ``(time, seq)`` order and
+        dispatched by opcode (:meth:`_run_events`).  On the way out — normal return
         or exception — the completions since the last fold are folded
         into the metrics, then the flight recorder advances to the
         clock.
@@ -454,10 +467,9 @@ class Simulation:
         row (when observed), fires the callback and starts the disk's
         next request.
         """
-        cal = self._cal
-        heap = cal._heap
-        take_call = cal.take_call
-        pop_batch = cal.pop_batch
+        heap = self._heap
+        take_call = self._cal.take_call
+        limit = inf if until is None else until
         disks = self.disks
         faults = self.faults
         pop_callback = self._callbacks.pop
@@ -468,32 +480,31 @@ class Simulation:
         span_pid = obs.span_pid if obs is not None else 0
         depth = obs.depth if obs is not None else None
         while heap:
-            t = heap[0][0]
-            if until is not None and t > until:
+            if heap[0][0] > limit:
                 self.now = until
                 return until
+            t, seq, opcode, arg0 = heappop(heap)
             self.now = t
-            for _t, seq, opcode, arg0 in pop_batch():
-                if opcode == OP_COMPLETE:
-                    server = disks[arg0]
-                    request = server.current
-                    server.busy = False
-                    server.current = None
-                    self._pending -= 1
-                    if faults is not None:
-                        faults.on_completion(request)
-                    log(request)
-                    if obs is not None:
-                        depth[arg0] = len(server.scheduler)
-                        if record_span is not None:
-                            record_span(IoSpan(span_pid, request))
-                    cb = pop_callback(request.req_id, None)
-                    if cb is not None:
-                        cb(request)
-                    start_next(server)
-                else:
-                    action, args = take_call(seq)
-                    action(*args)
+            if opcode == OP_COMPLETE:
+                server = disks[arg0]
+                request = server.current
+                server.busy = False
+                server.current = None
+                self._pending -= 1
+                if faults is not None:
+                    faults.on_completion(request)
+                log(request)
+                if obs is not None:
+                    depth[arg0] = len(server.scheduler)
+                    if record_span is not None:
+                        record_span(IoSpan(span_pid, request))
+                cb = pop_callback(request.req_id, None)
+                if cb is not None:
+                    cb(request)
+                start_next(server)
+            else:
+                action, args = take_call(seq)
+                action(*args)
         if until is not None and until > self.now:
             self.now = until
         return self.now

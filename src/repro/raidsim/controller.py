@@ -859,6 +859,11 @@ class RaidController:
         self._death_snapshots: dict[int, np.ndarray] = {}
         self._death_times: dict[int, float] = {}
         self._rebuilding: tuple[int, ...] = ()
+        #: completed write ops whose content is not yet in the store, and
+        #: the generator their payloads come from (see
+        #: :meth:`run_write_workload`)
+        self._write_log: list[tuple[int, CompiledWrite]] = []
+        self._write_rng: np.random.Generator | None = None
         if fault_plan is not None:
             for df in fault_plan.disk_failures:
                 self.array.sim.schedule(
@@ -881,6 +886,8 @@ class RaidController:
         """A scheduled whole-disk failure fires: the bytes are gone."""
         if disk in self._dead_disks or disk in self._rebuilding:
             return
+        # the writes that completed before the death are on the platters
+        self._flush_writes()
         self._death_snapshots[disk] = self.content[disk].copy()
         self._death_times[disk] = self.array.now
         self.content[disk] = 0xDD
@@ -1372,39 +1379,56 @@ class RaidController:
         start once they complete.  Ops are pipelined ``window`` deep.
         Throughput is user data written per wall-clock second — the
         Fig. 10 metric.
+
+        An op submits its compiled read and write runs placed at its
+        stripe, and on completion joins the pending log.  The log's
+        content lands in one pass (:meth:`_flush_writes`) when the run
+        ends, or earlier when a disk dies and its bytes are
+        snapshotted: the store then holds what per-op updates in
+        completion order would have left, with payloads drawn from
+        ``rng`` in that order.
         """
         if rng is None:
             rng = np.random.default_rng(7)
         start = self.array.now
         read_before = self.array.sim.total_bytes_read
         written_before = self.array.sim.total_bytes_written
-        pending = list(ops)
+        pending = deque(ops)
+        write_plan = self.plan_cache.write_plan
+        submit_runs = self.array.submit_runs
+        stack = self.stack
+        rows = stack.rows
+        n_stripes = self.n_stripes
+        log = self._write_log
+        self._write_rng = rng
 
         def start_op(op: WriteOp) -> None:
-            entry = self.plan_cache.write_plan(op.elements, strategy)
-            disks, slots = self.stack.cells(op.stripe)
+            stripe = op.stripe
+            if not 0 <= stripe < n_stripes:
+                raise IndexError(f"stripe {stripe} outside stack of {n_stripes}")
+            entry = write_plan(op.elements, strategy)
+            reads, writes = entry.runs_at(stack.shift(stripe))
+            base = stripe * rows
 
             def op_done() -> None:
-                self._apply_write_content(op.stripe, entry, rng)
+                log.append((stripe, entry))
                 if pending:
-                    start_op(pending.pop(0))
+                    start_op(pending.popleft())
 
             def do_writes() -> None:
-                w = entry.writes
-                self.array.submit_batch(
-                    disks[w].tolist(),
-                    slots[w].tolist(),
+                submit_runs(
+                    [(d, base + lo, base + hi) for d, lo, hi in writes],
                     IOKind.WRITE,
+                    n_ops=len(entry.writes[0]),
                     tag="write",
                     on_complete=op_done,
                 )
 
-            r = entry.reads
-            if len(r[0]):
-                self.array.submit_batch(
-                    disks[r].tolist(),
-                    slots[r].tolist(),
+            if reads:
+                submit_runs(
+                    [(d, base + lo, base + hi) for d, lo, hi in reads],
                     IOKind.READ,
+                    n_ops=len(entry.reads[0]),
                     tag="rmw-read",
                     on_complete=do_writes,
                 )
@@ -1412,11 +1436,15 @@ class RaidController:
                 do_writes()
 
         user_bytes = sum(op.n_elements for op in ops) * self.array.element_size
-        seeded = 0
-        while pending and seeded < window:
-            start_op(pending.pop(0))
-            seeded += 1
-        self.array.run()
+        try:
+            seeded = 0
+            while pending and seeded < window:
+                start_op(pending.popleft())
+                seeded += 1
+            self.array.run()
+        finally:
+            self._flush_writes()
+            self._write_rng = None
         # start_op reaches itself through its completions' closures; the
         # cycle would keep this controller (store, plan cache) alive
         # until a garbage-collector pass
@@ -1431,17 +1459,54 @@ class RaidController:
             bytes_written=self.array.sim.total_bytes_written - written_before,
         )
 
-    def _apply_write_content(
-        self, stripe: int, entry: CompiledWrite, rng: np.random.Generator
-    ) -> None:
-        """Install fresh payloads: the plan's cells get the updated encoding.
+    def _flush_writes(self) -> None:
+        """Install the pending log's payloads: one draw, encode and scatter.
 
-        One gather of the stripe's data, one payload draw for the whole
-        op and one encode-and-scatter into the written cells.
+        The log holds one ``(stripe, compiled write)`` per completed op,
+        in completion order.  One :meth:`FilmSource.fresh` call draws
+        every op's payloads, which gives the bytes (and leaves the
+        generator in the state) one draw per op would.  The touched
+        stripes' data is gathered once and takes each op's payloads in
+        log order, so a later op's element wins.  XOR codes act on each
+        byte position alone, so the stripes ride along the byte axis of
+        one encode, as in :func:`_template`; the cells any op wrote then
+        take their encoding in one scatter.  A cell an earlier op wrote
+        depends on no element a later op changed unless the later op
+        rewrote it too, so each written cell ends as the per-op updates
+        would leave it.
         """
-        data = self.layout.data_of(self.content[self.stack.cells(stripe)])
-        data[entry.data] = self.film.fresh(rng, entry.n_payloads)[entry.pick]
-        self.store_encoded(stripe, data, entry.writes)
+        log = self._write_log
+        if not log:
+            return
+        lay = self.layout
+        payloads = self.film.fresh(self._write_rng, sum(e.n_payloads for _, e in log))
+        stripes = list(dict.fromkeys(stripe for stripe, _ in log))
+        column = {stripe: k for k, stripe in enumerate(stripes)}
+        n_disks, rows, k = self.stack.n_disks, self.stack.rows, len(stripes)
+        # (disk, row, stripe) placement of every touched cell
+        stripes_arr = np.array(stripes, dtype=np.intp)
+        shifts = stripes_arr % n_disks if self.stack.rotate else np.zeros(k, dtype=np.intp)
+        disks = np.broadcast_to(
+            ((np.arange(n_disks)[:, None] + shifts) % n_disks)[:, None, :], (n_disks, rows, k)
+        )
+        slots = np.broadcast_to(
+            np.arange(rows)[:, None] + stripes_arr * rows, (n_disks, rows, k)
+        )
+        data = lay.data_of(self.content[disks, slots])
+        written = np.zeros((n_disks, rows, k), dtype=bool)
+        first = 0
+        for stripe, entry in log:
+            col = column[stripe]
+            j, i = entry.data
+            data[j, i, col] = payloads[first : first + entry.n_payloads][entry.pick]
+            first += entry.n_payloads
+            w_disks, w_rows = entry.writes
+            written[w_disks, w_rows, col] = True
+        log.clear()
+        n_j, n = data.shape[:2]
+        size = self.payload_bytes
+        encoded = lay.encode(data.reshape(n_j, n, k * size)).reshape(n_disks, rows, k, size)
+        self.content[disks[written], slots[written]] = encoded[written]
 
     def store_encoded(self, stripe: int, data: np.ndarray, cells) -> None:
         """Store the encoding of a data block into logical ``cells`` only.

@@ -22,6 +22,20 @@ import numpy as np
 
 __all__ = ["WriteOp", "UserRead", "random_large_writes", "user_read_stream"]
 
+#: the most reads a stream may expect (rate × window): simulating this
+#: many already takes minutes, and a far larger rate would draw (or
+#: allocate) without end before the first read is simulated
+MAX_ARRIVALS = 1_000_000
+
+
+def check_expected_arrivals(rate_per_s: float, duration_s: float) -> None:
+    """Refuse a stream expecting more than :data:`MAX_ARRIVALS` reads."""
+    if rate_per_s * duration_s > MAX_ARRIVALS:
+        raise ValueError(
+            f"rate {rate_per_s:g}/s over a {duration_s:g} s window expects more "
+            f"than {MAX_ARRIVALS:,} arrivals"
+        )
+
 
 @dataclass(frozen=True)
 class WriteOp:
@@ -148,6 +162,7 @@ def user_read_stream(
         raise ValueError(
             f"n and n_stripes must be in [1, 2**32], got {n} and {n_stripes}"
         )
+    check_expected_arrivals(rate_per_s, duration_s)
     rng = np.random.default_rng(seed)
     gap = rng.standard_exponential
     below = _bounded_draws(rng.bit_generator)

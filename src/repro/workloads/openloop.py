@@ -47,7 +47,7 @@ import numpy as np
 
 from ..obs import default_recorder, default_registry, percentile
 from ..obs.metrics import FOLD_LOCK, finite
-from .generator import UserRead
+from .generator import UserRead, check_expected_arrivals
 
 __all__ = [
     "TenantSpec",
@@ -239,6 +239,7 @@ def open_arrivals(
         raise ValueError(f"tenant names must be unique, got {names}")
     if duration_s <= 0:
         raise ValueError(f"duration must be positive, got {duration_s}")
+    check_expected_arrivals(sum(t.rate_per_s for t in tenants), duration_s)
     reads: list[UserRead] = []
     children = np.random.SeedSequence(seed).spawn(len(tenants))
     for spec, child in zip(tenants, children):

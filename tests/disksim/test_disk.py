@@ -141,7 +141,7 @@ def test_serve_updates_counters(disk):
     assert disk.n_sequential == 1
     assert disk.n_scattered == 2
     assert disk.busy_time > 0
-    assert disk.head_position == 101 * _MB
+    assert disk._head == 101 * _MB
 
 
 def test_effective_rates_match_calibration(savvio):

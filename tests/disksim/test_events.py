@@ -57,6 +57,43 @@ def test_requests_on_distinct_disks_overlap():
     assert a.finish_time == pytest.approx(b.finish_time)
 
 
+def test_events_fire_in_time_then_seq_order():
+    sim = _sim(1)
+    fired = []
+    sim.schedule(2.0, lambda: fired.append("late"))
+    sim.schedule(1.0, lambda: fired.append("first"))
+    sim.schedule(1.0, lambda: fired.append("second"))
+    sim.run()
+    assert fired == ["first", "second", "late"]
+    assert sim.now == 2.0
+
+
+def test_same_time_events_fire_in_scheduling_order():
+    """Completions and calls sharing a timestamp fire in the order they
+    were scheduled, calls scheduled at that instant after them."""
+    sim = _sim(4)
+    fired = []
+    for disk in (2, 0, 3):
+        sim.submit(
+            IORequest(disk, 0, 10 * _MB, IOKind.READ),
+            callback=lambda r: fired.append(("done", r.disk)),
+        )
+    finish = sim.disks[2].current.finish_time
+    assert sim.disks[0].current.finish_time == finish
+    sim.schedule(finish, lambda: fired.append(("call", 0)))
+
+    def at_finish():
+        fired.append(("call", 1))
+        sim.schedule(0.0, lambda: fired.append(("call", 2)))
+
+    sim.schedule(finish, at_finish)
+    sim.run()
+    assert fired == [
+        ("done", 2), ("done", 0), ("done", 3), ("call", 0), ("call", 1), ("call", 2)
+    ]
+    assert sim.now == finish
+
+
 def test_completion_callback_fires_once_with_request():
     sim = _sim(1)
     seen = []

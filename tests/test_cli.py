@@ -617,9 +617,10 @@ def test_negative_lse_burst_is_rejected(capsys, command):
     (["serve", "--diurnal-amplitude", "-1"], "diurnal_amplitude"),
     (["serve", "--tenant", "vod:inf"], "expected a finite number"),
     (["serve", "--tenant", "vod:5:poisson:nan"], "expected a finite number"),
+    (["reliability", "--mttf", "1e-300"], "no finite positive MTTDL"),
 ], ids=["transient-rate", "fail-slow-mult", "second-failure-at",
         "leaderboard-transient-rate", "diurnal-amplitude", "tenant-rate-inf",
-        "tenant-zipf-nan"])
+        "tenant-zipf-nan", "mttf-tiny"])
 def test_out_of_range_fault_and_load_knobs_are_rejected(capsys, command, message):
     """A value that would silently mean "no such fault" is an error."""
     rc = main([*command, "--n", "3", "--stripes", "3"])

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,9 @@ from hypothesis import strategies as st
 
 from repro.core.registry import LAYOUTS, comparison_pair
 from repro.raidsim import campaign
+from repro.workloads.openloop import TenantSpec, open_arrivals
 from repro.workloads.generator import (
+    MAX_ARRIVALS,
     UserRead,
     WriteOp,
     _bounded_draws,
@@ -88,6 +92,19 @@ def test_unpinned_reads_spread_over_disks():
 def test_rate_must_be_positive():
     with pytest.raises(ValueError):
         user_read_stream(4, 4, 1.0, 0)
+
+
+@pytest.mark.parametrize("rate,duration", [
+    (1e300, 1.0),  # never finished: drew arrivals one by one
+    (MAX_ARRIVALS / 2.0 + 1.0, 2.0),  # just over the bound
+])
+def test_a_stream_expecting_too_many_arrivals_is_refused(rate, duration):
+    """Refused before any draw, naming the rate and the window."""
+    message = re.escape(f"rate {rate:g}/s over a {duration:g} s window")
+    with pytest.raises(ValueError, match=message):
+        user_read_stream(3, 2, duration_s=duration, rate_per_s=rate)
+    with pytest.raises(ValueError, match=message):
+        open_arrivals(3, 2, duration, [TenantSpec("a", rate / 2), TenantSpec("b", rate / 2)])
 
 
 def test_arrival_rate_roughly_matches():
