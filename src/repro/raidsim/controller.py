@@ -1478,35 +1478,29 @@ class RaidController:
         log = self._write_log
         if not log:
             return
-        lay = self.layout
+        lay, stack = self.layout, self.stack
         payloads = self.film.fresh(self._write_rng, sum(e.n_payloads for _, e in log))
-        stripes = list(dict.fromkeys(stripe for stripe, _ in log))
-        column = {stripe: k for k, stripe in enumerate(stripes)}
-        n_disks, rows, k = self.stack.n_disks, self.stack.rows, len(stripes)
-        # (disk, row, stripe) placement of every touched cell
-        stripes_arr = np.array(stripes, dtype=np.intp)
-        shifts = stripes_arr % n_disks if self.stack.rotate else np.zeros(k, dtype=np.intp)
-        disks = np.broadcast_to(
-            ((np.arange(n_disks)[:, None] + shifts) % n_disks)[:, None, :], (n_disks, rows, k)
+        column = {stripe: k for k, stripe in enumerate(dict.fromkeys(s for s, _ in log))}
+        stripes = np.fromiter(column, dtype=np.intp, count=len(column))
+        # the touched stripes through the stack's placement, as one
+        # (n_disks, rows, stripes, size) block
+        store = self.content[: stack.n_disks].reshape(
+            stack.n_disks, stack.n_stripes, stack.rows, self.payload_bytes
         )
-        slots = np.broadcast_to(
-            np.arange(rows)[:, None] + stripes_arr * rows, (n_disks, rows, k)
-        )
-        data = lay.data_of(self.content[disks, slots])
-        written = np.zeros((n_disks, rows, k), dtype=bool)
+        where = (stack.placement[0][:, stripes], stripes)
+        block = store[where].transpose(0, 2, 1, 3)
+        data = lay.data_of(block)
+        written = np.zeros(block.shape[:3], dtype=bool)
         first = 0
         for stripe, entry in log:
             col = column[stripe]
-            j, i = entry.data
-            data[j, i, col] = payloads[first : first + entry.n_payloads][entry.pick]
+            data[(*entry.data, col)] = payloads[first : first + entry.n_payloads][entry.pick]
             first += entry.n_payloads
-            w_disks, w_rows = entry.writes
-            written[w_disks, w_rows, col] = True
+            written[(*entry.writes, col)] = True
         log.clear()
         n_j, n = data.shape[:2]
-        size = self.payload_bytes
-        encoded = lay.encode(data.reshape(n_j, n, k * size)).reshape(n_disks, rows, k, size)
-        self.content[disks[written], slots[written]] = encoded[written]
+        encoded = lay.encode(data.reshape(n_j, n, -1)).reshape(block.shape)
+        store[where] = np.where(written[..., None], encoded, block).transpose(0, 2, 1, 3)
 
     def store_encoded(self, stripe: int, data: np.ndarray, cells) -> None:
         """Store the encoding of a data block into logical ``cells`` only.
