@@ -101,21 +101,17 @@ def _run(case, reference: bool):
                 fault_plan=plan, tracer=False,
             )
             submitted = []  # per submission: its requests
-            submit_runs, submit_batch = ctrl.array.submit_runs, ctrl.array.submit_batch
-            if reference:
-                def spy(*args, **kwargs):
-                    sub = submit_batch(*args, **kwargs)
-                    submitted.append([(r.disk, r.offset, r.size, r.kind, r.priority, r.tag) for r in sub])
-                    return sub
+            # the reference submits through submit_batch, the write
+            # path through submit_runs (which submit_batch ends in)
+            name = "submit_batch" if reference else "submit_runs"
+            submit = getattr(ctrl.array, name)
 
-                ctrl.array.submit_batch = spy
-            else:
-                def spy(*args, **kwargs):
-                    sub = submit_runs(*args, **kwargs)
-                    submitted.append([(r.disk, r.offset, r.size, r.kind, r.priority, r.tag) for r in sub])
-                    return sub
+            def spy(*args, **kwargs):
+                sub = submit(*args, **kwargs)
+                submitted.append([(r.disk, r.offset, r.size, r.kind, r.priority, r.tag) for r in sub])
+                return sub
 
-                ctrl.array.submit_runs = spy
+            setattr(ctrl.array, name, spy)
             rng = np.random.default_rng(case["seed"])
             ops = [WriteOp(stripe, cells) for stripe, cells in case["ops"]]
             if reference:
