@@ -36,9 +36,9 @@ Kernels:
 * ``engine_elevator``     — raw event-engine throughput, elevator scheduling
 * ``batch_submission``    — vectorized ``submit_batch`` over bulk numpy ops
 * ``user_read_submit``    — single-element priority-0 user reads, one
-                            per arrival, through the controller's
-                            retry path under a transient + LSE fault
-                            plan (informational: not in the CI
+                            per arrival, through ``OnlineReconstruction``
+                            on a healthy array under a transient + LSE
+                            fault plan (informational: not in the CI
                             baseline)
 * ``plan_generation``     — reconstruction plans for every 2-failure set
 * ``nemesis_schedule``    — drawing dense year-long nemesis fault schedules
@@ -267,22 +267,26 @@ def kernel_openloop_submit(n_arrivals: int) -> float:
 
 
 def kernel_user_read_submit(n_reads: int) -> float:
-    """Single-element user reads through ``_submit_reads_with_retry``.
+    """Single-element user reads through ``OnlineReconstruction``.
 
-    Each read is one ``(disk, slot)`` at priority 0, submitted at its
-    own arrival instant (about 30% of the array's bandwidth) by an
-    ``OP_CALL`` event, under a fault plan with transient errors and
-    latent sector errors — the per-request path of ``repro serve`` and
-    ``repro nemesis`` without workload generation or SLO accounting.
-    Controller construction is outside the timed region.
+    Each read is one data element at priority 0, arriving on its own
+    (about 30% of the array's bandwidth) on a healthy priority-scheduled
+    array, under a fault plan with transient errors and latent sector
+    errors: the per-request path of ``repro serve`` and ``repro
+    nemesis`` (the compile pass, the arrival stream, the one-request
+    submission and the settle step into the ledger) without workload
+    generation.  Controller construction is outside the timed region.
     """
     import numpy as np
 
     from repro.disksim.faultplan import FaultPlan
     from repro.disksim.scheduler import PriorityScheduler
+    from repro.raidsim.reconstruction import OnlineReconstruction
+    from repro.workloads.generator import UserRead
 
+    layout = shifted_mirror_parity(5)
     ctrl = RaidController(
-        shifted_mirror_parity(5),
+        layout,
         n_stripes=64,
         payload_bytes=8,
         scheduler_factory=PriorityScheduler,
@@ -290,21 +294,15 @@ def kernel_user_read_submit(n_reads: int) -> float:
     )
     rng = np.random.default_rng(0)
     n_disks = len(ctrl.array.sim.disks)
-    disks = rng.integers(0, n_disks, n_reads).tolist()
-    slots = rng.integers(0, ctrl.stack.n_stripes * ctrl.stack.rows, n_reads).tolist()
-    gaps = rng.exponential(1.0 / (10.0 * n_disks), n_reads).tolist()
-    settled: list = []
-
-    def drive() -> None:
-        schedule_call = ctrl.array.sim.schedule_call
-        submit = ctrl._submit_reads_with_retry
-        t = 0.0
-        for d, s, gap in zip(disks, slots, gaps):
-            t += gap
-            schedule_call(t, submit, [(d, s)], "user", settled.append, 0)
-        ctrl.array.run()
-
-    return _time(drive)
+    stripes = rng.integers(0, ctrl.n_stripes, n_reads).tolist()
+    cells = rng.integers(0, layout.n * layout.n, n_reads).tolist()
+    times = np.cumsum(rng.exponential(1.0 / (10.0 * n_disks), n_reads)).tolist()
+    reads = [
+        UserRead(t, stripe, c // layout.n, c % layout.n)
+        for t, stripe, c in zip(times, stripes, cells)
+    ]
+    online = OnlineReconstruction(ctrl, (), reads)
+    return _time(online.run)
 
 
 def kernel_plans() -> float:

@@ -36,9 +36,11 @@ Pending events live in the opcode calendar of
 :mod:`repro.disksim.calendar`: completions are integer-payload events
 dispatched through a two-entry opcode table, pushed onto the
 calendar's heap as the disk starts the request, and the run loop pops
-one event at a time in ``(time, seq)`` order.  There is one run loop:
-every completion, with or without a callback, fault hook or tracer,
-takes the same per-event step in :meth:`Simulation._run_events`.
+one event at a time in ``(time, seq)`` order.  An arrival stream
+(:meth:`Simulation.schedule_stream`) keeps only its next item pending,
+under a ``seq`` reserved when the stream was scheduled.  There is one
+run loop: every completion, with or without a callback, fault hook or
+tracer, takes the same per-event step in :meth:`Simulation._run_events`.
 """
 
 from __future__ import annotations
@@ -241,6 +243,33 @@ class _DiskServer:
         self.current: IORequest | None = None
 
 
+class _Stream:
+    """The cursor of :meth:`Simulation.schedule_stream`.
+
+    A slotted object whose bound :meth:`arrive` sits on the calendar,
+    so nothing refers back to it once its last item has popped (a
+    self-referencing closure would be a cycle kept alive until a
+    collector pass, and with it whatever ``action`` holds).
+    """
+
+    __slots__ = ("at", "base", "action", "push_call")
+
+    def __init__(self, at: list[float], base: int, action, push_call) -> None:
+        #: event time of every item, and the ``seq`` reserved for item 0
+        self.at = at
+        self.base = base
+        self.action = action
+        self.push_call = push_call
+
+    def arrive(self, k: int) -> None:
+        """Item ``k`` popped: put item ``k + 1`` on the calendar, then act."""
+        nxt = k + 1
+        at = self.at
+        if nxt < len(at):
+            self.push_call(at[nxt], self.base + nxt, self.arrive, (nxt,))
+        self.action(k)
+
+
 class Simulation:
     """Event-driven simulation of an array of disks.
 
@@ -337,6 +366,29 @@ class Simulation:
             raise ValueError(f"delay must be >= 0, got {delay}")
         self._seq += 1
         self._cal.push_call(self.now + delay, self._seq, action, args)
+
+    def schedule_stream(self, times, action: Callable[[int], None]) -> None:
+        """Run ``action(k)`` at ``times[k]`` for every ``k``.
+
+        Each item pops exactly where ``schedule_call(max(0.0, times[k] -
+        now), action, k)``, issued now for every item in turn, would pop
+        it.  The stream reserves those calls' ``seq`` numbers up front
+        and keeps only its next item on the calendar: the item is pushed
+        with its reserved ``seq`` when the one before it pops, before
+        that one's action runs.  Its ``(time, seq)`` is above the popped
+        item's, and it is on the calendar before anything else can pop.
+        Each item is one claimed ``OP_CALL``.  A time before now fires
+        now; times must not decrease.
+        """
+        now = self.now
+        at = [now + max(0.0, t - now) for t in times]
+        if any(b < a for a, b in zip(at, at[1:])):
+            raise ValueError("stream times must not decrease")
+        if not at:
+            return
+        stream = _Stream(at, self._seq + 1, action, self._cal.push_call)
+        self._seq += len(at)
+        stream.push_call(at[0], stream.base, stream.arrive, (0,))
 
     def submit(self, request: IORequest, callback: Callback | None = None) -> None:
         """Enqueue a request on its disk, starting service if idle."""

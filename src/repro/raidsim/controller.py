@@ -69,6 +69,12 @@ __all__ = [
 _MB = 1024 * 1024
 
 
+def _check_window(window: int) -> None:
+    """Reject a pipeline depth below one: nothing would ever start."""
+    if window < 1:
+        raise ValueError(f"window must be at least 1, got {window}")
+
+
 @dataclass(frozen=True)
 class RetryPolicy:
     """Bounded read retries with exponential backoff in simulated time.
@@ -941,7 +947,10 @@ class RaidController:
         The bookkeeping lives in one slotted :class:`_RetryBatch`
         object per batch; its bound method is the per-request callback,
         so no closure cells are allocated on this path.  The compiled
-        rebuild phases use the same object for their reads.
+        rebuild phases use the same object for their reads, and so do
+        the single-cell user reads of
+        :class:`~repro.raidsim.reconstruction.OnlineReconstruction`,
+        which submit their one request straight to the engine.
         """
         batch = _RetryBatch(self, on_settled)
         reqs = self.array.submit_elements(
@@ -1022,6 +1031,7 @@ class RaidController:
         verdict (the paper's §VII-A post-check) and the run's
         :class:`FaultStats`.
         """
+        _check_window(window)
         failed = tuple(sorted(set(failed_disks)))
         for f in failed:
             if not 0 <= f < self.layout.n_disks:
@@ -1388,6 +1398,7 @@ class RaidController:
         completion order would have left, with payloads drawn from
         ``rng`` in that order.
         """
+        _check_window(window)
         if rng is None:
             rng = np.random.default_rng(7)
         start = self.array.now

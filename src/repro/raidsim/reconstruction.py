@@ -24,11 +24,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..core.errors import UnrecoverableFailureError
+from ..disksim.array import _SINGLE
+from ..disksim.request import IOKind, IORequest
 from ..disksim.scheduler import PriorityScheduler
 from ..obs.metrics import NULL_REGISTRY
 from ..workloads.generator import UserRead
 from ..workloads.openloop import SLOAccountant
-from .controller import FaultStats, RaidController, RebuildResult
+from .controller import FaultStats, RaidController, RebuildResult, _check_window, _RetryBatch
 
 __all__ = ["OnlineResult", "OnlineReconstruction", "degraded_read_sources"]
 
@@ -110,6 +112,8 @@ class OnlineReconstruction:
         (or any sorted-by-time iterable of
         :class:`~repro.workloads.generator.UserRead`, e.g. the open-loop
         streams of :mod:`repro.workloads.openloop`).
+    window:
+        Stripes the rebuild keeps in flight; at least 1.
     throttle:
         ``None`` or a rebuild-rate policy with a ``delay_s(now, n_ios)``
         method — see :class:`~repro.workloads.openloop.FixedThrottle`
@@ -138,6 +142,7 @@ class OnlineReconstruction:
                     "online reconstruction requires PriorityScheduler disks; "
                     "build the controller with scheduler_factory=PriorityScheduler"
                 )
+        _check_window(window)
         self.controller = controller
         self.failed = tuple(sorted(set(failed_disks)))
         self.user_reads = sorted(user_reads, key=lambda r: r.time)
@@ -148,83 +153,147 @@ class OnlineReconstruction:
         self.ledger = ledger
 
     # ------------------------------------------------------------------
-    def run(self) -> OnlineResult:
-        ctrl = self.controller
-        sim = ctrl.array.sim
-        ledger = self.ledger
-        observe = getattr(self.throttle, "observe", None)
-        failed_set = set(self.failed)
-        # degraded-source resolution is a pure function of the logical
-        # failure set and the (i, j) address — memoise it across the
-        # stream (a heavy campaign resolves the same handful of cells
-        # thousands of times)
-        source_memo: dict[
-            tuple[tuple[int, ...], int, int], tuple[list[tuple[int, int]], bool]
-        ] = {}
-        # each stripe's logical failure set (identity unless rotated)
-        logical_memo: dict[int, tuple[int, ...]] = {}
+    def _compile(self) -> list[tuple[list[tuple[int, int]], bool, list] | None]:
+        """Each arrival's placed cells, degraded flag and logical sources.
 
-        def schedule_user_read(read: UserRead) -> None:
-            def fire() -> None:
-                logical = logical_memo.get(read.stripe)
-                if logical is None:
-                    logical = logical_memo[read.stripe] = tuple(
-                        sorted({ctrl.stack.logical_disk(read.stripe, f) for f in failed_set})
-                    )
-                memo_key = (logical, read.i, read.j)
-                hit = source_memo.get(memo_key)
-                if hit is None:
-                    found = degraded_read_sources(ctrl.layout, set(logical), read.i, read.j)
-                    degraded = len(found) > 1 or found[0] != ctrl.layout.data_cell(
+        All three are pure functions of the read's ``(stripe, i, j)``:
+        the failure set and the rotation are fixed for the run.  Entries
+        are shared between the arrivals of one address; an address no
+        source set survives gets ``None``, and its arrival raises when
+        it fires, where a read planned at its arrival would.
+        """
+        ctrl = self.controller
+        layout = ctrl.layout
+        stack = ctrl.stack
+        failed = self.failed
+        # sources by (logical failure set, i, j): a rotated stack maps
+        # the failure onto few logical sets, shared across stripes
+        source_memo: dict[tuple[tuple[int, ...], int, int], tuple[list, bool] | None] = {}
+        logical_memo: dict[int, tuple[int, ...]] = {}
+        by_address: dict[tuple[int, int, int], tuple | None] = {}
+        compiled = []
+        for read in self.user_reads:
+            address = (read.stripe, read.i, read.j)
+            if address in by_address:
+                compiled.append(by_address[address])
+                continue
+            logical = logical_memo.get(read.stripe)
+            if logical is None:
+                logical = logical_memo[read.stripe] = tuple(
+                    sorted({stack.logical_disk(read.stripe, f) for f in failed})
+                )
+            key = (logical, read.i, read.j)
+            if key in source_memo:
+                found = source_memo[key]
+            else:
+                try:
+                    sources = degraded_read_sources(layout, set(logical), read.i, read.j)
+                except UnrecoverableFailureError:
+                    found = None
+                else:
+                    degraded = len(sources) > 1 or sources[0] != layout.data_cell(
                         read.i, read.j
                     )
-                    hit = source_memo[memo_key] = (found, degraded)
-                sources, degraded = hit
+                    found = (sources, degraded)
+                source_memo[key] = found
+            entry = None
+            if found is not None:
+                sources, degraded = found
                 cells = [ctrl.place(read.stripe, c) for c in sources]
-                t0 = ctrl.array.now
+                entry = (cells, degraded, sources)
+            by_address[address] = entry
+            compiled.append(entry)
+        return compiled
 
-                # settled through the controller's retry path; with no
-                # retry policy nothing is retried
-                def settled(failed_reqs, rerouted: bool = False) -> None:
-                    if failed_reqs and not rerouted:
-                        # retries exhausted: re-plan through the
-                        # next-cheapest source set, counting disks
-                        # that died since the read was planned
-                        bigger = {
-                            ctrl.stack.logical_disk(read.stripe, f)
-                            for f in failed_set | set(ctrl._dead_disks)
-                        }
-                        try:
-                            alt = degraded_read_sources(
-                                ctrl.layout, bigger, read.i, read.j
-                            )
-                        except UnrecoverableFailureError:
-                            alt = None
-                        if alt is not None and alt != sources:
-                            ctrl.fault_stats.rerouted_reads += 1
-                            ctrl._submit_reads_with_retry(
-                                [ctrl.place(read.stripe, c) for c in alt],
-                                "user",
-                                lambda fr: settled(fr, rerouted=True),
-                                priority=0,
-                            )
-                            return
-                    now = sim.now
-                    lat = now - t0
-                    ledger.record(lat, read.tenant, now, len(failed_reqs), degraded)
-                    ledger.observe_queue_depth(sim.pending_count(), now)
-                    if observe is not None:
-                        observe(lat)
+    def run(self) -> OnlineResult:
+        """Rebuild the failed disks while the reads arrive; settle both.
 
+        The reads are compiled first (:meth:`_compile`) and arrive as one
+        :meth:`~repro.disksim.events.Simulation.schedule_stream`, which
+        pops them as one ``schedule`` per read would.  A read of one
+        cell submits its one request straight to the engine; a read of
+        several cells goes through the controller's batch retry path.
+        Each read settles once into the ledger, after re-routing when
+        its retries ran out.
+        """
+        ctrl = self.controller
+        array = ctrl.array
+        sim = array.sim
+        ledger = self.ledger
+        observe = getattr(self.throttle, "observe", None)
+        reads = self.user_reads
+        compiled = self._compile()
+        failed_set = set(self.failed)
+        submit = sim.submit
+        esize = array.element_size
+        array_obs = array._obs
+        read_kind = IOKind.READ
+
+        def record(k: int, t0: float, failed_reqs) -> None:
+            now = sim.now
+            lat = now - t0
+            ledger.record(lat, reads[k].tenant, now, len(failed_reqs), compiled[k][1])
+            ledger.observe_queue_depth(sim.pending_count(), now)
+            if observe is not None:
+                observe(lat)
+
+        def reroute(k: int, t0: float) -> bool:
+            """Retries exhausted: re-plan through the next-cheapest
+            source set, counting disks that died since the read was
+            planned; ``False`` when no other set survives."""
+            read = reads[k]
+            bigger = {
+                ctrl.stack.logical_disk(read.stripe, f)
+                for f in failed_set | set(ctrl._dead_disks)
+            }
+            try:
+                alt = degraded_read_sources(ctrl.layout, bigger, read.i, read.j)
+            except UnrecoverableFailureError:
+                return False
+            if alt == compiled[k][2]:
+                return False
+            ctrl.fault_stats.rerouted_reads += 1
+            ctrl._submit_reads_with_retry(
+                [ctrl.place(read.stripe, c) for c in alt],
+                "user",
+                lambda fr: record(k, t0, fr),
+                priority=0,
+            )
+            return True
+
+        def arrive(k: int) -> None:
+            entry = compiled[k]
+            if entry is None:
+                read = reads[k]
+                logical = {ctrl.stack.logical_disk(read.stripe, f) for f in failed_set}
+                degraded_read_sources(ctrl.layout, logical, read.i, read.j)  # raises
+            cells = entry[0]
+            t0 = sim.now
+
+            # settled through the controller's retry path; with no
+            # retry policy nothing is retried
+            def settled(failed_reqs) -> None:
+                if failed_reqs and reroute(k, t0):
+                    return
+                record(k, t0, failed_reqs)
+
+            if len(cells) == 1:
+                # one request, straight to the engine: what
+                # submit_elements' single-op bypass submits and logs
+                disk, slot = cells[0]
+                if array_obs is not None:
+                    array_obs.log.append(_SINGLE)
+                batch = _RetryBatch(ctrl, settled)
+                batch.outstanding = 1
+                batch.primed = True
+                submit(IORequest(disk, slot * esize, esize, read_kind, 0, "user"), batch.callback)
+            else:
                 ctrl._submit_reads_with_retry(cells, "user", settled, priority=0)
 
-            ctrl.array.sim.schedule(max(0.0, read.time - ctrl.array.now), fire)
-
-        for read in self.user_reads:
-            schedule_user_read(read)
+        sim.schedule_stream([r.time for r in reads], arrive)
         rebuild = ctrl.rebuild(self.failed, window=self.window, throttle=self.throttle)
         # settle user reads arriving after the rebuild's last event
-        ctrl.array.run()
+        array.run()
 
         mean_s, max_s, p95_s = ledger.latency_stats(95)
         return OnlineResult(
